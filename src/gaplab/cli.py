@@ -33,6 +33,7 @@ from .trainkit import (
     SynthConfig,
     TrainConfig,
     encode_pairs,
+    epoch_steps,
     synth_dataset,
     train,
 )
@@ -153,6 +154,7 @@ def _write_checkpoint(out_dir: str, name: str, enc) -> None:
 
 def cmd_train(args) -> int:
     train_cfg, synth_cfg = load_run_config(args.config)
+    epoch_steps(train_cfg, synth_cfg)  # reject the config before creating out_dir
     os.makedirs(args.out_dir, exist_ok=True)
     (img_enc, txt_enc), temp, history = train(train_cfg, synth_cfg)
 
@@ -370,3 +372,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

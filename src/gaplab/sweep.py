@@ -4,12 +4,15 @@ and tabulate the results.
 Each run is fully independent (its own data, initialization, and batch order,
 all derived from its seed), so runs may execute in parallel worker processes.
 The GAPLAB_THREADS environment variable caps the worker count; 1 forces a
-plain in-process loop. Output rows keep the input order regardless of
-completion order: per-seed rows first, then one mean row per alpha block.
+plain in-process loop. Each pool worker runs OpenBLAS with one thread: the
+cells already fill the CPUs, and at these sizes threads inside a cell only
+spin. Output rows keep the input order regardless of completion order:
+per-seed rows first, then one mean row per alpha block.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -26,6 +29,7 @@ from .trainkit import (
     SynthConfig,
     TrainConfig,
     encode_pairs,
+    epoch_steps,
     synth_dataset,
     train,
     train_constant_alpha,
@@ -55,7 +59,7 @@ class SweepRunError(RuntimeError):
 
 
 def worker_count() -> int:
-    """Sweep parallelism: GAPLAB_THREADS if set, else the logical CPU count."""
+    """Sweep parallelism: GAPLAB_THREADS if set, else the CPUs this process may use."""
     raw = os.environ.get("GAPLAB_THREADS", "").strip()
     if raw:
         try:
@@ -65,7 +69,45 @@ def worker_count() -> int:
         if value < 1:
             raise ValueError(f"GAPLAB_THREADS must be >= 1, got {value}")
         return value
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _openblas(name: str):
+    """The function openblas_<name> of the OpenBLAS mapped into this process, or None.
+
+    Only Linux lists its mappings (/proc/self/maps). A system OpenBLAS exports
+    the plain name; NumPy's wheels rename it: a 64_ suffix for 64-bit integer
+    builds (NumPy 1.x) and a scipy_ prefix as well (NumPy 2.x).
+    """
+    try:
+        with open("/proc/self/maps", "rb") as f:
+            fields = [line.split(None, 5) for line in f]
+    except OSError:
+        return None
+    paths = sorted({os.fsdecode(f[5].strip()) for f in fields
+                    if len(f) == 6 and b"openblas" in f[5].lower()})
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in (f"openblas_{name}", f"openblas_{name}64_",
+                       f"scipy_openblas_{name}", f"scipy_openblas_{name}64_"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                return fn
+    return None
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: pin this worker's OpenBLAS to one thread, if it has one."""
+    set_threads = _openblas("set_num_threads")
+    if set_threads is not None:
+        set_threads.argtypes = [ctypes.c_int]
+        set_threads.restype = None
+        set_threads(1)
 
 
 def run_single(train_cfg: TrainConfig, synth_cfg: SynthConfig, alpha_target: float,
@@ -130,8 +172,10 @@ def run_sweep(train_cfg: TrainConfig, synth_cfg: SynthConfig, alphas, seeds,
     """All (alpha, seed) runs, as ordered rows of (seed_label, SweepRecord).
 
     Per alpha block: one row per seed (labels are the seed values as strings)
-    followed by a "mean" row. A failing run raises SweepRunError carrying the
-    rows that completed before it, so callers can persist a partial table.
+    followed by a "mean" row. Invalid inputs raise ValueError before any run
+    starts. A failing run raises SweepRunError carrying the rows that
+    completed before it, so callers can persist a partial table; runs not yet
+    started in the pool are cancelled.
     """
     alphas = [float(a) for a in alphas]
     seeds = [int(s) for s in seeds]
@@ -140,6 +184,7 @@ def run_sweep(train_cfg: TrainConfig, synth_cfg: SynthConfig, alphas, seeds,
     for a in alphas:
         if not 0.0 <= a <= 1.0:
             raise ValueError(f"alpha_target must be in [0, 1], got {a}")
+    epoch_steps(train_cfg, synth_cfg)
     if max_workers is None:
         max_workers = worker_count()
     max_workers = min(max_workers, len(alphas) * len(seeds))
@@ -163,14 +208,13 @@ def run_sweep(train_cfg: TrainConfig, synth_cfg: SynthConfig, alphas, seeds,
 
     if max_workers <= 1:
         return consume(_worker(job) for job in jobs)
-    with ProcessPoolExecutor(max_workers=max_workers) as pool:
+    with ProcessPoolExecutor(max_workers=max_workers, initializer=_one_blas_thread) as pool:
         futures = [pool.submit(_worker, job) for job in jobs]
-
-        def results():
-            for f in futures:
-                yield f.result()
-
-        return consume(results())
+        try:
+            return consume(f.result() for f in futures)
+        except SweepRunError:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def sweep_to_csv(rows, failure: tuple | None = None) -> str:

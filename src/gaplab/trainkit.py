@@ -37,6 +37,7 @@ __all__ = [
     "NonFiniteLossError",
     "train",
     "train_constant_alpha",
+    "epoch_steps",
     "encode_pairs",
 ]
 
@@ -67,6 +68,14 @@ class SynthConfig:
     @property
     def n_samples(self) -> int:
         return self.n_classes * self.samples_per_class
+
+    @property
+    def n_train(self) -> int:
+        """Rows in the train split; the other n_samples - n_train rows are the eval split."""
+        n_train = int(self.n_samples * self.train_fraction)
+        if n_train < 1 or n_train >= self.n_samples:
+            raise ValueError("train_fraction leaves an empty split")
+        return n_train
 
 
 @dataclass
@@ -105,9 +114,7 @@ def synth_dataset(config: SynthConfig) -> PairedDataset:
     texts = latent @ map_txt + config.noise_sigma * r_noise_txt.standard_normal((n, config.text_input_dim))
 
     order = r_perm.permutation(n)
-    n_train = int(n * config.train_fraction)
-    if n_train < 1 or n_train >= n:
-        raise ValueError("train_fraction leaves an empty split")
+    n_train = config.n_train
     return PairedDataset(
         images=images,
         texts=texts,
@@ -353,14 +360,22 @@ def encode_pairs(img_enc: Encoder, txt_enc: Encoder, data: PairedDataset,
     )
 
 
+def epoch_steps(train_cfg: TrainConfig, synth_cfg: SynthConfig) -> int:
+    """Optimizer steps per epoch; ValueError if batch_size exceeds the train split.
+
+    Needs only the configs, so callers can reject a run before any work starts.
+    """
+    n_train = synth_cfg.n_train
+    steps = n_train // train_cfg.batch_size
+    if steps < 1:
+        raise ValueError(f"batch_size {train_cfg.batch_size} exceeds the train split size {n_train}")
+    return steps
+
+
 def _run_loop(train_cfg: TrainConfig, synth_cfg: SynthConfig, fixed_alpha: float | None):
     data = synth_dataset(synth_cfg)
     n_train = data.train_idx.size
-    steps_per_epoch = n_train // train_cfg.batch_size
-    if steps_per_epoch < 1:
-        raise ValueError(
-            f"batch_size {train_cfg.batch_size} exceeds the train split size {n_train}"
-        )
+    steps_per_epoch = epoch_steps(train_cfg, synth_cfg)
     # the schedule's step grid always comes from the data, not the config file
     cfg = replace(train_cfg.curriculum, steps_per_epoch=steps_per_epoch)
 

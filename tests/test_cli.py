@@ -1,12 +1,18 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+import time
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gaplab as gl
 from gaplab import cli as cli_mod
+from gaplab import sweep as sweep_mod
 
 from conftest import unit_rows
 
@@ -204,6 +210,22 @@ def test_train_bad_config_exits_2(tmp_path, capsys):
     assert "unknown_knob" in stderr
 
 
+@pytest.fixture
+def oversized_batch_config(tmp_path):
+    path = tmp_path / "big_batch.json"
+    path.write_text(json.dumps({"train": {"batch_size": 5000}}))
+    return path
+
+
+def test_train_rejected_config_leaves_no_out_dir(tmp_path, oversized_batch_config, capsys):
+    out_dir = tmp_path / "never"
+    code, _, stderr = run_cli(["train", "--config", oversized_batch_config,
+                               "--out-dir", out_dir], capsys)
+    assert code == 2
+    assert "batch_size 5000 exceeds the train split size 1600" in stderr
+    assert not out_dir.exists()
+
+
 def test_train_numerical_failure_exits_3(tmp_path, tiny_config_path, capsys, monkeypatch):
     def explode(train_cfg, synth_cfg):
         raise gl.trainkit.NonFiniteLossError(0, 4, 0.1, float("nan"))
@@ -284,6 +306,51 @@ def test_sweep_bad_alpha_list_exits_2(tmp_path, tiny_config_path, capsys):
                                "--alphas", "0.2,high", "--out", tmp_path / "s.csv"], capsys)
     assert code == 2
     assert "--alphas" in stderr
+
+
+def test_sweep_oversized_batch_exits_2_like_train(tmp_path, oversized_batch_config,
+                                                  capsys, monkeypatch):
+    monkeypatch.setenv("GAPLAB_THREADS", "2")
+    out = tmp_path / "s.csv"
+    code, _, sweep_err = run_cli(["sweep", "--config", oversized_batch_config,
+                                  "--alphas", "0.5", "--seeds", "0,1", "--out", out], capsys)
+    assert code == 2
+    assert not out.exists()
+    train_code, _, train_err = run_cli(["train", "--config", oversized_batch_config,
+                                        "--out-dir", tmp_path / "t"], capsys)
+    assert train_code == 2
+    assert sweep_err == train_err
+
+
+def test_sweep_pool_cancels_pending_cells_after_a_failure(tmp_path, tiny_config_path,
+                                                          capsys, monkeypatch):
+    ran = tmp_path / "ran.txt"
+    good = gl.SweepRecord(**{name: 0.5 for name in gl.SWEEP_FIELDS})
+
+    def first_cell_fails(train_cfg, synth_cfg, alpha, seed, scheduled=True):
+        with open(ran, "a") as f:
+            f.write(f"{alpha},{seed}\n")
+        if (alpha, seed) == (0.0, 0):
+            raise gl.trainkit.NonFiniteLossError(0, 0, alpha, float("nan"))
+        time.sleep(0.5)
+        return good
+
+    # the pool forks, so the workers inherit the patched module attribute
+    monkeypatch.setattr(sweep_mod, "run_single", first_cell_fails)
+    monkeypatch.setenv("GAPLAB_THREADS", "2")
+    out = tmp_path / "partial.csv"
+    code, _, stderr = run_cli(["sweep", "--config", tiny_config_path,
+                               "--alphas", "0,0.25,0.5,0.75,1", "--seeds", "0,1",
+                               "--out", out], capsys)
+    assert code == 3
+    assert "partial" in stderr
+    # calls already handed to a worker cannot be cancelled: besides the two
+    # running cells, the executor queues up to workers + 1 more, so at most
+    # six of the ten cells can start
+    assert len(ran.read_text().splitlines()) < 10
+    lines = out.read_text().strip().split("\n")
+    assert lines[0] == gl.CSV_HEADER
+    assert lines[1].startswith("failed:seed=0,0.0,")
 
 
 def test_sweep_failure_writes_partial_csv_and_exits_3(tmp_path, tiny_config_path,
@@ -405,3 +472,23 @@ def test_entrypoint_exits_with_main_code(tmp_path, capsys, monkeypatch):
         cli_mod.entrypoint()
     assert info.value.code == 2
     capsys.readouterr()
+
+
+def _run_module(*argv):
+    env = dict(os.environ)
+    src = str(Path(cli_mod.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", *argv], capture_output=True, text=True,
+                          env=env, timeout=60)
+
+
+def test_python_dash_m_gaplab_prints_usage():
+    result = _run_module("gaplab", "--help")
+    assert result.returncode == 0
+    assert result.stdout.startswith("usage: gaplab")
+
+
+def test_python_dash_m_gaplab_cli_runs_the_parser():
+    result = _run_module("gaplab.cli", "analyze")
+    assert result.returncode == 2
+    assert "the following arguments are required" in result.stderr

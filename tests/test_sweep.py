@@ -1,3 +1,6 @@
+import ctypes
+import os
+
 import numpy as np
 import pytest
 
@@ -91,6 +94,18 @@ def test_run_sweep_validates_inputs():
         gl.run_sweep(tc, sc, alphas=[1.5], seeds=[0])
 
 
+def test_run_sweep_rejects_oversized_batch_before_any_run(monkeypatch):
+    import dataclasses
+    tc, sc = tiny_configs()
+    calls = []
+    monkeypatch.setattr(sweep_mod, "run_single", lambda *args, **kw: calls.append(args))
+    big = dataclasses.replace(tc, batch_size=5000)
+    for workers in (1, 2):
+        with pytest.raises(ValueError, match="batch_size 5000 exceeds the train split size 32"):
+            gl.run_sweep(big, sc, alphas=[0.5], seeds=[0, 1], max_workers=workers)
+    assert calls == []
+
+
 def test_run_sweep_failure_carries_completed_rows(monkeypatch):
     tc, sc = tiny_configs()
     good = dummy_record()
@@ -148,3 +163,50 @@ def test_worker_count_env_override(monkeypatch):
         gl.worker_count()
     monkeypatch.delenv("GAPLAB_THREADS")
     assert gl.worker_count() >= 1
+
+
+def test_worker_count_defaults_to_usable_cpus(monkeypatch):
+    monkeypatch.delenv("GAPLAB_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert gl.worker_count() == 3
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert gl.worker_count() == 64
+
+
+# ------------------------------------------------------- BLAS threads in the pool
+
+def _blas_threads() -> int:
+    get_threads = sweep_mod._openblas("get_num_threads")
+    get_threads.argtypes = []
+    get_threads.restype = ctypes.c_int
+    return get_threads()
+
+
+def test_pool_workers_run_one_blas_thread(monkeypatch):
+    set_threads = sweep_mod._openblas("set_num_threads")
+    if set_threads is None or sweep_mod._openblas("get_num_threads") is None:
+        pytest.skip("no OpenBLAS library mapped into this process")
+    set_threads.argtypes = [ctypes.c_int]
+    set_threads.restype = None
+    before = _blas_threads()
+    parent_threads = max(before, 2)
+
+    def report_threads(train_cfg, synth_cfg, alpha, seed, scheduled=True):
+        return gl.SweepRecord(**{name: float(_blas_threads()) for name in gl.SWEEP_FIELDS})
+
+    monkeypatch.setattr(sweep_mod, "run_single", report_threads)
+    tc, sc = tiny_configs()
+    set_threads(parent_threads)
+    try:
+        rows = gl.run_sweep(tc, sc, alphas=[0.0, 0.5], seeds=[0, 1], max_workers=2)
+        assert _blas_threads() == parent_threads
+    finally:
+        set_threads(before)
+    assert len(rows) == 6
+    assert all(rec.probe_accuracy == 1.0 for _, rec in rows)
+
+
+def test_blas_pinning_is_a_no_op_without_openblas(monkeypatch):
+    monkeypatch.setattr(sweep_mod, "_openblas", lambda name: None)
+    sweep_mod._one_blas_thread()
