@@ -17,7 +17,7 @@ from math import comb, log
 import numpy as np
 
 from .geometry import EmbeddingBatch
-from .numerics import as_matrix, similarity_matrix
+from .numerics import as_matrix
 
 __all__ = [
     "ClusterReport",
@@ -94,10 +94,16 @@ SWEEP_FIELDS = (
 )
 
 
-def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def _squared_distances(points: np.ndarray, point_sq: np.ndarray,
+                       centers: np.ndarray) -> np.ndarray:
+    """||p - c||^2 by the expanded form; ``point_sq`` is (points**2).sum(axis=1).
+
+    Doubling the product, not the points, gives the same bits (scaling by 2 is
+    exact) without an n x d temporary.
+    """
     d2 = (
-        (points**2).sum(axis=1)[:, None]
-        - 2.0 * points @ centers.T
+        point_sq[:, None]
+        - 2.0 * (points @ centers.T)
         + (centers**2).sum(axis=1)[None, :]
     )
     return np.maximum(d2, 0.0)
@@ -115,10 +121,11 @@ def kmeans(points, k: int, seed: int = 0) -> tuple[np.ndarray, float]:
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     rng = np.random.default_rng(seed)
+    point_sq = (points**2).sum(axis=1)
 
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[rng.integers(n)]
-    d2 = _squared_distances(points, centers[:1]).ravel()
+    d2 = _squared_distances(points, point_sq, centers[:1]).ravel()
     for j in range(1, k):
         total = d2.sum()
         if total > 0.0:
@@ -126,11 +133,11 @@ def kmeans(points, k: int, seed: int = 0) -> tuple[np.ndarray, float]:
         else:
             idx = rng.integers(n)
         centers[j] = points[idx]
-        d2 = np.minimum(d2, _squared_distances(points, centers[j:j + 1]).ravel())
+        d2 = np.minimum(d2, _squared_distances(points, point_sq, centers[j:j + 1]).ravel())
 
     labels = np.zeros(n, dtype=np.int64)
     for _ in range(100):
-        dist = _squared_distances(points, centers)
+        dist = _squared_distances(points, point_sq, centers)
         labels = dist.argmin(axis=1)
 
         new_centers = np.empty_like(centers)
@@ -150,7 +157,7 @@ def kmeans(points, k: int, seed: int = 0) -> tuple[np.ndarray, float]:
         if shift < 1e-6:
             break
 
-    dist = _squared_distances(points, centers)
+    dist = _squared_distances(points, point_sq, centers)
     labels = dist.argmin(axis=1)
     inertia = float(dist[np.arange(n), labels].sum())
     return labels, inertia
@@ -257,12 +264,39 @@ def joint_clustering_eval(images: EmbeddingBatch, texts: EmbeddingBatch,
     )
 
 
-def recall_at_k(v, t, k: int) -> tuple[float, float]:
-    """Fraction of queries whose true partner ranks in the top k by cosine.
+# Query rows scored per block in recall_at_k: a block's scores are
+# _RECALL_BLOCK_ROWS x n float64, so memory is O(n), not O(n^2).
+_RECALL_BLOCK_ROWS = 256
 
-    Both directions are returned (image-to-text, text-to-image). A competitor
-    with a similarity equal to the true partner's outranks it only at a lower
-    index, so results carry no platform sort ambiguity.
+
+def _recall_hits(queries: np.ndarray, keys: np.ndarray, k: int) -> int:
+    """Queries whose partner (the key at the same index) ranks in the top k.
+
+    Scores come from one GEMM per block of query rows. Rank is 1 plus the
+    keys scoring strictly higher, plus the equal keys at a lower index.
+    """
+    n = queries.shape[0]
+    cols = np.arange(n)
+    hits = 0
+    for lo in range(0, n, _RECALL_BLOCK_ROWS):
+        rows = cols[lo:lo + _RECALL_BLOCK_ROWS]
+        scores = queries[lo:lo + _RECALL_BLOCK_ROWS] @ keys.T
+        own = scores[rows - lo, rows][:, None]
+        rank = (1 + np.count_nonzero(scores > own, axis=1)
+                + np.count_nonzero((scores == own) & (cols < rows[:, None]), axis=1))
+        hits += int(np.count_nonzero(rank <= k))
+    return hits
+
+
+def recall_at_k(v, t, k: int) -> tuple[float, float]:
+    """Fraction of queries whose true partner ranks in the top k by dot product.
+
+    The dot product is the cosine only for unit-norm rows; no normalization
+    is applied here. Both directions are returned (image-to-text,
+    text-to-image). A competitor with a score equal to the true partner's
+    outranks it only at a lower index, so results carry no platform sort
+    ambiguity. Scores are computed in blocks of query rows, so memory grows
+    linearly in n.
     """
     v = as_matrix(v, "V")
     t = as_matrix(t, "T")
@@ -271,17 +305,7 @@ def recall_at_k(v, t, k: int) -> tuple[float, float]:
     n = v.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    sims = similarity_matrix(v, t)
-
-    def direction(s: np.ndarray) -> float:
-        hits = 0
-        for i in range(n):
-            row = s[i]
-            rank = 1 + int((row > row[i]).sum()) + int((row[:i] == row[i]).sum())
-            hits += rank <= k
-        return hits / n
-
-    return direction(sims), direction(sims.T)
+    return _recall_hits(v, t, k) / n, _recall_hits(t, v, k) / n
 
 
 def interchangeability_probe(train_texts: EmbeddingBatch, test_images: EmbeddingBatch,

@@ -185,21 +185,41 @@ def mean_center(images, texts, renormalize: bool = False) -> tuple[EmbeddingBatc
     return rebuild(images, vc, "image"), rebuild(texts, tc, "text")
 
 
-def effective_rank(batch) -> float:
-    """exp(entropy) of the normalized singular-value distribution.
-
-    Computed on the raw (non-centered) matrix. Singular values below
-    1e-12 * sigma_max are dropped before normalization.
-    """
-    m = _vectors_of(batch)
+def _r_factor(m: np.ndarray) -> np.ndarray:
+    """R of m = QR: min(rows, cols) x cols, with the singular values of m."""
     if m.shape[0] < 2:
         raise ValueError(f"need at least 2 rows, got {m.shape[0]}")
-    sv = singular_values(m)
+    return np.linalg.qr(m, mode="r")
+
+
+def _erank_of_r(r: np.ndarray) -> float:
+    sv = singular_values(r)
     if sv[0] <= 0.0:
         raise ValueError("all-zero matrix has no effective rank")
     sv = sv[sv >= 1e-12 * sv[0]]
     p = sv / sv.sum()
     return float(np.exp(-(p * np.log(p)).sum()))
+
+
+def effective_rank(batch) -> float:
+    """exp(entropy) of the normalized singular-value distribution.
+
+    Computed on the raw (non-centered) matrix, through the singular values of
+    its R factor. Singular values below 1e-12 * sigma_max are dropped before
+    normalization.
+    """
+    return _erank_of_r(_r_factor(_vectors_of(batch)))
+
+
+def _ranks(v: np.ndarray, t: np.ndarray) -> tuple[float, float, float]:
+    """Effective ranks of V, T and the stacked [V; T], from one QR per modality.
+
+    [R_v; R_t] has the Gram matrix V'V + T'T of [V; T], hence its singular
+    values, so the joint rank needs no factorization of the stacked rows.
+    """
+    r_v = _r_factor(v)
+    r_t = _r_factor(t)
+    return _erank_of_r(r_v), _erank_of_r(r_t), _erank_of_r(np.vstack([r_v, r_t]))
 
 
 def fusion_index(images, texts) -> float:
@@ -212,9 +232,7 @@ def fusion_index(images, texts) -> float:
     t = _vectors_of(texts)
     if v.shape[1] != t.shape[1]:
         raise ValueError(f"embedding dim mismatch: {v.shape[1]} vs {t.shape[1]}")
-    er_v = effective_rank(v)
-    er_t = effective_rank(t)
-    er_joint = effective_rank(np.vstack([v, t]))
+    er_v, er_t, er_joint = _ranks(v, t)
     return er_joint / (0.5 * (er_v + er_t))
 
 
@@ -222,9 +240,7 @@ def gap_report(images, texts) -> GapReport:
     """Compute every gap and rank diagnostic for one paired batch."""
     v, t = _paired(images, texts)
     dist, n_bad = distribution_gap(v, t)
-    er_v = effective_rank(v)
-    er_t = effective_rank(t)
-    er_joint = effective_rank(np.vstack([v, t]))
+    er_v, er_t, er_joint = _ranks(v, t)
     return GapReport(
         raw_gap=raw_gap(v, t),
         centroid_gap=centroid_gap(v, t),

@@ -1,10 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import gaplab as gl
+from gaplab import evalkit
 
 from conftest import unit_rows
 
@@ -60,6 +62,21 @@ def v_measure_by_entropies(pred, truth) -> float:
     return 2.0 * hom * comp / (hom + comp)
 
 
+def recall_by_stable_sort(v, t, k) -> tuple[float, float]:
+    """Recall@k in both directions from a stable sort of each similarity row:
+    descending score, ties to the lower index."""
+    s = gl.similarity_matrix(v, t)
+    n = s.shape[0]
+    result = []
+    for mat in (s, s.T):
+        hits = 0
+        for i in range(n):
+            order = sorted(range(n), key=lambda j: (-mat[i, j], j))
+            hits += order.index(i) < k
+        result.append(hits / n)
+    return tuple(result)
+
+
 # ------------------------------------------------------------------- kmeans
 
 def test_kmeans_recovers_separated_blobs():
@@ -86,6 +103,20 @@ def test_kmeans_is_deterministic_in_the_seed():
     a = gl.kmeans(points, 4, seed=7)
     b = gl.kmeans(points, 4, seed=7)
     assert np.array_equal(a[0], b[0]) and a[1] == b[1]
+
+
+def test_kmeans_result_bits_are_pinned():
+    # Bits of the plain expanded distance form. Computing the point norms once
+    # and doubling the product instead of the points are exact rewrites, so
+    # neither may move a label or a bit of the inertia.
+    rng = np.random.default_rng(2024)
+    points = rng.standard_normal((120, 5)) + np.repeat(1.5 * rng.standard_normal((4, 5)), 30, axis=0)
+    labels, inertia = gl.kmeans(points, 4, seed=5)
+    assert "".join(map(str, labels)) == (
+        "333333333333333333333333333333222222222222222222222222202222"
+        "000000200000030022000000000000111111111111111111111111111111"
+    )
+    assert inertia.hex() == "0x1.1b3e3b641748ep+9"
 
 
 def test_kmeans_handles_duplicate_points():
@@ -222,15 +253,39 @@ def test_recall_matches_stable_sort_oracle():
     for trial in range(10):
         v = unit_rows(rng, 8, 5)
         t = unit_rows(rng, 8, 5)
-        s = gl.similarity_matrix(v, t)
         for k in (1, 3, 8):
-            got = gl.recall_at_k(v, t, k)
-            for direction, mat in enumerate((s, s.T)):
-                hits = 0
-                for i in range(8):
-                    order = sorted(range(8), key=lambda j: (-mat[i, j], j))
-                    hits += order.index(i) < k
-                assert got[direction] == hits / 8
+            assert gl.recall_at_k(v, t, k) == recall_by_stable_sort(v, t, k)
+
+
+@pytest.mark.parametrize("block", [evalkit._RECALL_BLOCK_ROWS, 7])
+def test_blocked_recall_keeps_the_tie_rule_across_blocks(monkeypatch, block):
+    monkeypatch.setattr(evalkit, "_RECALL_BLOCK_ROWS", block)
+    n = 2 * block + 37  # the last block is partial
+    rng = np.random.default_rng(30)
+    # Small integer entries: every score is exact, so ties are exact ties.
+    v = rng.integers(-2, 3, size=(n, 3)).astype(np.float64)
+    t = rng.integers(-2, 3, size=(n, 3)).astype(np.float64)
+    # Duplicated keys straddling a block boundary, each the best match of
+    # both its queries: the query after the boundary loses rank 1 to the
+    # equal key before it.
+    t[block - 1] = t[block] = v[block - 1] = v[block] = 5.0
+    v[2 * block - 1] = v[2 * block] = t[2 * block - 1] = t[2 * block] = -5.0
+    for k in (1, 3, n):
+        assert gl.recall_at_k(v, t, k) == recall_by_stable_sort(v, t, k)
+
+
+def test_recall_memory_stays_below_the_dense_matrix():
+    n, d = 3000, 4
+    rng = np.random.default_rng(31)
+    v = rng.standard_normal((n, d))
+    t = rng.standard_normal((n, d))
+    tracemalloc.start()
+    try:
+        gl.recall_at_k(v, t, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= n * n * 8 / 4
 
 
 def test_recall_is_monotone_in_k():

@@ -226,6 +226,46 @@ def test_fusion_index_allows_different_row_counts():
         gl.fusion_index(v, unit_rows(rng, 7, 4))
 
 
+def erank_by_stacked_svd(m) -> float:
+    """Effective rank from the SVD of the matrix itself, no R factor."""
+    sv = np.linalg.svd(m, compute_uv=False)
+    sv = sv[sv >= 1e-12 * sv[0]]
+    p = sv / sv.sum()
+    return float(np.exp(-(p * np.log(p)).sum()))
+
+
+def _low_rank(rng, n, d, rank):
+    return rng.standard_normal((n, rank)) @ rng.standard_normal((rank, d))
+
+
+@pytest.mark.parametrize("case", ["tall", "wide", "wide_stack_tall", "unequal_rows",
+                                  "rank_deficient"])
+def test_r_factor_ranks_match_the_stacked_svd(case):
+    rng = np.random.default_rng(20)
+    v, t = {
+        "tall": lambda: (rng.standard_normal((40, 6)), rng.standard_normal((40, 6))),
+        "wide": lambda: (rng.standard_normal((3, 9)), rng.standard_normal((3, 9))),
+        "wide_stack_tall": lambda: (rng.standard_normal((5, 8)), rng.standard_normal((6, 8))),
+        "unequal_rows": lambda: (rng.standard_normal((25, 5)), rng.standard_normal((9, 5))),
+        "rank_deficient": lambda: (_low_rank(rng, 30, 8, 2), _low_rank(rng, 20, 8, 3)),
+    }[case]()
+    er_v, er_t = erank_by_stacked_svd(v), erank_by_stacked_svd(t)
+    er_joint = erank_by_stacked_svd(np.vstack([v, t]))
+
+    def close(got, want):
+        return abs(got - want) <= 1e-12 * abs(want)
+
+    assert close(gl.effective_rank(v), er_v)
+    assert close(gl.effective_rank(t), er_t)
+    assert close(gl.effective_rank(np.vstack([v, t])), er_joint)
+    assert close(gl.fusion_index(v, t), er_joint / (0.5 * (er_v + er_t)))
+    if v.shape[0] == t.shape[0]:
+        r = gl.gap_report(v, t)
+        assert close(r.erank_image, er_v) and close(r.erank_text, er_t)
+        assert close(r.erank_joint, er_joint)
+        assert close(r.fusion_index, er_joint / (0.5 * (er_v + er_t)))
+
+
 # --------------------------------------------------------------- gap_report
 
 def test_gap_report_fields_match_individual_ops():
