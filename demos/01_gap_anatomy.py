@@ -6,6 +6,9 @@ centroid offset, and the shape mismatch that survives centering. Ends with
 the spectral side: effective ranks and the fusion index.
 """
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 
 import gaplab as gl
@@ -80,7 +83,7 @@ def main():
     report = gl.gap_report(
         gl.EmbeddingBatch(images), gl.EmbeddingBatch(texts, modality="text"))
     print("gap_report on the shoved pair:")
-    print(report.to_json())
+    print(json.dumps(asdict(report)))
     print()
     print(report.summary())
 

@@ -7,6 +7,7 @@ and clustering numbers and a save/load round trip of the embeddings.
 """
 
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import gaplab as gl
@@ -26,12 +27,12 @@ def main():
           f"{cfg.epochs} epochs at batch {cfg.batch_size}")
     print()
 
-    (img_enc, txt_enc), temp, history = gl.train(cfg, synth)
+    _, temp, history = gl.train(cfg, synth)
 
     print(f"{'epoch':>5}  {'alpha':>6}  {'loss':>7}  {'raw_gap':>8}  "
           f"{'dist_gap':>8}  {'fusion':>6}")
     for rec in history:
-        row = rec.to_dict()
+        row = asdict(rec)
         gap = row["gap"]
         print(f"{row['epoch']:5d}  {row['alpha']:6.3f}  {row['loss']:7.4f}  "
               f"{gap['raw_gap']:8.4f}  {gap['distribution_gap']:8.4f}  "
@@ -40,9 +41,8 @@ def main():
     print(f"learned similarity scale: {temp.scale:.2f} (cap 100)")
     print()
 
-    # ---- final numbers on the held-out split ----
-    data = gl.synth_dataset(synth)
-    images, texts = gl.encode_pairs(img_enc, txt_enc, data, data.eval_idx)
+    # ---- final numbers on the held-out split, as the last epoch encoded it ----
+    images, texts = history.eval_batches
     cluster = gl.joint_clustering_eval(images, texts, seed=3)
     i2t1, t2i1 = gl.recall_at_k(images.vectors, texts.vectors, 1)
     i2t5, t2i5 = gl.recall_at_k(images.vectors, texts.vectors, 5)

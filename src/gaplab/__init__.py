@@ -2,170 +2,20 @@
 gradients, a loss-adaptive three-phase curriculum, a toy dual-encoder trainer,
 and the evaluation suite and CLI that tie them together."""
 
-from .curriculum import (
-    CurriculumConfig,
-    CurriculumState,
-    Phase,
-    phase_of,
-    scheduler_new,
-    scheduler_step,
-    state_from_snapshot,
-)
-from .embfile import LABEL_MAGIC, MAGIC, atomic_write_bytes, read_embeddings, write_embeddings
-from .evalkit import (
-    ClusterReport,
-    SWEEP_FIELDS,
-    SweepRecord,
-    adjusted_rand_index,
-    interchangeability_probe,
-    joint_clustering_eval,
-    kmeans,
-    linear_fit_r2,
-    recall_at_k,
-    v_measure,
-)
-from .geometry import (
-    MODALITIES,
-    EmbeddingBatch,
-    GapReport,
-    centroid_gap,
-    distribution_gap,
-    effective_rank,
-    fusion_index,
-    gap_report,
-    mean_center,
-    raw_gap,
-)
-from .losses import (
-    DEFAULT_LOG_SCALE,
-    LOG_SCALE_MAX,
-    LOSS_IDS,
-    LossOutput,
-    Temperature,
-    analytic_bundles,
-    clip_loss,
-    clip_loss_decomposed,
-    cma_loss,
-    finite_diff_check,
-    gradient_discrepancy,
-    intra_loss,
-    numeric_bundle,
-    reweighted_loss,
-)
-from .numerics import (
-    as_matrix,
-    l2_normalize_rows,
-    pca_project_2d,
-    row_cross_entropy,
-    similarity_matrix,
-    singular_values,
-    softmax_rows,
-)
-from .sweep import (
-    CSV_HEADER,
-    SweepRunError,
-    mean_record,
-    run_single,
-    run_sweep,
-    sweep_to_csv,
-    worker_count,
-)
-from .trainkit import (
-    AdamState,
-    Encoder,
-    EncoderCache,
-    EpochRecord,
-    NonFiniteLossError,
-    PairedDataset,
-    RunHistory,
-    SynthConfig,
-    TrainConfig,
-    adam_step,
-    encode_pairs,
-    encoder_backward,
-    encoder_forward,
-    synth_dataset,
-    train,
-    train_constant_alpha,
-)
+from . import curriculum, embfile, evalkit, geometry, losses, numerics, sweep, trainkit
+from .curriculum import *  # noqa: F403
+from .embfile import *  # noqa: F403
+from .evalkit import *  # noqa: F403
+from .geometry import *  # noqa: F403
+from .losses import *  # noqa: F403
+from .numerics import *  # noqa: F403
+from .sweep import *  # noqa: F403
+from .trainkit import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamState",
-    "CSV_HEADER",
-    "ClusterReport",
-    "CurriculumConfig",
-    "CurriculumState",
-    "DEFAULT_LOG_SCALE",
-    "EmbeddingBatch",
-    "Encoder",
-    "EncoderCache",
-    "EpochRecord",
-    "GapReport",
-    "LABEL_MAGIC",
-    "LOG_SCALE_MAX",
-    "LOSS_IDS",
-    "LossOutput",
-    "MAGIC",
-    "MODALITIES",
-    "NonFiniteLossError",
-    "PairedDataset",
-    "Phase",
-    "RunHistory",
-    "SWEEP_FIELDS",
-    "SweepRecord",
-    "SweepRunError",
-    "SynthConfig",
-    "Temperature",
-    "TrainConfig",
-    "adam_step",
-    "adjusted_rand_index",
-    "analytic_bundles",
-    "as_matrix",
-    "atomic_write_bytes",
-    "centroid_gap",
-    "clip_loss",
-    "clip_loss_decomposed",
-    "cma_loss",
-    "distribution_gap",
-    "effective_rank",
-    "encode_pairs",
-    "encoder_backward",
-    "encoder_forward",
-    "finite_diff_check",
-    "fusion_index",
-    "gap_report",
-    "gradient_discrepancy",
-    "interchangeability_probe",
-    "intra_loss",
-    "joint_clustering_eval",
-    "kmeans",
-    "l2_normalize_rows",
-    "linear_fit_r2",
-    "mean_center",
-    "mean_record",
-    "numeric_bundle",
-    "pca_project_2d",
-    "phase_of",
-    "raw_gap",
-    "read_embeddings",
-    "recall_at_k",
-    "reweighted_loss",
-    "row_cross_entropy",
-    "run_single",
-    "run_sweep",
-    "scheduler_new",
-    "scheduler_step",
-    "similarity_matrix",
-    "singular_values",
-    "softmax_rows",
-    "state_from_snapshot",
-    "sweep_to_csv",
-    "synth_dataset",
-    "train",
-    "train_constant_alpha",
-    "v_measure",
-    "worker_count",
-    "write_embeddings",
+    name
+    for module in (curriculum, embfile, evalkit, geometry, losses, numerics, sweep, trainkit)
+    for name in module.__all__
 ]

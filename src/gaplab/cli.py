@@ -27,38 +27,25 @@ from .embfile import atomic_write_bytes, read_embeddings, write_embeddings
 from .evalkit import linear_fit_r2
 from .geometry import EmbeddingBatch, gap_report, mean_center
 from .numerics import pca_project_2d
-from .sweep import SweepRunError, run_sweep, sweep_to_csv, worker_count
-from .trainkit import (
-    NonFiniteLossError,
-    SynthConfig,
-    TrainConfig,
-    encode_pairs,
-    epoch_steps,
-    synth_dataset,
-    train,
-)
+from .sweep import SweepRunError, run_sweep, sweep_to_csv
+from .trainkit import NonFiniteLossError, SynthConfig, TrainConfig, epoch_steps, train
 
 __all__ = ["main", "entrypoint", "load_run_config", "render_svg"]
-
-_INT_FIELDS = {
-    "n_classes", "samples_per_class", "latent_dim", "image_input_dim",
-    "text_input_dim", "seed", "batch_size", "hidden_dim", "embed_dim",
-    "anchor_epochs", "ramp_epochs", "stabilize_epochs", "steps_per_epoch",
-}
 
 
 def _atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def _build_config(cls, data: dict, where: str):
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - allowed)
+def _build_config(cls, data: dict, where: str, exclude=()):
+    """cls(**data) after checking each key against the field names and types of cls."""
+    types = {f.name: f.type for f in dataclasses.fields(cls) if f.name not in exclude}
+    unknown = sorted(set(data) - set(types))
     if unknown:
         raise ValueError(f"unknown key(s) in {where}: {', '.join(unknown)}")
     kwargs = {}
     for key, value in data.items():
-        if key in _INT_FIELDS:
+        if types[key] in (int, "int"):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{where}.{key} must be an integer, got {value!r}")
             kwargs[key] = value
@@ -74,8 +61,8 @@ def load_run_config(path) -> tuple[TrainConfig, SynthConfig]:
 
     Schema: {"synth": {...}, "train": {..., "curriculum": {...}}}. Every key
     is optional and falls back to the toy defaults; unknown keys anywhere are
-    rejected. The curriculum's steps_per_epoch is accepted but recomputed from
-    the data at training time.
+    rejected. The curriculum's steps_per_epoch is not offered: training always
+    computes it from the data.
     """
     with open(path, "r", encoding="utf-8") as f:
         try:
@@ -97,12 +84,9 @@ def load_run_config(path) -> tuple[TrainConfig, SynthConfig]:
         raise ValueError(f"{path}: 'train.curriculum' must be a JSON object")
 
     synth_cfg = _build_config(SynthConfig, synth_raw, "synth")
-    curriculum = _build_config(CurriculumConfig, curriculum_raw, "train.curriculum")
-    allowed = {f.name for f in dataclasses.fields(TrainConfig)} - {"curriculum"}
-    unknown = sorted(set(train_raw) - allowed)
-    if unknown:
-        raise ValueError(f"{path}: unknown key(s) in train: {', '.join(unknown)}")
-    train_cfg = _build_config(TrainConfig, train_raw, "train")
+    curriculum = _build_config(CurriculumConfig, curriculum_raw, "train.curriculum",
+                               exclude={"steps_per_epoch"})
+    train_cfg = _build_config(TrainConfig, train_raw, "train", exclude={"curriculum"})
     train_cfg = dataclasses.replace(train_cfg, curriculum=curriculum)
     return train_cfg, synth_cfg
 
@@ -128,7 +112,7 @@ def _read_pair(images_path, texts_path):
 def cmd_analyze(args) -> int:
     images, texts = _read_pair(args.images, args.texts)
     report = gap_report(images, texts)
-    _atomic_write_text(args.out, json.dumps(report.to_dict(), indent=2) + "\n")
+    _atomic_write_text(args.out, json.dumps(dataclasses.asdict(report), indent=2) + "\n")
     print(report.summary())
     return 0
 
@@ -159,8 +143,7 @@ def cmd_train(args) -> int:
     (img_enc, txt_enc), temp, history = train(train_cfg, synth_cfg)
 
     _atomic_write_text(os.path.join(args.out_dir, "history.jsonl"), history.to_jsonl())
-    data = synth_dataset(synth_cfg)
-    images, texts = encode_pairs(img_enc, txt_enc, data, data.eval_idx)
+    images, texts = history.eval_batches
     write_embeddings(os.path.join(args.out_dir, "eval_images.emb"), images.vectors, images.labels)
     write_embeddings(os.path.join(args.out_dir, "eval_texts.emb"), texts.vectors, texts.labels)
     _write_checkpoint(args.out_dir, "image", img_enc)
@@ -195,11 +178,7 @@ def cmd_sweep(args) -> int:
     alphas = _parse_float_list(args.alphas, "--alphas")
     seeds = _parse_int_list(args.seeds, "--seeds")
     try:
-        rows = run_sweep(
-            train_cfg, synth_cfg, alphas, seeds,
-            scheduled=not args.constant_alpha,
-            max_workers=worker_count(),
-        )
+        rows = run_sweep(train_cfg, synth_cfg, alphas, seeds, scheduled=not args.constant_alpha)
     except SweepRunError as exc:
         _atomic_write_text(args.out, sweep_to_csv(exc.rows, failure=(exc.alpha, exc.seed)))
         print(f"sweep aborted, partial table in {args.out}: {exc}", file=sys.stderr)

@@ -10,8 +10,7 @@ freely one modality substitutes for the other.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import comb, log
 
 import numpy as np
@@ -22,6 +21,7 @@ from .numerics import as_matrix
 __all__ = [
     "ClusterReport",
     "SweepRecord",
+    "SWEEP_FIELDS",
     "kmeans",
     "adjusted_rand_index",
     "v_measure",
@@ -40,23 +40,11 @@ class ClusterReport:
     n_points: int
     inertia: float
 
-    def to_dict(self) -> dict:
-        return {
-            "v_measure": self.v_measure,
-            "ari": self.ari,
-            "k": self.k,
-            "n_points": self.n_points,
-            "inertia": self.inertia,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
 
 @dataclass
 class SweepRecord:
     """Final eval-split metrics of one trained model. Field order is the CSV
-    column order; keep them in sync."""
+    column order."""
 
     alpha_target: float
     raw_gap: float
@@ -71,27 +59,8 @@ class SweepRecord:
     erank_text: float
     fusion_index: float
 
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in SWEEP_FIELDS}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-
-SWEEP_FIELDS = (
-    "alpha_target",
-    "raw_gap",
-    "centroid_gap",
-    "distribution_gap",
-    "ari",
-    "v_measure",
-    "i2t_r1",
-    "t2i_r1",
-    "probe_accuracy",
-    "erank_image",
-    "erank_text",
-    "fusion_index",
-)
+SWEEP_FIELDS = tuple(f.name for f in fields(SweepRecord))
 
 
 def _squared_distances(points: np.ndarray, point_sq: np.ndarray,

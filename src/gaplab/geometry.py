@@ -12,7 +12,6 @@ asserts those, they are only context for reading reports.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +19,7 @@ import numpy as np
 from .numerics import as_matrix, l2_normalize_rows, singular_values
 
 __all__ = [
+    "MODALITIES",
     "EmbeddingBatch",
     "GapReport",
     "raw_gap",
@@ -82,26 +82,6 @@ class GapReport:
     fusion_index: float
     n_pairs: int
     degenerate_pairs: int
-
-    def to_dict(self) -> dict:
-        return {
-            "raw_gap": self.raw_gap,
-            "centroid_gap": self.centroid_gap,
-            "distribution_gap": self.distribution_gap,
-            "erank_image": self.erank_image,
-            "erank_text": self.erank_text,
-            "erank_joint": self.erank_joint,
-            "fusion_index": self.fusion_index,
-            "n_pairs": self.n_pairs,
-            "degenerate_pairs": self.degenerate_pairs,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GapReport":
-        return cls(**d)
 
     def summary(self) -> str:
         return (

@@ -307,24 +307,6 @@ def analytic_bundles(loss_id: str, v, t, temp: Temperature, *, alpha: float = 0.
     return [(loss_id, out.loss, out.grad_images, out.grad_texts, out.grad_log_scale)]
 
 
-def _scalar_fn(loss_id: str, alpha: float, beta: float):
-    """Map a loss id to the scalar functions finite differences will probe."""
-    if loss_id == "clip":
-        return [lambda v, t, temp: clip_loss(v, t, temp).loss]
-    if loss_id == "reweighted":
-        return [lambda v, t, temp: reweighted_loss(v, t, temp, beta).loss]
-    if loss_id == "intra":
-        return [lambda v, t, temp: intra_loss(v, t, temp).loss]
-    if loss_id == "cma":
-        return [lambda v, t, temp: cma_loss(v, t, temp, alpha).loss]
-    if loss_id == "decomposed":
-        return [
-            lambda v, t, temp: clip_loss_decomposed(v, t, temp)[0],
-            lambda v, t, temp: clip_loss_decomposed(v, t, temp)[1],
-        ]
-    raise ValueError(f"unknown loss_id {loss_id!r}; expected one of {LOSS_IDS}")
-
-
 def numeric_bundle(fn, v, t, temp: Temperature, h: float):
     """Central-difference gradients of fn(V, T, temp) over every coordinate."""
     v, t = _paired_inputs(v, t)
@@ -372,15 +354,18 @@ def finite_diff_check(loss_id: str, v, t, temp: Temperature, h: float = 1e-5,
                       *, alpha: float = 0.5, beta: float = 0.03) -> float:
     """Worst relative error of a loss's analytic gradients vs central differences.
 
-    Probes every entry of V and T plus log_scale. h must lie in [1e-7, 1e-3].
+    Probes every entry of V and T plus log_scale through the loss value of the
+    same analytic_bundles entry. h must lie in [1e-7, 1e-3].
     """
     if not 1e-7 <= h <= 1e-3:
         raise ValueError(f"h must be in [1e-7, 1e-3], got {h}")
     v, t = _paired_inputs(v, t)
-    fns = _scalar_fn(loss_id, alpha, beta)
     bundles = analytic_bundles(loss_id, v, t, temp, alpha=alpha, beta=beta)
     worst = 0.0
-    for fn, (_, _, gv, gt, gs) in zip(fns, bundles):
-        num = numeric_bundle(fn, v.copy(), t.copy(), temp, h)
+    for i, (_, _, gv, gt, gs) in enumerate(bundles):
+        def value(*point, i=i):
+            return analytic_bundles(loss_id, *point, alpha=alpha, beta=beta)[i][1]
+
+        num = numeric_bundle(value, v.copy(), t.copy(), temp, h)
         worst = max(worst, gradient_discrepancy((gv, gt, gs), num))
     return worst

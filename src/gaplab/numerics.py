@@ -14,6 +14,7 @@ __all__ = [
     "l2_normalize_rows",
     "similarity_matrix",
     "row_cross_entropy",
+    "softmax_rows",
     "singular_values",
     "pca_project_2d",
 ]

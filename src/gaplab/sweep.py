@@ -24,18 +24,10 @@ from .evalkit import (
     joint_clustering_eval,
     recall_at_k,
 )
-from .geometry import gap_report
-from .trainkit import (
-    SynthConfig,
-    TrainConfig,
-    encode_pairs,
-    epoch_steps,
-    synth_dataset,
-    train,
-    train_constant_alpha,
-)
+from .trainkit import SynthConfig, TrainConfig, epoch_steps, train
 
 __all__ = [
+    "CSV_HEADER",
     "run_single",
     "run_sweep",
     "mean_record",
@@ -124,14 +116,9 @@ def run_single(train_cfg: TrainConfig, synth_cfg: SynthConfig, alpha_target: flo
         curriculum=replace(train_cfg.curriculum, alpha_target=alpha_target),
     )
     sc = replace(synth_cfg, seed=seed)
-    if scheduled:
-        (img_enc, txt_enc), _, _ = train(tc, sc)
-    else:
-        (img_enc, txt_enc), _, _ = train_constant_alpha(tc, sc, alpha_target)
-
-    data = synth_dataset(sc)
-    images, texts = encode_pairs(img_enc, txt_enc, data, data.eval_idx)
-    report = gap_report(images, texts)
+    _, _, history = train(tc, sc, alpha=None if scheduled else alpha_target)
+    images, texts = history.eval_batches
+    report = history[-1].gap
     cluster = joint_clustering_eval(images, texts, seed=seed)
     i2t, t2i = recall_at_k(images.vectors, texts.vectors, 1)
     probe = interchangeability_probe(texts, images)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
     "RunHistory",
     "NonFiniteLossError",
     "train",
-    "train_constant_alpha",
     "epoch_steps",
     "encode_pairs",
 ]
@@ -305,24 +304,14 @@ class EpochRecord:
     grad_norm_ratio: float | None
     gap: GapReport
 
-    def to_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "alpha": self.alpha,
-            "loss": self.loss,
-            "rw_term": self.rw_term,
-            "intra_term": self.intra_term,
-            "grad_norm_ratio": self.grad_norm_ratio,
-            "gap": self.gap.to_dict(),
-        }
-
 
 @dataclass
 class RunHistory:
     records: list
+    eval_batches: tuple  # (image, text) EmbeddingBatch pair of the last epoch's eval encode
 
     def to_jsonl(self) -> str:
-        return "".join(json.dumps(r.to_dict()) + "\n" for r in self.records)
+        return "".join(json.dumps(asdict(r)) + "\n" for r in self.records)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -372,7 +361,20 @@ def epoch_steps(train_cfg: TrainConfig, synth_cfg: SynthConfig) -> int:
     return steps
 
 
-def _run_loop(train_cfg: TrainConfig, synth_cfg: SynthConfig, fixed_alpha: float | None):
+def train(train_cfg: TrainConfig, synth_cfg: SynthConfig, alpha: float | None = None):
+    """Full three-phase run; returns ((image encoder, text encoder), Temperature, RunHistory).
+
+    Per step: encode a batch, evaluate the blended loss at the current alpha,
+    backprop through normalization into both encoders and the log scale, take
+    an Adam step, then feed the step's contrastive term to the scheduler. The
+    eval-split gap report is appended once per epoch; the last epoch's eval
+    embeddings are kept as history.eval_batches.
+
+    alpha, when given, pins the blend from the first step instead (the
+    curriculum ablation). Randomness is consumed identically either way, so
+    two runs with equal seeds see the same data, initialization, and batch
+    order.
+    """
     data = synth_dataset(synth_cfg)
     n_train = data.train_idx.size
     steps_per_epoch = epoch_steps(train_cfg, synth_cfg)
@@ -390,11 +392,11 @@ def _run_loop(train_cfg: TrainConfig, synth_cfg: SynthConfig, fixed_alpha: float
     betas = (train_cfg.adam_beta1, train_cfg.adam_beta2)
 
     scheduler: CurriculumState | None = None
-    if fixed_alpha is None:
+    if alpha is None:
         scheduler = scheduler_new(cfg)
         alpha = scheduler.alpha
     else:
-        alpha = float(fixed_alpha)
+        alpha = float(alpha)
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {alpha}")
 
@@ -445,24 +447,5 @@ def _run_loop(train_cfg: TrainConfig, synth_cfg: SynthConfig, fixed_alpha: float
             gap=gap_report(img_eval, txt_eval),
         ))
 
-    return (img_enc, txt_enc), Temperature(params["log_scale"]), RunHistory(records)
-
-
-def train(train_cfg: TrainConfig, synth_cfg: SynthConfig):
-    """Full three-phase run; returns ((image encoder, text encoder), Temperature, RunHistory).
-
-    Per step: encode a batch, evaluate the blended loss at the current alpha,
-    backprop through normalization into both encoders and the log scale, take
-    an Adam step, then feed the step's contrastive term to the scheduler. The
-    eval-split gap report is appended once per epoch.
-    """
-    return _run_loop(train_cfg, synth_cfg, fixed_alpha=None)
-
-
-def train_constant_alpha(train_cfg: TrainConfig, synth_cfg: SynthConfig, alpha: float):
-    """Ablation variant: the same loop with alpha pinned from the first step.
-
-    Consumes randomness identically to train(), so two runs with equal seeds
-    see the same data, initialization, and batch order.
-    """
-    return _run_loop(train_cfg, synth_cfg, fixed_alpha=alpha)
+    history = RunHistory(records, eval_batches=(img_eval, txt_eval))
+    return (img_enc, txt_enc), Temperature(params["log_scale"]), history

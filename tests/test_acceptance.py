@@ -8,6 +8,7 @@ algebraic identities through full train/evaluate sweeps on the toy scale.
 
 import json
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -276,7 +277,7 @@ def test_10_file_format_and_cli_agree_with_the_library(tmp_path):
                                gl.EmbeddingBatch(t, labels=labels, modality="text"))
     numeric_drift = max(
         abs(report_cli[key] - value)
-        for key, value in report_mem.to_dict().items()
+        for key, value in asdict(report_mem).items()
         if isinstance(value, float)
     )
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -81,6 +82,7 @@ def test_load_run_config_rejects_unknown_and_badly_typed_keys(tmp_path):
         {"train": {"batch_size": 8.5}},
         {"synth": {"seed": True}},
         {"train": {"learning_rate": "fast"}},
+        {"train": {"curriculum": {"steps_per_epoch": 12}}},
     ]
     for i, payload in enumerate(cases):
         path = tmp_path / f"bad{i}.json"
@@ -91,6 +93,60 @@ def test_load_run_config_rejects_unknown_and_badly_typed_keys(tmp_path):
     broken.write_text("{not json")
     with pytest.raises(ValueError):
         cli_mod.load_run_config(broken)
+
+
+# each run-config section and the fields it offers; the integer fields are
+# written out here so the CLI's type check, derived from the dataclass field
+# types, is pinned independently
+RUN_CONFIG_SECTIONS = {
+    "synth": (gl.SynthConfig, set()),
+    "train": (gl.TrainConfig, {"curriculum"}),
+    "train.curriculum": (gl.CurriculumConfig, {"steps_per_epoch"}),
+}
+INT_FIELDS = {
+    "n_classes", "samples_per_class", "latent_dim", "image_input_dim",
+    "text_input_dim", "seed", "batch_size", "hidden_dim", "embed_dim",
+    "anchor_epochs", "ramp_epochs", "stabilize_epochs",
+}
+# float fields whose valid range holds no integer
+NO_INTEGER_VALUE = {"train_fraction", "ema_slow_decay", "ema_fast_decay"}
+RUN_CONFIG_FIELDS = [
+    (section, f.name)
+    for section, (cls, hidden) in RUN_CONFIG_SECTIONS.items()
+    for f in dataclasses.fields(cls) if f.name not in hidden
+]
+
+
+def _config_with(tmp_path, section, name, value):
+    payload = {name: value}
+    for key in reversed(section.split(".")):
+        payload = {key: payload}
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+@pytest.mark.parametrize("section,name", RUN_CONFIG_FIELDS)
+def test_run_config_type_check_follows_the_field_type(tmp_path, section, name):
+    if name in INT_FIELDS:
+        for bad in (2.5, True):
+            with pytest.raises(ValueError, match="must be an integer"):
+                cli_mod.load_run_config(_config_with(tmp_path, section, name, bad))
+        return
+    with pytest.raises(ValueError, match="must be a number"):
+        cli_mod.load_run_config(_config_with(tmp_path, section, name, "fast"))
+    integer = 0 if name.startswith("adam_beta") else 1
+    path = _config_with(tmp_path, section, name, integer)
+    if name in NO_INTEGER_VALUE:
+        # the type check passes the integer on; the config's range check rejects it
+        with pytest.raises(ValueError) as info:
+            cli_mod.load_run_config(path)
+        assert "must be a number" not in str(info.value)
+        return
+    tc, sc = cli_mod.load_run_config(path)
+    owner = {"synth": sc, "train": tc, "train.curriculum": tc.curriculum}[section]
+    value = getattr(owner, name)
+    assert value == integer and type(value) is float
 
 
 # ------------------------------------------------------------------ analyze
@@ -107,7 +163,7 @@ def test_analyze_matches_in_memory_report(tmp_path, emb_pair, capsys):
     t, tl = gl.read_embeddings(tp)
     report = gl.gap_report(gl.EmbeddingBatch(v, labels=vl),
                            gl.EmbeddingBatch(t, labels=tl, modality="text"))
-    assert data == report.to_dict()
+    assert data == dataclasses.asdict(report)
 
 
 def test_analyze_missing_file_exits_2(tmp_path, capsys):
@@ -202,6 +258,31 @@ def test_train_is_byte_deterministic(tmp_path, tiny_config_path, capsys):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
 
+def test_train_eval_embeddings_match_a_fresh_encode_of_the_eval_split(
+        tmp_path, tiny_config_path, capsys):
+    out_dir = tmp_path / "run"
+    assert run_cli(["train", "--config", tiny_config_path, "--out-dir", out_dir], capsys)[0] == 0
+    tc, sc = cli_mod.load_run_config(tiny_config_path)
+    data = gl.synth_dataset(sc)
+    (img, txt), _, _ = gl.train(tc, sc)
+    fresh = gl.encode_pairs(img, txt, data, data.eval_idx)
+
+    def from_checkpoint(name):
+        w1, b1, w2, b2 = (gl.read_embeddings(out_dir / f"{name}_{p}.emb")[0]
+                          for p in ("w1", "b1", "w2", "b2"))
+        return gl.Encoder(w1, b1[0], w2, b2[0])
+
+    reloaded = gl.encode_pairs(from_checkpoint("image"), from_checkpoint("text"),
+                               data, data.eval_idx)
+    for name, batch, again in zip(("eval_images.emb", "eval_texts.emb"), fresh, reloaded):
+        vectors, labels = gl.read_embeddings(out_dir / name)
+        assert np.array_equal(labels, data.labels[data.eval_idx])
+        assert np.array_equal(vectors, batch.vectors.astype(np.float32))
+        # the checkpoint holds float32 weights, so its encodings may round
+        # to the neighbouring float32
+        np.testing.assert_allclose(vectors, again.vectors.astype(np.float32), rtol=0, atol=1.2e-7)
+
+
 def test_train_bad_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"train": {"unknown_knob": 1}}))
@@ -223,6 +304,16 @@ def test_train_rejected_config_leaves_no_out_dir(tmp_path, oversized_batch_confi
                                "--out-dir", out_dir], capsys)
     assert code == 2
     assert "batch_size 5000 exceeds the train split size 1600" in stderr
+    assert not out_dir.exists()
+
+
+def test_train_rejects_steps_per_epoch_and_leaves_no_out_dir(tmp_path, capsys):
+    config = tmp_path / "spe.json"
+    config.write_text(json.dumps({"train": {"curriculum": {"steps_per_epoch": 12}}}))
+    out_dir = tmp_path / "never"
+    code, _, stderr = run_cli(["train", "--config", config, "--out-dir", out_dir], capsys)
+    assert code == 2
+    assert "unknown key(s) in train.curriculum: steps_per_epoch" in stderr
     assert not out_dir.exists()
 
 
@@ -320,6 +411,20 @@ def test_sweep_oversized_batch_exits_2_like_train(tmp_path, oversized_batch_conf
                                         "--out-dir", tmp_path / "t"], capsys)
     assert train_code == 2
     assert sweep_err == train_err
+
+
+def test_sweep_bad_worker_count_exits_2_before_any_cell(tmp_path, tiny_config_path,
+                                                       capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(sweep_mod, "run_single", lambda *args, **kwargs: ran.append(args))
+    monkeypatch.setenv("GAPLAB_THREADS", "0")
+    out = tmp_path / "s.csv"
+    code, _, stderr = run_cli(["sweep", "--config", tiny_config_path,
+                               "--alphas", "0.5", "--seeds", "0,1", "--out", out], capsys)
+    assert code == 2
+    assert "GAPLAB_THREADS must be >= 1" in stderr
+    assert ran == []
+    assert not out.exists()
 
 
 def test_sweep_pool_cancels_pending_cells_after_a_failure(tmp_path, tiny_config_path,

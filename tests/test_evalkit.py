@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -222,7 +223,7 @@ def test_joint_clustering_on_separable_batches():
     assert report.n_points == 80
     assert report.ari == 1.0
     assert report.v_measure == 1.0
-    data = json.loads(report.to_json())
+    data = json.loads(json.dumps(asdict(report)))
     assert set(data) == {"v_measure", "ari", "k", "n_points", "inertia"}
 
 
@@ -425,5 +426,5 @@ def test_linear_fit_edge_cases():
 def test_sweep_record_field_order():
     values = {name: float(i) for i, name in enumerate(gl.SWEEP_FIELDS)}
     rec = gl.SweepRecord(**values)
-    assert list(rec.to_dict()) == list(gl.SWEEP_FIELDS)
-    assert json.loads(rec.to_json())["alpha_target"] == 0.0
+    assert list(asdict(rec)) == list(gl.SWEEP_FIELDS)
+    assert json.loads(json.dumps(asdict(rec)))["alpha_target"] == 0.0

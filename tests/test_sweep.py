@@ -1,4 +1,5 @@
 import ctypes
+import dataclasses
 import os
 
 import numpy as np
@@ -37,7 +38,6 @@ def test_run_single_stamps_alpha_and_is_deterministic():
 
 def test_run_single_seed_overrides_config_seeds():
     tc, sc = tiny_configs()
-    import dataclasses
     other_tc = dataclasses.replace(tc, seed=99)
     other_sc = dataclasses.replace(sc, seed=77)
     assert gl.run_single(tc, sc, 0.2, seed=5) == gl.run_single(other_tc, other_sc, 0.2, seed=5)
@@ -49,6 +49,37 @@ def test_run_single_constant_alpha_variant_differs():
     scheduled = gl.run_single(tc, sc, 0.5, seed=0, scheduled=True)
     pinned = gl.run_single(tc, sc, 0.5, seed=0, scheduled=False)
     assert scheduled != pinned
+
+
+@pytest.mark.parametrize("scheduled", [True, False])
+def test_run_single_matches_a_fresh_encode_of_the_eval_split(scheduled):
+    # reference: retrain, rebuild the dataset and re-encode its eval split
+    tc, sc = tiny_configs()
+    sc = dataclasses.replace(sc, samples_per_class=30)  # 24 eval rows
+    record = gl.run_single(tc, sc, 0.4, seed=2, scheduled=scheduled)
+    tc = dataclasses.replace(tc, seed=2,
+                             curriculum=dataclasses.replace(tc.curriculum, alpha_target=0.4))
+    sc = dataclasses.replace(sc, seed=2)
+    (img, txt), _, _ = gl.train(tc, sc, alpha=None if scheduled else 0.4)
+    data = gl.synth_dataset(sc)
+    images, texts = gl.encode_pairs(img, txt, data, data.eval_idx)
+    report = gl.gap_report(images, texts)
+    cluster = gl.joint_clustering_eval(images, texts, seed=2)
+    i2t, t2i = gl.recall_at_k(images.vectors, texts.vectors, 1)
+    assert record == gl.SweepRecord(
+        alpha_target=0.4,
+        raw_gap=report.raw_gap,
+        centroid_gap=report.centroid_gap,
+        distribution_gap=report.distribution_gap,
+        ari=cluster.ari,
+        v_measure=cluster.v_measure,
+        i2t_r1=i2t,
+        t2i_r1=t2i,
+        probe_accuracy=gl.interchangeability_probe(texts, images),
+        erank_image=report.erank_image,
+        erank_text=report.erank_text,
+        fusion_index=report.fusion_index,
+    )
 
 
 # -------------------------------------------------------------- mean_record

@@ -209,7 +209,7 @@ def test_constant_alpha_zero_matches_scheduled_zero_target():
     tc = small_train(curriculum=cur)
     syn = small_synth()
     (img_a, txt_a), temp_a, hist_a = gl.train(tc, syn)
-    (img_b, txt_b), temp_b, hist_b = gl.train_constant_alpha(tc, syn, 0.0)
+    (img_b, txt_b), temp_b, hist_b = gl.train(tc, syn, alpha=0.0)
     assert np.array_equal(img_a.w1, img_b.w1)
     assert np.array_equal(txt_a.w2, txt_b.w2)
     assert temp_a.log_scale == temp_b.log_scale
@@ -217,10 +217,10 @@ def test_constant_alpha_zero_matches_scheduled_zero_target():
 
 
 def test_constant_alpha_is_recorded_every_epoch():
-    _, _, history = gl.train_constant_alpha(small_train(), small_synth(), 0.3)
+    _, _, history = gl.train(small_train(), small_synth(), alpha=0.3)
     assert [r.alpha for r in history.records] == [0.3, 0.3, 0.3, 0.3]
     with pytest.raises(ValueError):
-        gl.train_constant_alpha(small_train(), small_synth(), 1.2)
+        gl.train(small_train(), small_synth(), alpha=1.2)
 
 
 def test_train_recomputes_steps_per_epoch_from_data():
