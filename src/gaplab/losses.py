@@ -13,6 +13,13 @@ Every loss returns analytic gradients with respect to V, T and the log of the
 temperature scale. Gradients are taken treating V and T as free variables;
 backprop through row normalization is the trainer's job. finite_diff_check
 validates any of them against central differences.
+
+Each public loss validates its inputs once and hands the similarity blocks
+(V T^T, and V V^T and T T^T for the intra term, each one BLAS product) to one
+of two unchecked private kernels: _reweighted for clip and reweighted, _intra
+for intra. cma_loss builds the three blocks once and runs both kernels on
+them, so its endpoint identities with clip_loss and intra_loss hold by
+construction.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import as_matrix, row_cross_entropy, similarity_matrix, softmax_rows
+from .numerics import as_matrix
 
 __all__ = [
     "LOG_SCALE_MAX",
@@ -86,30 +93,90 @@ def _paired_inputs(v, t) -> tuple[np.ndarray, np.ndarray]:
     return v, t
 
 
-def _masked_symmetric_ce(v, t, tau, beta):
-    """Core of clip_loss and reweighted_loss.
+def _softmax_lse(a, axis: int):
+    """Softmax of a along axis and its log-sum-exp, from one exp pass.
 
-    Logits A = M * (tau * V T^T) with M = 1 on the diagonal, (1-beta) off it.
-    Loss is the mean of both cross-entropy directions; beta=0 makes the mask
-    a no-op so the plain symmetric InfoNCE falls out bitwise.
+    The max shift keeps exp in range: scaled similarities reach ~100.
     """
-    n = v.shape[0]
-    labels = np.arange(n)
-    logits = tau * similarity_matrix(v, t)
-    mask = np.full((n, n), 1.0 - beta)
-    np.fill_diagonal(mask, 1.0)
-    a = mask * logits
+    top = a.max(axis=axis, keepdims=True)
+    p = a - top
+    np.exp(p, out=p)
+    total = p.sum(axis=axis, keepdims=True)
+    p *= 1.0 / total
+    return p, (top + np.log(total)).ravel()
 
-    loss_i2t, g_i2t = row_cross_entropy(a, labels)
-    loss_t2i, g_t2i = row_cross_entropy(a.T, labels)
-    loss = 0.5 * (loss_i2t + loss_t2i)
-    grad_a = 0.5 * (g_i2t + g_t2i.T)
 
+def _split(a, lse_row) -> tuple[float, float]:
+    """(align, oppose) of the image-to-text cross-entropy of logits a."""
+    return float(-a.diagonal().mean()), float(lse_row.mean())
+
+
+def _reweighted(s_vt, v, t, tau, beta):
+    """Kernel of clip_loss and reweighted_loss over the block S_vt = V T^T.
+
+    Logits A = M * (tau * S_vt) with M = 1 on the diagonal, (1-beta) off it;
+    beta=0 skips the mask, so plain symmetric InfoNCE falls out bitwise. Both
+    cross-entropy directions read the one matrix: the image-to-text softmax
+    runs along its rows, the text-to-image one along its columns, and
+    dL/dA = (P_row + P_col) / 2n - I / n.
+
+    Returns (loss, grad_V, grad_T, grad_log_scale, A, row LSE of A).
+    """
+    n = s_vt.shape[0]
+    a = tau * s_vt
+    diag = a.diagonal().copy()
+    if beta:
+        a *= 1.0 - beta
+        np.fill_diagonal(a, diag)
+    p_row, lse_row = _softmax_lse(a, 1)
+    p_col, lse_col = _softmax_lse(a, 0)
+    loss = 0.5 * (float((lse_row - diag).mean()) + float((lse_col - diag).mean()))
+
+    grad_a = p_row
+    grad_a += p_col
+    grad_a *= 0.5 / n
+    grad_a.flat[::n + 1] -= 1.0 / n
     # every entry of A is proportional to tau = exp(log_scale)
-    grad_log_scale = float((grad_a * a).sum())
-    grad_sim = tau * (mask * grad_a)
-    grad_v = grad_sim @ t
-    grad_t = grad_sim.T @ v
+    grad_log_scale = float(np.vdot(grad_a, a))
+    grad_sim = grad_a * (tau * (1.0 - beta))
+    if beta:
+        np.fill_diagonal(grad_sim, tau * grad_a.diagonal())
+    return loss, grad_sim @ t, grad_sim.T @ v, grad_log_scale, a, lse_row
+
+
+def _intra(s_vt, s_vv, s_tt, v, t, tau):
+    """Kernel of intra_loss over the blocks V T^T, V V^T and T T^T.
+
+    Each auxiliary logit matrix is tau times a self-similarity block with its
+    diagonal replaced by the paired cross-modal similarity tau * v_i . t_i.
+    Each off-diagonal similarity t_i . t_j feeds one cell per matrix but
+    touches two rows of T, and the diagonal cross terms touch both V and T;
+    the gradient below accounts for every appearance.
+
+    Returns (loss, grad_V, grad_T, grad_log_scale).
+    """
+    n = s_vt.shape[0]
+    cross = tau * s_vt.diagonal()
+    half = 0.5 / n
+    loss = grad_log_scale = 0.0
+    shared = np.zeros(n)
+    off = []
+    for s_self in (s_tt, s_vv):  # text-anchored, then image-anchored
+        logits = tau * s_self
+        np.fill_diagonal(logits, cross)
+        p, lse = _softmax_lse(logits, 1)
+        # dL/dlogits = (P - I) / 2n: its diagonal is shared by V and T, its
+        # off-diagonal part feeds the anchor's own modality only
+        loss += 0.5 * float((lse - cross).mean())
+        grad_log_scale += half * (float(np.vdot(p, logits)) - float(cross.sum()))
+        shared += half * (p.diagonal() - 1.0)
+        np.fill_diagonal(p, 0.0)
+        p *= half
+        off.append(p)
+    off_t, off_v = off
+    shared = shared[:, None]
+    grad_t = tau * (off_t @ t + off_t.T @ t + shared * v)
+    grad_v = tau * (off_v @ v + off_v.T @ v + shared * t)
     return loss, grad_v, grad_t, grad_log_scale
 
 
@@ -117,11 +184,12 @@ def clip_loss(v, t, temp: Temperature) -> LossOutput:
     """Symmetric InfoNCE: mean of the image-to-text and text-to-image
     cross-entropies over tau * V T^T, matched pairs on the diagonal.
 
-    Diagnostics carry the attraction/repulsion split (align_term, oppose_term).
+    Diagnostics carry the attraction/repulsion split (align_term, oppose_term),
+    read off the logits and row log-sum-exp the loss already computed.
     """
     v, t = _paired_inputs(v, t)
-    loss, gv, gt, gs = _masked_symmetric_ce(v, t, temp.scale, 0.0)
-    align, oppose = clip_loss_decomposed(v, t, temp)
+    loss, gv, gt, gs, a, lse_row = _reweighted(v @ t.T, v, t, temp.scale, 0.0)
+    align, oppose = _split(a, lse_row)
     return LossOutput(
         loss=loss,
         grad_images=gv,
@@ -139,13 +207,9 @@ def clip_loss_decomposed(v, t, temp: Temperature) -> tuple[float, float]:
     Their sum is exactly the image-to-text cross-entropy.
     """
     v, t = _paired_inputs(v, t)
-    tau = temp.scale
-    logits = tau * similarity_matrix(v, t)
-    align = float(-np.diag(logits).mean())
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    lse = logits.max(axis=1) + np.log(np.exp(shifted).sum(axis=1))
-    oppose = float(lse.mean())
-    return align, oppose
+    logits = temp.scale * (v @ t.T)
+    _, lse_row = _softmax_lse(logits, 1)
+    return _split(logits, lse_row)
 
 
 def reweighted_loss(v, t, temp: Temperature, beta: float) -> LossOutput:
@@ -160,7 +224,7 @@ def reweighted_loss(v, t, temp: Temperature, beta: float) -> LossOutput:
     beta = float(beta)
     if not 0.0 <= beta <= 0.05:
         raise ValueError(f"beta must be in [0, 0.05], got {beta}")
-    loss, gv, gt, gs = _masked_symmetric_ce(v, t, temp.scale, beta)
+    loss, gv, gt, gs, _, _ = _reweighted(v @ t.T, v, t, temp.scale, beta)
     return LossOutput(
         loss=loss,
         grad_images=gv,
@@ -178,46 +242,14 @@ def intra_loss(v, t, temp: Temperature) -> LossOutput:
     The paired cross-modal similarity must out-rank the anchor's similarity to
     every other member of its own modality, which drags the two intra-modal
     geometries toward each other.
-
-    Gradient bookkeeping: each off-diagonal similarity t_i . t_j feeds one cell
-    per matrix but touches two rows of T, and the diagonal cross terms touch
-    both V and T; the terms below account for every appearance.
     """
     v, t = _paired_inputs(v, t)
-    n = v.shape[0]
-    tau = temp.scale
-    labels = np.arange(n)
-
-    cross_diag = np.einsum("ij,ij->i", v, t)
-    logits_txt = tau * similarity_matrix(t, t)
-    np.fill_diagonal(logits_txt, tau * cross_diag)
-    logits_img = tau * similarity_matrix(v, v)
-    np.fill_diagonal(logits_img, tau * cross_diag)
-
-    loss_txt, g_txt = row_cross_entropy(logits_txt, labels)
-    loss_img, g_img = row_cross_entropy(logits_img, labels)
-    loss = 0.5 * (loss_txt + loss_img)
-    d_txt = 0.5 * g_txt
-    d_img = 0.5 * g_img
-
-    grad_log_scale = float((d_txt * logits_txt).sum() + (d_img * logits_img).sum())
-
-    diag_txt = np.diag(d_txt).copy()
-    diag_img = np.diag(d_img).copy()
-    off_txt = d_txt.copy()
-    np.fill_diagonal(off_txt, 0.0)
-    off_img = d_img.copy()
-    np.fill_diagonal(off_img, 0.0)
-
-    shared = (diag_txt + diag_img)[:, None]
-    grad_t = tau * ((off_txt + off_txt.T) @ t + shared * v)
-    grad_v = tau * ((off_img + off_img.T) @ v + shared * t)
-
+    loss, gv, gt, gs = _intra(v @ t.T, v @ v.T, t @ t.T, v, t, temp.scale)
     return LossOutput(
         loss=loss,
-        grad_images=grad_v,
-        grad_texts=grad_t,
-        grad_log_scale=grad_log_scale,
+        grad_images=gv,
+        grad_texts=gt,
+        grad_log_scale=gs,
         diagnostics={"intra_term": loss},
     )
 
@@ -228,7 +260,9 @@ def cma_loss(v, t, temp: Temperature, alpha: float) -> LossOutput:
 
     Both component losses already carry their symmetric 1/2 prefactor, so
     alpha=0 reproduces clip_loss exactly (beta collapses to 0 with it) and
-    alpha=1 reproduces intra_loss exactly, gradients included.
+    alpha=1 reproduces intra_loss exactly, gradients included: all of them run
+    the same kernels on the same three similarity blocks, which are built once
+    here and shared by both terms.
 
     Diagnostics: rw_term and intra_term are the unweighted component losses;
     grad_norm_rw and grad_norm_intra are each component's gradient norm over
@@ -238,29 +272,22 @@ def cma_loss(v, t, temp: Temperature, alpha: float) -> LossOutput:
     alpha = float(alpha)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-
-    rw = reweighted_loss(v, t, temp, beta=0.05 * alpha)
-    intra = intra_loss(v, t, temp)
+    tau = temp.scale
+    s_vt = v @ t.T
+    rw_loss, rw_gv, rw_gt, rw_gs, _, _ = _reweighted(s_vt, v, t, tau, 0.05 * alpha)
+    in_loss, in_gv, in_gt, in_gs = _intra(s_vt, v @ v.T, t @ t.T, v, t, tau)
 
     w_rw = 1.0 - alpha
-    loss = w_rw * rw.loss + alpha * intra.loss
-    grad_v = w_rw * rw.grad_images + alpha * intra.grad_images
-    grad_t = w_rw * rw.grad_texts + alpha * intra.grad_texts
-    grad_s = w_rw * rw.grad_log_scale + alpha * intra.grad_log_scale
-
-    def vt_norm(out: LossOutput) -> float:
-        return float(np.sqrt((out.grad_images**2).sum() + (out.grad_texts**2).sum()))
-
     return LossOutput(
-        loss=loss,
-        grad_images=grad_v,
-        grad_texts=grad_t,
-        grad_log_scale=grad_s,
+        loss=w_rw * rw_loss + alpha * in_loss,
+        grad_images=w_rw * rw_gv + alpha * in_gv,
+        grad_texts=w_rw * rw_gt + alpha * in_gt,
+        grad_log_scale=w_rw * rw_gs + alpha * in_gs,
         diagnostics={
-            "rw_term": rw.loss,
-            "intra_term": intra.loss,
-            "grad_norm_rw": vt_norm(rw),
-            "grad_norm_intra": vt_norm(intra),
+            "rw_term": rw_loss,
+            "intra_term": in_loss,
+            "grad_norm_rw": math.sqrt(np.vdot(rw_gv, rw_gv) + np.vdot(rw_gt, rw_gt)),
+            "grad_norm_intra": math.sqrt(np.vdot(in_gv, in_gv) + np.vdot(in_gt, in_gt)),
         },
     )
 
@@ -270,15 +297,15 @@ def _decomposed_bundles(v, t, temp: Temperature):
     v, t = _paired_inputs(v, t)
     n = v.shape[0]
     tau = temp.scale
-    logits = tau * similarity_matrix(v, t)
+    logits = tau * (v @ t.T)
+    p, lse_row = _softmax_lse(logits, 1)
 
-    align, oppose = clip_loss_decomposed(v, t, temp)
+    align, oppose = _split(logits, lse_row)
     align_gv = -(tau / n) * t
     align_gt = -(tau / n) * v
     # align is proportional to tau, so d(align)/d(log_scale) = align
     align_bundle = ("align", align, align_gv, align_gt, align)
 
-    p = softmax_rows(logits)
     oppose_gv = (tau / n) * (p @ t)
     oppose_gt = (tau / n) * (p.T @ v)
     oppose_gs = float((p * logits).sum() / n)

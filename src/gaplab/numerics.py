@@ -41,11 +41,16 @@ def l2_normalize_rows(m, eps: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    m = as_matrix(m)
+    unit, _, degenerate = _normalize_rows(as_matrix(m), eps)
+    return unit, degenerate
+
+
+def _normalize_rows(m: np.ndarray, eps: float = 1e-12):
+    """l2_normalize_rows of a validated matrix, plus the row norms it divided by."""
     norms = np.linalg.norm(m, axis=1)
     degenerate = norms < eps
     safe = np.where(degenerate, 1.0, norms)
-    return m / safe[:, None], degenerate
+    return m / safe[:, None], norms, degenerate
 
 
 def similarity_matrix(a, b) -> np.ndarray:
@@ -53,7 +58,8 @@ def similarity_matrix(a, b) -> np.ndarray:
 
     Uses a fixed-order einsum contraction so similarity_matrix(a, b).T and
     similarity_matrix(b, a) are bitwise identical (BLAS matmul is not
-    guaranteed to be, at larger sizes).
+    guaranteed to be, at larger sizes). The losses and recall_at_k do not
+    call it: they build their products with BLAS.
     """
     a = as_matrix(a, "a")
     b = as_matrix(b, "b")

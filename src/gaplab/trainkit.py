@@ -19,7 +19,7 @@ import numpy as np
 from .curriculum import CurriculumConfig, CurriculumState, scheduler_new, scheduler_step
 from .geometry import EmbeddingBatch, GapReport, gap_report
 from .losses import DEFAULT_LOG_SCALE, LOG_SCALE_MAX, Temperature, cma_loss
-from .numerics import as_matrix, l2_normalize_rows
+from .numerics import _normalize_rows, as_matrix
 
 __all__ = [
     "SynthConfig",
@@ -180,8 +180,7 @@ def encoder_forward(enc: Encoder, x) -> tuple[np.ndarray, EncoderCache]:
         raise ValueError(f"input dim mismatch: encoder expects {enc.input_dim}, got {x.shape[1]}")
     hidden = np.tanh(x @ enc.w1 + enc.b1)
     pre_norm = hidden @ enc.w2 + enc.b2
-    emb, degenerate = l2_normalize_rows(pre_norm)
-    norms = np.linalg.norm(pre_norm, axis=1)
+    emb, norms, degenerate = _normalize_rows(as_matrix(pre_norm))
     cache = EncoderCache(x, hidden, pre_norm, emb, norms, degenerate, enc.version)
     return emb, cache
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -101,16 +102,26 @@ def test_align_grows_more_negative_with_alignment():
 
 # ---------------------------------------------------------- reweighted_loss
 
+def assert_same_output(a, b, where):
+    assert a.loss == b.loss, where
+    assert np.array_equal(a.grad_images, b.grad_images), where
+    assert np.array_equal(a.grad_texts, b.grad_texts), where
+    assert a.grad_log_scale == b.grad_log_scale, where
+
+
+# 5 x 4 is the hand-sized case, 128 the training batch, and 257 crosses a BLAS
+# block boundary; looped rather than parametrized so the test ids stay put.
+BITWISE_SHAPES = ((5, 4), (128, 16), (257, 16))
+
+
 def test_reweighted_beta_zero_is_clip_bitwise():
     rng = np.random.default_rng(5)
-    v, t = pair(rng)
-    temp = random_temp(rng)
-    a = gl.reweighted_loss(v, t, temp, beta=0.0)
-    b = gl.clip_loss(v, t, temp)
-    assert a.loss == b.loss
-    assert np.array_equal(a.grad_images, b.grad_images)
-    assert np.array_equal(a.grad_texts, b.grad_texts)
-    assert a.grad_log_scale == b.grad_log_scale
+    for n, d in BITWISE_SHAPES:
+        v, t = pair(rng, n, d)
+        temp = random_temp(rng)
+        a = gl.reweighted_loss(v, t, temp, beta=0.0)
+        b = gl.clip_loss(v, t, temp)
+        assert_same_output(a, b, (n, d))
 
 
 def test_reweighted_beta_range_enforced():
@@ -169,22 +180,11 @@ def test_intra_prefers_matched_neighborhood_structure():
 
 def test_cma_endpoints_are_bitwise():
     rng = np.random.default_rng(10)
-    v, t = pair(rng)
-    temp = random_temp(rng)
-
-    lo = gl.cma_loss(v, t, temp, alpha=0.0)
-    clip = gl.clip_loss(v, t, temp)
-    assert lo.loss == clip.loss
-    assert np.array_equal(lo.grad_images, clip.grad_images)
-    assert np.array_equal(lo.grad_texts, clip.grad_texts)
-    assert lo.grad_log_scale == clip.grad_log_scale
-
-    hi = gl.cma_loss(v, t, temp, alpha=1.0)
-    intra = gl.intra_loss(v, t, temp)
-    assert hi.loss == intra.loss
-    assert np.array_equal(hi.grad_images, intra.grad_images)
-    assert np.array_equal(hi.grad_texts, intra.grad_texts)
-    assert hi.grad_log_scale == intra.grad_log_scale
+    for n, d in BITWISE_SHAPES:
+        v, t = pair(rng, n, d)
+        temp = random_temp(rng)
+        assert_same_output(gl.cma_loss(v, t, temp, alpha=0.0), gl.clip_loss(v, t, temp), (n, d, 0.0))
+        assert_same_output(gl.cma_loss(v, t, temp, alpha=1.0), gl.intra_loss(v, t, temp), (n, d, 1.0))
 
 
 def test_cma_midpoint_recomposes_components():
@@ -295,3 +295,147 @@ def test_decomposed_bundles_come_labeled():
     bundles = gl.analytic_bundles("decomposed", v, t, gl.Temperature())
     assert [b[0] for b in bundles] == ["align", "oppose"]
     assert len(gl.analytic_bundles("cma", v, t, gl.Temperature())) == 1
+
+
+# ------------------------------------------------------ dense einsum oracle
+#
+# The loss kernels build their similarity blocks with BLAS and read both
+# cross-entropy directions off one logit matrix. The reference below is the
+# earlier dense implementation: einsum similarity matrices and one
+# row_cross_entropy pass per direction and per auxiliary matrix.
+
+def dense_reweighted(v, t, tau, beta):
+    n = v.shape[0]
+    labels = np.arange(n)
+    logits = tau * gl.similarity_matrix(v, t)
+    mask = np.full((n, n), 1.0 - beta)
+    np.fill_diagonal(mask, 1.0)
+    a = mask * logits
+
+    loss_i2t, g_i2t = gl.row_cross_entropy(a, labels)
+    loss_t2i, g_t2i = gl.row_cross_entropy(a.T, labels)
+    loss = 0.5 * (loss_i2t + loss_t2i)
+    grad_a = 0.5 * (g_i2t + g_t2i.T)
+
+    grad_log_scale = float((grad_a * a).sum())
+    grad_sim = tau * (mask * grad_a)
+    return loss, grad_sim @ t, grad_sim.T @ v, grad_log_scale
+
+
+def dense_intra(v, t, tau):
+    n = v.shape[0]
+    labels = np.arange(n)
+
+    cross_diag = np.einsum("ij,ij->i", v, t)
+    logits_txt = tau * gl.similarity_matrix(t, t)
+    np.fill_diagonal(logits_txt, tau * cross_diag)
+    logits_img = tau * gl.similarity_matrix(v, v)
+    np.fill_diagonal(logits_img, tau * cross_diag)
+
+    loss_txt, g_txt = gl.row_cross_entropy(logits_txt, labels)
+    loss_img, g_img = gl.row_cross_entropy(logits_img, labels)
+    loss = 0.5 * (loss_txt + loss_img)
+    d_txt = 0.5 * g_txt
+    d_img = 0.5 * g_img
+
+    grad_log_scale = float((d_txt * logits_txt).sum() + (d_img * logits_img).sum())
+
+    diag_txt = np.diag(d_txt).copy()
+    diag_img = np.diag(d_img).copy()
+    off_txt = d_txt.copy()
+    np.fill_diagonal(off_txt, 0.0)
+    off_img = d_img.copy()
+    np.fill_diagonal(off_img, 0.0)
+
+    shared = (diag_txt + diag_img)[:, None]
+    grad_t = tau * ((off_txt + off_txt.T) @ t + shared * v)
+    grad_v = tau * ((off_img + off_img.T) @ v + shared * t)
+    return loss, grad_v, grad_t, grad_log_scale
+
+
+def dense_cma(v, t, tau, alpha):
+    """Every checked output of cma_loss, plus clip's split, from the dense code."""
+    rw = dense_reweighted(v, t, tau, 0.05 * alpha)
+    intra = dense_intra(v, t, tau)
+    w_rw = 1.0 - alpha
+
+    def vt_norm(out):
+        return float(np.sqrt((out[1] ** 2).sum() + (out[2] ** 2).sum()))
+
+    logits = tau * gl.similarity_matrix(v, t)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    lse = logits.max(axis=1) + np.log(np.exp(shifted).sum(axis=1))
+    return {
+        "loss": w_rw * rw[0] + alpha * intra[0],
+        "grad_images": w_rw * rw[1] + alpha * intra[1],
+        "grad_texts": w_rw * rw[2] + alpha * intra[2],
+        "grad_log_scale": w_rw * rw[3] + alpha * intra[3],
+        "rw_term": rw[0],
+        "intra_term": intra[0],
+        "grad_norm_rw": vt_norm(rw),
+        "grad_norm_intra": vt_norm(intra),
+        "align_term": float(-np.diag(logits).mean()),
+        "oppose_term": float(lse.mean()),
+    }
+
+
+@pytest.mark.parametrize("unit", [True, False], ids=["unit", "nonunit"])
+@pytest.mark.parametrize("d", [1, 4, 16])
+@pytest.mark.parametrize("n", [1, 2, 5, 128, 257])
+def test_losses_match_the_dense_einsum_oracle(n, d, unit):
+    """cma_loss (and clip's split) within 1e-12 relative of the dense code.
+
+    Entry by entry: |got - want| <= 1e-12 |want| + floor. The floor is 1e-15
+    per unit of the largest logit magnitude tau * r^2 (r the largest row norm),
+    at least 1e-15: gradient entries are sums whose terms are that large, so
+    an entry that cancels to near zero carries rounding of that size in both
+    implementations.
+    """
+    rng = np.random.default_rng(1000 * n + 10 * d + unit)
+    v = rng.standard_normal((n, d))
+    t = rng.standard_normal((n, d))
+    if unit:
+        v, _ = gl.l2_normalize_rows(v)
+        t, _ = gl.l2_normalize_rows(t)
+    else:
+        v *= rng.uniform(0.5, 2.0, (n, 1))
+        t *= rng.uniform(0.5, 2.0, (n, 1))
+    r = max(np.linalg.norm(v, axis=1).max(), np.linalg.norm(t, axis=1).max())
+
+    for log_scale in (-18.0, 0.0, gl.DEFAULT_LOG_SCALE, gl.LOG_SCALE_MAX):
+        temp = gl.Temperature(log_scale)
+        floor = 1e-15 * max(1.0, temp.scale * r * r)
+        clip = gl.clip_loss(v, t, temp)
+        for alpha in (0.0, 0.05, 0.37, 1.0):
+            want = dense_cma(v, t, temp.scale, alpha)
+            out = gl.cma_loss(v, t, temp, alpha)
+            got = {"loss": out.loss, "grad_images": out.grad_images,
+                   "grad_texts": out.grad_texts, "grad_log_scale": out.grad_log_scale,
+                   **out.diagnostics, **clip.diagnostics}
+            assert got.keys() == want.keys()
+            for key, w in want.items():
+                err = np.abs(np.asarray(got[key]) - w)
+                assert np.all(err <= 1e-12 * np.abs(w) + floor), (key, log_scale, alpha, err.max())
+
+
+def test_cma_loss_validates_once_and_skips_the_checked_helpers(monkeypatch):
+    """One cma_loss call checks V and T and nothing below them.
+
+    Counts calls through every gaplab module that binds the numerics
+    function, so a re-import under another name is caught too.
+    """
+    v, t = pair(np.random.default_rng(19), 128, 16)
+    calls = {"as_matrix": 0, "similarity_matrix": 0, "row_cross_entropy": 0}
+    for name in calls:
+        original = getattr(gl.numerics, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("gaplab") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+
+    gl.cma_loss(v, t, gl.Temperature(), alpha=0.4)
+    assert calls == {"as_matrix": 2, "similarity_matrix": 0, "row_cross_entropy": 0}

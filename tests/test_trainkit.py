@@ -84,6 +84,24 @@ def test_encoder_zero_weights_flag_degenerate_rows():
     assert np.array_equal(emb, np.zeros((2, 2)))
 
 
+def test_encoder_forward_normalizes_with_the_norms_it_caches():
+    # One norm pass serves both the embeddings and the cache; both must equal
+    # the public two-pass formula bit for bit, degenerate rows included.
+    rng = np.random.default_rng(1)
+    enc = gl.Encoder.random(5, 7, 3, rng)
+    enc.w2[:, :] *= rng.uniform(0.01, 100.0)
+    x = rng.standard_normal((9, 5))
+    x[4] = 0.0
+    enc.b2[:] = 0.0
+    emb, cache = gl.encoder_forward(enc, x)
+    want, degenerate = gl.l2_normalize_rows(cache.pre_norm)
+    assert np.array_equal(emb, want)
+    assert np.array_equal(cache.embeddings, want)
+    assert np.array_equal(cache.norms, np.linalg.norm(cache.pre_norm, axis=1))
+    assert np.array_equal(cache.degenerate, degenerate)
+    assert degenerate.tolist() == [False] * 4 + [True] + [False] * 4
+
+
 def test_encoder_shape_validation():
     with pytest.raises(ValueError):
         gl.Encoder(np.zeros((4, 3)), np.zeros(2), np.zeros((3, 2)), np.zeros(2))
