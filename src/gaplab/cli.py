@@ -130,6 +130,12 @@ def cmd_center(args) -> int:
 
 
 def _write_checkpoint(out_dir: str, name: str, enc) -> None:
+    """Write an encoder's weights as four float32 .emb files.
+
+    The float64 weights are rounded to float32, so encoders reloaded from
+    these files reproduce eval_*.emb only to within one float32 ulp; the
+    files are a snapshot for inspection, not an exact resume point.
+    """
     write_embeddings(os.path.join(out_dir, f"{name}_w1.emb"), enc.w1)
     write_embeddings(os.path.join(out_dir, f"{name}_b1.emb"), enc.b1[None, :])
     write_embeddings(os.path.join(out_dir, f"{name}_w2.emb"), enc.w2)

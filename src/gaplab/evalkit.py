@@ -233,28 +233,52 @@ def joint_clustering_eval(images: EmbeddingBatch, texts: EmbeddingBatch,
     )
 
 
-# Query rows scored per block in recall_at_k: a block's scores are
+# Image rows scored per block in recall_at_k: a block's scores are
 # _RECALL_BLOCK_ROWS x n float64, so memory is O(n), not O(n^2).
 _RECALL_BLOCK_ROWS = 256
 
 
-def _recall_hits(queries: np.ndarray, keys: np.ndarray, k: int) -> int:
-    """Queries whose partner (the key at the same index) ranks in the top k.
+def _recall_hits(v: np.ndarray, t: np.ndarray, k: int) -> tuple[int, int]:
+    """Image and text queries whose partner (same index) ranks in the top k.
 
-    Scores come from one GEMM per block of query rows. Rank is 1 plus the
-    keys scoring strictly higher, plus the equal keys at a lower index.
+    One GEMM S = v[block] @ t.T per block of image rows serves both
+    directions: its rows rank texts for each image query, and its columns
+    add each text query's counts over that block of images. Rank is 1 plus
+    the competitors scoring strictly higher, plus the equal ones at a lower
+    index, so a competitor at a lower index counts when its score is >= the
+    partner's and one at a higher index when it is >. The partner scores
+    come from a pre-pass over the diagonal blocks, and the partner's own
+    entry is never counted, so it cannot outrank itself.
     """
-    n = queries.shape[0]
-    cols = np.arange(n)
-    hits = 0
-    for lo in range(0, n, _RECALL_BLOCK_ROWS):
-        rows = cols[lo:lo + _RECALL_BLOCK_ROWS]
-        scores = queries[lo:lo + _RECALL_BLOCK_ROWS] @ keys.T
-        own = scores[rows - lo, rows][:, None]
-        rank = (1 + np.count_nonzero(scores > own, axis=1)
-                + np.count_nonzero((scores == own) & (cols < rows[:, None]), axis=1))
-        hits += int(np.count_nonzero(rank <= k))
-    return hits
+    n = v.shape[0]
+    b = _RECALL_BLOCK_ROWS
+    own = np.empty(n)
+    for lo in range(0, n, b):
+        own[lo:lo + b] = np.diagonal(v[lo:lo + b] @ t[lo:lo + b].T)
+    i2t_rank = np.ones(n, dtype=np.int64)
+    t2i_rank = np.ones(n, dtype=np.int64)
+    for lo in range(0, n, b):
+        hi = min(lo + b, n)
+        scores = v[lo:hi] @ t.T
+        own_rows = own[lo:hi, None]
+        # texts before the block (lower index than every image query here)
+        left = scores[:, :lo]
+        i2t_rank[lo:hi] += np.count_nonzero(left >= own_rows, axis=1)
+        t2i_rank[:lo] += np.count_nonzero(left > own[:lo], axis=0)
+        # texts after the block (higher index than every image query here)
+        right = scores[:, hi:]
+        i2t_rank[lo:hi] += np.count_nonzero(right > own_rows, axis=1)
+        t2i_rank[hi:] += np.count_nonzero(right >= own[hi:], axis=0)
+        # the diagonal square: row r is image lo + r, column c is text lo + c
+        square = scores[:, lo:hi]
+        below = np.tri(hi - lo, k=-1, dtype=bool)  # c < r
+        above = below.T                             # c > r
+        i2t_rank[lo:hi] += np.count_nonzero(
+            (square >= own_rows) & below | (square > own_rows) & above, axis=1)
+        own_cols = own[lo:hi]
+        t2i_rank[lo:hi] += np.count_nonzero(
+            (square >= own_cols) & above | (square > own_cols) & below, axis=0)
+    return int(np.count_nonzero(i2t_rank <= k)), int(np.count_nonzero(t2i_rank <= k))
 
 
 def recall_at_k(v, t, k: int) -> tuple[float, float]:
@@ -264,8 +288,8 @@ def recall_at_k(v, t, k: int) -> tuple[float, float]:
     is applied here. Both directions are returned (image-to-text,
     text-to-image). A competitor with a score equal to the true partner's
     outranks it only at a lower index, so results carry no platform sort
-    ambiguity. Scores are computed in blocks of query rows, so memory grows
-    linearly in n.
+    ambiguity. Scores are computed in blocks of image rows, one product
+    serving both directions, so memory grows linearly in n.
     """
     v = as_matrix(v, "V")
     t = as_matrix(t, "T")
@@ -274,7 +298,8 @@ def recall_at_k(v, t, k: int) -> tuple[float, float]:
     n = v.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    return _recall_hits(v, t, k) / n, _recall_hits(t, v, k) / n
+    i2t, t2i = _recall_hits(v, t, k)
+    return i2t / n, t2i / n
 
 
 def interchangeability_probe(train_texts: EmbeddingBatch, test_images: EmbeddingBatch,

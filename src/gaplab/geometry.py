@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import as_matrix, l2_normalize_rows, singular_values
+from .numerics import _normalize_rows, as_matrix
 
 __all__ = [
     "MODALITIES",
@@ -106,14 +106,31 @@ def _paired(images, texts) -> tuple[np.ndarray, np.ndarray]:
     return v, t
 
 
+def _raw_gap(v: np.ndarray, t: np.ndarray) -> float:
+    return float(1.0 - np.einsum("ij,ij->i", v, t).mean())
+
+
+def _distribution_gap(v: np.ndarray, t: np.ndarray,
+                      mean_v: np.ndarray, mean_t: np.ndarray) -> tuple[float, int]:
+    # Center inside the calls, so no centered copy outlives its normalization.
+    vc, _, v_bad = _normalize_rows(v - mean_v)
+    tc, _, t_bad = _normalize_rows(t - mean_t)
+    bad = v_bad | t_bad
+    n_bad = int(bad.sum())
+    if n_bad == vc.shape[0]:
+        raise ValueError("all pairs are degenerate after centering")
+    if n_bad:
+        vc, tc = vc[~bad], tc[~bad]
+    return _raw_gap(vc, tc), n_bad
+
+
 def raw_gap(images, texts) -> float:
     """1 minus the mean paired cosine similarity.
 
     Rows are expected unit-norm (dot product = cosine); no renormalization is
     applied here.
     """
-    v, t = _paired(images, texts)
-    return float(1.0 - np.einsum("ij,ij->i", v, t).mean())
+    return _raw_gap(*_paired(images, texts))
 
 
 def centroid_gap(images, texts) -> float:
@@ -132,15 +149,7 @@ def distribution_gap(images, texts) -> tuple[float, int]:
     constant vector leaves the value unchanged.
     """
     v, t = _paired(images, texts)
-    vc, v_bad = l2_normalize_rows(v - v.mean(axis=0))
-    tc, t_bad = l2_normalize_rows(t - t.mean(axis=0))
-    bad = v_bad | t_bad
-    n_bad = int(bad.sum())
-    if n_bad == v.shape[0]:
-        raise ValueError("all pairs are degenerate after centering")
-    keep = ~bad
-    value = float(1.0 - np.einsum("ij,ij->i", vc[keep], tc[keep]).mean())
-    return value, n_bad
+    return _distribution_gap(v, t, v.mean(axis=0), t.mean(axis=0))
 
 
 def mean_center(images, texts, renormalize: bool = False) -> tuple[EmbeddingBatch, EmbeddingBatch]:
@@ -154,8 +163,8 @@ def mean_center(images, texts, renormalize: bool = False) -> tuple[EmbeddingBatc
     vc = v - v.mean(axis=0)
     tc = t - t.mean(axis=0)
     if renormalize:
-        vc, _ = l2_normalize_rows(vc)
-        tc, _ = l2_normalize_rows(tc)
+        vc = _normalize_rows(vc)[0]
+        tc = _normalize_rows(tc)[0]
 
     def rebuild(batch, vectors, default_modality):
         if isinstance(batch, EmbeddingBatch):
@@ -165,15 +174,34 @@ def mean_center(images, texts, renormalize: bool = False) -> tuple[EmbeddingBatc
     return rebuild(images, vc, "image"), rebuild(texts, tc, "text")
 
 
-def _r_factor(m: np.ndarray) -> np.ndarray:
-    """R of m = QR: min(rows, cols) x cols, with the singular values of m."""
+def _r_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R of m = QR, min(rows, cols) x cols, and its singular values (those of m).
+
+    A tall m goes through CholeskyQR2 (Fukaya, Nakatsukasa, Yanagisawa &
+    Yamamoto, 2014): R1 = chol(m'm)', Q1 = m R1^-1, R = chol(Q1'Q1)' R1. That
+    is backward stable only for cond(m) up to about u^-1/2 ~ 7e7, so
+    Householder QR takes over when m is wide, when a Cholesky fails, or when
+    R has sigma_min < 1e-6 sigma_max.
+    """
     if m.shape[0] < 2:
         raise ValueError(f"need at least 2 rows, got {m.shape[0]}")
-    return np.linalg.qr(m, mode="r")
+    if m.shape[0] >= m.shape[1]:
+        try:
+            r1 = np.linalg.cholesky(m.T @ m).T
+            q1 = m @ np.linalg.inv(r1)
+            r = np.linalg.cholesky(q1.T @ q1).T @ r1
+            sv = np.linalg.svd(r, compute_uv=False)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            if sv[-1] >= 1e-6 * sv[0]:
+                return r, sv
+    r = np.linalg.qr(m, mode="r")
+    return r, np.linalg.svd(r, compute_uv=False)
 
 
-def _erank_of_r(r: np.ndarray) -> float:
-    sv = singular_values(r)
+def _erank(sv: np.ndarray) -> float:
+    """exp(entropy) of descending singular values, below 1e-12 * sigma_max dropped."""
     if sv[0] <= 0.0:
         raise ValueError("all-zero matrix has no effective rank")
     sv = sv[sv >= 1e-12 * sv[0]]
@@ -188,18 +216,19 @@ def effective_rank(batch) -> float:
     its R factor. Singular values below 1e-12 * sigma_max are dropped before
     normalization.
     """
-    return _erank_of_r(_r_factor(_vectors_of(batch)))
+    return _erank(_r_factor(_vectors_of(batch))[1])
 
 
 def _ranks(v: np.ndarray, t: np.ndarray) -> tuple[float, float, float]:
-    """Effective ranks of V, T and the stacked [V; T], from one QR per modality.
+    """Effective ranks of V, T and the stacked [V; T], from one R per modality.
 
     [R_v; R_t] has the Gram matrix V'V + T'T of [V; T], hence its singular
     values, so the joint rank needs no factorization of the stacked rows.
     """
-    r_v = _r_factor(v)
-    r_t = _r_factor(t)
-    return _erank_of_r(r_v), _erank_of_r(r_t), _erank_of_r(np.vstack([r_v, r_t]))
+    r_v, sv_v = _r_factor(v)
+    r_t, sv_t = _r_factor(t)
+    sv_joint = np.linalg.svd(np.vstack([r_v, r_t]), compute_uv=False)
+    return _erank(sv_v), _erank(sv_t), _erank(sv_joint)
 
 
 def fusion_index(images, texts) -> float:
@@ -217,13 +246,18 @@ def fusion_index(images, texts) -> float:
 
 
 def gap_report(images, texts) -> GapReport:
-    """Compute every gap and rank diagnostic for one paired batch."""
+    """Compute every gap and rank diagnostic for one paired batch.
+
+    The inputs are validated once; each modality mean is taken once.
+    """
     v, t = _paired(images, texts)
-    dist, n_bad = distribution_gap(v, t)
+    mean_v = v.mean(axis=0)
+    mean_t = t.mean(axis=0)
+    dist, n_bad = _distribution_gap(v, t, mean_v, mean_t)
     er_v, er_t, er_joint = _ranks(v, t)
     return GapReport(
-        raw_gap=raw_gap(v, t),
-        centroid_gap=centroid_gap(v, t),
+        raw_gap=_raw_gap(v, t),
+        centroid_gap=float(np.linalg.norm(mean_v - mean_t)),
         distribution_gap=dist,
         erank_image=er_v,
         erank_text=er_t,

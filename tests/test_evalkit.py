@@ -275,6 +275,62 @@ def test_blocked_recall_keeps_the_tie_rule_across_blocks(monkeypatch, block):
         assert gl.recall_at_k(v, t, k) == recall_by_stable_sort(v, t, k)
 
 
+@pytest.mark.parametrize("block", [evalkit._RECALL_BLOCK_ROWS, 7])
+def test_blocked_recall_keeps_the_tie_rule_for_text_queries(monkeypatch, block):
+    monkeypatch.setattr(evalkit, "_RECALL_BLOCK_ROWS", block)
+    n = 2 * block + 37
+    rng = np.random.default_rng(32)
+    # Unique text rows: distinct codes in [-6, 6]^3, plus a fourth coordinate.
+    codes = rng.choice(13**3, size=n, replace=False)
+    t = np.zeros((n, 4))
+    t[:, :3] = np.stack([codes // 169, codes // 13 % 13, codes % 13], axis=1) - 6
+    v = np.zeros((n, 4))
+    v[:, :3] = rng.integers(-2, 3, size=(n, 3))
+    # Duplicated image rows straddling a block boundary. Each pair is the best
+    # match of the text after the boundary (50 against at most 36), which
+    # loses rank 1 to the equal image before it.
+    for i, sign in ((block, 1.0), (2 * block, -1.0)):
+        t[i, 3] = sign
+        v[i - 1] = v[i] = (0.0, 0.0, 0.0, 50.0 * sign)
+        scores = v @ t[i]
+        assert scores.max() == scores[i] == scores[i - 1]
+    assert np.unique(t, axis=0).shape[0] == n
+    for k in (1, 3, n):
+        assert gl.recall_at_k(v, t, k) == recall_by_stable_sort(v, t, k)
+
+
+def recall_by_two_gemms(v, t, k) -> tuple[float, float]:
+    """The earlier blocked kernel: one GEMM per block of queries and per direction."""
+
+    def hits(queries, keys):
+        n = queries.shape[0]
+        block = evalkit._RECALL_BLOCK_ROWS
+        cols = np.arange(n)
+        total = 0
+        for lo in range(0, n, block):
+            rows = cols[lo:lo + block]
+            scores = queries[lo:lo + block] @ keys.T
+            own = scores[rows - lo, rows][:, None]
+            rank = (1 + np.count_nonzero(scores > own, axis=1)
+                    + np.count_nonzero((scores == own) & (cols < rows[:, None]), axis=1))
+            total += int(np.count_nonzero(rank <= k))
+        return total
+
+    n = v.shape[0]
+    return hits(v, t) / n, hits(t, v) / n
+
+
+@pytest.mark.parametrize("block", [evalkit._RECALL_BLOCK_ROWS, 7])
+def test_one_gemm_recall_equals_the_two_gemm_kernel(monkeypatch, block):
+    monkeypatch.setattr(evalkit, "_RECALL_BLOCK_ROWS", block)
+    n, d = 2 * block + 37, 16
+    rng = np.random.default_rng(33)
+    v = rng.standard_normal((n, d))
+    t = 0.6 * v + rng.standard_normal((n, d))  # partners often, not always, rank first
+    for k in (1, 5):
+        assert gl.recall_at_k(v, t, k) == recall_by_two_gemms(v, t, k)
+
+
 def test_recall_memory_stays_below_the_dense_matrix():
     n, d = 3000, 4
     rng = np.random.default_rng(31)

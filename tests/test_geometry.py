@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -267,6 +268,81 @@ def test_r_factor_ranks_match_the_stacked_svd(case):
         assert close(r.fusion_index, er_joint / (0.5 * (er_v + er_t)))
 
 
+CQR2_D = 24
+
+
+def conditioned(rng, n, d, cond):
+    """U diag(sigma) W' with sigma log-spaced from 1 down to 1/cond."""
+    u, _ = np.linalg.qr(rng.standard_normal((n, d)))
+    return (u * np.logspace(0.0, -np.log10(cond), d)) @ random_orthogonal(rng, d).T
+
+
+def erank_by_householder(m) -> float:
+    """The Householder path alone: SVD of the R of np.linalg.qr."""
+    return erank_by_stacked_svd(np.linalg.qr(m, mode="r"))
+
+
+def count_householder_calls(monkeypatch) -> list:
+    calls = []
+    qr = np.linalg.qr
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(gl.geometry.np.linalg, "qr", counted)
+    return calls
+
+
+def assert_ranks_match_the_stacked_svd(v, t):
+    er_v, er_t = erank_by_stacked_svd(v), erank_by_stacked_svd(t)
+    er_joint = erank_by_stacked_svd(np.vstack([v, t]))
+    fusion = er_joint / (0.5 * (er_v + er_t))
+
+    def close(got, want):
+        return abs(got - want) <= 1e-12 * abs(want)
+
+    assert close(gl.effective_rank(v), er_v)
+    assert close(gl.effective_rank(t), er_t)
+    assert close(gl.fusion_index(v, t), fusion)
+    r = gl.gap_report(v, t)
+    assert close(r.erank_image, er_v) and close(r.erank_text, er_t)
+    assert close(r.erank_joint, er_joint) and close(r.fusion_index, fusion)
+
+
+@pytest.mark.parametrize("rows", [2 * CQR2_D, 8 * CQR2_D])
+@pytest.mark.parametrize("cond", [1.0, 1e3, 1e5, 1e7, 1e10])
+def test_cholesky_qr2_ranks_match_the_stacked_svd(monkeypatch, cond, rows):
+    rng = np.random.default_rng(21)
+    v = conditioned(rng, rows, CQR2_D, cond)
+    t = conditioned(rng, rows, CQR2_D, cond)
+    fallback = erank_by_householder(v), erank_by_householder(t)
+    calls = count_householder_calls(monkeypatch)
+    assert_ranks_match_the_stacked_svd(v, t)
+    if cond <= 1e5:
+        assert calls == []
+    else:
+        # CholeskyQR2 is not trusted here; Householder gives the same bits as before.
+        assert len(calls) >= 1
+        assert (gl.effective_rank(v), gl.effective_rank(t)) == fallback
+
+
+@pytest.mark.parametrize("case", ["rank_deficient", "wide"])
+def test_cholesky_qr2_hands_rank_deficient_and_wide_inputs_to_householder(monkeypatch, case):
+    rng = np.random.default_rng(22)
+    shape = {"rank_deficient": (8 * CQR2_D, CQR2_D), "wide": (CQR2_D // 2, CQR2_D)}[case]
+    if case == "rank_deficient":
+        v = _low_rank(rng, *shape, CQR2_D // 2)
+        t = _low_rank(rng, *shape, CQR2_D // 3)
+    else:
+        v, t = rng.standard_normal(shape), rng.standard_normal(shape)
+    fallback = erank_by_householder(v), erank_by_householder(t)
+    calls = count_householder_calls(monkeypatch)
+    assert_ranks_match_the_stacked_svd(v, t)
+    assert len(calls) >= 1
+    assert (gl.effective_rank(v), gl.effective_rank(t)) == fallback
+
+
 # --------------------------------------------------------------- gap_report
 
 def test_gap_report_fields_match_individual_ops():
@@ -306,3 +382,28 @@ def test_gap_report_json_round_trip_and_summary():
     s = r.summary()
     for key in ("raw_gap=", "centroid_gap=", "distribution_gap=", "fusion_index="):
         assert key in s
+
+
+def test_gap_report_validates_once_and_skips_householder(monkeypatch):
+    """Counts calls through every gaplab module that binds as_matrix, so a
+    re-import under another name is caught too."""
+    rng = np.random.default_rng(23)
+    v = conditioned(rng, 600, 24, 10.0)
+    t = conditioned(rng, 600, 24, 10.0)
+    batches = gl.EmbeddingBatch(v), gl.EmbeddingBatch(t, modality="text")
+    calls = count_householder_calls(monkeypatch)
+    checks = []
+    original = gl.numerics.as_matrix
+
+    def counted(*args, **kwargs):
+        checks.append(1)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("gaplab") and getattr(mod, "as_matrix", None) is original:
+            monkeypatch.setattr(mod, "as_matrix", counted)
+
+    gl.gap_report(v, t)
+    assert (len(checks), calls) == (2, [])
+    gl.gap_report(*batches)
+    assert (len(checks), calls) == (2, [])
