@@ -246,9 +246,14 @@ def _recall_hits(v: np.ndarray, t: np.ndarray, k: int) -> tuple[int, int]:
     add each text query's counts over that block of images. Rank is 1 plus
     the competitors scoring strictly higher, plus the equal ones at a lower
     index, so a competitor at a lower index counts when its score is >= the
-    partner's and one at a higher index when it is >. The partner scores
-    come from a pre-pass over the diagonal blocks, and the partner's own
-    entry is never counted, so it cannot outrank itself.
+    partner's and one at a higher index when it is >. The partner's own entry
+    is never counted, so it cannot outrank itself.
+
+    An image query's partner score is the diagonal entry of its own row of S,
+    as are its competitors. A text query's column spans every block, so its
+    partner score comes from a pre-pass over the diagonal blocks; exact ties
+    there assume that the BLAS computes a dot product the same way whatever
+    the shape of the product it sits in.
     """
     n = v.shape[0]
     b = _RECALL_BLOCK_ROWS
@@ -260,7 +265,7 @@ def _recall_hits(v: np.ndarray, t: np.ndarray, k: int) -> tuple[int, int]:
     for lo in range(0, n, b):
         hi = min(lo + b, n)
         scores = v[lo:hi] @ t.T
-        own_rows = own[lo:hi, None]
+        own_rows = np.diagonal(scores[:, lo:hi])[:, None]
         # texts before the block (lower index than every image query here)
         left = scores[:, :lo]
         i2t_rank[lo:hi] += np.count_nonzero(left >= own_rows, axis=1)

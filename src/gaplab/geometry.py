@@ -182,20 +182,26 @@ def _r_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     is backward stable only for cond(m) up to about u^-1/2 ~ 7e7, so
     Householder QR takes over when m is wide, when a Cholesky fails, or when
     R has sigma_min < 1e-6 sigma_max.
+
+    That last test is also made early, on R1, before the second pass. No
+    column of R1 is longer than sigma_max and none of R1^-1 longer than
+    1/sigma_min, so when the longest of each multiply to more than 1e6, R1
+    (which has the singular values of m, up to rounding) would fail it.
     """
     if m.shape[0] < 2:
         raise ValueError(f"need at least 2 rows, got {m.shape[0]}")
     if m.shape[0] >= m.shape[1]:
         try:
             r1 = np.linalg.cholesky(m.T @ m).T
-            q1 = m @ np.linalg.inv(r1)
-            r = np.linalg.cholesky(q1.T @ q1).T @ r1
-            sv = np.linalg.svd(r, compute_uv=False)
+            r1_inv = np.linalg.inv(r1)
+            if np.linalg.norm(r1, axis=0).max() * np.linalg.norm(r1_inv, axis=0).max() <= 1e6:
+                q1 = m @ r1_inv
+                r = np.linalg.cholesky(q1.T @ q1).T @ r1
+                sv = np.linalg.svd(r, compute_uv=False)
+                if sv[-1] >= 1e-6 * sv[0]:
+                    return r, sv
         except np.linalg.LinAlgError:
             pass
-        else:
-            if sv[-1] >= 1e-6 * sv[0]:
-                return r, sv
     r = np.linalg.qr(m, mode="r")
     return r, np.linalg.svd(r, compute_uv=False)
 

@@ -327,6 +327,29 @@ def test_cholesky_qr2_ranks_match_the_stacked_svd(monkeypatch, cond, rows):
         assert (gl.effective_rank(v), gl.effective_rank(t)) == fallback
 
 
+@pytest.mark.parametrize("cond, choleskys, householders", [
+    (1e5, 2, 0),    # both passes run and R is kept
+    (1.5e6, 2, 1),  # R1 passes the column-norm bound (below 8e5 here), R fails the sigma test
+    (1e7, 1, 1),    # the bound on R1 exceeds 1e6: no second pass
+])
+def test_cholesky_qr2_rejects_an_ill_conditioned_r1_before_the_second_pass(
+        monkeypatch, cond, choleskys, householders):
+    cholesky = np.linalg.cholesky
+    for rows in (2 * CQR2_D, 8 * CQR2_D):
+        rng = np.random.default_rng(21)
+        for m in (conditioned(rng, rows, CQR2_D, cond), conditioned(rng, rows, CQR2_D, cond)):
+            fallback = erank_by_householder(m)
+            with monkeypatch.context() as patch:
+                calls = count_householder_calls(patch)
+                factored = []
+                patch.setattr(gl.geometry.np.linalg, "cholesky",
+                              lambda a: factored.append(a.shape) or cholesky(a))
+                er = gl.effective_rank(m)
+            assert (len(factored), len(calls)) == (choleskys, householders)
+            if householders:
+                assert er == fallback
+
+
 @pytest.mark.parametrize("case", ["rank_deficient", "wide"])
 def test_cholesky_qr2_hands_rank_deficient_and_wide_inputs_to_householder(monkeypatch, case):
     rng = np.random.default_rng(22)
