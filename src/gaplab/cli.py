@@ -136,10 +136,8 @@ def _write_checkpoint(out_dir: str, name: str, enc) -> None:
     these files reproduce eval_*.emb only to within one float32 ulp; the
     files are a snapshot for inspection, not an exact resume point.
     """
-    write_embeddings(os.path.join(out_dir, f"{name}_w1.emb"), enc.w1)
-    write_embeddings(os.path.join(out_dir, f"{name}_b1.emb"), enc.b1[None, :])
-    write_embeddings(os.path.join(out_dir, f"{name}_w2.emb"), enc.w2)
-    write_embeddings(os.path.join(out_dir, f"{name}_b2.emb"), enc.b2[None, :])
+    for key, param in zip(("w1", "b1", "w2", "b2"), (enc.w1, enc.b1, enc.w2, enc.b2)):
+        write_embeddings(os.path.join(out_dir, f"{name}_{key}.emb"), np.atleast_2d(param))
 
 
 def cmd_train(args) -> int:

@@ -14,12 +14,12 @@ temperature scale. Gradients are taken treating V and T as free variables;
 backprop through row normalization is the trainer's job. finite_diff_check
 validates any of them against central differences.
 
-Each public loss validates its inputs once and hands the similarity blocks
-(V T^T, and V V^T and T T^T for the intra term, each one BLAS product) to one
-of two unchecked private kernels: _reweighted for clip and reweighted, _intra
-for intra. cma_loss builds the three blocks once and runs both kernels on
-them, so its endpoint identities with clip_loss and intra_loss hold by
-construction.
+Each public loss validates its inputs once and hands the block V T^T (one
+BLAS product) to one of two unchecked private kernels: _reweighted for clip
+and reweighted, _intra for intra, which builds V V^T and T T^T itself. cma_loss
+wraps _cma, which builds V T^T once and runs both kernels on it, so its
+endpoint identities with clip_loss and intra_loss hold by construction; the
+trainer calls _cma directly on arrays it has already validated.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class Temperature:
     """Learnable similarity scale, parameterized as log_scale with tau = exp(log_scale).
 
     The effective scale is capped at 100; optimizers must re-clamp after every
-    update (see adam_step), and construction rejects values past the cap.
+    update (train's Adam step does), and construction rejects values past the cap.
     """
 
     log_scale: float = DEFAULT_LOG_SCALE
@@ -144,14 +144,15 @@ def _reweighted(s_vt, v, t, tau, beta):
     return loss, grad_sim @ t, grad_sim.T @ v, grad_log_scale, a, lse_row
 
 
-def _intra(s_vt, s_vv, s_tt, v, t, tau):
-    """Kernel of intra_loss over the blocks V T^T, V V^T and T T^T.
+def _intra(s_vt, v, t, tau):
+    """Kernel of intra_loss over V T^T and the blocks V V^T and T T^T, built here.
 
     Each auxiliary logit matrix is tau times a self-similarity block with its
     diagonal replaced by the paired cross-modal similarity tau * v_i . t_i.
     Each off-diagonal similarity t_i . t_j feeds one cell per matrix but
     touches two rows of T, and the diagonal cross terms touch both V and T;
-    the gradient below accounts for every appearance.
+    the gradient below accounts for every appearance, so the blocks need not
+    be exactly symmetric.
 
     Returns (loss, grad_V, grad_T, grad_log_scale).
     """
@@ -161,8 +162,9 @@ def _intra(s_vt, s_vv, s_tt, v, t, tau):
     loss = grad_log_scale = 0.0
     shared = np.zeros(n)
     off = []
-    for s_self in (s_tt, s_vv):  # text-anchored, then image-anchored
-        logits = tau * s_self
+    for anchor in (t, v):  # text-anchored, then image-anchored
+        logits = anchor @ anchor.T.copy()  # gemm: anchor @ anchor.T is the slower syrk
+        logits *= tau
         np.fill_diagonal(logits, cross)
         p, lse = _softmax_lse(logits, 1)
         # dL/dlogits = (P - I) / 2n: its diagonal is shared by V and T, its
@@ -190,13 +192,7 @@ def clip_loss(v, t, temp: Temperature) -> LossOutput:
     v, t = _paired_inputs(v, t)
     loss, gv, gt, gs, a, lse_row = _reweighted(v @ t.T, v, t, temp.scale, 0.0)
     align, oppose = _split(a, lse_row)
-    return LossOutput(
-        loss=loss,
-        grad_images=gv,
-        grad_texts=gt,
-        grad_log_scale=gs,
-        diagnostics={"align_term": align, "oppose_term": oppose},
-    )
+    return LossOutput(loss, gv, gt, gs, {"align_term": align, "oppose_term": oppose})
 
 
 def clip_loss_decomposed(v, t, temp: Temperature) -> tuple[float, float]:
@@ -225,13 +221,7 @@ def reweighted_loss(v, t, temp: Temperature, beta: float) -> LossOutput:
     if not 0.0 <= beta <= 0.05:
         raise ValueError(f"beta must be in [0, 0.05], got {beta}")
     loss, gv, gt, gs, _, _ = _reweighted(v @ t.T, v, t, temp.scale, beta)
-    return LossOutput(
-        loss=loss,
-        grad_images=gv,
-        grad_texts=gt,
-        grad_log_scale=gs,
-        diagnostics={"rw_term": loss},
-    )
+    return LossOutput(loss, gv, gt, gs, {"rw_term": loss})
 
 
 def intra_loss(v, t, temp: Temperature) -> LossOutput:
@@ -244,38 +234,15 @@ def intra_loss(v, t, temp: Temperature) -> LossOutput:
     geometries toward each other.
     """
     v, t = _paired_inputs(v, t)
-    loss, gv, gt, gs = _intra(v @ t.T, v @ v.T, t @ t.T, v, t, temp.scale)
-    return LossOutput(
-        loss=loss,
-        grad_images=gv,
-        grad_texts=gt,
-        grad_log_scale=gs,
-        diagnostics={"intra_term": loss},
-    )
+    loss, gv, gt, gs = _intra(v @ t.T, v, t, temp.scale)
+    return LossOutput(loss, gv, gt, gs, {"intra_term": loss})
 
 
-def cma_loss(v, t, temp: Temperature, alpha: float) -> LossOutput:
-    """Blend of the reweighted contrastive loss and the intra-modal matching
-    loss: (1 - alpha) * reweighted_loss(beta=0.05*alpha) + alpha * intra_loss.
-
-    Both component losses already carry their symmetric 1/2 prefactor, so
-    alpha=0 reproduces clip_loss exactly (beta collapses to 0 with it) and
-    alpha=1 reproduces intra_loss exactly, gradients included: all of them run
-    the same kernels on the same three similarity blocks, which are built once
-    here and shared by both terms.
-
-    Diagnostics: rw_term and intra_term are the unweighted component losses;
-    grad_norm_rw and grad_norm_intra are each component's gradient norm over
-    (V, T), there to expose the imbalance between the two objectives.
-    """
-    v, t = _paired_inputs(v, t)
-    alpha = float(alpha)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    tau = temp.scale
+def _cma(v, t, tau: float, alpha: float) -> LossOutput:
+    """cma_loss on validated (V, T), scale tau = exp(log_scale) and alpha in [0, 1]."""
     s_vt = v @ t.T
     rw_loss, rw_gv, rw_gt, rw_gs, _, _ = _reweighted(s_vt, v, t, tau, 0.05 * alpha)
-    in_loss, in_gv, in_gt, in_gs = _intra(s_vt, v @ v.T, t @ t.T, v, t, tau)
+    in_loss, in_gv, in_gt, in_gs = _intra(s_vt, v, t, tau)
 
     w_rw = 1.0 - alpha
     return LossOutput(
@@ -290,6 +257,27 @@ def cma_loss(v, t, temp: Temperature, alpha: float) -> LossOutput:
             "grad_norm_intra": math.sqrt(np.vdot(in_gv, in_gv) + np.vdot(in_gt, in_gt)),
         },
     )
+
+
+def cma_loss(v, t, temp: Temperature, alpha: float) -> LossOutput:
+    """Blend of the reweighted contrastive loss and the intra-modal matching
+    loss: (1 - alpha) * reweighted_loss(beta=0.05*alpha) + alpha * intra_loss.
+
+    Both component losses already carry their symmetric 1/2 prefactor, so
+    alpha=0 reproduces clip_loss exactly (beta collapses to 0 with it) and
+    alpha=1 reproduces intra_loss exactly, gradients included: all of them run
+    the same kernels on the same similarity blocks, and V T^T is built once
+    and shared by both terms.
+
+    Diagnostics: rw_term and intra_term are the unweighted component losses;
+    grad_norm_rw and grad_norm_intra are each component's gradient norm over
+    (V, T), there to expose the imbalance between the two objectives.
+    """
+    v, t = _paired_inputs(v, t)
+    alpha = float(alpha)
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    return _cma(v, t, temp.scale, alpha)
 
 
 def _decomposed_bundles(v, t, temp: Temperature):

@@ -5,7 +5,9 @@ fixed linear maps to produce the "image" and "text" views of each sample;
 two small tanh MLPs with unit-normalized outputs are then trained against the
 blended contrastive objective under the three-phase schedule. Everything is
 hand-differentiated (including the row-normalization Jacobian) and driven by
-an in-place Adam, so a full run is deterministic given its two seeds.
+an in-place Adam, so a full run is deterministic given its two seeds. train
+validates its data once and owns its step, which runs the private kernels on
+unchecked arrays; encoder_forward and encoder_backward wrap the same kernels.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .curriculum import CurriculumConfig, CurriculumState, scheduler_new, scheduler_step
 from .geometry import EmbeddingBatch, GapReport, gap_report
-from .losses import DEFAULT_LOG_SCALE, LOG_SCALE_MAX, Temperature, cma_loss
+from .losses import DEFAULT_LOG_SCALE, LOG_SCALE_MAX, LossOutput, Temperature, _cma
 from .numerics import _normalize_rows, as_matrix
 
 __all__ = [
@@ -29,8 +31,6 @@ __all__ = [
     "EncoderCache",
     "encoder_forward",
     "encoder_backward",
-    "AdamState",
-    "adam_step",
     "TrainConfig",
     "EpochRecord",
     "RunHistory",
@@ -124,20 +124,22 @@ def synth_dataset(config: SynthConfig) -> PairedDataset:
 
 
 class Encoder:
-    """Two-layer tanh MLP whose output rows are projected to the unit sphere."""
+    """Two-layer tanh MLP whose output rows are projected to the unit sphere.
+
+    w1, b1, w2 and b2 are views, in that order, into one float64 vector, flat;
+    train rebinds both encoders into its run's parameter buffer.
+    """
 
     def __init__(self, w1, b1, w2, b2):
-        self.w1 = np.asarray(w1, dtype=np.float64)
-        self.b1 = np.asarray(b1, dtype=np.float64)
-        self.w2 = np.asarray(w2, dtype=np.float64)
-        self.b2 = np.asarray(b2, dtype=np.float64)
-        if self.w1.ndim != 2 or self.w2.ndim != 2:
+        w1, b1, w2, b2 = params = [np.asarray(p, dtype=np.float64) for p in (w1, b1, w2, b2)]
+        if w1.ndim != 2 or w2.ndim != 2:
             raise ValueError("weights must be 2-D")
-        if self.b1.shape != (self.w1.shape[1],) or self.b2.shape != (self.w2.shape[1],):
+        if b1.shape != (w1.shape[1],) or b2.shape != (w2.shape[1],):
             raise ValueError("bias shapes do not match weights")
-        if self.w1.shape[1] != self.w2.shape[0]:
+        if w1.shape[1] != w2.shape[0]:
             raise ValueError("hidden dimensions do not match")
-        self.version = 0
+        self.shapes = [p.shape for p in params]
+        self._bind(np.concatenate([p.ravel() for p in params]))
 
     @classmethod
     def random(cls, input_dim: int, hidden_dim: int, embed_dim: int, rng: np.random.Generator):
@@ -153,13 +155,15 @@ class Encoder:
     def embed_dim(self) -> int:
         return self.w2.shape[1]
 
-    def params(self, prefix: str = "") -> dict:
-        return {f"{prefix}w1": self.w1, f"{prefix}b1": self.b1,
-                f"{prefix}w2": self.w2, f"{prefix}b2": self.b2}
+    def _views(self, flat: np.ndarray) -> list:
+        """[w1, b1, w2, b2]-shaped views into a vector laid out as flat."""
+        ends = np.cumsum([math.prod(shape) for shape in self.shapes])[:-1]
+        return [part.reshape(shape) for part, shape in zip(np.split(flat, ends), self.shapes)]
 
-    def note_update(self):
-        """Invalidate outstanding forward caches after a parameter change."""
-        self.version += 1
+    def _bind(self, flat: np.ndarray) -> None:
+        """Make flat, which must already hold this encoder's values, its parameter store."""
+        self.flat = flat
+        self.w1, self.b1, self.w2, self.b2 = self._views(flat)
 
 
 @dataclass
@@ -170,19 +174,42 @@ class EncoderCache:
     embeddings: np.ndarray
     norms: np.ndarray
     degenerate: np.ndarray
-    version: int
+
+
+def _forward(enc: Encoder, x: np.ndarray) -> tuple[np.ndarray, EncoderCache]:
+    """encoder_forward on a validated x of the encoder's input width."""
+    hidden = np.tanh(x @ enc.w1 + enc.b1)
+    pre_norm = hidden @ enc.w2 + enc.b2
+    emb, norms, degenerate = _normalize_rows(pre_norm)
+    return emb, EncoderCache(x, hidden, pre_norm, emb, norms, degenerate)
 
 
 def encoder_forward(enc: Encoder, x) -> tuple[np.ndarray, EncoderCache]:
-    """Unit-norm embeddings plus the cache encoder_backward needs."""
+    """Unit-norm embeddings plus the cache encoder_backward needs. ValueError if
+    x is not a finite matrix of the encoder's input width or an output norm is not finite."""
     x = as_matrix(x, "x")
     if x.shape[1] != enc.input_dim:
         raise ValueError(f"input dim mismatch: encoder expects {enc.input_dim}, got {x.shape[1]}")
-    hidden = np.tanh(x @ enc.w1 + enc.b1)
-    pre_norm = hidden @ enc.w2 + enc.b2
-    emb, norms, degenerate = _normalize_rows(as_matrix(pre_norm))
-    cache = EncoderCache(x, hidden, pre_norm, emb, norms, degenerate, enc.version)
+    emb, cache = _forward(enc, x)
+    if not np.isfinite(cache.norms).all():
+        raise ValueError("encoder output norms are not finite")
     return emb, cache
+
+
+def _backward(enc: Encoder, cache: EncoderCache, grad_embeddings: np.ndarray, out) -> None:
+    """encoder_backward on a validated gradient, written into out = [w1, b1, w2, b2] arrays."""
+    g_w1, g_b1, g_w2, g_b2 = out
+    emb = cache.embeddings
+    radial = np.einsum("ij,ij->i", grad_embeddings, emb)[:, None]
+    safe = np.where(cache.degenerate, 1.0, cache.norms)[:, None]
+    grad_z = (grad_embeddings - radial * emb) / safe
+    grad_z = np.where(cache.degenerate[:, None], grad_embeddings, grad_z)
+
+    np.matmul(cache.hidden.T, grad_z, out=g_w2)
+    grad_z.sum(axis=0, out=g_b2)
+    grad_pre = (grad_z @ enc.w2.T) * (1.0 - cache.hidden**2)
+    np.matmul(cache.x.T, grad_pre, out=g_w1)
+    grad_pre.sum(axis=0, out=g_b1)
 
 
 def encoder_backward(enc: Encoder, cache: EncoderCache, grad_embeddings) -> dict:
@@ -193,71 +220,26 @@ def encoder_backward(enc: Encoder, cache: EncoderCache, grad_embeddings) -> dict
     gradient through unchanged (normalization was the identity there).
     """
     grad_embeddings = as_matrix(grad_embeddings, "grad_embeddings")
-    if cache.version != enc.version:
-        raise ValueError("stale cache: encoder parameters changed after this forward pass")
     if grad_embeddings.shape != cache.embeddings.shape:
         raise ValueError("gradient shape does not match the cached embeddings")
-
-    emb = cache.embeddings
-    radial = np.einsum("ij,ij->i", grad_embeddings, emb)[:, None]
-    safe = np.where(cache.degenerate, 1.0, cache.norms)[:, None]
-    grad_z = (grad_embeddings - radial * emb) / safe
-    grad_z = np.where(cache.degenerate[:, None], grad_embeddings, grad_z)
-
-    grad_w2 = cache.hidden.T @ grad_z
-    grad_b2 = grad_z.sum(axis=0)
-    grad_hidden = grad_z @ enc.w2.T
-    grad_pre = grad_hidden * (1.0 - cache.hidden**2)
-    grad_w1 = cache.x.T @ grad_pre
-    grad_b1 = grad_pre.sum(axis=0)
-    return {"w1": grad_w1, "b1": grad_b1, "w2": grad_w2, "b2": grad_b2}
+    grads = enc._views(np.empty_like(enc.flat))
+    _backward(enc, cache, grad_embeddings, grads)
+    return dict(zip(("w1", "b1", "w2", "b2"), grads))
 
 
-@dataclass
-class AdamState:
-    step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
-
-
-def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
-              betas: tuple = (0.9, 0.999), eps: float = 1e-8) -> None:
-    """One bias-corrected Adam update, in place.
-
-    Array parameters are mutated; scalar parameters are rebound in the dict.
-    A "log_scale" entry, if present, is clamped to ln(100) afterward so the
-    similarity scale never exceeds 100.
-    """
-    if set(params) != set(grads):
-        raise ValueError("params and grads must carry the same keys")
+def _adam(flat, grad, m, v, step: int, lr: float, betas: tuple, eps: float) -> None:
+    """Bias-corrected Adam update number step (from 1) of flat and its moments m
+    and v, in place. flat's last element, the log scale, is then clamped to
+    ln(100) so the similarity scale never exceeds 100."""
+    if grad.shape != flat.shape:
+        raise ValueError(f"gradient shape {grad.shape} does not match parameters {flat.shape}")
     beta1, beta2 = betas
-    state.step += 1
-    t = state.step
-    corr1 = 1.0 - beta1**t
-    corr2 = 1.0 - beta2**t
-    for key, param in params.items():
-        g = grads[key]
-        if isinstance(param, np.ndarray):
-            if key not in state.m:
-                state.m[key] = np.zeros_like(param)
-                state.v[key] = np.zeros_like(param)
-            m = state.m[key]
-            v = state.v[key]
-            m *= beta1
-            m += (1.0 - beta1) * g
-            v *= beta2
-            v += (1.0 - beta2) * np.square(g)
-            param -= lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
-        else:
-            m = state.m.get(key, 0.0)
-            v = state.v.get(key, 0.0)
-            m = beta1 * m + (1.0 - beta1) * float(g)
-            v = beta2 * v + (1.0 - beta2) * float(g) ** 2
-            state.m[key] = m
-            state.v[key] = v
-            params[key] = float(param) - lr * (m / corr1) / (math.sqrt(v / corr2) + eps)
-    if "log_scale" in params:
-        params["log_scale"] = min(float(params["log_scale"]), LOG_SCALE_MAX)
+    m *= beta1
+    m += (1.0 - beta1) * grad
+    v *= beta2
+    v += (1.0 - beta2) * np.square(grad)
+    flat -= lr * (m / (1.0 - beta1**step)) / (np.sqrt(v / (1.0 - beta2**step)) + eps)
+    flat[-1] = min(flat[-1], LOG_SCALE_MAX)
 
 
 @dataclass(frozen=True)
@@ -276,16 +258,16 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 (contrastive losses degenerate at 1)")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if not 0.0 <= self.adam_beta1 < 1.0 or not 0.0 <= self.adam_beta2 < 1.0:
             raise ValueError("adam betas must lie in [0, 1)")
         if self.adam_eps <= 0:
             raise ValueError("adam_eps must be positive")
         if self.hidden_dim < 1 or self.embed_dim < 1:
             raise ValueError("dimensions must be >= 1")
-        if self.init_log_scale > LOG_SCALE_MAX:
-            raise ValueError("init_log_scale exceeds the ln(100) cap")
+        if not -math.inf < self.init_log_scale <= LOG_SCALE_MAX:
+            raise ValueError("init_log_scale must be finite and within the ln(100) cap")
 
     @property
     def epochs(self) -> int:
@@ -320,20 +302,63 @@ class RunHistory:
 
 
 class NonFiniteLossError(RuntimeError):
-    """Raised when a training step produces a NaN/Inf loss; aborts the run."""
+    """Raised when a run diverges; aborts it. what names the quantity that is not
+    finite and loss holds its value: the "loss", an "encoder output norm" (a row
+    norm before normalization, which overflows once weights blow up) or the "log scale"."""
 
-    def __init__(self, epoch: int, step: int, alpha: float, loss: float):
-        self.epoch = epoch
-        self.step = step
-        self.alpha = alpha
-        self.loss = loss
+    def __init__(self, epoch: int, step: int, alpha: float, loss: float, what: str = "loss"):
+        self.epoch, self.step, self.alpha, self.loss, self.what = epoch, step, alpha, loss, what
         super().__init__(
-            f"non-finite loss {loss!r} at epoch {epoch}, step {step}, alpha {alpha:.6f}"
+            f"non-finite {what} {loss!r} at epoch {epoch}, step {step}, alpha {alpha:.6f}"
         )
 
     def __reduce__(self):
         # keep the exception picklable across process-pool boundaries
-        return (NonFiniteLossError, (self.epoch, self.step, self.alpha, self.loss))
+        return (NonFiniteLossError, (self.epoch, self.step, self.alpha, self.loss, self.what))
+
+
+class _Step:
+    """A run's parameters and its training step: forward, loss, backward and
+    Adam on arrays the caller validated once, with nothing in between. Both
+    encoders' parameters, then log_scale, sit in one float64 buffer, flat, that
+    the encoders' weights view; the gradient and Adam moments share its layout.
+    """
+
+    def __init__(self, img_enc: Encoder, txt_enc: Encoder, cfg: TrainConfig):
+        encoders = (img_enc, txt_enc)
+        parts = (slice(0, img_enc.flat.size), slice(img_enc.flat.size, -1))
+        self.flat = np.concatenate([img_enc.flat, txt_enc.flat, [cfg.init_log_scale]])
+        self.grad, self.m, self.v = (np.zeros_like(self.flat) for _ in range(3))
+        for enc, part in zip(encoders, parts):
+            enc._bind(self.flat[part])
+        self.towers = [(enc, enc._views(self.grad[part])) for enc, part in zip(encoders, parts)]
+        self.count = 0  # Adam steps taken
+        self.adam = (cfg.learning_rate, (cfg.adam_beta1, cfg.adam_beta2), cfg.adam_eps)
+
+    def encode(self, tower: int, x: np.ndarray, epoch: int, alpha: float):
+        """(embeddings, cache) of tower 0 (image) or 1 (text) for a validated x."""
+        emb, cache = _forward(self.towers[tower][0], x)
+        worst = float(cache.norms.max())  # NaN if any norm is NaN
+        if not math.isfinite(worst):
+            raise NonFiniteLossError(epoch, self.count, alpha, worst, "encoder output norm")
+        return emb, cache
+
+    def __call__(self, inputs: tuple, alpha: float, epoch: int) -> LossOutput:
+        """One step on a validated (image, text) batch at blend alpha in [0, 1]."""
+        (vi, cache_i), (vt, cache_t) = (self.encode(i, x, epoch, alpha) for i, x in enumerate(inputs))
+        log_scale = float(self.flat[-1])
+        if not math.isfinite(log_scale):
+            raise NonFiniteLossError(epoch, self.count, alpha, log_scale, "log scale")
+        out = _cma(vi, vt, math.exp(log_scale), alpha)
+        if not math.isfinite(out.loss):
+            raise NonFiniteLossError(epoch, self.count, alpha, out.loss)
+        for (enc, grads), cache, upstream in zip(self.towers, (cache_i, cache_t),
+                                                 (out.grad_images, out.grad_texts)):
+            _backward(enc, cache, upstream, grads)
+        self.grad[-1] = out.grad_log_scale
+        self.count += 1
+        _adam(self.flat, self.grad, self.m, self.v, self.count, *self.adam)
+        return out
 
 
 def encode_pairs(img_enc: Encoder, txt_enc: Encoder, data: PairedDataset,
@@ -367,7 +392,9 @@ def train(train_cfg: TrainConfig, synth_cfg: SynthConfig, alpha: float | None = 
     backprop through normalization into both encoders and the log scale, take
     an Adam step, then feed the step's contrastive term to the scheduler. The
     eval-split gap report is appended once per epoch; the last epoch's eval
-    embeddings are kept as history.eval_batches.
+    embeddings are kept as history.eval_batches. A diverging run (a loss,
+    encoder output norm or log scale that is not finite) raises
+    NonFiniteLossError.
 
     alpha, when given, pins the blend from the first step instead (the
     curriculum ablation). Randomness is consumed identically either way, so
@@ -375,6 +402,8 @@ def train(train_cfg: TrainConfig, synth_cfg: SynthConfig, alpha: float | None = 
     order.
     """
     data = synth_dataset(synth_cfg)
+    # the one validation of the data: every step below runs unchecked
+    images, texts = as_matrix(data.images, "images"), as_matrix(data.texts, "texts")
     n_train = data.train_idx.size
     steps_per_epoch = epoch_steps(train_cfg, synth_cfg)
     # the schedule's step grid always comes from the data, not the config file
@@ -384,11 +413,7 @@ def train(train_cfg: TrainConfig, synth_cfg: SynthConfig, alpha: float | None = 
     r_img, r_txt, r_order = (np.random.default_rng(s) for s in streams)
     img_enc = Encoder.random(synth_cfg.image_input_dim, train_cfg.hidden_dim, train_cfg.embed_dim, r_img)
     txt_enc = Encoder.random(synth_cfg.text_input_dim, train_cfg.hidden_dim, train_cfg.embed_dim, r_txt)
-
-    params = {**img_enc.params("img_"), **txt_enc.params("txt_"),
-              "log_scale": float(train_cfg.init_log_scale)}
-    adam_state = AdamState()
-    betas = (train_cfg.adam_beta1, train_cfg.adam_beta2)
+    step = _Step(img_enc, txt_enc, train_cfg)
 
     scheduler: CurriculumState | None = None
     if alpha is None:
@@ -399,31 +424,17 @@ def train(train_cfg: TrainConfig, synth_cfg: SynthConfig, alpha: float | None = 
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {alpha}")
 
-    epochs = train_cfg.epochs
     batch = train_cfg.batch_size
+    eval_labels = data.labels[data.eval_idx]
     records = []
-    for epoch in range(epochs):
+    for epoch in range(train_cfg.epochs):
         order = r_order.permutation(n_train)
         losses, rw_terms, intra_terms, ratios = [], [], [], []
         alpha_used = alpha  # alpha in effect at the epoch's last step, recorded below
         for b in range(steps_per_epoch):
             rows = data.train_idx[order[b * batch:(b + 1) * batch]]
-            vi, cache_i = encoder_forward(img_enc, data.images[rows])
-            vt, cache_t = encoder_forward(txt_enc, data.texts[rows])
-            temp = Temperature(params["log_scale"])
             alpha_used = alpha
-            out = cma_loss(vi, vt, temp, alpha)
-            if not math.isfinite(out.loss):
-                raise NonFiniteLossError(epoch, adam_state.step, alpha, out.loss)
-
-            g_img = encoder_backward(img_enc, cache_i, out.grad_images)
-            g_txt = encoder_backward(txt_enc, cache_t, out.grad_texts)
-            grads = {f"img_{k}": g for k, g in g_img.items()}
-            grads.update({f"txt_{k}": g for k, g in g_txt.items()})
-            grads["log_scale"] = out.grad_log_scale
-            adam_step(params, grads, adam_state, train_cfg.learning_rate, betas, train_cfg.adam_eps)
-            img_enc.note_update()
-            txt_enc.note_update()
+            out = step((images[rows], texts[rows]), alpha, epoch)
 
             diag = out.diagnostics
             losses.append(out.loss)
@@ -435,7 +446,10 @@ def train(train_cfg: TrainConfig, synth_cfg: SynthConfig, alpha: float | None = 
             if scheduler is not None:
                 alpha = scheduler_step(scheduler, diag["rw_term"])
 
-        img_eval, txt_eval = encode_pairs(img_enc, txt_enc, data, data.eval_idx)
+        vi, _ = step.encode(0, images[data.eval_idx], epoch, alpha_used)
+        vt, _ = step.encode(1, texts[data.eval_idx], epoch, alpha_used)
+        img_eval = EmbeddingBatch(vi, labels=eval_labels, modality="image")
+        txt_eval = EmbeddingBatch(vt, labels=eval_labels, modality="text")
         records.append(EpochRecord(
             epoch=epoch,
             alpha=alpha_used,
@@ -447,4 +461,4 @@ def train(train_cfg: TrainConfig, synth_cfg: SynthConfig, alpha: float | None = 
         ))
 
     history = RunHistory(records, eval_batches=(img_eval, txt_eval))
-    return (img_enc, txt_enc), Temperature(params["log_scale"]), history
+    return (img_enc, txt_enc), Temperature(step.flat[-1]), history

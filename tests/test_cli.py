@@ -328,6 +328,18 @@ def test_train_numerical_failure_exits_3(tmp_path, tiny_config_path, capsys, mon
     assert "numerical failure" in stderr
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("learning_rate", [1e300, 1e200])
+def test_train_diverging_run_exits_3(tmp_path, capsys, learning_rate):
+    # Valid config, diverging run: the row norms overflow after the first
+    # update. That is a numerical failure, not bad input.
+    config = tmp_path / "diverge.json"
+    config.write_text(json.dumps({"train": {"learning_rate": learning_rate}}))
+    code, _, stderr = run_cli(["train", "--config", config, "--out-dir", tmp_path / "x"], capsys)
+    assert code == 3
+    assert "numerical failure: non-finite encoder output norm inf at epoch 0, step 1" in stderr
+
+
 # -------------------------------------------------------------------- sweep
 
 def test_sweep_csv_structure_and_determinism(tmp_path, tiny_config_path, capsys, monkeypatch):

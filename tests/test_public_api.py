@@ -6,13 +6,15 @@ LIBRARY_MODULES = ("curriculum", "embfile", "evalkit", "geometry",
                    "losses", "numerics", "sweep", "trainkit")
 
 # every name the package exported before it was built from the submodules'
-# __all__ lists, minus train_constant_alpha (now train(..., alpha=))
+# __all__ lists, minus train_constant_alpha (now train(..., alpha=)) and
+# AdamState and adam_step (train owns its optimizer step; the per-key Adam is
+# the reference oracle in tests/test_trainkit.py)
 EXPORTED_BEFORE = """
-AdamState CSV_HEADER ClusterReport CurriculumConfig CurriculumState
+CSV_HEADER ClusterReport CurriculumConfig CurriculumState
 DEFAULT_LOG_SCALE EmbeddingBatch Encoder EncoderCache EpochRecord GapReport
 LABEL_MAGIC LOG_SCALE_MAX LOSS_IDS LossOutput MAGIC MODALITIES
 NonFiniteLossError PairedDataset Phase RunHistory SWEEP_FIELDS SweepRecord
-SweepRunError SynthConfig Temperature TrainConfig adam_step
+SweepRunError SynthConfig Temperature TrainConfig
 adjusted_rand_index analytic_bundles as_matrix atomic_write_bytes
 centroid_gap clip_loss clip_loss_decomposed cma_loss distribution_gap
 effective_rank encode_pairs encoder_backward encoder_forward
@@ -38,9 +40,10 @@ def test_package_all_is_the_union_of_the_library_modules():
 
 
 def test_package_keeps_every_earlier_export():
-    assert len(EXPORTED_BEFORE) == 75
+    assert len(EXPORTED_BEFORE) == 73
     assert set(EXPORTED_BEFORE) <= set(gl.__all__)
-    assert "train_constant_alpha" not in gl.__all__
+    for removed in ("train_constant_alpha", "AdamState", "adam_step"):
+        assert removed not in gl.__all__
     namespace = {}
     exec("from gaplab import *", namespace)
     assert set(EXPORTED_BEFORE) <= set(namespace)

@@ -1,10 +1,13 @@
 import math
 import pickle
+import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
 import gaplab as gl
+from gaplab.trainkit import _Step, _adam
 
 from conftest import end_to_end_fd_error
 
@@ -129,15 +132,33 @@ def test_backward_kills_radial_gradient_component():
         assert np.max(np.abs(g)) < 1e-12
 
 
-def test_backward_rejects_stale_cache_and_bad_shape():
+def test_backward_rejects_bad_shape():
     rng = np.random.default_rng(3)
     enc = gl.Encoder.random(5, 6, 3, rng)
     emb, cache = gl.encoder_forward(enc, rng.standard_normal((4, 5)))
     with pytest.raises(ValueError):
         gl.encoder_backward(enc, cache, emb[:2])
-    enc.note_update()
-    with pytest.raises(ValueError):
-        gl.encoder_backward(enc, cache, emb)
+
+
+def test_encoder_weights_are_views_of_one_buffer():
+    rng = np.random.default_rng(5)
+    w1, b1, w2, b2 = (rng.standard_normal(s) for s in ((5, 6), (6,), (6, 3), (3,)))
+    enc = gl.Encoder(w1, b1, w2, b2)
+    assert enc.flat.shape == (5 * 6 + 6 + 6 * 3 + 3,)
+    assert np.array_equal(enc.flat, np.concatenate([w1.ravel(), b1, w2.ravel(), b2]))
+    for view in (enc.w1, enc.b1, enc.w2, enc.b2):
+        assert np.shares_memory(view, enc.flat)
+    enc.flat[:] = 0.0
+    assert not enc.w1.any() and not enc.b2.any()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_encoder_forward_rejects_overflowing_outputs():
+    # Finite weights whose outputs' squared norms overflow: normalization
+    # would return zero rows, so the wrapper refuses them instead.
+    enc = gl.Encoder(np.ones((2, 3)), np.zeros(3), np.full((3, 2), 1e200), np.zeros(2))
+    with pytest.raises(ValueError, match="not finite"):
+        gl.encoder_forward(enc, np.ones((2, 2)))
 
 
 def test_full_backprop_matches_finite_differences():
@@ -147,56 +168,207 @@ def test_full_backprop_matches_finite_differences():
 
 # --------------------------------------------------------------------- adam
 
+@dataclass
+class AdamState:
+    step: int = 0
+    m: dict = field(default_factory=dict)
+    v: dict = field(default_factory=dict)
+
+
+def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
+              betas: tuple = (0.9, 0.999), eps: float = 1e-8) -> None:
+    """Per-key reference Adam, the trainer's former optimizer: the flat update
+    in trainkit._adam must match it bit for bit.
+
+    Array parameters are mutated; scalar parameters are rebound in the dict.
+    A "log_scale" entry, if present, is clamped to ln(100) afterward.
+    """
+    if set(params) != set(grads):
+        raise ValueError("params and grads must carry the same keys")
+    beta1, beta2 = betas
+    state.step += 1
+    t = state.step
+    corr1 = 1.0 - beta1**t
+    corr2 = 1.0 - beta2**t
+    for key, param in params.items():
+        g = grads[key]
+        if isinstance(param, np.ndarray):
+            if key not in state.m:
+                state.m[key] = np.zeros_like(param)
+                state.v[key] = np.zeros_like(param)
+            m = state.m[key]
+            v = state.v[key]
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * np.square(g)
+            param -= lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
+        else:
+            m = state.m.get(key, 0.0)
+            v = state.v.get(key, 0.0)
+            m = beta1 * m + (1.0 - beta1) * float(g)
+            v = beta2 * v + (1.0 - beta2) * float(g) ** 2
+            state.m[key] = m
+            state.v[key] = v
+            params[key] = float(param) - lr * (m / corr1) / (math.sqrt(v / corr2) + eps)
+    if "log_scale" in params:
+        params["log_scale"] = min(float(params["log_scale"]), gl.LOG_SCALE_MAX)
+
+
+def flat_adam(flat, grad, lr, betas=(0.9, 0.999), eps=1e-8, steps=1):
+    """steps flat Adam updates of flat (log scale last) with a fixed gradient, from fresh moments."""
+    m, v = np.zeros_like(flat), np.zeros_like(flat)
+    for step in range(1, steps + 1):
+        _adam(flat, grad, m, v, step, lr, betas, eps)
+
+
 def test_adam_zero_gradient_is_a_no_op():
-    params = {"w": np.array([1.0, -2.0]), "log_scale": 0.5}
-    grads = {"w": np.zeros(2), "log_scale": 0.0}
-    gl.adam_step(params, grads, gl.AdamState(), lr=0.1)
-    assert np.array_equal(params["w"], [1.0, -2.0])
-    assert params["log_scale"] == 0.5
+    flat = np.array([1.0, -2.0, 0.5])           # w, then log_scale
+    flat_adam(flat, np.zeros(3), lr=0.1)
+    assert np.array_equal(flat[:2], [1.0, -2.0])
+    assert flat[-1] == 0.5
 
 
 def test_adam_first_step_size_is_about_lr():
-    params = {"w": np.zeros(3)}
-    grads = {"w": np.ones(3)}
-    gl.adam_step(params, grads, gl.AdamState(), lr=0.01)
+    flat = np.zeros(4)
+    flat_adam(flat, np.ones(4), lr=0.01)
     # bias-corrected first step is lr * g / (|g| + eps)
-    assert np.allclose(params["w"], -0.01, atol=1e-6)
+    assert np.allclose(flat, -0.01, atol=1e-6)
 
 
-def test_adam_updates_arrays_in_place_and_rebinds_scalars():
-    w = np.ones(2)
-    params = {"w": w, "log_scale": 0.0}
-    grads = {"w": np.full(2, 0.5), "log_scale": -1.0}
-    gl.adam_step(params, grads, gl.AdamState(), lr=0.1)
-    assert params["w"] is w                     # same buffer, mutated
-    assert w[0] != 1.0
-    assert params["log_scale"] > 0.0            # negative gradient pushes up
+def test_adam_updates_the_buffer_and_its_views_in_place():
+    flat = np.array([1.0, 1.0, 0.0])
+    w = flat[:2]
+    flat_adam(flat, np.array([0.5, 0.5, -1.0]), lr=0.1)
+    assert w[0] != 1.0                          # the view sees the update
+    assert flat[-1] > 0.0                       # negative gradient pushes log_scale up
 
 
 def test_adam_clamps_log_scale_at_cap():
-    params = {"log_scale": gl.LOG_SCALE_MAX}
-    grads = {"log_scale": -5.0}                 # wants to push further up
-    gl.adam_step(params, grads, gl.AdamState(), lr=0.5)
-    assert params["log_scale"] == gl.LOG_SCALE_MAX
+    flat = np.array([gl.LOG_SCALE_MAX])
+    flat_adam(flat, np.array([-5.0]), lr=0.5)   # wants to push further up
+    assert flat[-1] == gl.LOG_SCALE_MAX
 
 
-def test_adam_requires_matching_keys():
+def test_adam_requires_matching_layout():
     with pytest.raises(ValueError):
-        gl.adam_step({"a": np.zeros(1)}, {"b": np.zeros(1)}, gl.AdamState(), lr=0.1)
+        flat_adam(np.zeros(2), np.zeros(1), lr=0.1)
 
 
 def test_adam_two_steps_match_reference_formula():
-    params = {"w": np.array([0.0])}
-    state = gl.AdamState()
+    flat = np.array([0.0, 0.0])
+    m, v_moment = np.zeros(2), np.zeros(2)
     lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
-    m = v = 0.0
+    m_ref = v_ref = 0.0
     ref = 0.0
     for t, g in enumerate([0.3, -0.7], start=1):
-        gl.adam_step(params, {"w": np.array([g])}, state, lr, (b1, b2), eps)
-        m = b1 * m + (1 - b1) * g
-        v = b2 * v + (1 - b2) * g * g
-        ref -= lr * (m / (1 - b1**t)) / (math.sqrt(v / (1 - b2**t)) + eps)
-    assert abs(params["w"][0] - ref) < 1e-15
+        _adam(flat, np.array([g, 0.0]), m, v_moment, t, lr, (b1, b2), eps)
+        m_ref = b1 * m_ref + (1 - b1) * g
+        v_ref = b2 * v_ref + (1 - b2) * g * g
+        ref -= lr * (m_ref / (1 - b1**t)) / (math.sqrt(v_ref / (1 - b2**t)) + eps)
+    assert abs(flat[0] - ref) < 1e-15
+
+
+def test_flat_adam_matches_the_per_key_oracle_bit_for_bit():
+    rng = np.random.default_rng(11)
+    params = {"w": rng.standard_normal((3, 4)), "b": rng.standard_normal(4),
+              "log_scale": gl.LOG_SCALE_MAX - 0.02}
+    flat = np.concatenate([params["w"].ravel(), params["b"], [params["log_scale"]]])
+    frozen = flat[0]
+    m, v = np.zeros_like(flat), np.zeros_like(flat)
+    state = AdamState()
+    lr, betas, eps = 0.01, (0.9, 0.999), 1e-8
+    capped = 0
+    for step in range(1, 61):
+        grads = {"w": rng.standard_normal((3, 4)), "b": rng.standard_normal(4),
+                 "log_scale": -abs(rng.standard_normal())}  # pushes log_scale into the cap
+        grads["w"][0, 0] = 0.0                             # one coordinate never moves
+        adam_step(params, grads, state, lr, betas, eps)
+        grad = np.concatenate([grads["w"].ravel(), grads["b"], [grads["log_scale"]]])
+        _adam(flat, grad, m, v, step, lr, betas, eps)
+        want = np.concatenate([params["w"].ravel(), params["b"], [params["log_scale"]]])
+        assert np.array_equal(flat, want), step
+        capped += params["log_scale"] == gl.LOG_SCALE_MAX
+    assert flat[0] == frozen
+    assert capped >= 50                                    # held at the cap most of the run
+
+
+# ----------------------------------------------------------------- the step
+
+def test_private_step_matches_the_public_composition():
+    """_Step against encoder_forward -> cma_loss -> encoder_backward -> the
+    per-key oracle Adam, over a few steps across the blend."""
+    rng = np.random.default_rng(7)
+    x_img = rng.standard_normal((6, 5))
+    x_txt = rng.standard_normal((6, 4))
+    cfg = gl.TrainConfig(learning_rate=0.01, init_log_scale=1.5)
+
+    def encoders():
+        r = np.random.default_rng(8)
+        return gl.Encoder.random(5, 7, 3, r), gl.Encoder.random(4, 7, 3, r)
+
+    step = _Step(*encoders(), cfg)
+    ref = encoders()
+    names = ("w1", "b1", "w2", "b2")
+    params = {f"{side}_{k}": getattr(enc, k) for side, enc in zip(("img", "txt"), ref) for k in names}
+    params["log_scale"] = cfg.init_log_scale
+    state = AdamState()
+    for i, alpha in enumerate((0.0, 0.25, 0.5, 1.0, 0.7)):
+        out = step((x_img, x_txt), alpha, epoch=0)
+        (vi, cache_i), (vt, cache_t) = (gl.encoder_forward(e, x) for e, x in zip(ref, (x_img, x_txt)))
+        want = gl.cma_loss(vi, vt, gl.Temperature(params["log_scale"]), alpha)
+        grads = {f"img_{k}": g for k, g in gl.encoder_backward(ref[0], cache_i, want.grad_images).items()}
+        grads.update({f"txt_{k}": g for k, g in gl.encoder_backward(ref[1], cache_t, want.grad_texts).items()})
+        grads["log_scale"] = want.grad_log_scale
+        adam_step(params, grads, state, cfg.learning_rate, (cfg.adam_beta1, cfg.adam_beta2), cfg.adam_eps)
+
+        assert abs(out.loss - want.loss) <= 1e-12 * abs(want.loss), i
+        flat_want = np.concatenate([np.ravel(params[k]) for k in params])
+        assert np.abs(step.flat - flat_want).max() <= 1e-12 * np.abs(flat_want).max(), i
+    assert step.count == 5
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_step_reports_overflowing_norms_as_divergence():
+    # One step per epoch: the first update blows the weights up and the
+    # epoch's eval encode is the first to see the overflow.
+    with pytest.raises(gl.NonFiniteLossError) as info:
+        gl.train(small_train(batch_size=32, learning_rate=1e300), small_synth())
+    assert info.value.what == "encoder output norm"
+    assert info.value.epoch == 0 and info.value.step == 1
+    # More steps per epoch: the next step's forward sees it.
+    with pytest.raises(gl.NonFiniteLossError) as info:
+        gl.train(small_train(learning_rate=1e200), small_synth())
+    assert (info.value.what, info.value.step) == ("encoder output norm", 1)
+
+
+def count_as_matrix_calls(monkeypatch) -> list:
+    """Counts as_matrix calls through every gaplab module that binds it."""
+    calls = []
+    original = gl.numerics.as_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("gaplab") and getattr(mod, "as_matrix", None) is original:
+            monkeypatch.setattr(mod, "as_matrix", counted)
+    return calls
+
+
+def test_train_validates_once_per_run_and_per_eval_never_per_step(monkeypatch):
+    calls = count_as_matrix_calls(monkeypatch)
+    counts = {}
+    for epochs in (1, 3):
+        for batch_size in (8, 16):                         # 4 or 2 steps per epoch
+            cur = gl.CurriculumConfig(anchor_epochs=epochs, ramp_epochs=0, stabilize_epochs=0)
+            calls.clear()
+            gl.train(small_train(curriculum=cur, batch_size=batch_size), small_synth())
+            counts[epochs, batch_size] = len(calls)
+    # the data once, then one check per eval batch (the two EmbeddingBatch
+    # constructions) each epoch: nothing scales with the step count
+    assert counts == {(1, 8): 4, (1, 16): 4, (3, 8): 8, (3, 16): 8}
 
 
 # ----------------------------------------------------------------- training
@@ -261,6 +433,10 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         small_train(learning_rate=0.0)
     with pytest.raises(ValueError):
+        small_train(learning_rate=math.inf)
+    with pytest.raises(ValueError):
+        small_train(init_log_scale=math.nan)
+    with pytest.raises(ValueError):
         small_train(init_log_scale=gl.LOG_SCALE_MAX + 0.1)
 
 
@@ -299,3 +475,6 @@ def test_non_finite_loss_error_carries_context_and_pickles():
     assert isinstance(again, gl.trainkit.NonFiniteLossError)
     assert again.epoch == 3 and again.step == 17
     assert math.isnan(again.loss)
+    err = gl.trainkit.NonFiniteLossError(0, 1, 0.0, math.inf, "log scale")
+    assert str(err).startswith("non-finite log scale inf")
+    assert pickle.loads(pickle.dumps(err)).what == "log scale"
