@@ -109,7 +109,18 @@ def _read_pair(images_path, texts_path):
     return images, texts
 
 
+def _check_out_dirs(*paths) -> None:
+    """Reject an output whose directory is missing or unwritable before any work."""
+    for path in paths:
+        directory = os.path.dirname(os.fspath(path)) or "."
+        if not os.path.isdir(directory):
+            raise ValueError(f"{path}: output directory {directory} does not exist")
+        if not os.access(directory, os.W_OK | os.X_OK):
+            raise ValueError(f"{path}: output directory {directory} is not writable")
+
+
 def cmd_analyze(args) -> int:
+    _check_out_dirs(args.out)
     images, texts = _read_pair(args.images, args.texts)
     report = gap_report(images, texts)
     _atomic_write_text(args.out, json.dumps(dataclasses.asdict(report), indent=2) + "\n")
@@ -118,9 +129,11 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_center(args) -> int:
+    _check_out_dirs(args.out_images, args.out_texts)
     images, texts = _read_pair(args.images, args.texts)
     before = gap_report(images, texts)
     centered_images, centered_texts = mean_center(images, texts, renormalize=args.renormalize)
+    del images, texts  # so the second report and the writes run beside one pair, not two
     after = gap_report(centered_images, centered_texts)
     write_embeddings(args.out_images, centered_images.vectors, centered_images.labels)
     write_embeddings(args.out_texts, centered_texts.vectors, centered_texts.labels)

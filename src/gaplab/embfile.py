@@ -8,14 +8,20 @@ Layout, all little-endian:
     then         n*d float32 values, row-major
     optional     marker "LBL1" + n unsigned 32-bit class ids
 
-The file size is validated exactly against the header, so truncation and
-trailing garbage are both detected. Values are float32 on disk and float64 in
-memory; writes go through a temp file and an atomic rename.
+The file size is validated exactly against the header before anything is
+allocated, so truncation, trailing garbage and headers that claim more rows
+than the file holds are all rejected up front. Values are float32 on disk and
+float64 in memory. Both directions stream the payload in row chunks of at most
+1 MiB of float32, so a read holds only its float64 result plus one chunk, and
+a write holds one chunk beyond its input. A pipe, which has no size to check,
+is read whole first. Writes go through a temp file and an atomic rename.
 """
 
 from __future__ import annotations
 
+import io
 import os
+import stat
 import struct
 import tempfile
 
@@ -28,16 +34,21 @@ __all__ = ["MAGIC", "LABEL_MAGIC", "write_embeddings", "read_embeddings", "atomi
 MAGIC = b"EMB1"
 LABEL_MAGIC = b"LBL1"
 _HEADER = struct.Struct("<4sII")
+_CHUNK_BYTES = 1 << 20  # largest float32 payload slice read or written at once
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    """Write a file via temp + rename so readers never see a partial file."""
+def _chunk_rows(d: int) -> int:
+    return max(1, _CHUNK_BYTES // (4 * d))
+
+
+def _atomic_write(path, write) -> None:
+    """Call write(f) on a temp file beside path, then rename it over path."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            write(f)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -45,12 +56,15 @@ def atomic_write_bytes(path, data: bytes) -> None:
         raise
 
 
+def atomic_write_bytes(path, data: bytes) -> None:
+    """Write a file via temp + rename so readers never see a partial file."""
+    _atomic_write(path, lambda f: f.write(data))
+
+
 def write_embeddings(path, matrix, labels=None) -> None:
     """Serialize a matrix (and optional labels) to the EMB1 container."""
     m = as_matrix(matrix)
     n, d = m.shape
-    blob = bytearray(_HEADER.pack(MAGIC, n, d))
-    blob += m.astype("<f4").tobytes(order="C")
     if labels is not None:
         labels = np.asarray(labels)
         if labels.ndim != 1 or labels.shape[0] != n:
@@ -59,38 +73,76 @@ def write_embeddings(path, matrix, labels=None) -> None:
             raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
         if labels.min() < 0 or labels.max() > 0xFFFFFFFF:
             raise ValueError("labels must fit in an unsigned 32-bit integer")
-        blob += LABEL_MAGIC
-        blob += labels.astype("<u4").tobytes(order="C")
-    atomic_write_bytes(path, bytes(blob))
+
+    def write(f):
+        f.write(_HEADER.pack(MAGIC, n, d))
+        rows = _chunk_rows(d)
+        for lo in range(0, n, rows):
+            f.write(m[lo:lo + rows].astype("<f4", order="C"))
+        if labels is not None:
+            f.write(LABEL_MAGIC)
+            f.write(labels.astype("<u4", order="C"))
+
+    _atomic_write(path, write)
+
+
+def _read_into(f, buf, path) -> None:
+    """Fill buf from f, or raise the truncation error if the file ends first."""
+    raw = buf.reshape(-1).view(np.uint8)
+    got = 0
+    while got < raw.size:
+        k = f.readinto(raw[got:])
+        if not k:
+            raise ValueError(f"{path}: truncated payload ({got} of {raw.size} bytes in a chunk)")
+        got += k
 
 
 def read_embeddings(path) -> tuple[np.ndarray, np.ndarray | None]:
     """Read an EMB1 file back as (float64 matrix, labels or None)."""
     path = os.fspath(path)
     with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < _HEADER.size:
-        raise ValueError(f"{path}: truncated header ({len(blob)} bytes)")
-    magic, n, d = _HEADER.unpack_from(blob)
-    if magic != MAGIC:
-        raise ValueError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-    if n < 1 or d < 1:
-        raise ValueError(f"{path}: invalid shape {n}x{d}")
+        st = os.fstat(f.fileno())
+        size = st.st_size
+        if not stat.S_ISREG(st.st_mode):
+            # A pipe has no size to check before reading, so it is read whole.
+            blob = f.read()
+            f, size = io.BytesIO(blob), len(blob)
+        head = f.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise ValueError(f"{path}: truncated header ({len(head)} bytes)")
+        magic, n, d = _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise ValueError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+        if n < 1 or d < 1:
+            raise ValueError(f"{path}: invalid shape {n}x{d}")
 
-    body = _HEADER.size + 4 * n * d
-    with_labels = body + len(LABEL_MAGIC) + 4 * n
-    if len(blob) == body:
+        body = _HEADER.size + 4 * n * d
+        with_labels = body + len(LABEL_MAGIC) + 4 * n
+        if size not in (body, with_labels):
+            raise ValueError(
+                f"{path}: size {size} matches neither {body} (no labels) nor {with_labels} (labels)"
+            )
+
+        matrix = np.empty((n, d))
+        rows = _chunk_rows(d)
+        chunk = np.empty((min(rows, n), d), dtype="<f4")
+        for lo in range(0, n, rows):
+            part = chunk[:min(rows, n - lo)]
+            _read_into(f, part, path)
+            dest = matrix[lo:lo + part.shape[0]]
+            dest[...] = part
+            # A sum of finite float32-range values cannot overflow float64, so
+            # it is finite exactly when every entry is.
+            if not np.isfinite(dest.sum()):
+                raise ValueError(f"{path}: payload contains non-finite values")
+        del chunk, part
+
         labels = None
-    elif len(blob) == with_labels:
-        if blob[body:body + 4] != LABEL_MAGIC:
-            raise ValueError(f"{path}: bad label marker {blob[body:body + 4]!r}")
-        labels = np.frombuffer(blob, dtype="<u4", count=n, offset=body + 4).astype(np.int64)
-    else:
-        raise ValueError(
-            f"{path}: size {len(blob)} matches neither {body} (no labels) nor {with_labels} (labels)"
-        )
-    matrix = np.frombuffer(blob, dtype="<f4", count=n * d, offset=_HEADER.size)
-    matrix = matrix.reshape(n, d).astype(np.float64)
-    if not np.all(np.isfinite(matrix)):
-        raise ValueError(f"{path}: payload contains non-finite values")
+        if size == with_labels:
+            marker = f.read(len(LABEL_MAGIC))
+            if marker != LABEL_MAGIC:
+                raise ValueError(f"{path}: bad label marker {marker!r}")
+            raw = np.empty(n, dtype="<u4")
+            _read_into(f, raw, path)
+            labels = raw.astype(np.int64)
     return matrix, labels

@@ -15,7 +15,7 @@ from math import comb, log
 
 import numpy as np
 
-from .geometry import EmbeddingBatch
+from .geometry import _BLOCK_ROWS, EmbeddingBatch
 from .numerics import as_matrix
 
 __all__ = [
@@ -64,18 +64,40 @@ SWEEP_FIELDS = tuple(f.name for f in fields(SweepRecord))
 
 
 def _squared_distances(points: np.ndarray, point_sq: np.ndarray,
-                       centers: np.ndarray) -> np.ndarray:
-    """||p - c||^2 by the expanded form; ``point_sq`` is (points**2).sum(axis=1).
+                       centers: np.ndarray, out=None) -> np.ndarray:
+    """||p - c||^2 by the expanded form, into ``out`` when given; ``point_sq``
+    is (points**2).sum(axis=1).
 
-    Doubling the product, not the points, gives the same bits (scaling by 2 is
-    exact) without an n x d temporary.
+    The steps run in place on the product, in the order of the plain formula
+    point_sq - 2 (points @ centers.T) + |c|^2: negating the doubled product
+    and adding point_sq gives the bits of the subtraction, and scaling by 2 is
+    exact. So the only n x k array is the result.
     """
-    d2 = (
-        point_sq[:, None]
-        - 2.0 * (points @ centers.T)
-        + (centers**2).sum(axis=1)[None, :]
-    )
-    return np.maximum(d2, 0.0)
+    d2 = np.matmul(points, centers.T, out=out)
+    d2 *= -2.0
+    d2 += point_sq[:, None]
+    d2 += (centers**2).sum(axis=1)[None, :]
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def _cluster_mean(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """points[rows].mean(axis=0), gathering at most _BLOCK_ROWS rows at a time.
+
+    NumPy sums a C-contiguous block over axis 0 row by row, in order, so each
+    block after the first carries the running total as its leading row: the
+    additions, and the bits, are those of the one-shot mean.
+    """
+    total = points[rows[:_BLOCK_ROWS]].sum(axis=0)
+    if rows.size > _BLOCK_ROWS:
+        block = np.empty((_BLOCK_ROWS + 1, points.shape[1]))
+        for lo in range(_BLOCK_ROWS, rows.size, _BLOCK_ROWS):
+            idx = rows[lo:lo + _BLOCK_ROWS]
+            part = block[:idx.size + 1]
+            part[0] = total
+            # mode="raise" would gather into a temporary first
+            np.take(points, idx, axis=0, out=part[1:], mode="clip")
+            total = part.sum(axis=0)
+    return total / rows.size
 
 
 def kmeans(points, k: int, seed: int = 0) -> tuple[np.ndarray, float]:
@@ -90,7 +112,9 @@ def kmeans(points, k: int, seed: int = 0) -> tuple[np.ndarray, float]:
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     rng = np.random.default_rng(seed)
-    point_sq = (points**2).sum(axis=1)
+    point_sq = np.empty(n)
+    for lo in range(0, n, _BLOCK_ROWS):
+        point_sq[lo:lo + _BLOCK_ROWS] = (points[lo:lo + _BLOCK_ROWS] ** 2).sum(axis=1)
 
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[rng.integers(n)]
@@ -105,15 +129,16 @@ def kmeans(points, k: int, seed: int = 0) -> tuple[np.ndarray, float]:
         d2 = np.minimum(d2, _squared_distances(points, point_sq, centers[j:j + 1]).ravel())
 
     labels = np.zeros(n, dtype=np.int64)
+    dist = np.empty((n, k))  # reused by every distance pass below
     for _ in range(100):
-        dist = _squared_distances(points, point_sq, centers)
+        _squared_distances(points, point_sq, centers, out=dist)
         labels = dist.argmin(axis=1)
 
         new_centers = np.empty_like(centers)
         counts = np.bincount(labels, minlength=k)
         for c in range(k):
             if counts[c] > 0:
-                new_centers[c] = points[labels == c].mean(axis=0)
+                new_centers[c] = _cluster_mean(points, np.flatnonzero(labels == c))
         for c in np.flatnonzero(counts == 0):
             own = dist[np.arange(n), labels]
             # steal the globally worst-fit point
@@ -126,7 +151,7 @@ def kmeans(points, k: int, seed: int = 0) -> tuple[np.ndarray, float]:
         if shift < 1e-6:
             break
 
-    dist = _squared_distances(points, point_sq, centers)
+    _squared_distances(points, point_sq, centers, out=dist)
     labels = dist.argmin(axis=1)
     inertia = float(dist[np.arange(n), labels].sum())
     return labels, inertia

@@ -33,6 +33,11 @@ __all__ = [
 
 MODALITIES = ("image", "text")
 
+# Rows per block wherever a per-row step would otherwise make an n x d
+# temporary: the centered statistics, renormalization and the k-means point
+# norms.
+_BLOCK_ROWS = 512
+
 
 @dataclass
 class EmbeddingBatch:
@@ -112,16 +117,24 @@ def _raw_gap(v: np.ndarray, t: np.ndarray) -> float:
 
 def _distribution_gap(v: np.ndarray, t: np.ndarray,
                       mean_v: np.ndarray, mean_t: np.ndarray) -> tuple[float, int]:
-    # Center inside the calls, so no centered copy outlives its normalization.
-    vc, _, v_bad = _normalize_rows(v - mean_v)
-    tc, _, t_bad = _normalize_rows(t - mean_t)
-    bad = v_bad | t_bad
+    # Each step is per row, so blocks give the bits of the whole-matrix form
+    # while only the paired cosines and the degenerate mask stay n-sized.
+    n = v.shape[0]
+    cos = np.empty(n)
+    bad = np.empty(n, dtype=bool)
+    for lo in range(0, n, _BLOCK_ROWS):
+        vb = v[lo:lo + _BLOCK_ROWS] - mean_v
+        tb = t[lo:lo + _BLOCK_ROWS] - mean_t
+        v_bad = _normalize_rows(vb, out=vb)[2]
+        t_bad = _normalize_rows(tb, out=tb)[2]
+        np.einsum("ij,ij->i", vb, tb, out=cos[lo:lo + _BLOCK_ROWS])
+        np.logical_or(v_bad, t_bad, out=bad[lo:lo + _BLOCK_ROWS])
     n_bad = int(bad.sum())
-    if n_bad == vc.shape[0]:
+    if n_bad == n:
         raise ValueError("all pairs are degenerate after centering")
     if n_bad:
-        vc, tc = vc[~bad], tc[~bad]
-    return _raw_gap(vc, tc), n_bad
+        cos = cos[~bad]
+    return float(1.0 - cos.mean()), n_bad
 
 
 def raw_gap(images, texts) -> float:
@@ -163,8 +176,10 @@ def mean_center(images, texts, renormalize: bool = False) -> tuple[EmbeddingBatc
     vc = v - v.mean(axis=0)
     tc = t - t.mean(axis=0)
     if renormalize:
-        vc = _normalize_rows(vc)[0]
-        tc = _normalize_rows(tc)[0]
+        for m in (vc, tc):
+            for lo in range(0, m.shape[0], _BLOCK_ROWS):
+                block = m[lo:lo + _BLOCK_ROWS]
+                _normalize_rows(block, out=block)
 
     def rebuild(batch, vectors, default_modality):
         if isinstance(batch, EmbeddingBatch):

@@ -45,12 +45,16 @@ def l2_normalize_rows(m, eps: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
     return unit, degenerate
 
 
-def _normalize_rows(m: np.ndarray, eps: float = 1e-12):
-    """l2_normalize_rows of a validated matrix, plus the row norms it divided by."""
+def _normalize_rows(m: np.ndarray, eps: float = 1e-12, out=None):
+    """l2_normalize_rows of a validated matrix, plus the row norms it divided by.
+
+    ``out`` receives the unit rows (it may be m itself); the norms still take
+    an m-sized temporary, so callers with large m pass it in row blocks.
+    """
     norms = np.linalg.norm(m, axis=1)
     degenerate = norms < eps
     safe = np.where(degenerate, 1.0, norms)
-    return m / safe[:, None], norms, degenerate
+    return np.divide(m, safe[:, None], out=out), norms, degenerate
 
 
 def similarity_matrix(a, b) -> np.ndarray:

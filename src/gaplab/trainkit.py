@@ -385,6 +385,9 @@ def epoch_steps(train_cfg: TrainConfig, synth_cfg: SynthConfig) -> int:
     return steps
 
 
+# Every step checks its loss, output norms and log scale and raises on a
+# non-finite one, so NumPy's overflow warnings on the way there are noise.
+@np.errstate(over="ignore", invalid="ignore")
 def train(train_cfg: TrainConfig, synth_cfg: SynthConfig, alpha: float | None = None):
     """Full three-phase run; returns ((image encoder, text encoder), Temperature, RunHistory).
 

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 import sys
+import tracemalloc
 
 import numpy as np
 
@@ -19,6 +20,26 @@ def random_orthogonal(rng: np.random.Generator, d: int) -> np.ndarray:
     """Haar-ish random orthogonal matrix via QR with a fixed sign convention."""
     q, r = np.linalg.qr(rng.standard_normal((d, d)))
     return q * np.sign(np.diag(r))
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), peak bytes it allocated beyond what was live before).
+
+    Counts what tracemalloc sees, which includes NumPy array data; the result
+    is part of the peak, the inputs are not.
+    """
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return result, peak
 
 
 def end_to_end_fd_error(seed: int, alpha: float = 0.4, h: float = 1e-6) -> float:

@@ -184,6 +184,41 @@ def test_analyze_pair_mismatch_exits_2(tmp_path, emb_pair, capsys):
     assert "mismatch" in stderr
 
 
+@pytest.mark.parametrize("command, outputs", [
+    ("analyze", [("--out", "missing/r.json")]),
+    ("center", [("--out-images", "ci.emb"), ("--out-texts", "missing/ct.emb")]),
+])
+def test_missing_output_directory_exits_2_before_any_work(tmp_path, emb_pair, capsys,
+                                                          monkeypatch, command, outputs):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran before the output directories were checked")
+
+    monkeypatch.setattr(cli_mod, "read_embeddings", must_not_run)
+    monkeypatch.setattr(cli_mod, "gap_report", must_not_run)
+    vp, tp = emb_pair
+    before = sorted(os.listdir(tmp_path))
+    argv = [command, "--images", vp, "--texts", tp]
+    for flag, name in outputs:
+        argv += [flag, tmp_path / name]
+    code, stdout, stderr = run_cli(argv, capsys)
+    assert code == 2
+    assert "missing" in stderr and "does not exist" in stderr
+    assert stdout == ""
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_unwritable_output_directory_exits_2(tmp_path, emb_pair, capsys, monkeypatch):
+    # Simulated: the suite may run as root, for whom every directory is writable.
+    vp, tp = emb_pair
+    monkeypatch.setattr(cli_mod.os, "access", lambda path, mode: False)
+    code, _, stderr = run_cli(["analyze", "--images", vp, "--texts", tp,
+                               "--out", tmp_path / "r.json"], capsys)
+    monkeypatch.undo()
+    assert code == 2
+    assert "is not writable" in stderr
+    assert not (tmp_path / "r.json").exists()
+
+
 # ------------------------------------------------------------------- center
 
 def test_center_zeroes_centroids_and_keeps_distribution_gap(tmp_path, emb_pair, capsys):
@@ -328,7 +363,6 @@ def test_train_numerical_failure_exits_3(tmp_path, tiny_config_path, capsys, mon
     assert "numerical failure" in stderr
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("learning_rate", [1e300, 1e200])
 def test_train_diverging_run_exits_3(tmp_path, capsys, learning_rate):
     # Valid config, diverging run: the row norms overflow after the first
@@ -338,6 +372,20 @@ def test_train_diverging_run_exits_3(tmp_path, capsys, learning_rate):
     code, _, stderr = run_cli(["train", "--config", config, "--out-dir", tmp_path / "x"], capsys)
     assert code == 3
     assert "numerical failure: non-finite encoder output norm inf at epoch 0, step 1" in stderr
+
+
+def test_train_divergence_prints_only_the_failure_line(tmp_path, capfd):
+    # A fresh interpreter with the default warning filters, as a user runs it:
+    # NumPy's overflow warnings must not reach stderr ahead of the message.
+    config = tmp_path / "diverge.json"
+    config.write_text(json.dumps({"train": {"learning_rate": 1e300}}))
+    result = _run_module("gaplab", "train", "--config", str(config),
+                         "--out-dir", str(tmp_path / "x"), capture=False)
+    assert result.returncode == 3
+    assert capfd.readouterr().err == (
+        "numerical failure: non-finite encoder output norm inf at epoch 0, step 1, "
+        "alpha 0.000000\n"
+    )
 
 
 # -------------------------------------------------------------------- sweep
@@ -591,11 +639,11 @@ def test_entrypoint_exits_with_main_code(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
-def _run_module(*argv):
+def _run_module(*argv, capture=True):
     env = dict(os.environ)
     src = str(Path(cli_mod.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", *argv], capture_output=True, text=True,
+    return subprocess.run([sys.executable, "-m", *argv], capture_output=capture, text=True,
                           env=env, timeout=60)
 
 

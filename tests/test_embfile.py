@@ -1,10 +1,15 @@
 import os
+import stat
 import struct
+import threading
+import types
 
 import numpy as np
 import pytest
 
 import gaplab as gl
+
+from conftest import traced_peak
 
 
 def test_round_trip_is_float32_exact(tmp_path):
@@ -129,3 +134,102 @@ def test_atomic_write_bytes_round_trip(tmp_path):
     gl.atomic_write_bytes(target, b"\x00\x01\x02")
     assert target.read_bytes() == b"\x00\x01\x02"
     assert os.listdir(tmp_path) == ["raw.bin"]
+
+
+# ---------------------------------------------------------------- streaming
+
+def one_shot_bytes(m, labels=None) -> bytes:
+    """The EMB1 layout written in one piece, as the format describes it."""
+    blob = struct.pack("<4sII", gl.MAGIC, *m.shape) + m.astype("<f4").tobytes()
+    if labels is not None:
+        blob += gl.LABEL_MAGIC + np.asarray(labels).astype("<u4").tobytes()
+    return blob
+
+
+def test_streamed_write_and_read_span_several_chunks(tmp_path):
+    # 1024 columns give 256 rows per 1 MiB chunk: two full chunks and a part.
+    rng = np.random.default_rng(4)
+    m = rng.standard_normal((600, 1024))
+    labels = rng.integers(0, 2**32 - 1, 600, dtype=np.uint64)
+    path = tmp_path / "wide.emb"
+    gl.write_embeddings(path, m, labels)
+    assert path.read_bytes() == one_shot_bytes(m, labels)
+    back, got = gl.read_embeddings(path)
+    assert np.array_equal(back, m.astype(np.float32).astype(np.float64))
+    assert np.array_equal(got, labels.astype(np.int64))
+
+
+def test_write_rejects_bad_labels_before_creating_a_file(tmp_path):
+    with pytest.raises(ValueError):
+        gl.write_embeddings(tmp_path / "bad.emb", np.ones((3, 2)), np.array([1, 2]))
+    assert os.listdir(tmp_path) == []
+
+
+def test_read_rejects_non_finite_value_in_a_later_chunk(tmp_path):
+    m = np.zeros((600, 1024), dtype="<f4")
+    m[599, 1023] = np.inf
+    path = tmp_path / "late_inf.emb"
+    path.write_bytes(struct.pack("<4sII", gl.MAGIC, 600, 1024) + m.tobytes())
+    with pytest.raises(ValueError, match="late_inf.emb.*non-finite"):
+        gl.read_embeddings(path)
+
+
+@pytest.mark.parametrize("n, d, payload", [
+    (2**32 - 1, 2**32 - 1, b""),   # 12-byte file claiming ~1.8e19 values
+    (2**31, 512, bytes(16)),       # 2^40 values claimed over a 16-byte payload
+])
+def test_hostile_header_is_rejected_before_any_allocation(tmp_path, n, d, payload):
+    path = tmp_path / "hostile.emb"
+    path.write_bytes(struct.pack("<4sII", gl.MAGIC, n, d) + payload)
+
+    def read():
+        with pytest.raises(ValueError, match="hostile.emb") as info:
+            gl.read_embeddings(path)
+        return str(info.value)
+
+    message, peak = traced_peak(read)
+    assert "size" in message
+    assert peak < 1 << 20
+
+
+def test_payload_ending_mid_chunk_is_truncated_not_uninitialized(tmp_path, monkeypatch):
+    # A file that shrinks after its size was checked: the size check passes,
+    # then the payload runs out partway through the second chunk.
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((600, 1024))
+    path = tmp_path / "shrunk.emb"
+    gl.write_embeddings(path, m)
+    full = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:12 + 4 * 1024 * 300])
+
+    class ReportsFullSize:
+        def __getattr__(self, name):
+            return getattr(os, name)
+
+        @staticmethod
+        def fstat(fd):
+            return types.SimpleNamespace(st_size=full, st_mode=stat.S_IFREG)
+
+    monkeypatch.setattr(gl.embfile, "os", ReportsFullSize())
+    with pytest.raises(ValueError, match="shrunk.emb: truncated"):
+        gl.read_embeddings(path)
+
+
+def test_read_from_a_pipe(tmp_path):
+    # A FIFO (or a shell's process substitution) has no size to check up
+    # front; it is read whole and validated as a file would be.
+    rng = np.random.default_rng(6)
+    m = rng.standard_normal((40, 3))
+    source = tmp_path / "source.emb"
+    gl.write_embeddings(source, m, np.arange(40))
+    fifo = tmp_path / "pipe.emb"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(source.read_bytes(),), daemon=True)
+    writer.start()
+    try:
+        back, labels = gl.read_embeddings(fifo)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert np.array_equal(back, m.astype(np.float32).astype(np.float64))
+    assert np.array_equal(labels, np.arange(40))

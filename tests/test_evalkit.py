@@ -1,6 +1,5 @@
 import json
 import math
-import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -9,7 +8,7 @@ import pytest
 import gaplab as gl
 from gaplab import evalkit
 
-from conftest import unit_rows
+from conftest import traced_peak, unit_rows
 
 
 def blobs(rng, k=3, per=20, d=4, spread=0.05):
@@ -118,6 +117,59 @@ def test_kmeans_result_bits_are_pinned():
         "000000200000030022000000000000111111111111111111111111111111"
     )
     assert inertia.hex() == "0x1.1b3e3b641748ep+9"
+
+
+def plain_kmeans(points, k, seed):
+    """The whole-array form of kmeans: one-shot norms, distances and means."""
+    n = points.shape[0]
+    rng = np.random.default_rng(seed)
+    point_sq = (points**2).sum(axis=1)
+
+    def sq_dist(centers):
+        d2 = point_sq[:, None] - 2.0 * (points @ centers.T) + (centers**2).sum(axis=1)[None, :]
+        return np.maximum(d2, 0.0)
+
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[rng.integers(n)]
+    d2 = sq_dist(centers[:1]).ravel()
+    for j in range(1, k):
+        total = d2.sum()
+        centers[j] = points[rng.choice(n, p=d2 / total) if total > 0.0 else rng.integers(n)]
+        d2 = np.minimum(d2, sq_dist(centers[j:j + 1]).ravel())
+    for _ in range(100):
+        labels = sq_dist(centers).argmin(axis=1)
+        new_centers = np.array([points[labels == c].mean(axis=0) for c in range(k)])
+        shift = np.linalg.norm(new_centers - centers, axis=1).max()
+        centers = new_centers
+        if shift < 1e-6:
+            break
+    dist = sq_dist(centers)
+    labels = dist.argmin(axis=1)
+    return labels, float(dist[np.arange(n), labels].sum())
+
+
+def test_kmeans_in_blocks_equals_the_whole_array_form():
+    # Clusters of 600-1000 rows, so each centroid mean spans several gathers,
+    # and 2,400 points, so the norms span several row blocks. No cluster
+    # empties, so the reference needs no re-seeding.
+    rng = np.random.default_rng(31)
+    sizes = (600, 800, 1000)
+    points = np.vstack([rng.standard_normal((m, 9)) + 20.0 * rng.standard_normal(9) for m in sizes])
+    points = points[rng.permutation(points.shape[0])]
+    labels, inertia = gl.kmeans(points, 3, seed=3)
+    want_labels, want_inertia = plain_kmeans(points, 3, seed=3)
+    assert sorted(np.bincount(labels)) == list(sizes)
+    assert np.array_equal(labels, want_labels)
+    assert inertia == want_inertia
+
+
+@pytest.mark.parametrize("size", [1, 511, 512, 513, 1537])
+def test_cluster_mean_in_blocks_has_the_one_shot_bits(size):
+    rng = np.random.default_rng(size)
+    points = rng.standard_normal((2000, 7)) * rng.uniform(0.1, 1e3, 7)
+    rows = np.sort(rng.choice(2000, size, replace=False))
+    got = evalkit._cluster_mean(points, rows)
+    assert np.array_equal(got, points[rows].mean(axis=0))
 
 
 def test_kmeans_handles_duplicate_points():
@@ -336,12 +388,7 @@ def test_recall_memory_stays_below_the_dense_matrix():
     rng = np.random.default_rng(31)
     v = rng.standard_normal((n, d))
     t = rng.standard_normal((n, d))
-    tracemalloc.start()
-    try:
-        gl.recall_at_k(v, t, 5)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(gl.recall_at_k, v, t, 5)
     assert peak <= n * n * 8 / 4
 
 

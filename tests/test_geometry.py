@@ -123,6 +123,64 @@ def test_distribution_gap_all_degenerate_is_an_error():
         gl.distribution_gap(v, t)
 
 
+def dense_unit_rows(m):
+    """Single-block reference: every row scaled to unit norm, near-zero rows kept."""
+    norms = np.linalg.norm(m, axis=1)
+    bad = norms < 1e-12
+    return m / np.where(bad, 1.0, norms)[:, None], bad
+
+
+def dense_distribution_gap(v, t):
+    vc, v_bad = dense_unit_rows(v - v.mean(axis=0))
+    tc, t_bad = dense_unit_rows(t - t.mean(axis=0))
+    keep = ~(v_bad | t_bad)
+    return float(1.0 - np.einsum("ij,ij->i", vc[keep], tc[keep]).mean()), int((~keep).sum())
+
+
+def with_rows_at_centroid(rng, n, d, rows):
+    """Shifted Gaussian rows; the given rows are moved onto the centroid.
+
+    Moving a row moves the centroid, so the move is repeated until the rows
+    sit within rounding of it (each pass shrinks the miss by len(rows) / n).
+    """
+    m = rng.standard_normal((n, d)) + rng.standard_normal(d)
+    for _ in range(12):
+        m[rows] = m.mean(axis=0)
+    return m
+
+
+def test_blocked_distribution_gap_equals_the_dense_form_bit_for_bit():
+    # Three full 512-row blocks and a partial one; odd d so that rows do not
+    # share an alignment. Degenerate pairs fall in three different blocks,
+    # from either modality and from both.
+    rng = np.random.default_rng(12)
+    n, d = 3 * 512 + 7, 13
+    v = with_rows_at_centroid(rng, n, d, [5, 700, 1540])
+    t = with_rows_at_centroid(rng, n, d, [700, 1100, 1541])
+    want = dense_distribution_gap(v, t)
+    assert want[1] == 5
+    assert gl.distribution_gap(v, t) == want
+    report = gl.gap_report(v, t)
+    assert (report.distribution_gap, report.degenerate_pairs) == want
+
+
+def test_blocked_renormalize_equals_the_dense_form_bit_for_bit():
+    rng = np.random.default_rng(13)
+    n, d = 3 * 512 + 7, 13
+    v = with_rows_at_centroid(rng, n, d, [9, 1200])
+    t = rng.standard_normal((n, d))
+    cv, ct = gl.mean_center(v, t, renormalize=True)
+    for got, m in ((cv, v), (ct, t)):
+        want, _ = dense_unit_rows(m - m.mean(axis=0))
+        assert np.array_equal(got.vectors, want)
+
+
+def test_all_degenerate_is_an_error_across_blocks():
+    v = np.tile([0.5, 0.5, 0.25], (3 * 512 + 7, 1))
+    with pytest.raises(ValueError, match="all pairs are degenerate"):
+        gl.distribution_gap(v, np.random.default_rng(14).standard_normal(v.shape))
+
+
 def test_distribution_gap_identical_clouds():
     rng = np.random.default_rng(8)
     v = unit_rows(rng, 9, 5)

@@ -1,0 +1,60 @@
+"""Working-set bounds of the dump path, measured with tracemalloc.
+
+D is the size of one n x d float64 array. Each bound counts the allocations a
+call makes beyond its inputs, its result included, so an n x d temporary in
+any of these paths fails its test.
+"""
+
+import numpy as np
+
+import gaplab as gl
+
+from conftest import traced_peak, unit_rows
+
+N, DIM = 4096, 64
+D = N * DIM * 8
+MIB = 1 << 20
+
+
+def pair():
+    rng = np.random.default_rng(0)
+    return unit_rows(rng, N, DIM), unit_rows(rng, N, DIM)
+
+
+def test_gap_report_holds_one_factor_beyond_its_inputs():
+    v, t = pair()
+    report, peak = traced_peak(gl.gap_report, v, t)
+    assert report.n_pairs == N
+    assert peak <= 1.25 * D      # the CholeskyQR2 Q1 of one modality at a time
+
+
+def test_mean_center_renormalize_holds_its_outputs():
+    v, t = pair()
+    (cv, ct), peak = traced_peak(gl.mean_center, v, t, renormalize=True)
+    assert np.allclose(np.linalg.norm(cv.vectors, axis=1), 1.0)
+    assert peak <= 2.25 * D      # the two centered outputs, renormalized in place
+
+
+def test_kmeans_makes_no_n_by_d_temporary():
+    v, _ = pair()
+    # Two clusters of about n/2 rows each: a one-shot gather of either would
+    # take about D/2, as the squared points of the old norm pass took D.
+    (labels, _), peak = traced_peak(gl.kmeans, v, 2, seed=0)
+    assert np.bincount(labels).min() > 512
+    assert peak <= 0.25 * D
+
+
+def test_read_embeddings_holds_its_output_and_one_chunk(tmp_path):
+    v, _ = pair()
+    labels = np.arange(N) % 7
+    path = tmp_path / "v.emb"
+    gl.write_embeddings(path, v, labels)
+    (m, got), peak = traced_peak(gl.read_embeddings, path)
+    assert np.array_equal(got, labels)
+    assert peak <= m.nbytes + got.nbytes + MIB
+
+
+def test_write_embeddings_streams_its_payload(tmp_path):
+    v, _ = pair()
+    _, peak = traced_peak(gl.write_embeddings, tmp_path / "v.emb", v, np.arange(N) % 7)
+    assert peak <= 1.5 * MIB

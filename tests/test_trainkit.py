@@ -328,7 +328,6 @@ def test_private_step_matches_the_public_composition():
     assert step.count == 5
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_step_reports_overflowing_norms_as_divergence():
     # One step per epoch: the first update blows the weights up and the
     # epoch's eval encode is the first to see the overflow.
