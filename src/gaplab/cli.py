@@ -25,7 +25,7 @@ import numpy as np
 from .curriculum import CurriculumConfig
 from .embfile import atomic_write_bytes, read_embeddings, write_embeddings
 from .evalkit import linear_fit_r2
-from .geometry import EmbeddingBatch, gap_report, mean_center
+from .geometry import EmbeddingBatch, _center_into, gap_report
 from .numerics import pca_project_2d
 from .sweep import SweepRunError, run_sweep, sweep_to_csv
 from .trainkit import NonFiniteLossError, SynthConfig, TrainConfig, epoch_steps, train
@@ -132,11 +132,11 @@ def cmd_center(args) -> int:
     _check_out_dirs(args.out_images, args.out_texts)
     images, texts = _read_pair(args.images, args.texts)
     before = gap_report(images, texts)
-    centered_images, centered_texts = mean_center(images, texts, renormalize=args.renormalize)
-    del images, texts  # so the second report and the writes run beside one pair, not two
-    after = gap_report(centered_images, centered_texts)
-    write_embeddings(args.out_images, centered_images.vectors, centered_images.labels)
-    write_embeddings(args.out_texts, centered_texts.vectors, centered_texts.labels)
+    for batch in (images, texts):  # the pair is ours: center it in place
+        _center_into(batch.vectors, batch.vectors, args.renormalize)
+    after = gap_report(images, texts)
+    write_embeddings(args.out_images, images.vectors, images.labels)
+    write_embeddings(args.out_texts, texts.vectors, texts.labels)
     print(f"before: {before.summary()}")
     print(f"after:  {after.summary()}")
     return 0
@@ -191,6 +191,7 @@ def _parse_int_list(text: str, flag: str) -> list:
 
 
 def cmd_sweep(args) -> int:
+    _check_out_dirs(args.out)
     train_cfg, synth_cfg = load_run_config(args.config)
     alphas = _parse_float_list(args.alphas, "--alphas")
     seeds = _parse_int_list(args.seeds, "--seeds")
@@ -215,6 +216,7 @@ def _csv_column(rows: list, name: str, path) -> np.ndarray:
 
 
 def cmd_correlate(args) -> int:
+    _check_out_dirs(args.out)
     with open(args.sweep, "r", encoding="utf-8", newline="") as f:
         all_rows = list(csv.DictReader(f))
     rows = [r for r in all_rows if r.get("seed") == "mean"]
@@ -296,6 +298,7 @@ def render_svg(images: EmbeddingBatch, texts: EmbeddingBatch) -> str:
 
 
 def cmd_plot(args) -> int:
+    _check_out_dirs(args.out)
     images, texts = _read_pair(args.images, args.texts)
     _atomic_write_text(args.out, render_svg(images, texts))
     print(f"wrote scatter of {2 * images.n} points to {args.out}")

@@ -6,6 +6,9 @@ ties break toward the lower index, and the probe is a closed-form ridge
 system. The probe is the interchangeability measure: a classifier fit only on
 text embeddings scored only on image embeddings, so its accuracy tracks how
 freely one modality substitutes for the other.
+
+Joint clustering pools the two modalities without a stacked copy: k-means
+reads its points as row parts.
 """
 
 from __future__ import annotations
@@ -63,41 +66,105 @@ class SweepRecord:
 SWEEP_FIELDS = tuple(f.name for f in fields(SweepRecord))
 
 
-def _squared_distances(points: np.ndarray, point_sq: np.ndarray,
-                       centers: np.ndarray, out=None) -> np.ndarray:
-    """||p - c||^2 by the expanded form, into ``out`` when given; ``point_sq``
-    is (points**2).sum(axis=1).
+def _squared_distances(parts, bounds, point_sq: np.ndarray, centers: np.ndarray,
+                       out=None) -> np.ndarray:
+    """||p - c||^2 by the expanded form over the rows of all parts, into
+    ``out`` when given; ``point_sq`` is (points**2).sum(axis=1).
 
     The steps run in place on the product, in the order of the plain formula
     point_sq - 2 (points @ centers.T) + |c|^2: negating the doubled product
     and adding point_sq gives the bits of the subtraction, and scaling by 2 is
-    exact. So the only n x k array is the result.
+    exact. So the only n x k array is the result; each part fills its rows.
     """
-    d2 = np.matmul(points, centers.T, out=out)
+    d2 = np.empty((point_sq.size, centers.shape[0])) if out is None else out
+    for part, lo, hi in zip(parts, bounds, bounds[1:]):
+        np.matmul(part, centers.T, out=d2[lo:hi])
     d2 *= -2.0
     d2 += point_sq[:, None]
     d2 += (centers**2).sum(axis=1)[None, :]
     return np.maximum(d2, 0.0, out=d2)
 
 
-def _cluster_mean(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """points[rows].mean(axis=0), gathering at most _BLOCK_ROWS rows at a time.
+def _row(parts, bounds: np.ndarray, i) -> np.ndarray:
+    """Row i of the parts stacked; part p holds rows bounds[p]:bounds[p + 1]."""
+    p = int(np.searchsorted(bounds, i, side="right")) - 1
+    return parts[p][i - bounds[p]]
+
+
+def _cluster_mean(parts, bounds: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """points[rows].mean(axis=0) of the parts stacked, for sorted global rows,
+    gathering at most _BLOCK_ROWS rows at a time.
 
     NumPy sums a C-contiguous block over axis 0 row by row, in order, so each
     block after the first carries the running total as its leading row: the
     additions, and the bits, are those of the one-shot mean.
     """
-    total = points[rows[:_BLOCK_ROWS]].sum(axis=0)
-    if rows.size > _BLOCK_ROWS:
-        block = np.empty((_BLOCK_ROWS + 1, points.shape[1]))
-        for lo in range(_BLOCK_ROWS, rows.size, _BLOCK_ROWS):
-            idx = rows[lo:lo + _BLOCK_ROWS]
-            part = block[:idx.size + 1]
-            part[0] = total
+    block = np.empty((_BLOCK_ROWS + 1, parts[0].shape[1]))
+    lead = 0
+    for lo in range(0, rows.size, _BLOCK_ROWS):
+        idx = rows[lo:lo + _BLOCK_ROWS]
+        cuts = np.searchsorted(idx, bounds)
+        for part, start, a, b in zip(parts, bounds, cuts, cuts[1:]):
             # mode="raise" would gather into a temporary first
-            np.take(points, idx, axis=0, out=part[1:], mode="clip")
-            total = part.sum(axis=0)
-    return total / rows.size
+            np.take(part, idx[a:b] - start, axis=0, out=block[lead + a:lead + b], mode="clip")
+        block[0] = block[:lead + idx.size].sum(axis=0)
+        lead = 1
+    return block[0] / rows.size
+
+
+def _kmeans(parts, k: int, seed: int) -> tuple[np.ndarray, float]:
+    """kmeans of the rows of a tuple of 2-D float64 arrays, stacked only
+    logically: labels and inertia carry the bits of kmeans(np.vstack(parts))."""
+    bounds = np.cumsum([0] + [part.shape[0] for part in parts])
+    n = int(bounds[-1])
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}], got {k}")
+    rng = np.random.default_rng(seed)
+    point_sq = np.empty(n)
+    for part, start, stop in zip(parts, bounds, bounds[1:]):
+        for lo in range(start, stop, _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, stop)
+            point_sq[lo:hi] = (part[lo - start:hi - start] ** 2).sum(axis=1)
+
+    centers = np.empty((k, parts[0].shape[1]))
+    centers[0] = _row(parts, bounds, rng.integers(n))
+    d2 = _squared_distances(parts, bounds, point_sq, centers[:1]).ravel()
+    for j in range(1, k):
+        total = d2.sum()
+        if total > 0.0:
+            idx = rng.choice(n, p=d2 / total)
+        else:
+            idx = rng.integers(n)
+        centers[j] = _row(parts, bounds, idx)
+        d2 = np.minimum(d2, _squared_distances(parts, bounds, point_sq, centers[j:j + 1]).ravel())
+
+    labels = np.zeros(n, dtype=np.int64)
+    dist = np.empty((n, k))  # reused by every distance pass below
+    for _ in range(100):
+        _squared_distances(parts, bounds, point_sq, centers, out=dist)
+        labels = dist.argmin(axis=1)
+
+        new_centers = np.empty_like(centers)
+        counts = np.bincount(labels, minlength=k)
+        for c in range(k):
+            if counts[c] > 0:
+                new_centers[c] = _cluster_mean(parts, bounds, np.flatnonzero(labels == c))
+        for c in np.flatnonzero(counts == 0):
+            own = dist[np.arange(n), labels]
+            # steal the globally worst-fit point
+            worst = int(own.argmax())
+            new_centers[c] = _row(parts, bounds, worst)
+            labels[worst] = c
+            dist[worst] = 0.0
+        shift = np.linalg.norm(new_centers - centers, axis=1).max()
+        centers = new_centers
+        if shift < 1e-6:
+            break
+
+    _squared_distances(parts, bounds, point_sq, centers, out=dist)
+    labels = dist.argmin(axis=1)
+    inertia = float(dist[np.arange(n), labels].sum())
+    return labels, inertia
 
 
 def kmeans(points, k: int, seed: int = 0) -> tuple[np.ndarray, float]:
@@ -107,54 +174,7 @@ def kmeans(points, k: int, seed: int = 0) -> tuple[np.ndarray, float]:
     An emptied cluster is re-seeded with the point currently farthest from its
     own centroid (lowest point index on ties). Returns (labels, inertia).
     """
-    points = as_matrix(points, "points")
-    n = points.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
-    rng = np.random.default_rng(seed)
-    point_sq = np.empty(n)
-    for lo in range(0, n, _BLOCK_ROWS):
-        point_sq[lo:lo + _BLOCK_ROWS] = (points[lo:lo + _BLOCK_ROWS] ** 2).sum(axis=1)
-
-    centers = np.empty((k, points.shape[1]))
-    centers[0] = points[rng.integers(n)]
-    d2 = _squared_distances(points, point_sq, centers[:1]).ravel()
-    for j in range(1, k):
-        total = d2.sum()
-        if total > 0.0:
-            idx = rng.choice(n, p=d2 / total)
-        else:
-            idx = rng.integers(n)
-        centers[j] = points[idx]
-        d2 = np.minimum(d2, _squared_distances(points, point_sq, centers[j:j + 1]).ravel())
-
-    labels = np.zeros(n, dtype=np.int64)
-    dist = np.empty((n, k))  # reused by every distance pass below
-    for _ in range(100):
-        _squared_distances(points, point_sq, centers, out=dist)
-        labels = dist.argmin(axis=1)
-
-        new_centers = np.empty_like(centers)
-        counts = np.bincount(labels, minlength=k)
-        for c in range(k):
-            if counts[c] > 0:
-                new_centers[c] = _cluster_mean(points, np.flatnonzero(labels == c))
-        for c in np.flatnonzero(counts == 0):
-            own = dist[np.arange(n), labels]
-            # steal the globally worst-fit point
-            worst = int(own.argmax())
-            new_centers[c] = points[worst]
-            labels[worst] = c
-            dist[worst] = 0.0
-        shift = np.linalg.norm(new_centers - centers, axis=1).max()
-        centers = new_centers
-        if shift < 1e-6:
-            break
-
-    _squared_distances(points, point_sq, centers, out=dist)
-    labels = dist.argmin(axis=1)
-    inertia = float(dist[np.arange(n), labels].sum())
-    return labels, inertia
+    return _kmeans((as_matrix(points, "points"),), k, seed)
 
 
 def _check_labelings(pred, truth) -> tuple[np.ndarray, np.ndarray]:
@@ -239,21 +259,23 @@ def v_measure(pred, truth) -> float:
 def joint_clustering_eval(images: EmbeddingBatch, texts: EmbeddingBatch,
                           k: int | None = None, seed: int = 0) -> ClusterReport:
     """Pool both modalities into one point set, cluster, and score against the
-    duplicated class labels. Each embedding contributes one point."""
+    duplicated class labels. Each embedding contributes one point; the batches
+    may differ in size but not in dimension, and are never stacked."""
     if images.labels is None or texts.labels is None:
         raise ValueError("both batches need labels for clustering evaluation")
-    points = np.vstack([images.vectors, texts.vectors])
+    if images.dim != texts.dim:
+        raise ValueError(f"images are {images.dim}-d but texts are {texts.dim}-d")
     truth = np.concatenate([images.labels, texts.labels])
     if k is None:
         k = int(np.unique(truth).size)
     if k < 2:
         raise ValueError("need at least 2 clusters")
-    labels, inertia = kmeans(points, k, seed=seed)
+    labels, inertia = _kmeans((images.vectors, texts.vectors), k, seed)
     return ClusterReport(
         v_measure=v_measure(labels, truth),
         ari=adjusted_rand_index(labels, truth),
         k=k,
-        n_points=points.shape[0],
+        n_points=truth.size,
         inertia=inertia,
     )
 

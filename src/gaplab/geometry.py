@@ -165,6 +165,17 @@ def distribution_gap(images, texts) -> tuple[float, int]:
     return _distribution_gap(v, t, v.mean(axis=0), t.mean(axis=0))
 
 
+def _center_into(m: np.ndarray, out: np.ndarray, renormalize: bool) -> np.ndarray:
+    """m minus its column mean, written into ``out`` (which may be m itself),
+    then re-normalized in place by row blocks when asked."""
+    np.subtract(m, m.mean(axis=0), out=out)
+    if renormalize:
+        for lo in range(0, out.shape[0], _BLOCK_ROWS):
+            block = out[lo:lo + _BLOCK_ROWS]
+            _normalize_rows(block, out=block)
+    return out
+
+
 def mean_center(images, texts, renormalize: bool = False) -> tuple[EmbeddingBatch, EmbeddingBatch]:
     """Shift each modality by -(its own centroid); optionally re-normalize rows.
 
@@ -173,13 +184,7 @@ def mean_center(images, texts, renormalize: bool = False) -> tuple[EmbeddingBatc
     to the unit sphere at the cost of that exactness.
     """
     v, t = _paired(images, texts)
-    vc = v - v.mean(axis=0)
-    tc = t - t.mean(axis=0)
-    if renormalize:
-        for m in (vc, tc):
-            for lo in range(0, m.shape[0], _BLOCK_ROWS):
-                block = m[lo:lo + _BLOCK_ROWS]
-                _normalize_rows(block, out=block)
+    vc, tc = (_center_into(m, np.empty_like(m), renormalize) for m in (v, t))
 
     def rebuild(batch, vectors, default_modality):
         if isinstance(batch, EmbeddingBatch):

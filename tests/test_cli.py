@@ -187,22 +187,38 @@ def test_analyze_pair_mismatch_exits_2(tmp_path, emb_pair, capsys):
 @pytest.mark.parametrize("command, outputs", [
     ("analyze", [("--out", "missing/r.json")]),
     ("center", [("--out-images", "ci.emb"), ("--out-texts", "missing/ct.emb")]),
+    ("train", [("--out-dir", "missing/run")]),  # "missing" is a file here: makedirs fails
+    ("sweep", [("--out", "missing/s.csv")]),
+    ("correlate", [("--out", "missing/c.json")]),
+    ("plot", [("--out", "missing/p.svg")]),
 ])
-def test_missing_output_directory_exits_2_before_any_work(tmp_path, emb_pair, capsys,
-                                                          monkeypatch, command, outputs):
+def test_missing_output_directory_exits_2_before_any_work(tmp_path, emb_pair, tiny_config_path,
+                                                          capsys, monkeypatch, command, outputs):
     def must_not_run(*args, **kwargs):
         raise AssertionError("ran before the output directories were checked")
 
-    monkeypatch.setattr(cli_mod, "read_embeddings", must_not_run)
-    monkeypatch.setattr(cli_mod, "gap_report", must_not_run)
+    for owner, name in [(cli_mod, "read_embeddings"), (cli_mod, "gap_report"), (cli_mod, "train"),
+                        (cli_mod, "run_sweep"), (sweep_mod, "run_single"),
+                        (cli_mod, "linear_fit_r2")]:
+        monkeypatch.setattr(owner, name, must_not_run)
     vp, tp = emb_pair
+    sweep_csv = tmp_path / "sweep.csv"
+    sweep_csv.write_text("alpha_target,seed,raw_gap\n0.0,mean,0.5\n0.5,mean,0.3\n1.0,mean,0.2\n")
+    if command == "train":
+        (tmp_path / "missing").write_text("")
+    inputs = {
+        "train": ["--config", tiny_config_path],
+        "sweep": ["--config", tiny_config_path, "--alphas", "0,0.5", "--seeds", "0"],
+        "correlate": ["--sweep", sweep_csv, "--x", "alpha_target", "--y", "raw_gap"],
+    }
     before = sorted(os.listdir(tmp_path))
-    argv = [command, "--images", vp, "--texts", tp]
+    argv = [command, *inputs.get(command, ["--images", vp, "--texts", tp])]
     for flag, name in outputs:
         argv += [flag, tmp_path / name]
     code, stdout, stderr = run_cli(argv, capsys)
     assert code == 2
-    assert "missing" in stderr and "does not exist" in stderr
+    assert "missing" in stderr
+    assert command == "train" or "does not exist" in stderr
     assert stdout == ""
     assert sorted(os.listdir(tmp_path)) == before
 

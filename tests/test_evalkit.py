@@ -168,8 +168,57 @@ def test_cluster_mean_in_blocks_has_the_one_shot_bits(size):
     rng = np.random.default_rng(size)
     points = rng.standard_normal((2000, 7)) * rng.uniform(0.1, 1e3, 7)
     rows = np.sort(rng.choice(2000, size, replace=False))
-    got = evalkit._cluster_mean(points, rows)
-    assert np.array_equal(got, points[rows].mean(axis=0))
+    want = points[rows].mean(axis=0)
+    assert np.array_equal(evalkit._cluster_mean((points,), np.array([0, 2000]), rows), want)
+    # two parts split inside a 512-row block, so blocks after the first cross it
+    parts = (points[:700], points[700:])
+    assert np.array_equal(evalkit._cluster_mean(parts, np.array([0, 700, 2000]), rows), want)
+
+
+def kmeans_of_parts_matches_the_stack(parts, k, seed):
+    """The parts form's labels, after checking its bits against kmeans(vstack)."""
+    labels, inertia = evalkit._kmeans(parts, k, seed)
+    want_labels, want_inertia = gl.kmeans(np.vstack(parts), k, seed=seed)
+    assert np.array_equal(labels, want_labels)
+    assert inertia == want_inertia
+    return labels
+
+
+def test_kmeans_of_parts_has_the_bits_of_the_stacked_points():
+    # 700 + 1,000 rows: the split falls off a 512-row boundary, so the norms'
+    # row blocks and each part's product differ from the stacked call's.
+    rng = np.random.default_rng(41)
+    points = np.vstack([rng.standard_normal((m, 9)) + 20.0 * rng.standard_normal(9)
+                        for m in (600, 800, 300)])
+    points = points[rng.permutation(points.shape[0])]
+    labels = kmeans_of_parts_matches_the_stack((points[:700], points[700:]), 3, seed=3)
+    kmeans_of_parts_matches_the_stack((points,), 3, seed=3)
+    # some cluster's gather block holds rows from both sides of the split
+    blocks = [rows[lo:lo + 512] for c in range(3)
+              for rows in [np.flatnonzero(labels == c)] for lo in range(0, rows.size, 512)]
+    assert any(b[0] < 700 <= b[-1] for b in blocks)
+
+
+def test_kmeans_of_parts_reseeds_from_the_second_part(monkeypatch):
+    # With seed 0 a Lloyd pass empties one of the 8 clusters of these 1-D
+    # points, and the worst-fit point that re-seeds it is row 3, the first row
+    # of the second part. (Exact duplicate points re-seed from row 0, since
+    # every point then sits on a center.)
+    x = np.array([0, 19, -4, -11, 20, 16, -18, 15, 6, 19, 15, 5, -7, 12, -11, -7, -8, -18],
+                 dtype=float)[:, None]
+    looked_up = []
+    row = evalkit._row
+
+    def spy(parts, bounds, i):
+        if len(parts) == 2:
+            looked_up.append(int(i))
+        return row(parts, bounds, i)
+
+    monkeypatch.setattr(evalkit, "_row", spy)
+    kmeans_of_parts_matches_the_stack((x[:3], x[3:]), 8, seed=0)
+    assert any(i >= 3 for i in looked_up[8:])  # the first 8 are the k-means++ picks
+    dup = np.array([[0.0, 0.0]] * 5 + [[10.0, 10.0]] * 5 + [[0.0, 10.0]])
+    kmeans_of_parts_matches_the_stack((dup[:6], dup[6:]), 4, seed=0)
 
 
 def test_kmeans_handles_duplicate_points():
@@ -288,6 +337,32 @@ def test_joint_clustering_requires_labels_and_k():
         gl.joint_clustering_eval(labeled, bare)
     with pytest.raises(ValueError):
         gl.joint_clustering_eval(labeled, gl.EmbeddingBatch(v, labels=np.zeros(6, dtype=int), modality="text"), k=1)
+
+
+def test_joint_clustering_pools_batches_of_different_sizes():
+    rng = np.random.default_rng(12)
+    points, labels = blobs(rng, k=4, per=125, d=6, spread=2.0)
+    order = rng.permutation(500)
+    points, labels = points[order], labels[order]
+    images = gl.EmbeddingBatch(points[:300], labels=labels[:300])
+    texts = gl.EmbeddingBatch(points[300:], labels=labels[300:], modality="text")
+    report = gl.joint_clustering_eval(images, texts, seed=2)
+    want_labels, want_inertia = gl.kmeans(points, 4, seed=2)
+    assert report.n_points == 500
+    assert report.inertia == want_inertia
+    assert report.ari == gl.adjusted_rand_index(want_labels, labels)
+
+
+def test_joint_clustering_rejects_a_dimension_mismatch_before_any_work(monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("clustered before the dimensions were checked")
+
+    monkeypatch.setattr(evalkit, "_kmeans", must_not_run)
+    rng = np.random.default_rng(13)
+    images = gl.EmbeddingBatch(unit_rows(rng, 8, 6), labels=np.arange(8) % 2)
+    texts = gl.EmbeddingBatch(unit_rows(rng, 8, 5), labels=np.arange(8) % 2, modality="text")
+    with pytest.raises(ValueError, match="6-d.*5-d"):
+        gl.joint_clustering_eval(images, texts)
 
 
 # ---------------------------------------------------------------- recall@k

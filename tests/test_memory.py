@@ -6,8 +6,10 @@ any of these paths fails its test.
 """
 
 import numpy as np
+import pytest
 
 import gaplab as gl
+from gaplab import cli
 
 from conftest import traced_peak, unit_rows
 
@@ -33,6 +35,42 @@ def test_mean_center_renormalize_holds_its_outputs():
     (cv, ct), peak = traced_peak(gl.mean_center, v, t, renormalize=True)
     assert np.allclose(np.linalg.norm(cv.vectors, axis=1), 1.0)
     assert peak <= 2.25 * D      # the two centered outputs, renormalized in place
+
+
+@pytest.mark.parametrize("renormalize", [False, True])
+def test_mean_center_leaves_its_inputs_alone(renormalize):
+    v, t = pair()
+    v0, t0 = v.copy(), t.copy()
+    gl.mean_center(v, t, renormalize=renormalize)
+    assert np.array_equal(v, v0) and np.array_equal(t, t0)
+
+
+def test_center_command_centers_the_pair_it_read_in_place(tmp_path, capsys):
+    v, t = pair()
+    labels = np.arange(N) % 8
+    gl.write_embeddings(tmp_path / "v.emb", v, labels)
+    gl.write_embeddings(tmp_path / "t.emb", t, labels)
+    del v, t
+    argv = ["center", "--images", str(tmp_path / "v.emb"), "--texts", str(tmp_path / "t.emb"),
+            "--out-images", str(tmp_path / "cv.emb"), "--out-texts", str(tmp_path / "ct.emb"),
+            "--renormalize"]
+    code, peak = traced_peak(cli.main, argv)
+    assert code == 0
+    # the pair it read (2 D) plus one CholeskyQR2 factor of a report; a
+    # centered copy of the pair beside it would be 4 D
+    assert peak <= 3.5 * D
+
+
+def test_joint_clustering_holds_no_stacked_copy():
+    rng = np.random.default_rng(1)
+    dim = 256
+    labels = np.arange(N) % 8
+    images = gl.EmbeddingBatch(unit_rows(rng, N, dim), labels=labels)
+    texts = gl.EmbeddingBatch(unit_rows(rng, N, dim), labels=labels, modality="text")
+    report, peak = traced_peak(gl.joint_clustering_eval, images, texts, seed=0)
+    assert report.n_points == 2 * N
+    # a stack of both modalities would be 2 D by itself
+    assert peak <= 0.5 * (N * dim * 8)
 
 
 def test_kmeans_makes_no_n_by_d_temporary():
