@@ -168,7 +168,7 @@ def _kmeans(parts, k: int, seed: int) -> tuple[np.ndarray, float]:
 
 
 def kmeans(points, k: int, seed: int = 0) -> tuple[np.ndarray, float]:
-    """Seeded k-means++ initialization plus Lloyd iterations.
+    """Seeded k-means++ and Lloyd iterations, beside one n x k distance buffer.
 
     Stops when every centroid moves less than 1e-6 or after 100 iterations.
     An emptied cluster is re-seeded with the point currently farthest from its
