@@ -2,8 +2,7 @@
 
 Feeds the scheduler a hand-made loss trace: a gentle descent, then a
 sustained blow-up late in the ramp. Prints alpha after every step with the
-phase and the speed the ratio gate chose, then shows snapshot/resume landing
-on the exact same trajectory.
+phase and the speed the ratio gate chose.
 
 The gate compares a fast loss EMA against a slow one. Speed peaks when the
 trend matches the long-run average and backs off toward half speed when the
@@ -34,10 +33,8 @@ def main():
     state = gl.scheduler_new(cfg)
     print(f"{'step':>4}  {'phase':<9}  {'loss in':>7}  {'alpha out':>9}  {'speed':>6}")
     prev = 0.0
-    trace = []
     for step, loss in enumerate(losses):
         alpha = gl.scheduler_step(state, loss)
-        trace.append(alpha)
         phase = gl.phase_of(cfg, step)
         speed = ""
         if phase is gl.Phase.RAMP:
@@ -54,21 +51,9 @@ def main():
     print("alpha still reaches the target: the gate reshapes the path, never the endpoint")
     print()
 
-    # ---- snapshot at mid-ramp, resume elsewhere, same numbers ----
-    state_a = gl.scheduler_new(cfg)
-    for loss in losses[:9]:
-        gl.scheduler_step(state_a, loss)
-    snap = state_a.snapshot()
-    print(f"snapshot after 9 steps: {snap}")
-
-    state_b = gl.state_from_snapshot(cfg, snap)
-    resumed = [gl.scheduler_step(state_b, loss) for loss in losses[9:]]
-    print(f"resumed tail equals the straight-through tail: {resumed == trace[9:]}")
-    print()
-
     # ---- the schedule refuses to run past its end ----
     try:
-        gl.scheduler_step(state_b, 1.0)
+        gl.scheduler_step(state, 1.0)
     except RuntimeError as exc:
         print(f"one step too many -> RuntimeError: {exc}")
 

@@ -13,6 +13,7 @@ so a rising loss (rho > 1) slows the ramp and a falling one speeds it up, with
 the speed factor always inside [0.5, 1.5]. Because the factor can stay below
 1, the final ramp step assigns alpha = alpha_target outright; that keeps the
 "reaches the target by the end of the ramp" contract without overshooting.
+A CurriculumState lives for one run: nothing snapshots or resumes it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ __all__ = [
     "scheduler_new",
     "scheduler_step",
     "phase_of",
-    "state_from_snapshot",
 ]
 
 
@@ -91,19 +91,6 @@ class CurriculumState:
     ema_slow: float | None = None
     ema_fast: float | None = None
 
-    @property
-    def initialized(self) -> bool:
-        return self.ema_slow is not None
-
-    def snapshot(self) -> dict:
-        return {
-            "phase": self.phase.value,
-            "step": self.global_step,
-            "alpha": self.alpha,
-            "ema_slow": self.ema_slow,
-            "ema_fast": self.ema_fast,
-        }
-
 
 def phase_of(config: CurriculumConfig, global_step: int) -> Phase:
     """Phase governing a given step index."""
@@ -119,26 +106,6 @@ def phase_of(config: CurriculumConfig, global_step: int) -> Phase:
 def scheduler_new(config: CurriculumConfig) -> CurriculumState:
     """Fresh state at step 0 with alpha 0 and EMAs untracked."""
     return CurriculumState(config=config, phase=phase_of(config, 0))
-
-
-def state_from_snapshot(config: CurriculumConfig, snap: dict) -> CurriculumState:
-    """Rebuild a state from its snapshot() dict for checkpoint resume."""
-    phase = Phase(snap["phase"])
-    ema_slow = snap["ema_slow"]
-    ema_fast = snap["ema_fast"]
-    if (ema_slow is None) != (ema_fast is None):
-        raise ValueError("both EMAs must be set or both unset")
-    state = CurriculumState(
-        config=config,
-        phase=phase,
-        global_step=int(snap["step"]),
-        alpha=float(snap["alpha"]),
-        ema_slow=None if ema_slow is None else float(ema_slow),
-        ema_fast=None if ema_fast is None else float(ema_fast),
-    )
-    if not 0.0 <= state.alpha <= config.alpha_target + 1e-12:
-        raise ValueError(f"snapshot alpha {state.alpha} outside [0, alpha_target]")
-    return state
 
 
 def scheduler_step(state: CurriculumState, observed_rw_loss: float) -> float:

@@ -257,6 +257,11 @@ def _ranks(v: np.ndarray, t: np.ndarray) -> tuple[float, float, float]:
     return _erank(sv_v), _erank(sv_t), _erank(sv_joint)
 
 
+def _fusion(er_v: float, er_t: float, er_joint: float) -> float:
+    """Fusion index from the effective ranks of V, T and [V; T]."""
+    return er_joint / (0.5 * (er_v + er_t))
+
+
 def fusion_index(images, texts) -> float:
     """Effective rank of the pooled rows over the mean per-modality rank.
 
@@ -267,8 +272,7 @@ def fusion_index(images, texts) -> float:
     t = _vectors_of(texts)
     if v.shape[1] != t.shape[1]:
         raise ValueError(f"embedding dim mismatch: {v.shape[1]} vs {t.shape[1]}")
-    er_v, er_t, er_joint = _ranks(v, t)
-    return er_joint / (0.5 * (er_v + er_t))
+    return _fusion(*_ranks(v, t))
 
 
 def gap_report(images, texts) -> GapReport:
@@ -288,7 +292,7 @@ def gap_report(images, texts) -> GapReport:
         erank_image=er_v,
         erank_text=er_t,
         erank_joint=er_joint,
-        fusion_index=er_joint / (0.5 * (er_v + er_t)),
+        fusion_index=_fusion(er_v, er_t, er_joint),
         n_pairs=v.shape[0],
         degenerate_pairs=n_bad,
     )

@@ -12,7 +12,7 @@ Four losses over a paired batch (V, T) of unit-norm rows:
 Every loss returns analytic gradients with respect to V, T and the log of the
 temperature scale. Gradients are taken treating V and T as free variables;
 backprop through row normalization is the trainer's job. finite_diff_check
-validates any of them against central differences.
+validates any loss callable against central differences.
 
 Each public loss validates its inputs once and hands the block V T^T (one
 BLAS product) to one of two unchecked private kernels: _reweighted for clip
@@ -42,17 +42,10 @@ __all__ = [
     "intra_loss",
     "cma_loss",
     "finite_diff_check",
-    "numeric_bundle",
-    "analytic_bundles",
-    "gradient_discrepancy",
-    "LOSS_IDS",
 ]
 
 LOG_SCALE_MAX = math.log(100.0)
 DEFAULT_LOG_SCALE = math.log(1.0 / 0.07)
-
-LOSS_IDS = ("clip", "reweighted", "intra", "cma", "decomposed")
-
 
 @dataclass
 class Temperature:
@@ -280,74 +273,22 @@ def cma_loss(v, t, temp: Temperature, alpha: float) -> LossOutput:
     return _cma(v, t, temp.scale, alpha)
 
 
-def _decomposed_bundles(v, t, temp: Temperature):
-    """Analytic value+gradients for each half of clip_loss_decomposed."""
-    v, t = _paired_inputs(v, t)
-    n = v.shape[0]
-    tau = temp.scale
-    logits = tau * (v @ t.T)
-    p, lse_row = _softmax_lse(logits, 1)
-
-    align, oppose = _split(logits, lse_row)
-    align_gv = -(tau / n) * t
-    align_gt = -(tau / n) * v
-    # align is proportional to tau, so d(align)/d(log_scale) = align
-    align_bundle = ("align", align, align_gv, align_gt, align)
-
-    oppose_gv = (tau / n) * (p @ t)
-    oppose_gt = (tau / n) * (p.T @ v)
-    oppose_gs = float((p * logits).sum() / n)
-    oppose_bundle = ("oppose", oppose, oppose_gv, oppose_gt, oppose_gs)
-    return [align_bundle, oppose_bundle]
+def _numeric_gradient(value, m, h: float) -> np.ndarray:
+    """Central differences of value() over every entry of m, which value reads in place."""
+    grad = np.zeros_like(m)
+    for idx in np.ndindex(m.shape):
+        orig = m[idx]
+        m[idx] = orig + h
+        hi = value()
+        m[idx] = orig - h
+        lo = value()
+        m[idx] = orig
+        grad[idx] = (hi - lo) / (2.0 * h)
+    return grad
 
 
-def analytic_bundles(loss_id: str, v, t, temp: Temperature, *, alpha: float = 0.5, beta: float = 0.03):
-    """Named (label, loss, grad_V, grad_T, grad_log_scale) tuples for a loss id.
-
-    Most ids yield one bundle; "decomposed" yields one per term so each half
-    of the split is validated against its own gradient.
-    """
-    if loss_id == "clip":
-        out = clip_loss(v, t, temp)
-    elif loss_id == "reweighted":
-        out = reweighted_loss(v, t, temp, beta)
-    elif loss_id == "intra":
-        out = intra_loss(v, t, temp)
-    elif loss_id == "cma":
-        out = cma_loss(v, t, temp, alpha)
-    elif loss_id == "decomposed":
-        return _decomposed_bundles(v, t, temp)
-    else:
-        raise ValueError(f"unknown loss_id {loss_id!r}; expected one of {LOSS_IDS}")
-    return [(loss_id, out.loss, out.grad_images, out.grad_texts, out.grad_log_scale)]
-
-
-def numeric_bundle(fn, v, t, temp: Temperature, h: float):
-    """Central-difference gradients of fn(V, T, temp) over every coordinate."""
-    v, t = _paired_inputs(v, t)
-    grad_v = np.zeros_like(v)
-    grad_t = np.zeros_like(t)
-
-    def probe(m, grad):
-        for idx in np.ndindex(m.shape):
-            orig = m[idx]
-            m[idx] = orig + h
-            hi = fn(v, t, temp)
-            m[idx] = orig - h
-            lo = fn(v, t, temp)
-            m[idx] = orig
-            grad[idx] = (hi - lo) / (2.0 * h)
-
-    probe(v, grad_v)
-    probe(t, grad_t)
-    hi = fn(v, t, Temperature(temp.log_scale + h))
-    lo = fn(v, t, Temperature(temp.log_scale - h))
-    grad_s = (hi - lo) / (2.0 * h)
-    return grad_v, grad_t, float(grad_s)
-
-
-def gradient_discrepancy(analytic, numeric) -> float:
-    """Worst relative error between two gradient bundles.
+def _gradient_discrepancy(analytic, numeric) -> float:
+    """Worst relative error between two sequences of gradient arrays.
 
     Per entry: zero when the absolute difference is below 1e-10 or both values
     are below 1e-12 in magnitude (a constant-zero gradient has nothing to
@@ -365,22 +306,22 @@ def gradient_discrepancy(analytic, numeric) -> float:
     return worst
 
 
-def finite_diff_check(loss_id: str, v, t, temp: Temperature, h: float = 1e-5,
-                      *, alpha: float = 0.5, beta: float = 0.03) -> float:
+def finite_diff_check(loss, v, t, temp: Temperature, h: float = 1e-5) -> float:
     """Worst relative error of a loss's analytic gradients vs central differences.
 
-    Probes every entry of V and T plus log_scale through the loss value of the
-    same analytic_bundles entry. h must lie in [1e-7, 1e-3].
+    loss(V, T, temp) returns a LossOutput; bind any other argument with a
+    lambda, as in lambda v, t, temp: cma_loss(v, t, temp, 0.5). Probes every
+    entry of V and T plus log_scale through the loss value. h must lie in
+    [1e-7, 1e-3].
     """
     if not 1e-7 <= h <= 1e-3:
         raise ValueError(f"h must be in [1e-7, 1e-3], got {h}")
     v, t = _paired_inputs(v, t)
-    bundles = analytic_bundles(loss_id, v, t, temp, alpha=alpha, beta=beta)
-    worst = 0.0
-    for i, (_, _, gv, gt, gs) in enumerate(bundles):
-        def value(*point, i=i):
-            return analytic_bundles(loss_id, *point, alpha=alpha, beta=beta)[i][1]
+    out = loss(v, t, temp)
+    v, t, log_scale = v.copy(), t.copy(), np.array([temp.log_scale])
 
-        num = numeric_bundle(value, v.copy(), t.copy(), temp, h)
-        worst = max(worst, gradient_discrepancy((gv, gt, gs), num))
-    return worst
+    def value():
+        return loss(v, t, Temperature(log_scale[0])).loss
+
+    numeric = [_numeric_gradient(value, m, h) for m in (v, t, log_scale)]
+    return _gradient_discrepancy((out.grad_images, out.grad_texts, out.grad_log_scale), numeric)

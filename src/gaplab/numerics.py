@@ -2,7 +2,7 @@
 
 Everything here is a pure function of its inputs: row normalization,
 similarity products, numerically stable softmax cross-entropy with analytic
-gradients, singular values, and a deterministic 2-D PCA projection.
+gradients, and a deterministic 2-D PCA projection.
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ __all__ = [
     "l2_normalize_rows",
     "similarity_matrix",
     "row_cross_entropy",
-    "softmax_rows",
-    "singular_values",
     "pca_project_2d",
 ]
+
+_NORM_FLOOR = 1e-12  # rows with a smaller norm count as degenerate
 
 
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
@@ -32,27 +32,25 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def l2_normalize_rows(m, eps: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+def l2_normalize_rows(m) -> tuple[np.ndarray, np.ndarray]:
     """Scale each row to unit Euclidean norm.
 
-    Rows whose norm is below ``eps`` are returned unchanged and flagged in the
+    Rows whose norm is below 1e-12 are returned unchanged and flagged in the
     boolean mask (second return value) instead of raising; callers decide what
     a degenerate row means for them.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    unit, _, degenerate = _normalize_rows(as_matrix(m), eps)
+    unit, _, degenerate = _normalize_rows(as_matrix(m))
     return unit, degenerate
 
 
-def _normalize_rows(m: np.ndarray, eps: float = 1e-12, out=None):
+def _normalize_rows(m: np.ndarray, out=None):
     """l2_normalize_rows of a validated matrix, plus the row norms it divided by.
 
     ``out`` receives the unit rows (it may be m itself); the norms still take
     an m-sized temporary, so callers with large m pass it in row blocks.
     """
     norms = np.linalg.norm(m, axis=1)
-    degenerate = norms < eps
+    degenerate = norms < _NORM_FLOOR
     safe = np.where(degenerate, 1.0, norms)
     return np.divide(m, safe[:, None], out=out), norms, degenerate
 
@@ -72,17 +70,6 @@ def similarity_matrix(a, b) -> np.ndarray:
     return np.einsum("ik,jk->ij", a, b)
 
 
-def _log_softmax_rows(logits: np.ndarray) -> np.ndarray:
-    # max subtraction: scaled similarities can reach ~100 before exp
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
-def softmax_rows(logits) -> np.ndarray:
-    """Row-wise softmax with per-row max subtraction."""
-    return np.exp(_log_softmax_rows(as_matrix(logits, "logits")))
-
-
 def row_cross_entropy(logits, labels) -> tuple[float, np.ndarray]:
     """Mean over rows of -log softmax(logits_i)[labels_i], plus its gradient.
 
@@ -98,17 +85,14 @@ def row_cross_entropy(logits, labels) -> tuple[float, np.ndarray]:
     labels = labels.astype(np.intp)
 
     n = logits.shape[0]
-    log_p = _log_softmax_rows(logits)
+    # max subtraction: scaled similarities can reach ~100 before exp
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     loss = 0.0 - log_p[np.arange(n), labels].mean()  # 0.0 - x avoids a -0.0 result
     grad = np.exp(log_p)
     grad[np.arange(n), labels] -= 1.0
     grad /= n
     return float(loss), grad
-
-
-def singular_values(m) -> np.ndarray:
-    """Singular values in descending order, length min(rows, cols)."""
-    return np.linalg.svd(as_matrix(m), compute_uv=False)
 
 
 def pca_project_2d(m) -> np.ndarray:

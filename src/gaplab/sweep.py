@@ -171,6 +171,9 @@ def run_sweep(train_cfg: TrainConfig, synth_cfg: SynthConfig, alphas, seeds,
     for a in alphas:
         if not 0.0 <= a <= 1.0:
             raise ValueError(f"alpha_target must be in [0, 1], got {a}")
+    for s in seeds:
+        if s < 0:
+            raise ValueError(f"seeds must be >= 0, got {s}")
     epoch_steps(train_cfg, synth_cfg)
     if max_workers is None:
         max_workers = worker_count()

@@ -63,6 +63,8 @@ class SynthConfig:
             raise ValueError("noise_sigma must be >= 0")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
+        if self.seed < 0:
+            raise ValueError(f"synth seed must be >= 0, got {self.seed}")
 
     @property
     def n_samples(self) -> int:
@@ -268,6 +270,8 @@ class TrainConfig:
             raise ValueError("dimensions must be >= 1")
         if not -math.inf < self.init_log_scale <= LOG_SCALE_MAX:
             raise ValueError("init_log_scale must be finite and within the ln(100) cap")
+        if self.seed < 0:
+            raise ValueError(f"train seed must be >= 0, got {self.seed}")
 
     @property
     def epochs(self) -> int:

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 
 import gaplab as gl
+from gaplab.losses import _gradient_discrepancy, _numeric_gradient
 
 
 def unit_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
@@ -42,54 +43,44 @@ def traced_peak(fn, *args, **kwargs):
     return result, peak
 
 
+def bound_losses(alpha: float, beta: float) -> dict:
+    """Every loss with a gradient, as loss(V, T, temp) callables for finite_diff_check."""
+    return {
+        "clip": gl.clip_loss,
+        "reweighted": lambda v, t, temp: gl.reweighted_loss(v, t, temp, beta),
+        "intra": gl.intra_loss,
+        "cma": lambda v, t, temp: gl.cma_loss(v, t, temp, alpha),
+    }
+
+
 def end_to_end_fd_error(seed: int, alpha: float = 0.4, h: float = 1e-6) -> float:
     """Worst relative error of the full backprop path vs central differences.
 
     Builds two tiny encoders, runs the blended loss on three pairs, and probes
-    every weight, bias, and the log scale. Entries are skipped when the
-    absolute difference is under 1e-10 or both magnitudes are under 1e-12.
+    every weight and bias (all views into each encoder's flat vector) and the
+    log scale, scored by the loss checker's error rule.
     """
     rng = np.random.default_rng(seed)
     img = gl.Encoder.random(5, 6, 4, rng)
     txt = gl.Encoder.random(4, 6, 4, rng)
     x_img = rng.standard_normal((3, 5))
     x_txt = rng.standard_normal((3, 4))
-    log_scale = float(rng.uniform(0.0, 2.0))
+    log_scale = np.array([rng.uniform(0.0, 2.0)])
 
-    def loss_value(log_s: float) -> float:
+    def loss_value() -> float:
         vi, _ = gl.encoder_forward(img, x_img)
         vt, _ = gl.encoder_forward(txt, x_txt)
-        return gl.cma_loss(vi, vt, gl.Temperature(log_s), alpha).loss
+        return gl.cma_loss(vi, vt, gl.Temperature(log_scale[0]), alpha).loss
 
     vi, cache_i = gl.encoder_forward(img, x_img)
     vt, cache_t = gl.encoder_forward(txt, x_txt)
-    out = gl.cma_loss(vi, vt, gl.Temperature(log_scale), alpha)
-    grads = {
-        "img": gl.encoder_backward(img, cache_i, out.grad_images),
-        "txt": gl.encoder_backward(txt, cache_t, out.grad_texts),
-    }
-
-    def rel(a: float, n: float) -> float:
-        d = abs(a - n)
-        if d < 1e-10 or max(abs(a), abs(n)) < 1e-12:
-            return 0.0
-        return d / max(abs(a), abs(n))
-
-    worst = 0.0
-    for which, enc in (("img", img), ("txt", txt)):
-        for name in ("w1", "b1", "w2", "b2"):
-            arr = getattr(enc, name)
-            g = grads[which][name]
-            for idx in np.ndindex(arr.shape):
-                orig = arr[idx]
-                arr[idx] = orig + h
-                hi = loss_value(log_scale)
-                arr[idx] = orig - h
-                lo = loss_value(log_scale)
-                arr[idx] = orig
-                worst = max(worst, rel(g[idx], (hi - lo) / (2.0 * h)))
-    numeric = (loss_value(log_scale + h) - loss_value(log_scale - h)) / (2.0 * h)
-    return max(worst, rel(out.grad_log_scale, numeric))
+    out = gl.cma_loss(vi, vt, gl.Temperature(log_scale[0]), alpha)
+    analytic = [
+        np.concatenate([g.ravel() for g in gl.encoder_backward(enc, cache, grad).values()])
+        for enc, cache, grad in ((img, cache_i, out.grad_images), (txt, cache_t, out.grad_texts))
+    ] + [out.grad_log_scale]
+    numeric = [_numeric_gradient(loss_value, m, h) for m in (img.flat, txt.flat, log_scale)]
+    return _gradient_discrepancy(analytic, numeric)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -368,6 +368,18 @@ def test_train_rejects_steps_per_epoch_and_leaves_no_out_dir(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("section", ["synth", "train"])
+def test_train_negative_seed_exits_2_before_any_work(tmp_path, capsys, monkeypatch, section):
+    monkeypatch.setattr(cli_mod, "train", lambda *args, **kwargs: pytest.fail("train ran"))
+    config = tmp_path / "seed.json"
+    config.write_text(json.dumps({section: {"seed": -1}}))
+    out_dir = tmp_path / "never"
+    code, _, stderr = run_cli(["train", "--config", config, "--out-dir", out_dir], capsys)
+    assert code == 2
+    assert f"{section} seed must be >= 0, got -1" in stderr
+    assert not out_dir.exists()
+
+
 def test_train_numerical_failure_exits_3(tmp_path, tiny_config_path, capsys, monkeypatch):
     def explode(train_cfg, synth_cfg):
         raise gl.trainkit.NonFiniteLossError(0, 4, 0.1, float("nan"))
@@ -499,6 +511,20 @@ def test_sweep_bad_worker_count_exits_2_before_any_cell(tmp_path, tiny_config_pa
                                "--alphas", "0.5", "--seeds", "0,1", "--out", out], capsys)
     assert code == 2
     assert "GAPLAB_THREADS must be >= 1" in stderr
+    assert ran == []
+    assert not out.exists()
+
+
+def test_sweep_negative_seed_exits_2_before_any_cell(tmp_path, tiny_config_path,
+                                                    capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(sweep_mod, "run_single", lambda *args, **kwargs: ran.append(args))
+    monkeypatch.setenv("GAPLAB_THREADS", "1")
+    out = tmp_path / "s.csv"
+    code, _, stderr = run_cli(["sweep", "--config", tiny_config_path,
+                               "--alphas", "0.5", "--seeds", "0,-1", "--out", out], capsys)
+    assert code == 2
+    assert "seeds must be >= 0, got -1" in stderr
     assert ran == []
     assert not out.exists()
 

@@ -6,7 +6,7 @@ import pytest
 
 import gaplab as gl
 
-from conftest import random_orthogonal, unit_rows
+from conftest import bound_losses, random_orthogonal, unit_rows
 
 
 def pair(rng, n=5, d=4):
@@ -249,52 +249,44 @@ def test_finite_differences_all_losses():
         local = np.random.default_rng(seed)
         v, t = pair(local, n=4, d=3)
         temp = random_temp(local)
-        for loss_id in gl.LOSS_IDS:
-            err = gl.finite_diff_check(loss_id, v, t, temp,
-                                       alpha=float(rng.uniform(0.05, 0.95)),
-                                       beta=float(rng.uniform(0.0, 0.05)))
-            assert err < 1e-5, (loss_id, seed, err)
+        losses = bound_losses(alpha=float(rng.uniform(0.05, 0.95)),
+                              beta=float(rng.uniform(0.0, 0.05)))
+        for name, loss in losses.items():
+            err = gl.finite_diff_check(loss, v, t, temp)
+            assert err < 1e-5, (name, seed, err)
 
 
 def test_finite_diff_single_pair_degenerates_to_zero():
     v = np.array([[1.0, 0.0]])
     t = np.array([[0.0, 1.0]])
-    assert gl.finite_diff_check("clip", v, t, gl.Temperature()) == 0.0
+    assert gl.finite_diff_check(gl.clip_loss, v, t, gl.Temperature()) == 0.0
 
 
 def test_finite_diff_check_validates_h_and_loss_id():
     rng = np.random.default_rng(16)
     v, t = pair(rng)
     with pytest.raises(ValueError):
-        gl.finite_diff_check("clip", v, t, gl.Temperature(), h=1e-8)
+        gl.finite_diff_check(gl.clip_loss, v, t, gl.Temperature(), h=1e-8)
     with pytest.raises(ValueError):
-        gl.finite_diff_check("clip", v, t, gl.Temperature(), h=1e-2)
-    with pytest.raises(ValueError):
-        gl.finite_diff_check("nope", v, t, gl.Temperature())
-    with pytest.raises(ValueError):
-        gl.analytic_bundles("nope", v, t, gl.Temperature())
+        gl.finite_diff_check(gl.clip_loss, v, t, gl.Temperature(), h=1e-2)
+    with pytest.raises(TypeError):  # the checker takes the loss itself, not its name
+        gl.finite_diff_check("clip", v, t, gl.Temperature())
 
 
-def test_corrupted_gradient_is_caught():
-    # A 1% scale error on the analytic gradient must exceed the 5e-3 gate.
+@pytest.mark.parametrize("channel", ["grad_images", "grad_texts", "grad_log_scale"])
+def test_corrupted_gradient_is_caught(channel):
+    # A 1% scale error on any one analytic gradient must exceed the 5e-3 gate.
     rng = np.random.default_rng(17)
     v, t = pair(rng)
     temp = gl.Temperature(1.0)
-    [(_, _, gv, gt, gs)] = gl.analytic_bundles("clip", v, t, temp)
-    fn = lambda a, b, tm: gl.clip_loss(a, b, tm).loss
-    num = gl.numeric_bundle(fn, v.copy(), t.copy(), temp, 1e-5)
-    honest = gl.gradient_discrepancy((gv, gt, gs), num)
-    corrupted = gl.gradient_discrepancy((gv * 1.01, gt * 1.01, gs * 1.01), num)
-    assert honest < 1e-5
-    assert corrupted > 5e-3
 
+    def tampered(a, b, tm):
+        out = gl.clip_loss(a, b, tm)
+        setattr(out, channel, getattr(out, channel) * 1.01)
+        return out
 
-def test_decomposed_bundles_come_labeled():
-    rng = np.random.default_rng(18)
-    v, t = pair(rng)
-    bundles = gl.analytic_bundles("decomposed", v, t, gl.Temperature())
-    assert [b[0] for b in bundles] == ["align", "oppose"]
-    assert len(gl.analytic_bundles("cma", v, t, gl.Temperature())) == 1
+    assert gl.finite_diff_check(gl.clip_loss, v, t, temp) < 1e-5
+    assert gl.finite_diff_check(tampered, v, t, temp) > 5e-3
 
 
 # ------------------------------------------------------ dense einsum oracle

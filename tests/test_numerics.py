@@ -91,29 +91,6 @@ def test_similarity_rejects_dim_mismatch():
         gl.similarity_matrix(np.zeros((2, 3)), np.zeros((2, 4)))
 
 
-# ------------------------------------------------------------ softmax_rows
-
-def test_softmax_rows_sane():
-    p = gl.softmax_rows(np.array([[0.0, 0.0], [100.0, 0.0]]))
-    assert np.allclose(p[0], [0.5, 0.5])
-    assert p[1, 0] > 1.0 - 1e-12
-    assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
-
-
-def test_softmax_rows_shift_invariant():
-    rng = np.random.default_rng(4)
-    z = rng.standard_normal((5, 7))
-    a = gl.softmax_rows(z)
-    b = gl.softmax_rows(z + 123.0)
-    assert np.max(np.abs(a - b)) < 1e-12
-
-
-def test_softmax_handles_large_magnitudes():
-    p = gl.softmax_rows(np.array([[1000.0, 0.0, -1000.0]]))
-    assert np.isfinite(p).all()
-    assert abs(p.sum() - 1.0) < 1e-12
-
-
 # ------------------------------------------------------- row_cross_entropy
 
 def test_cross_entropy_single_logit_is_zero():
@@ -164,36 +141,6 @@ def test_cross_entropy_rejects_bad_labels():
         gl.row_cross_entropy(logits, np.array([-1, 0]))
     with pytest.raises(ValueError):
         gl.row_cross_entropy(logits, np.array([0]))
-
-
-# --------------------------------------------------------- singular_values
-
-def test_singular_values_identity_and_rank_one():
-    sv = gl.singular_values(np.eye(3))
-    assert np.allclose(sv, [1.0, 1.0, 1.0], atol=1e-12)
-
-    u = np.array([1.0, 2.0])
-    v = np.array([3.0, 0.0, 4.0])
-    sv = gl.singular_values(np.outer(u, v))
-    expected = np.linalg.norm(u) * np.linalg.norm(v)
-    assert abs(sv[0] - expected) < 1e-10
-    assert sv[1] < 1e-10 * expected
-
-
-def test_singular_values_match_gram_eigenvalues():
-    rng = np.random.default_rng(12)
-    m = rng.standard_normal((5, 3))
-    sv = gl.singular_values(m)
-    eig = np.linalg.eigvalsh(m.T @ m)[::-1]
-    assert np.allclose(sv ** 2, eig, atol=1e-10)
-    assert all(sv[i] >= sv[i + 1] - 1e-12 for i in range(len(sv) - 1))
-
-
-def test_singular_values_orthogonal_invariance():
-    rng = np.random.default_rng(13)
-    m = rng.standard_normal((6, 4))
-    q = random_orthogonal(rng, 4)
-    assert np.allclose(gl.singular_values(m), gl.singular_values(m @ q), atol=1e-7)
 
 
 # --------------------------------------------------------- pca_project_2d

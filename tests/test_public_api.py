@@ -5,27 +5,33 @@ import gaplab as gl
 LIBRARY_MODULES = ("curriculum", "embfile", "evalkit", "geometry",
                    "losses", "numerics", "sweep", "trainkit")
 
-# every name the package exported before it was built from the submodules'
-# __all__ lists, minus train_constant_alpha (now train(..., alpha=)) and
-# AdamState and adam_step (train owns its optimizer step; the per-key Adam is
-# the reference oracle in tests/test_trainkit.py)
-EXPORTED_BEFORE = """
+# the exact public surface: a new public name must be added here on purpose.
+# Removed over time: train_constant_alpha (now train(..., alpha=)); AdamState
+# and adam_step (train owns its optimizer step; the per-key Adam is the
+# reference oracle in tests/test_trainkit.py); analytic_bundles, LOSS_IDS,
+# numeric_bundle and gradient_discrepancy (finite_diff_check takes a loss
+# callable); softmax_rows and singular_values (nothing called them); and
+# state_from_snapshot (nothing resumes a schedule).
+PUBLIC_NAMES = """
 CSV_HEADER ClusterReport CurriculumConfig CurriculumState
 DEFAULT_LOG_SCALE EmbeddingBatch Encoder EncoderCache EpochRecord GapReport
-LABEL_MAGIC LOG_SCALE_MAX LOSS_IDS LossOutput MAGIC MODALITIES
+LABEL_MAGIC LOG_SCALE_MAX LossOutput MAGIC MODALITIES
 NonFiniteLossError PairedDataset Phase RunHistory SWEEP_FIELDS SweepRecord
 SweepRunError SynthConfig Temperature TrainConfig
-adjusted_rand_index analytic_bundles as_matrix atomic_write_bytes
+adjusted_rand_index as_matrix atomic_write_bytes
 centroid_gap clip_loss clip_loss_decomposed cma_loss distribution_gap
-effective_rank encode_pairs encoder_backward encoder_forward
-finite_diff_check fusion_index gap_report gradient_discrepancy
+effective_rank encode_pairs encoder_backward encoder_forward epoch_steps
+finite_diff_check fusion_index gap_report
 interchangeability_probe intra_loss joint_clustering_eval kmeans
-l2_normalize_rows linear_fit_r2 mean_center mean_record numeric_bundle
+l2_normalize_rows linear_fit_r2 mean_center mean_record
 pca_project_2d phase_of raw_gap read_embeddings recall_at_k reweighted_loss
 row_cross_entropy run_single run_sweep scheduler_new scheduler_step
-similarity_matrix singular_values softmax_rows state_from_snapshot
+similarity_matrix
 sweep_to_csv synth_dataset train v_measure worker_count write_embeddings
 """.split()
+REMOVED = ("train_constant_alpha", "AdamState", "adam_step", "analytic_bundles", "LOSS_IDS",
+           "numeric_bundle", "gradient_discrepancy", "softmax_rows", "singular_values",
+           "state_from_snapshot")
 
 
 def test_package_all_is_the_union_of_the_library_modules():
@@ -40,10 +46,11 @@ def test_package_all_is_the_union_of_the_library_modules():
 
 
 def test_package_keeps_every_earlier_export():
-    assert len(EXPORTED_BEFORE) == 73
-    assert set(EXPORTED_BEFORE) <= set(gl.__all__)
-    for removed in ("train_constant_alpha", "AdamState", "adam_step"):
+    assert len(PUBLIC_NAMES) == len(set(PUBLIC_NAMES)) == 67
+    assert set(gl.__all__) == set(PUBLIC_NAMES)
+    for removed in REMOVED:
         assert removed not in gl.__all__
+        assert not hasattr(gl, removed)
     namespace = {}
     exec("from gaplab import *", namespace)
-    assert set(EXPORTED_BEFORE) <= set(namespace)
+    assert set(PUBLIC_NAMES) <= set(namespace)

@@ -125,6 +125,16 @@ def test_run_sweep_validates_inputs():
         gl.run_sweep(tc, sc, alphas=[1.5], seeds=[0])
 
 
+def test_run_sweep_rejects_a_negative_seed_before_any_run(monkeypatch):
+    tc, sc = tiny_configs()
+    calls = []
+    monkeypatch.setattr(sweep_mod, "run_single", lambda *args, **kw: calls.append(args))
+    for workers in (1, 2):
+        with pytest.raises(ValueError, match="seeds must be >= 0, got -1"):
+            gl.run_sweep(tc, sc, alphas=[0.5], seeds=[0, -1], max_workers=workers)
+    assert calls == []
+
+
 def test_run_sweep_rejects_oversized_batch_before_any_run(monkeypatch):
     import dataclasses
     tc, sc = tiny_configs()

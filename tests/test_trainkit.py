@@ -66,6 +66,8 @@ def test_synth_config_validation():
         small_synth(noise_sigma=-0.1)
     with pytest.raises(ValueError):
         small_synth(train_fraction=1.0)
+    with pytest.raises(ValueError, match="synth seed must be >= 0, got -1"):
+        small_synth(seed=-1)
 
 
 # ------------------------------------------------------------------ encoder
@@ -437,6 +439,8 @@ def test_train_config_validation():
         small_train(init_log_scale=math.nan)
     with pytest.raises(ValueError):
         small_train(init_log_scale=gl.LOG_SCALE_MAX + 0.1)
+    with pytest.raises(ValueError, match="train seed must be >= 0, got -1"):
+        small_train(seed=-1)
 
 
 def test_epoch_records_serialize():
