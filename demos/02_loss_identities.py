@@ -40,7 +40,8 @@ def main():
     print()
 
     # ---- attraction + repulsion = one cross-entropy direction ----
-    align, oppose = gl.clip_loss_decomposed(v, t, temp)
+    split = gl.clip_loss(v, t, temp).diagnostics
+    align, oppose = split["align_term"], split["oppose_term"]
     logits = temp.scale * gl.similarity_matrix(v, t)
     i2t, _ = gl.row_cross_entropy(logits, np.arange(v.shape[0]))
     print("attraction/repulsion split of the image-to-text direction:")

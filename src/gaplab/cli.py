@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import sys
 
@@ -38,7 +39,8 @@ def _atomic_write_text(path, text: str) -> None:
 
 
 def _build_config(cls, data: dict, where: str, exclude=()):
-    """cls(**data) after checking each key against the field names and types of cls."""
+    """cls(**data) after checking each key against the field names and types of
+    cls; a number must be finite (JSON parsing accepts NaN and Infinity)."""
     types = {f.name: f.type for f in dataclasses.fields(cls) if f.name not in exclude}
     unknown = sorted(set(data) - set(types))
     if unknown:
@@ -52,6 +54,8 @@ def _build_config(cls, data: dict, where: str, exclude=()):
         else:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"{where}.{key} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{where}.{key} must be finite, got {value!r}")
             kwargs[key] = float(value)
     return cls(**kwargs)
 
@@ -176,25 +180,19 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _parse_float_list(text: str, flag: str) -> list:
+def _parse_list(text: str, flag: str, kind) -> list:
     try:
-        return [float(x) for x in text.split(",") if x.strip() != ""]
+        return [kind(x) for x in text.split(",") if x.strip() != ""]
     except ValueError as exc:
-        raise ValueError(f"{flag} must be a comma-separated number list, got {text!r}") from exc
-
-
-def _parse_int_list(text: str, flag: str) -> list:
-    try:
-        return [int(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError as exc:
-        raise ValueError(f"{flag} must be a comma-separated integer list, got {text!r}") from exc
+        noun = "integer" if kind is int else "number"
+        raise ValueError(f"{flag} must be a comma-separated {noun} list, got {text!r}") from exc
 
 
 def cmd_sweep(args) -> int:
     _check_out_dirs(args.out)
     train_cfg, synth_cfg = load_run_config(args.config)
-    alphas = _parse_float_list(args.alphas, "--alphas")
-    seeds = _parse_int_list(args.seeds, "--seeds")
+    alphas = _parse_list(args.alphas, "--alphas", float)
+    seeds = _parse_list(args.seeds, "--seeds", int)
     try:
         rows = run_sweep(train_cfg, synth_cfg, alphas, seeds, scheduled=not args.constant_alpha)
     except SweepRunError as exc:

@@ -13,7 +13,8 @@ so a rising loss (rho > 1) slows the ramp and a falling one speeds it up, with
 the speed factor always inside [0.5, 1.5]. Because the factor can stay below
 1, the final ramp step assigns alpha = alpha_target outright; that keeps the
 "reaches the target by the end of the ramp" contract without overshooting.
-A CurriculumState lives for one run: nothing snapshots or resumes it.
+A CurriculumState lives for one run: nothing snapshots or resumes it. Its
+phase is read off its step count through phase_of, not stored.
 """
 
 from __future__ import annotations
@@ -85,11 +86,15 @@ class CurriculumState:
     """Single-owner mutable scheduler state; one instance per training run."""
 
     config: CurriculumConfig
-    phase: Phase
     global_step: int = 0
     alpha: float = 0.0
     ema_slow: float | None = None
     ema_fast: float | None = None
+
+    @property
+    def phase(self) -> Phase:
+        """Phase of the next step; once the schedule is exhausted, that of the last one."""
+        return phase_of(self.config, min(self.global_step, self.config.total_steps - 1))
 
 
 def phase_of(config: CurriculumConfig, global_step: int) -> Phase:
@@ -105,7 +110,7 @@ def phase_of(config: CurriculumConfig, global_step: int) -> Phase:
 
 def scheduler_new(config: CurriculumConfig) -> CurriculumState:
     """Fresh state at step 0 with alpha 0 and EMAs untracked."""
-    return CurriculumState(config=config, phase=phase_of(config, 0))
+    return CurriculumState(config=config)
 
 
 def scheduler_step(state: CurriculumState, observed_rw_loss: float) -> float:
@@ -147,8 +152,4 @@ def scheduler_step(state: CurriculumState, observed_rw_loss: float) -> float:
         state.alpha = cfg.alpha_target
 
     state.global_step += 1
-    if state.global_step < cfg.total_steps:
-        state.phase = phase_of(cfg, state.global_step)
-    else:
-        state.phase = phase
     return state.alpha

@@ -19,7 +19,7 @@ from math import comb, log
 import numpy as np
 
 from .geometry import _BLOCK_ROWS, EmbeddingBatch
-from .numerics import as_matrix
+from .numerics import _paired_inputs, as_matrix
 
 __all__ = [
     "ClusterReport",
@@ -229,8 +229,9 @@ def v_measure(pred, truth) -> float:
     pred, truth = _check_labelings(pred, truth)
     table = _contingency(pred, truth).astype(np.float64)
     n = table.sum()
-    p_cluster = table.sum(axis=1) / n  # pred marginal
-    p_class = table.sum(axis=0) / n    # truth marginal
+    rows, cols = table.sum(axis=1), table.sum(axis=0)  # pred, truth marginal counts
+    p_cluster = rows / n
+    p_class = cols / n
 
     def entropy(p) -> float:
         p = p[p > 0]
@@ -239,15 +240,14 @@ def v_measure(pred, truth) -> float:
     h_class = entropy(p_class)
     h_cluster = entropy(p_cluster)
 
-    # H(truth | pred) and H(pred | truth)
+    # H(truth | pred) and H(pred | truth) over the nonzero cells, row-major; the
+    # marginals are integer counts, exact in any order of summation
     h_class_given = 0.0
     h_cluster_given = 0.0
-    for i in range(table.shape[0]):
-        for j in range(table.shape[1]):
-            nij = table[i, j]
-            if nij > 0:
-                h_class_given -= (nij / n) * log(nij / table[i, :].sum())
-                h_cluster_given -= (nij / n) * log(nij / table[:, j].sum())
+    for i, j in zip(*np.nonzero(table)):
+        nij = table[i, j]
+        h_class_given -= (nij / n) * log(nij / rows[i])
+        h_cluster_given -= (nij / n) * log(nij / cols[j])
 
     homogeneity = 1.0 if h_class == 0 else 1.0 - h_class_given / h_class
     completeness = 1.0 if h_cluster == 0 else 1.0 - h_cluster_given / h_cluster
@@ -257,17 +257,17 @@ def v_measure(pred, truth) -> float:
 
 
 def joint_clustering_eval(images: EmbeddingBatch, texts: EmbeddingBatch,
-                          k: int | None = None, seed: int = 0) -> ClusterReport:
+                          seed: int = 0) -> ClusterReport:
     """Pool both modalities into one point set, cluster, and score against the
     duplicated class labels. Each embedding contributes one point; the batches
-    may differ in size but not in dimension, and are never stacked."""
+    may differ in size but not in dimension, and are never stacked. k is the
+    number of distinct labels over both batches, and must be at least 2."""
     if images.labels is None or texts.labels is None:
         raise ValueError("both batches need labels for clustering evaluation")
     if images.dim != texts.dim:
         raise ValueError(f"images are {images.dim}-d but texts are {texts.dim}-d")
     truth = np.concatenate([images.labels, texts.labels])
-    if k is None:
-        k = int(np.unique(truth).size)
+    k = int(np.unique(truth).size)
     if k < 2:
         raise ValueError("need at least 2 clusters")
     labels, inertia = _kmeans((images.vectors, texts.vectors), k, seed)
@@ -343,10 +343,7 @@ def recall_at_k(v, t, k: int) -> tuple[float, float]:
     ambiguity. Scores are computed in blocks of image rows, one product
     serving both directions, so memory grows linearly in n.
     """
-    v = as_matrix(v, "V")
-    t = as_matrix(t, "T")
-    if v.shape != t.shape:
-        raise ValueError(f"V and T must share a shape, got {v.shape} vs {t.shape}")
+    v, t = _paired_inputs(v, t)
     n = v.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
@@ -354,18 +351,15 @@ def recall_at_k(v, t, k: int) -> tuple[float, float]:
     return i2t / n, t2i / n
 
 
-def interchangeability_probe(train_texts: EmbeddingBatch, test_images: EmbeddingBatch,
-                             ridge_lambda: float = 1e-2) -> float:
+def interchangeability_probe(train_texts: EmbeddingBatch, test_images: EmbeddingBatch) -> float:
     """Accuracy of a ridge one-vs-all classifier fit on texts, scored on images.
 
-    The ridge strength is ridge_lambda times the mean diagonal of the text
-    Gram matrix, so it is scale-free. Ties in the class scores resolve to the
+    The ridge strength is 1e-2 times the mean diagonal of the text Gram
+    matrix, so it is scale-free. Ties in the class scores resolve to the
     first class in sorted label order.
     """
     if train_texts.labels is None or test_images.labels is None:
         raise ValueError("both batches need labels for the probe")
-    if ridge_lambda <= 0:
-        raise ValueError("ridge_lambda must be positive")
     x = train_texts.vectors
     classes = np.unique(train_texts.labels)
     if classes.size < 2:
@@ -375,7 +369,7 @@ def interchangeability_probe(train_texts: EmbeddingBatch, test_images: Embedding
 
     onehot = (train_texts.labels[:, None] == classes[None, :]).astype(np.float64)
     gram = x.T @ x
-    lam = ridge_lambda * float(np.diag(gram).mean())
+    lam = 1e-2 * float(np.diag(gram).mean())
     weights = np.linalg.solve(gram + lam * np.eye(x.shape[1]), x.T @ onehot)
 
     scores = test_images.vectors @ weights
@@ -387,12 +381,14 @@ def linear_fit_r2(x, y) -> tuple[float, float, float]:
     """Ordinary least squares of y on x: (slope, intercept, r_squared).
 
     Constant x is an error (no slope is identified); constant y fits slope 0
-    with r_squared defined as 0.
+    with r_squared defined as 0. A NaN or infinite entry is an error.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     y = np.asarray(y, dtype=np.float64).ravel()
     if x.shape[0] != y.shape[0]:
         raise ValueError("x and y must have equal length")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("x and y must be finite")
     if x.shape[0] < 3:
         raise ValueError("need at least 3 points")
     if np.ptp(x) == 0.0:

@@ -41,12 +41,11 @@ _BLOCK_ROWS = 512
 
 @dataclass
 class EmbeddingBatch:
-    """One modality's embeddings: an N x d matrix plus optional class labels."""
+    """One modality's embeddings: an N x d matrix plus optional integer class labels."""
 
     vectors: np.ndarray
     labels: np.ndarray | None = None
     modality: str = "image"
-    normalized: bool = False
 
     def __post_init__(self):
         self.vectors = as_matrix(self.vectors, "vectors")
@@ -56,14 +55,11 @@ class EmbeddingBatch:
                 raise ValueError(
                     f"labels must have length {self.vectors.shape[0]}, got shape {labels.shape}"
                 )
+            if not np.issubdtype(labels.dtype, np.integer):
+                raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
             self.labels = labels.astype(np.int64)
         if self.modality not in MODALITIES:
             raise ValueError(f"modality must be one of {MODALITIES}, got {self.modality!r}")
-        if self.normalized:
-            norms = np.linalg.norm(self.vectors, axis=1)
-            worst = float(np.abs(norms - 1.0).max())
-            if worst > 1e-6:
-                raise ValueError(f"batch declared normalized but a row norm is off by {worst:.3e}")
 
     @property
     def n(self) -> int:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import as_matrix
+from .numerics import _paired_inputs
 
 __all__ = [
     "LOG_SCALE_MAX",
@@ -37,7 +37,6 @@ __all__ = [
     "Temperature",
     "LossOutput",
     "clip_loss",
-    "clip_loss_decomposed",
     "reweighted_loss",
     "intra_loss",
     "cma_loss",
@@ -78,14 +77,6 @@ class LossOutput:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _paired_inputs(v, t) -> tuple[np.ndarray, np.ndarray]:
-    v = as_matrix(v, "V")
-    t = as_matrix(t, "T")
-    if v.shape != t.shape:
-        raise ValueError(f"V and T must share a shape, got {v.shape} vs {t.shape}")
-    return v, t
-
-
 def _softmax_lse(a, axis: int):
     """Softmax of a along axis and its log-sum-exp, from one exp pass.
 
@@ -97,11 +88,6 @@ def _softmax_lse(a, axis: int):
     total = p.sum(axis=axis, keepdims=True)
     p *= 1.0 / total
     return p, (top + np.log(total)).ravel()
-
-
-def _split(a, lse_row) -> tuple[float, float]:
-    """(align, oppose) of the image-to-text cross-entropy of logits a."""
-    return float(-a.diagonal().mean()), float(lse_row.mean())
 
 
 def _reweighted(s_vt, v, t, tau, beta):
@@ -179,26 +165,16 @@ def clip_loss(v, t, temp: Temperature) -> LossOutput:
     """Symmetric InfoNCE: mean of the image-to-text and text-to-image
     cross-entropies over tau * V T^T, matched pairs on the diagonal.
 
-    Diagnostics carry the attraction/repulsion split (align_term, oppose_term),
-    read off the logits and row log-sum-exp the loss already computed.
+    Diagnostics carry the attraction/repulsion split of the image-to-text
+    half, read off the logits and row log-sum-exp the loss already computed:
+    align_term = -(1/N) sum_i tau * v_i . t_i pulls pairs together,
+    oppose_term = (1/N) sum_i log sum_j exp(tau * v_i . t_j) pushes every pair
+    apart, and their sum is exactly the image-to-text cross-entropy.
     """
     v, t = _paired_inputs(v, t)
     loss, gv, gt, gs, a, lse_row = _reweighted(v @ t.T, v, t, temp.scale, 0.0)
-    align, oppose = _split(a, lse_row)
-    return LossOutput(loss, gv, gt, gs, {"align_term": align, "oppose_term": oppose})
-
-
-def clip_loss_decomposed(v, t, temp: Temperature) -> tuple[float, float]:
-    """Split the image-to-text half of clip_loss into attraction and repulsion.
-
-    align = -(1/N) sum_i tau * v_i . t_i pulls pairs together; oppose =
-    (1/N) sum_i log sum_j exp(tau * v_i . t_j) pushes every pair apart.
-    Their sum is exactly the image-to-text cross-entropy.
-    """
-    v, t = _paired_inputs(v, t)
-    logits = temp.scale * (v @ t.T)
-    _, lse_row = _softmax_lse(logits, 1)
-    return _split(logits, lse_row)
+    split = {"align_term": float(-a.diagonal().mean()), "oppose_term": float(lse_row.mean())}
+    return LossOutput(loss, gv, gt, gs, split)
 
 
 def reweighted_loss(v, t, temp: Temperature, beta: float) -> LossOutput:
@@ -311,17 +287,20 @@ def finite_diff_check(loss, v, t, temp: Temperature, h: float = 1e-5) -> float:
 
     loss(V, T, temp) returns a LossOutput; bind any other argument with a
     lambda, as in lambda v, t, temp: cma_loss(v, t, temp, 0.5). Probes every
-    entry of V and T plus log_scale through the loss value. h must lie in
-    [1e-7, 1e-3].
+    entry of V and T plus log_scale through the loss value; the log_scale
+    probe may step past the ln(100) cap. h must lie in [1e-7, 1e-3].
     """
     if not 1e-7 <= h <= 1e-3:
         raise ValueError(f"h must be in [1e-7, 1e-3], got {h}")
     v, t = _paired_inputs(v, t)
     out = loss(v, t, temp)
     v, t, log_scale = v.copy(), t.copy(), np.array([temp.log_scale])
+    probe = Temperature()
 
     def value():
-        return loss(v, t, Temperature(log_scale[0])).loss
+        # past the constructor's cap check: the cap is the optimizer's clamp, not a kink
+        probe.log_scale = float(log_scale[0])
+        return loss(v, t, probe).loss
 
     numeric = [_numeric_gradient(value, m, h) for m in (v, t, log_scale)]
     return _gradient_discrepancy((out.grad_images, out.grad_texts, out.grad_log_scale), numeric)

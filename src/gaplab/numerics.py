@@ -32,6 +32,15 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def _paired_inputs(v, t) -> tuple[np.ndarray, np.ndarray]:
+    """(V, T) as validated matrices of one shape: the losses' and recall's input check."""
+    v = as_matrix(v, "V")
+    t = as_matrix(t, "T")
+    if v.shape != t.shape:
+        raise ValueError(f"V and T must share a shape, got {v.shape} vs {t.shape}")
+    return v, t
+
+
 def l2_normalize_rows(m) -> tuple[np.ndarray, np.ndarray]:
     """Scale each row to unit Euclidean norm.
 

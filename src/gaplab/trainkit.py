@@ -59,8 +59,8 @@ class SynthConfig:
             raise ValueError("samples_per_class must be >= 2")
         if self.latent_dim < 1 or self.image_input_dim < 1 or self.text_input_dim < 1:
             raise ValueError("dimensions must be >= 1")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError("noise_sigma must be finite and >= 0")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
         if self.seed < 0:
@@ -264,8 +264,8 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive and finite")
         if not 0.0 <= self.adam_beta1 < 1.0 or not 0.0 <= self.adam_beta2 < 1.0:
             raise ValueError("adam betas must lie in [0, 1)")
-        if self.adam_eps <= 0:
-            raise ValueError("adam_eps must be positive")
+        if not 0 < self.adam_eps < math.inf:
+            raise ValueError("adam_eps must be positive and finite")
         if self.hidden_dim < 1 or self.embed_dim < 1:
             raise ValueError("dimensions must be >= 1")
         if not -math.inf < self.init_log_scale <= LOG_SCALE_MAX:

@@ -138,7 +138,8 @@ def test_04_attraction_repulsion_recompose_the_cross_entropy():
     worst = 0.0
     for seed in range(20):
         v, t, temp = random_pair(seed, n=7, d=5)
-        align, oppose = gl.clip_loss_decomposed(v, t, temp)
+        split = gl.clip_loss(v, t, temp).diagnostics
+        align, oppose = split["align_term"], split["oppose_term"]
         logits = temp.scale * gl.similarity_matrix(v, t)
         i2t, _ = gl.row_cross_entropy(logits, np.arange(7))
         worst = max(worst, abs((align + oppose) - i2t))

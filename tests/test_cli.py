@@ -1,10 +1,12 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
 import time
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -580,6 +582,29 @@ def test_sweep_failure_writes_partial_csv_and_exits_3(tmp_path, tiny_config_path
     assert lines[2].startswith("failed:seed=1,0.5,")
 
 
+@pytest.mark.parametrize("config, key", [
+    ({"synth": {"noise_sigma": math.nan}}, "synth.noise_sigma"),
+    ({"train": {"adam_eps": math.inf}}, "train.adam_eps"),
+    ({"train": {"curriculum": {"ema_fast_decay": -math.inf}}}, "train.curriculum.ema_fast_decay"),
+])
+def test_non_finite_run_config_exits_2_before_any_work(tmp_path, capsys, monkeypatch, config, key):
+    monkeypatch.setattr(cli_mod, "train", lambda *args, **kwargs: pytest.fail("train ran"))
+    monkeypatch.setattr(sweep_mod, "run_single", lambda *args, **kwargs: pytest.fail("cell ran"))
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(config))  # NaN / Infinity: json.load accepts them
+    out_dir = tmp_path / "never"
+    code, _, train_err = run_cli(["train", "--config", path, "--out-dir", out_dir], capsys)
+    assert code == 2
+    assert f"{key} must be finite" in train_err
+    assert not out_dir.exists()
+    out = tmp_path / "s.csv"
+    code, _, sweep_err = run_cli(["sweep", "--config", path, "--alphas", "0.5",
+                                  "--seeds", "0,1", "--out", out], capsys)
+    assert code == 2
+    assert sweep_err == train_err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- correlate
 
 def test_correlate_prefers_mean_rows(tmp_path, tiny_config_path, capsys, monkeypatch):
@@ -637,6 +662,41 @@ def test_correlate_constant_x_exits_2(tmp_path, capsys):
     code, _, _ = run_cli(["correlate", "--sweep", path, "--x", "a", "--y", "b",
                           "--out", tmp_path / "f.json"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_correlate_non_finite_entry_exits_2_and_writes_nothing(tmp_path, capsys, bad):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"seed,a,b\nmean,1.0,1.0\nmean,2.0,{bad}\nmean,3.0,3.0\n")
+    out = tmp_path / "f.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, stderr = run_cli(["correlate", "--sweep", path, "--x", "a", "--y", "b",
+                                   "--out", out], capsys)
+    assert code == 2
+    assert "must be finite" in stderr
+    assert not out.exists()
+
+
+def test_correlate_non_finite_gap_column_reports_null(tmp_path, capsys):
+    path = tmp_path / "gaps.csv"
+    path.write_text("seed,a,b,raw_gap,distribution_gap\n"
+                    "mean,1.0,1.0,0.1,nan\n"
+                    "mean,2.0,2.5,0.2,0.2\n"
+                    "mean,3.0,2.9,0.3,inf\n")
+    out = tmp_path / "f.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, _ = run_cli(["correlate", "--sweep", path, "--x", "a", "--y", "b",
+                              "--out", out], capsys)
+    assert code == 0
+
+    def reject(constant):
+        raise AssertionError(f"{constant} is not valid JSON")
+
+    data = json.loads(out.read_text(), parse_constant=reject)
+    assert data["r_squared_distribution_gap"] is None
+    assert data["r_squared_raw_gap"] == pytest.approx(data["r_squared"])
 
 
 # --------------------------------------------------------------------- plot

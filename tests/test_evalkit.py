@@ -300,6 +300,39 @@ def test_v_measure_matches_entropy_oracle():
         assert abs(got - want) < 1e-12
 
 
+def v_measure_by_cell_loop(pred, truth) -> float:
+    """The V-measure's former double loop, which re-summed a row and a column per cell."""
+    table = evalkit._contingency(*evalkit._check_labelings(pred, truth)).astype(np.float64)
+    n = table.sum()
+
+    def ent(p):
+        p = p[p > 0]
+        return float(-(p * np.log(p)).sum())
+
+    h_class, h_cluster = ent(table.sum(axis=0) / n), ent(table.sum(axis=1) / n)
+    h_class_given = h_cluster_given = 0.0
+    for i in range(table.shape[0]):
+        for j in range(table.shape[1]):
+            nij = table[i, j]
+            if nij > 0:
+                h_class_given -= (nij / n) * math.log(nij / table[i, :].sum())
+                h_cluster_given -= (nij / n) * math.log(nij / table[:, j].sum())
+    hom = 1.0 if h_class == 0 else 1.0 - h_class_given / h_class
+    comp = 1.0 if h_cluster == 0 else 1.0 - h_cluster_given / h_cluster
+    if hom + comp == 0.0:
+        return 0.0
+    return 2.0 * hom * comp / (hom + comp)
+
+
+def test_v_measure_has_the_bits_of_the_cell_loop():
+    rng = np.random.default_rng(18)
+    for _ in range(300):
+        n = int(rng.integers(2, 400))
+        pred = rng.integers(0, int(rng.integers(1, 12)), n)
+        truth = rng.integers(0, int(rng.integers(1, 12)), n)
+        assert gl.v_measure(pred, truth) == v_measure_by_cell_loop(pred, truth)
+
+
 def test_v_measure_is_symmetric_and_near_zero_when_independent():
     rng = np.random.default_rng(6)
     a = rng.integers(0, 5, 300)
@@ -335,8 +368,8 @@ def test_joint_clustering_requires_labels_and_k():
     bare = gl.EmbeddingBatch(v, modality="text")
     with pytest.raises(ValueError):
         gl.joint_clustering_eval(labeled, bare)
-    with pytest.raises(ValueError):
-        gl.joint_clustering_eval(labeled, gl.EmbeddingBatch(v, labels=np.zeros(6, dtype=int), modality="text"), k=1)
+    with pytest.raises(ValueError, match="at least 2 clusters"):
+        gl.joint_clustering_eval(labeled, gl.EmbeddingBatch(v, labels=np.zeros(6, dtype=int), modality="text"))
 
 
 def test_joint_clustering_pools_batches_of_different_sizes():
@@ -547,8 +580,6 @@ def test_probe_validation():
     single = gl.EmbeddingBatch(texts.vectors, labels=np.zeros(texts.n, dtype=int), modality="text")
     with pytest.raises(ValueError):
         gl.interchangeability_probe(single, images)
-    with pytest.raises(ValueError):
-        gl.interchangeability_probe(texts, images, ridge_lambda=0.0)
 
 
 # ------------------------------------------------------------ linear_fit_r2
@@ -597,6 +628,14 @@ def test_linear_fit_edge_cases():
         gl.linear_fit_r2([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])       # constant x
     slope, intercept, r2 = gl.linear_fit_r2([1.0, 2.0, 3.0], [4.0, 4.0, 4.0])
     assert (slope, intercept, r2) == (0.0, 4.0, 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_linear_fit_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        gl.linear_fit_r2([1.0, 2.0, bad], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="must be finite"):
+        gl.linear_fit_r2([1.0, 2.0, 3.0], [1.0, bad, 3.0])
 
 
 # ------------------------------------------------------------------ records

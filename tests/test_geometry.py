@@ -31,9 +31,13 @@ def test_batch_validation():
         gl.EmbeddingBatch(v, labels=np.array([0, 1]))          # wrong length
     with pytest.raises(ValueError):
         gl.EmbeddingBatch(v, modality="audio")
-    with pytest.raises(ValueError):
-        gl.EmbeddingBatch(v * 3.0, normalized=True)             # not unit norm
-    gl.EmbeddingBatch(v, normalized=True)                       # fine
+
+
+@pytest.mark.parametrize("labels", [[0.5, 1.7, 2.9, 0.0], [0.0, 1.0, float("nan"), 2.0]])
+def test_batch_rejects_non_integer_labels(labels):
+    v = unit_rows(np.random.default_rng(1), 4, 3)
+    with pytest.raises(ValueError, match="labels must be integers"):
+        gl.EmbeddingBatch(v, labels=np.array(labels))
 
 
 # ----------------------------------------------------------------- raw_gap

@@ -17,6 +17,12 @@ def random_temp(rng) -> gl.Temperature:
     return gl.Temperature(float(rng.uniform(0.0, 2.5)))
 
 
+def split(v, t, temp) -> tuple[float, float]:
+    """(align, oppose) from clip_loss's diagnostics."""
+    d = gl.clip_loss(v, t, temp).diagnostics
+    return d["align_term"], d["oppose_term"]
+
+
 # -------------------------------------------------------------- Temperature
 
 def test_temperature_default_and_scale():
@@ -56,10 +62,10 @@ def test_clip_diagnostics_hold_the_split():
     rng = np.random.default_rng(0)
     v, t = pair(rng)
     temp = gl.Temperature()
-    out = gl.clip_loss(v, t, temp)
-    align, oppose = gl.clip_loss_decomposed(v, t, temp)
-    assert out.diagnostics["align_term"] == align
-    assert out.diagnostics["oppose_term"] == oppose
+    align, oppose = split(v, t, temp)
+    logits = temp.scale * gl.similarity_matrix(v, t)
+    assert abs(align + np.diag(logits).mean()) < 1e-12
+    assert abs(oppose - np.log(np.exp(logits).sum(axis=1)).mean()) < 1e-12
 
 
 def test_clip_rejects_shape_mismatch():
@@ -76,7 +82,7 @@ def test_align_plus_oppose_recomposes_i2t_cross_entropy():
     for _ in range(20):
         v, t = pair(rng, n=6, d=5)
         temp = random_temp(rng)
-        align, oppose = gl.clip_loss_decomposed(v, t, temp)
+        align, oppose = split(v, t, temp)
         logits = temp.scale * gl.similarity_matrix(v, t)
         i2t, _ = gl.row_cross_entropy(logits, np.arange(6))
         assert abs((align + oppose) - i2t) < 1e-10
@@ -86,7 +92,7 @@ def test_decomposition_limits_at_tiny_scale():
     # As tau -> 0 the attraction term vanishes and repulsion tends to log N.
     rng = np.random.default_rng(3)
     v, t = pair(rng, n=8, d=4)
-    align, oppose = gl.clip_loss_decomposed(v, t, gl.Temperature(-18.0))
+    align, oppose = split(v, t, gl.Temperature(-18.0))
     assert abs(align) < 1e-7
     assert abs(oppose - math.log(8.0)) < 1e-7
 
@@ -95,8 +101,8 @@ def test_align_grows_more_negative_with_alignment():
     rng = np.random.default_rng(4)
     v, _ = pair(rng)
     temp = gl.Temperature()
-    perfect, _ = gl.clip_loss_decomposed(v, v, temp)
-    shuffled, _ = gl.clip_loss_decomposed(v, np.roll(v, 1, axis=0), temp)
+    perfect, _ = split(v, v, temp)
+    shuffled, _ = split(v, np.roll(v, 1, axis=0), temp)
     assert perfect < shuffled
 
 
@@ -254,6 +260,16 @@ def test_finite_differences_all_losses():
         for name, loss in losses.items():
             err = gl.finite_diff_check(loss, v, t, temp)
             assert err < 1e-5, (name, seed, err)
+
+
+def test_finite_differences_at_the_temperature_cap():
+    # train's optimizer clamps log_scale to exactly the cap; the probe steps past it
+    v, t = pair(np.random.default_rng(18), n=4, d=3)
+    temp = gl.Temperature(gl.LOG_SCALE_MAX)
+    for name, loss in bound_losses(alpha=0.5, beta=0.05).items():
+        err = gl.finite_diff_check(loss, v, t, temp)
+        assert err < 1e-5, (name, err)
+    assert temp.log_scale == gl.LOG_SCALE_MAX
 
 
 def test_finite_diff_single_pair_degenerates_to_zero():

@@ -64,6 +64,9 @@ def test_synth_config_validation():
         small_synth(n_classes=1)
     with pytest.raises(ValueError):
         small_synth(noise_sigma=-0.1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="noise_sigma must be finite"):
+            small_synth(noise_sigma=bad)
     with pytest.raises(ValueError):
         small_synth(train_fraction=1.0)
     with pytest.raises(ValueError, match="synth seed must be >= 0, got -1"):
@@ -439,6 +442,9 @@ def test_train_config_validation():
         small_train(init_log_scale=math.nan)
     with pytest.raises(ValueError):
         small_train(init_log_scale=gl.LOG_SCALE_MAX + 0.1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="adam_eps must be positive and finite"):
+            small_train(adam_eps=bad)
     with pytest.raises(ValueError, match="train seed must be >= 0, got -1"):
         small_train(seed=-1)
 
