@@ -29,7 +29,7 @@ from .evalkit import linear_fit_r2
 from .geometry import EmbeddingBatch, _center_into, gap_report
 from .numerics import pca_project_2d
 from .sweep import SweepRunError, run_sweep, sweep_to_csv
-from .trainkit import NonFiniteLossError, SynthConfig, TrainConfig, epoch_steps, train
+from .trainkit import NonFiniteLossError, SynthConfig, TrainConfig, epoch_steps, synth_dataset, train
 
 __all__ = ["main", "entrypoint", "load_run_config", "render_svg"]
 
@@ -159,7 +159,8 @@ def _write_checkpoint(out_dir: str, name: str, enc) -> None:
 
 def cmd_train(args) -> int:
     train_cfg, synth_cfg = load_run_config(args.config)
-    epoch_steps(train_cfg, synth_cfg)  # reject the config before creating out_dir
+    epoch_steps(train_cfg, synth_cfg)  # reject the config before creating out_dir,
+    synth_dataset(synth_cfg)  # including one whose synthetic views overflow
     os.makedirs(args.out_dir, exist_ok=True)
     (img_enc, txt_enc), temp, history = train(train_cfg, synth_cfg)
 

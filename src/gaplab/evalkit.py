@@ -91,15 +91,15 @@ def _row(parts, bounds: np.ndarray, i) -> np.ndarray:
     return parts[p][i - bounds[p]]
 
 
-def _cluster_mean(parts, bounds: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _cluster_mean(parts, bounds: np.ndarray, rows: np.ndarray, block: np.ndarray) -> np.ndarray:
     """points[rows].mean(axis=0) of the parts stacked, for sorted global rows,
-    gathering at most _BLOCK_ROWS rows at a time.
+    gathering at most _BLOCK_ROWS rows at a time into block, a
+    (_BLOCK_ROWS + 1) x d scratch array.
 
     NumPy sums a C-contiguous block over axis 0 row by row, in order, so each
     block after the first carries the running total as its leading row: the
     additions, and the bits, are those of the one-shot mean.
     """
-    block = np.empty((_BLOCK_ROWS + 1, parts[0].shape[1]))
     lead = 0
     for lo in range(0, rows.size, _BLOCK_ROWS):
         idx = rows[lo:lo + _BLOCK_ROWS]
@@ -138,17 +138,23 @@ def _kmeans(parts, k: int, seed: int) -> tuple[np.ndarray, float]:
         centers[j] = _row(parts, bounds, idx)
         d2 = np.minimum(d2, _squared_distances(parts, bounds, point_sq, centers[j:j + 1]).ravel())
 
-    labels = np.zeros(n, dtype=np.int64)
+    labels = None  # those the centers are the means of; None: recompute every mean
     dist = np.empty((n, k))  # reused by every distance pass below
     for _ in range(100):
         _squared_distances(parts, bounds, point_sq, centers, out=dist)
-        labels = dist.argmin(axis=1)
-
-        new_centers = np.empty_like(centers)
+        new_labels = dist.argmin(axis=1)
+        new_centers = centers.copy()
+        stale = np.ones(k, dtype=bool)
+        if labels is not None:  # a mean over the same rows keeps its bits
+            moved = new_labels != labels
+            stale[:] = False
+            stale[labels[moved]] = stale[new_labels[moved]] = True
+        labels = new_labels
         counts = np.bincount(labels, minlength=k)
-        for c in range(k):
-            if counts[c] > 0:
-                new_centers[c] = _cluster_mean(parts, bounds, np.flatnonzero(labels == c))
+        block = np.empty((_BLOCK_ROWS + 1, centers.shape[1]))  # serves every mean below
+        for c in np.flatnonzero(stale & (counts > 0)):
+            new_centers[c] = _cluster_mean(parts, bounds, np.flatnonzero(labels == c), block)
+        del block  # the distance pass and the steals stay under the gathers' peak
         for c in np.flatnonzero(counts == 0):
             own = dist[np.arange(n), labels]
             # steal the globally worst-fit point
@@ -156,6 +162,8 @@ def _kmeans(parts, k: int, seed: int) -> tuple[np.ndarray, float]:
             new_centers[c] = _row(parts, bounds, worst)
             labels[worst] = c
             dist[worst] = 0.0
+        if counts.min() == 0:
+            labels = None
         shift = np.linalg.norm(new_centers - centers, axis=1).max()
         centers = new_centers
         if shift < 1e-6:

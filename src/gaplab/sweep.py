@@ -1,20 +1,26 @@
 """Alpha-target sweeps: train one model per (alpha_target, seed), evaluate it,
 and tabulate the results.
 
-Each run is fully independent (its own data, initialization, and batch order,
-all derived from its seed), so runs may execute in parallel worker processes.
+A run's data, initialization, and batch order derive from its seed alone, and
+nothing reads alpha_target before the first ramp step (the anchor phase pins
+alpha at 0; the loss EMAs start at the ramp). So a sweep trains each seed's
+anchor epochs once and forks that run per alpha target, and every cell keeps
+the bits of a run trained alone (run_single). Anchor runs go to the parallel
+worker processes first, and each seed's cells once its anchor run is done.
 The GAPLAB_THREADS environment variable caps the worker count; 1 forces a
-plain in-process loop. Each pool worker runs OpenBLAS with one thread: the
-cells already fill the CPUs, and at these sizes threads inside a cell only
-spin. Output rows keep the input order regardless of completion order:
-per-seed rows first, then one mean row per alpha block.
+plain in-process loop, seed by seed. Each pool worker runs OpenBLAS with one
+thread: the cells already fill the CPUs, and at these sizes threads inside a
+cell only spin. Output rows keep the input order regardless of completion
+order: per-seed rows first, then one mean row per alpha block.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
-from concurrent.futures import ProcessPoolExecutor
+import pickle
+import tempfile
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import replace
 
 from .evalkit import (
@@ -24,7 +30,7 @@ from .evalkit import (
     joint_clustering_eval,
     recall_at_k,
 )
-from .trainkit import SynthConfig, TrainConfig, epoch_steps, train
+from .trainkit import SynthConfig, TrainConfig, _Run, epoch_steps, synth_dataset, train
 
 __all__ = [
     "CSV_HEADER",
@@ -117,8 +123,12 @@ def run_single(train_cfg: TrainConfig, synth_cfg: SynthConfig, alpha_target: flo
     )
     sc = replace(synth_cfg, seed=seed)
     _, _, history = train(tc, sc, alpha=None if scheduled else alpha_target)
-    images, texts = history.eval_batches
-    report = history[-1].gap
+    return _record(history.eval_batches, history[-1].gap, alpha_target, seed)
+
+
+def _record(eval_batches, report, alpha_target: float, seed: int) -> SweepRecord:
+    """Every sweep metric of a trained run's last eval encode and gap report."""
+    images, texts = eval_batches
     cluster = joint_clustering_eval(images, texts, seed=seed)
     i2t, t2i = recall_at_k(images.vectors, texts.vectors, 1)
     probe = interchangeability_probe(texts, images)
@@ -149,9 +159,32 @@ def mean_record(records: list) -> SweepRecord:
     return SweepRecord(**values)
 
 
-def _worker(args):
-    train_cfg, synth_cfg, alpha, seed, scheduled = args
-    return run_single(train_cfg, synth_cfg, alpha, seed, scheduled)
+def _anchor(train_cfg: TrainConfig, synth_cfg: SynthConfig, seed: int, scheduled: bool) -> _Run:
+    """seed's run through the epochs its cells share: none when alpha is pinned."""
+    sc = replace(synth_cfg, seed=seed)
+    run = _Run(replace(train_cfg, seed=seed), sc, None if scheduled else 0.0)
+    run.advance(synth_dataset(sc), train_cfg.curriculum.anchor_epochs if scheduled else 0)
+    return run
+
+
+def _cell(run: _Run, synth_cfg: SynthConfig, alpha_target: float, seed: int) -> SweepRecord:
+    """Cell (alpha_target, seed): a fork of seed's anchor run, trained and evaluated.
+    It rebuilds the data: kept over the evaluation, it would raise peak memory."""
+    branch = run.fork(alpha_target)
+    branch.advance(synth_dataset(replace(synth_cfg, seed=seed)), run.train_cfg.epochs)
+    return _record(branch.eval_batches, branch.records[-1].gap, alpha_target, seed)
+
+
+def _save_anchor(path: str, *args) -> None:
+    """_anchor in a pool worker, pickling the run to path for its cells."""
+    with open(path, "wb") as f:
+        pickle.dump(_anchor(*args), f)
+
+
+def _load_cell(path: str, *args) -> SweepRecord:
+    """_cell in a pool worker, on the anchor run _save_anchor wrote to path."""
+    with open(path, "rb") as f:
+        return _cell(pickle.load(f), *args)
 
 
 def run_sweep(train_cfg: TrainConfig, synth_cfg: SynthConfig, alphas, seeds,
@@ -159,10 +192,11 @@ def run_sweep(train_cfg: TrainConfig, synth_cfg: SynthConfig, alphas, seeds,
     """All (alpha, seed) runs, as ordered rows of (seed_label, SweepRecord).
 
     Per alpha block: one row per seed (labels are the seed values as strings)
-    followed by a "mean" row. Invalid inputs raise ValueError before any run
-    starts. A failing run raises SweepRunError carrying the rows that
-    completed before it, so callers can persist a partial table; runs not yet
-    started in the pool are cancelled.
+    followed by a "mean" row. Invalid inputs, including a seed whose synthetic
+    views are not finite, raise ValueError before any run starts. The first
+    failing cell in row order raises SweepRunError carrying the rows before
+    it, so callers can persist a partial table; a failed anchor run fails all
+    its seed's cells, and runs not yet started in the pool are cancelled.
     """
     alphas = [float(a) for a in alphas]
     seeds = [int(s) for s in seeds]
@@ -171,24 +205,27 @@ def run_sweep(train_cfg: TrainConfig, synth_cfg: SynthConfig, alphas, seeds,
     for a in alphas:
         if not 0.0 <= a <= 1.0:
             raise ValueError(f"alpha_target must be in [0, 1], got {a}")
+    epoch_steps(train_cfg, synth_cfg)
     for s in seeds:
         if s < 0:
             raise ValueError(f"seeds must be >= 0, got {s}")
-    epoch_steps(train_cfg, synth_cfg)
+        synth_dataset(replace(synth_cfg, seed=s))  # ValueError if a view is not finite
     if max_workers is None:
         max_workers = worker_count()
     max_workers = min(max_workers, len(alphas) * len(seeds))
 
-    jobs = [(train_cfg, synth_cfg, a, s, scheduled) for a in alphas for s in seeds]
+    cells: dict = {}  # (alpha index, seed index) -> record, exception raised or Future
     rows: list = []
 
-    def consume(results_iter):
-        it = iter(results_iter)
-        for a in alphas:
+    def consume():
+        for i, a in enumerate(alphas):
             block = []
-            for s in seeds:
+            for j, s in enumerate(seeds):
+                cell = cells[i, j]
                 try:
-                    record = next(it)
+                    record = cell.result() if isinstance(cell, Future) else cell
+                    if isinstance(record, Exception):
+                        raise record
                 except Exception as exc:
                     raise SweepRunError(a, s, exc, rows) from exc
                 block.append(record)
@@ -197,11 +234,33 @@ def run_sweep(train_cfg: TrainConfig, synth_cfg: SynthConfig, alphas, seeds,
         return rows
 
     if max_workers <= 1:
-        return consume(_worker(job) for job in jobs)
-    with ProcessPoolExecutor(max_workers=max_workers, initializer=_one_blas_thread) as pool:
-        futures = [pool.submit(_worker, job) for job in jobs]
+        limit = len(alphas)  # a cell at alpha index >= limit follows a failure in row order
+        for j, s in enumerate(seeds):
+            i = 0
+            try:
+                run = _anchor(train_cfg, synth_cfg, s, scheduled)
+                for i in range(limit):
+                    cells[i, j] = _cell(run, synth_cfg, alphas[i], s)
+            except Exception as exc:
+                cells[i, j], limit = exc, i
+            if limit == 0:
+                break
+        return consume()
+    # Anchor runs reach their cells through files: sent through the parent,
+    # each would raise its peak memory by about its size.
+    with tempfile.TemporaryDirectory() as tmp, \
+            ProcessPoolExecutor(max_workers=max_workers, initializer=_one_blas_thread) as pool:
+        paths = [os.path.join(tmp, f"{j}.pickle") for j in range(len(seeds))]
+        anchors = [pool.submit(_save_anchor, path, train_cfg, synth_cfg, s, scheduled)
+                   for path, s in zip(paths, seeds)]
         try:
-            return consume(f.result() for f in futures)
+            for j, s in enumerate(seeds):  # in seed order, so row order's first cells run first
+                if anchors[j].exception() is not None:
+                    cells[0, j] = anchors[j]  # a failed anchor run fails its seed's first cell
+                else:
+                    for i, a in enumerate(alphas):
+                        cells[i, j] = pool.submit(_load_cell, paths[j], synth_cfg, a, s)
+            return consume()
         except SweepRunError:
             pool.shutdown(cancel_futures=True)
             raise

@@ -8,10 +8,12 @@ hand-differentiated (including the row-normalization Jacobian) and driven by
 an in-place Adam, so a full run is deterministic given its two seeds. train
 validates its data once and owns its step, which runs the private kernels on
 unchecked arrays; encoder_forward and encoder_backward wrap the same kernels.
+A run stops at epoch boundaries and forks there (sweep shares anchor epochs so).
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
@@ -90,6 +92,7 @@ class PairedDataset:
     eval_idx: np.ndarray
 
 
+@np.errstate(over="ignore")  # an overflow to inf is what the check below reports
 def synth_dataset(config: SynthConfig) -> PairedDataset:
     """Deterministic synthetic paired dataset.
 
@@ -97,6 +100,7 @@ def synth_dataset(config: SynthConfig) -> PairedDataset:
     A_img @ mu_k + sigma * noise and A_txt @ mu_k + sigma * noise with fresh
     output-space noise per sample and per modality. The row order is shuffled
     once and the leading train_fraction of it becomes the train split.
+    ValueError if a view is not finite: that is a run's one data validation.
     """
     # domain-tagged so a training config with the same integer seed does not
     # alias these streams
@@ -117,8 +121,8 @@ def synth_dataset(config: SynthConfig) -> PairedDataset:
     order = r_perm.permutation(n)
     n_train = config.n_train
     return PairedDataset(
-        images=images,
-        texts=texts,
+        images=as_matrix(images, "images"),
+        texts=as_matrix(texts, "texts"),
         labels=labels,
         train_idx=order[:n_train],
         eval_idx=order[n_train:],
@@ -329,15 +333,25 @@ class _Step:
     """
 
     def __init__(self, img_enc: Encoder, txt_enc: Encoder, cfg: TrainConfig):
-        encoders = (img_enc, txt_enc)
-        parts = (slice(0, img_enc.flat.size), slice(img_enc.flat.size, -1))
         self.flat = np.concatenate([img_enc.flat, txt_enc.flat, [cfg.init_log_scale]])
         self.grad, self.m, self.v = (np.zeros_like(self.flat) for _ in range(3))
+        self._bind(img_enc, txt_enc)
+        self.count = 0  # Adam steps taken
+        self.adam = (cfg.learning_rate, (cfg.adam_beta1, cfg.adam_beta2), cfg.adam_eps)
+
+    def _bind(self, *encoders: Encoder) -> None:
+        """Make both encoders view flat, and their gradients view grad."""
+        parts = (slice(0, encoders[0].flat.size), slice(encoders[0].flat.size, -1))
         for enc, part in zip(encoders, parts):
             enc._bind(self.flat[part])
         self.towers = [(enc, enc._views(self.grad[part])) for enc, part in zip(encoders, parts)]
-        self.count = 0  # Adam steps taken
-        self.adam = (cfg.learning_rate, (cfg.adam_beta1, cfg.adam_beta2), cfg.adam_eps)
+
+    def fork(self) -> "_Step":
+        """A copy owning its buffers; its copied encoders are rebound to view them."""
+        new = copy.copy(self)
+        new.flat, new.grad, new.m, new.v = (a.copy() for a in (self.flat, self.grad, self.m, self.v))
+        new._bind(*(copy.copy(enc) for enc, _ in self.towers))
+        return new
 
     def encode(self, tower: int, x: np.ndarray, epoch: int, alpha: float):
         """(embeddings, cache) of tower 0 (image) or 1 (text) for a validated x."""
@@ -389,9 +403,86 @@ def epoch_steps(train_cfg: TrainConfig, synth_cfg: SynthConfig) -> int:
     return steps
 
 
-# Every step checks its loss, output norms and log scale and raises on a
-# non-finite one, so NumPy's overflow warnings on the way there are noise.
-@np.errstate(over="ignore", invalid="ignore")
+class _Run:
+    """One run between epochs: its _Step, scheduler, batch-order generator,
+    current alpha, records and last eval batches. advance trains whole epochs
+    on data the caller owns; fork copies the mutable state."""
+
+    def __init__(self, train_cfg: TrainConfig, synth_cfg: SynthConfig, alpha: float | None = None):
+        self.train_cfg = train_cfg
+        self.steps_per_epoch = epoch_steps(train_cfg, synth_cfg)
+        # the schedule's step grid always comes from the data, not the config file
+        cfg = replace(train_cfg.curriculum, steps_per_epoch=self.steps_per_epoch)
+        streams = np.random.SeedSequence((train_cfg.seed, 2)).spawn(3)
+        r_img, r_txt, self.order = (np.random.default_rng(s) for s in streams)
+        dims = (train_cfg.hidden_dim, train_cfg.embed_dim)
+        img_enc = Encoder.random(synth_cfg.image_input_dim, *dims, r_img)
+        txt_enc = Encoder.random(synth_cfg.text_input_dim, *dims, r_txt)
+        self.step = _Step(img_enc, txt_enc, train_cfg)
+        self.scheduler: CurriculumState | None = None
+        if alpha is None:
+            self.scheduler = scheduler_new(cfg)
+            self.alpha = self.scheduler.alpha
+        else:
+            self.alpha = float(alpha)
+            if not 0.0 <= self.alpha <= 1.0:
+                raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+        self.records: list = []
+        self.eval_batches = None
+
+    def fork(self, alpha_target: float) -> "_Run":
+        """A copy whose schedule heads for alpha_target (or, alpha pinned, pins it).
+        Nothing reads the target before the first ramp step, so a fork made by
+        then trains as a run started with that target."""
+        new = copy.copy(self)
+        new.step, new.order, new.records = self.step.fork(), copy.deepcopy(self.order), list(self.records)
+        if self.scheduler is None:
+            new.alpha = alpha_target
+        else:
+            cfg = replace(self.scheduler.config, alpha_target=alpha_target)
+            new.scheduler = replace(self.scheduler, config=cfg)
+        return new
+
+    # Every step checks its loss, output norms and log scale and raises on a
+    # non-finite one, so NumPy's overflow warnings on the way there are noise.
+    @np.errstate(over="ignore", invalid="ignore")
+    def advance(self, data: PairedDataset, until: int) -> None:
+        """Train the epochs from the next one up to (not including) epoch until."""
+        step, batch = self.step, self.train_cfg.batch_size
+        images, texts, n_train = data.images, data.texts, data.train_idx.size
+        eval_labels = data.labels[data.eval_idx]
+        for epoch in range(len(self.records), until):
+            order = self.order.permutation(n_train)
+            losses, rw_terms, intra_terms, ratios = [], [], [], []
+            for b in range(self.steps_per_epoch):
+                rows = data.train_idx[order[b * batch:(b + 1) * batch]]
+                alpha_used = self.alpha  # recorded below as that of the epoch's last step
+                out = step((images[rows], texts[rows]), alpha_used, epoch)
+                diag = out.diagnostics
+                losses.append(out.loss)
+                rw_terms.append(diag["rw_term"])
+                intra_terms.append(diag["intra_term"])
+                if diag["grad_norm_intra"] > 0.0:
+                    ratios.append(diag["grad_norm_rw"] / diag["grad_norm_intra"])
+                if self.scheduler is not None:
+                    self.alpha = scheduler_step(self.scheduler, diag["rw_term"])
+
+            vi, _ = step.encode(0, images[data.eval_idx], epoch, alpha_used)
+            vt, _ = step.encode(1, texts[data.eval_idx], epoch, alpha_used)
+            img_eval = EmbeddingBatch(vi, labels=eval_labels, modality="image")
+            txt_eval = EmbeddingBatch(vt, labels=eval_labels, modality="text")
+            self.eval_batches = (img_eval, txt_eval)
+            self.records.append(EpochRecord(
+                epoch=epoch,
+                alpha=alpha_used,
+                loss=float(np.mean(losses)),
+                rw_term=float(np.mean(rw_terms)),
+                intra_term=float(np.mean(intra_terms)),
+                grad_norm_ratio=float(np.mean(ratios)) if ratios else None,
+                gap=gap_report(img_eval, txt_eval),
+            ))
+
+
 def train(train_cfg: TrainConfig, synth_cfg: SynthConfig, alpha: float | None = None):
     """Full three-phase run; returns ((image encoder, text encoder), Temperature, RunHistory).
 
@@ -409,63 +500,7 @@ def train(train_cfg: TrainConfig, synth_cfg: SynthConfig, alpha: float | None = 
     order.
     """
     data = synth_dataset(synth_cfg)
-    # the one validation of the data: every step below runs unchecked
-    images, texts = as_matrix(data.images, "images"), as_matrix(data.texts, "texts")
-    n_train = data.train_idx.size
-    steps_per_epoch = epoch_steps(train_cfg, synth_cfg)
-    # the schedule's step grid always comes from the data, not the config file
-    cfg = replace(train_cfg.curriculum, steps_per_epoch=steps_per_epoch)
-
-    streams = np.random.SeedSequence((train_cfg.seed, 2)).spawn(3)
-    r_img, r_txt, r_order = (np.random.default_rng(s) for s in streams)
-    img_enc = Encoder.random(synth_cfg.image_input_dim, train_cfg.hidden_dim, train_cfg.embed_dim, r_img)
-    txt_enc = Encoder.random(synth_cfg.text_input_dim, train_cfg.hidden_dim, train_cfg.embed_dim, r_txt)
-    step = _Step(img_enc, txt_enc, train_cfg)
-
-    scheduler: CurriculumState | None = None
-    if alpha is None:
-        scheduler = scheduler_new(cfg)
-        alpha = scheduler.alpha
-    else:
-        alpha = float(alpha)
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-
-    batch = train_cfg.batch_size
-    eval_labels = data.labels[data.eval_idx]
-    records = []
-    for epoch in range(train_cfg.epochs):
-        order = r_order.permutation(n_train)
-        losses, rw_terms, intra_terms, ratios = [], [], [], []
-        alpha_used = alpha  # alpha in effect at the epoch's last step, recorded below
-        for b in range(steps_per_epoch):
-            rows = data.train_idx[order[b * batch:(b + 1) * batch]]
-            alpha_used = alpha
-            out = step((images[rows], texts[rows]), alpha, epoch)
-
-            diag = out.diagnostics
-            losses.append(out.loss)
-            rw_terms.append(diag["rw_term"])
-            intra_terms.append(diag["intra_term"])
-            if diag["grad_norm_intra"] > 0.0:
-                ratios.append(diag["grad_norm_rw"] / diag["grad_norm_intra"])
-
-            if scheduler is not None:
-                alpha = scheduler_step(scheduler, diag["rw_term"])
-
-        vi, _ = step.encode(0, images[data.eval_idx], epoch, alpha_used)
-        vt, _ = step.encode(1, texts[data.eval_idx], epoch, alpha_used)
-        img_eval = EmbeddingBatch(vi, labels=eval_labels, modality="image")
-        txt_eval = EmbeddingBatch(vt, labels=eval_labels, modality="text")
-        records.append(EpochRecord(
-            epoch=epoch,
-            alpha=alpha_used,
-            loss=float(np.mean(losses)),
-            rw_term=float(np.mean(rw_terms)),
-            intra_term=float(np.mean(intra_terms)),
-            grad_norm_ratio=float(np.mean(ratios)) if ratios else None,
-            gap=gap_report(img_eval, txt_eval),
-        ))
-
-    history = RunHistory(records, eval_batches=(img_eval, txt_eval))
-    return (img_enc, txt_enc), Temperature(step.flat[-1]), history
+    run = _Run(train_cfg, synth_cfg, alpha)
+    run.advance(data, train_cfg.epochs)
+    encoders = tuple(enc for enc, _ in run.step.towers)
+    return encoders, Temperature(run.step.flat[-1]), RunHistory(run.records, run.eval_batches)

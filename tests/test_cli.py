@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -200,7 +201,7 @@ def test_missing_output_directory_exits_2_before_any_work(tmp_path, emb_pair, ti
         raise AssertionError("ran before the output directories were checked")
 
     for owner, name in [(cli_mod, "read_embeddings"), (cli_mod, "gap_report"), (cli_mod, "train"),
-                        (cli_mod, "run_sweep"), (sweep_mod, "run_single"),
+                        (cli_mod, "run_sweep"), (sweep_mod, "_anchor"), (sweep_mod, "_cell"),
                         (cli_mod, "linear_fit_r2")]:
         monkeypatch.setattr(owner, name, must_not_run)
     vp, tp = emb_pair
@@ -506,7 +507,8 @@ def test_sweep_oversized_batch_exits_2_like_train(tmp_path, oversized_batch_conf
 def test_sweep_bad_worker_count_exits_2_before_any_cell(tmp_path, tiny_config_path,
                                                        capsys, monkeypatch):
     ran = []
-    monkeypatch.setattr(sweep_mod, "run_single", lambda *args, **kwargs: ran.append(args))
+    for hook in ("_anchor", "_cell"):
+        monkeypatch.setattr(sweep_mod, hook, lambda *args, **kwargs: ran.append(args))
     monkeypatch.setenv("GAPLAB_THREADS", "0")
     out = tmp_path / "s.csv"
     code, _, stderr = run_cli(["sweep", "--config", tiny_config_path,
@@ -520,7 +522,8 @@ def test_sweep_bad_worker_count_exits_2_before_any_cell(tmp_path, tiny_config_pa
 def test_sweep_negative_seed_exits_2_before_any_cell(tmp_path, tiny_config_path,
                                                     capsys, monkeypatch):
     ran = []
-    monkeypatch.setattr(sweep_mod, "run_single", lambda *args, **kwargs: ran.append(args))
+    for hook in ("_anchor", "_cell"):
+        monkeypatch.setattr(sweep_mod, hook, lambda *args, **kwargs: ran.append(args))
     monkeypatch.setenv("GAPLAB_THREADS", "1")
     out = tmp_path / "s.csv"
     code, _, stderr = run_cli(["sweep", "--config", tiny_config_path,
@@ -531,21 +534,21 @@ def test_sweep_negative_seed_exits_2_before_any_cell(tmp_path, tiny_config_path,
     assert not out.exists()
 
 
+def _first_cell_fails(ran, run, synth_cfg, alpha, seed):
+    with open(ran, "a") as f:
+        f.write(f"{alpha},{seed}\n")
+    if (alpha, seed) == (0.0, 0):
+        raise gl.trainkit.NonFiniteLossError(0, 0, alpha, float("nan"))
+    time.sleep(0.5)
+    return gl.SweepRecord(**{name: 0.5 for name in gl.SWEEP_FIELDS})
+
+
 def test_sweep_pool_cancels_pending_cells_after_a_failure(tmp_path, tiny_config_path,
                                                           capsys, monkeypatch):
     ran = tmp_path / "ran.txt"
-    good = gl.SweepRecord(**{name: 0.5 for name in gl.SWEEP_FIELDS})
-
-    def first_cell_fails(train_cfg, synth_cfg, alpha, seed, scheduled=True):
-        with open(ran, "a") as f:
-            f.write(f"{alpha},{seed}\n")
-        if (alpha, seed) == (0.0, 0):
-            raise gl.trainkit.NonFiniteLossError(0, 0, alpha, float("nan"))
-        time.sleep(0.5)
-        return good
-
-    # the pool forks, so the workers inherit the patched module attribute
-    monkeypatch.setattr(sweep_mod, "run_single", first_cell_fails)
+    # the pool forks, so the workers inherit the patched module attribute; the
+    # hook is sent to them pickled, so it is a module-level function
+    monkeypatch.setattr(sweep_mod, "_cell", functools.partial(_first_cell_fails, ran))
     monkeypatch.setenv("GAPLAB_THREADS", "2")
     out = tmp_path / "partial.csv"
     code, _, stderr = run_cli(["sweep", "--config", tiny_config_path,
@@ -589,7 +592,8 @@ def test_sweep_failure_writes_partial_csv_and_exits_3(tmp_path, tiny_config_path
 ])
 def test_non_finite_run_config_exits_2_before_any_work(tmp_path, capsys, monkeypatch, config, key):
     monkeypatch.setattr(cli_mod, "train", lambda *args, **kwargs: pytest.fail("train ran"))
-    monkeypatch.setattr(sweep_mod, "run_single", lambda *args, **kwargs: pytest.fail("cell ran"))
+    for hook in ("_anchor", "_cell"):
+        monkeypatch.setattr(sweep_mod, hook, lambda *args, **kwargs: pytest.fail("cell ran"))
     path = tmp_path / "non_finite.json"
     path.write_text(json.dumps(config))  # NaN / Infinity: json.load accepts them
     out_dir = tmp_path / "never"
@@ -603,6 +607,44 @@ def test_non_finite_run_config_exits_2_before_any_work(tmp_path, capsys, monkeyp
     assert code == 2
     assert sweep_err == train_err
     assert not out.exists()
+
+
+def test_overflowing_synthetic_views_exit_2_before_any_work(tmp_path, capsys, monkeypatch):
+    # A finite config whose noise overflows the views is bad input, caught
+    # before train makes its directory and before any sweep cell runs.
+    for hook in ("_anchor", "_cell"):
+        monkeypatch.setattr(sweep_mod, hook, lambda *args, **kwargs: pytest.fail("cell ran"))
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({"synth": {"noise_sigma": 1e308}}))
+    out_dir = tmp_path / "never"
+    code, _, train_err = run_cli(["train", "--config", path, "--out-dir", out_dir], capsys)
+    assert code == 2
+    assert train_err == "error: images contains NaN or Inf entries\n"
+    assert not out_dir.exists()
+    for workers in ("1", "2"):
+        monkeypatch.setenv("GAPLAB_THREADS", workers)
+        out = tmp_path / "s.csv"
+        code, _, sweep_err = run_cli(["sweep", "--config", path, "--alphas", "0.5",
+                                      "--seeds", "0,1", "--out", out], capsys)
+        assert code == 2
+        assert sweep_err == train_err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_diverging_anchor_run_writes_the_partial_csv(tmp_path, capsys, monkeypatch, workers):
+    # Every cell diverges at its first update, inside the shared anchor epochs:
+    # the first cell in row order is reported, with no completed row.
+    config = tmp_path / "diverge.json"
+    config.write_text(json.dumps({"train": {"learning_rate": 1e300}}))
+    monkeypatch.setenv("GAPLAB_THREADS", workers)
+    out = tmp_path / "partial.csv"
+    code, _, stderr = run_cli(["sweep", "--config", config, "--alphas", "0.25,0.5",
+                               "--seeds", "3,1", "--out", out], capsys)
+    assert code == 3
+    assert out.read_text() == gl.sweep_to_csv([], failure=(0.25, 3))
+    assert stderr == (f"sweep aborted, partial table in {out}: run (alpha_target=0.25, seed=3) "
+                      "failed: non-finite encoder output norm inf at epoch 0, step 1, alpha 0.000000\n")
 
 
 # ---------------------------------------------------------------- correlate

@@ -120,7 +120,8 @@ def test_kmeans_result_bits_are_pinned():
 
 
 def plain_kmeans(points, k, seed):
-    """The whole-array form of kmeans: one-shot norms, distances and means."""
+    """The whole-array form of kmeans: one-shot norms, distances and means,
+    every mean recomputed on every iteration."""
     n = points.shape[0]
     rng = np.random.default_rng(seed)
     point_sq = (points**2).sum(axis=1)
@@ -137,8 +138,16 @@ def plain_kmeans(points, k, seed):
         centers[j] = points[rng.choice(n, p=d2 / total) if total > 0.0 else rng.integers(n)]
         d2 = np.minimum(d2, sq_dist(centers[j:j + 1]).ravel())
     for _ in range(100):
-        labels = sq_dist(centers).argmin(axis=1)
-        new_centers = np.array([points[labels == c].mean(axis=0) for c in range(k)])
+        dist = sq_dist(centers)
+        labels = dist.argmin(axis=1)
+        new_centers = np.array([points[labels == c].mean(axis=0) if (labels == c).any() else centers[c]
+                                for c in range(k)])
+        for c in range(k):
+            if not (labels == c).any():  # steal the globally worst-fit point
+                worst = int(dist[np.arange(n), labels].argmax())
+                new_centers[c] = points[worst]
+                labels[worst] = c
+                dist[worst] = 0.0
         shift = np.linalg.norm(new_centers - centers, axis=1).max()
         centers = new_centers
         if shift < 1e-6:
@@ -163,16 +172,62 @@ def test_kmeans_in_blocks_equals_the_whole_array_form():
     assert inertia == want_inertia
 
 
+def test_kmeans_recomputes_only_the_means_whose_rows_changed(monkeypatch):
+    # Two cases with empty clusters, each re-seeded by a steal. (1) Repeated
+    # rows, a little noise on some: k exceeds the distinct locations, so
+    # k-means++ repeats a center, and a cluster empties in two iterations.
+    # (2) Grid points, a few jittered: the cluster a steal takes a row from
+    # keeps its other rows, so its mean is stale unless every mean is
+    # recomputed after a steal.
+    rng = np.random.default_rng(355)
+    base = rng.standard_normal((int(rng.integers(3, 6)), 3))
+    repeated = np.repeat(base, int(rng.integers(2, 5)), axis=0)
+    jitter = rng.standard_normal(repeated.shape) * (rng.random((repeated.shape[0], 1)) < 0.5)
+    repeated = repeated + 1e-3 * jitter
+    rng = np.random.default_rng(209)
+    n = int(rng.integers(6, 20))
+    grid = rng.integers(-2, 3, size=(n, 2)).astype(float)
+    grid += 0.01 * rng.standard_normal((n, 2)) * (rng.random((n, 1)) < 0.3)
+    real_row = evalkit._row
+    for points, k, seed, n_steals in ((repeated, 6, 355, 2), (grid, 4, 209, 1)):
+        steals = []
+        monkeypatch.setattr(evalkit, "_row", lambda *args: steals.append(args[2]) or real_row(*args))
+        labels, inertia = gl.kmeans(points, k, seed=seed)
+        assert len(steals) == k + n_steals  # k-means++ takes k rows, then the steals
+        want_labels, want_inertia = plain_kmeans(points, k, seed=seed)
+        assert np.array_equal(labels, want_labels) and inertia == want_inertia
+
+    # 2,400 rows that settle over several iterations: only the first
+    # recomputes every mean, so fewer than k per iteration run
+    rng = np.random.default_rng(31)
+    points = np.vstack([rng.standard_normal((600, 9)) + 2.0 * rng.standard_normal(9) for _ in range(4)])
+    calls = {"mean": 0, "dist": 0}
+    real_mean, real_dist = evalkit._cluster_mean, evalkit._squared_distances
+
+    def count(name, fn):
+        return lambda *args, **kwargs: calls.__setitem__(name, calls[name] + 1) or fn(*args, **kwargs)
+
+    monkeypatch.setattr(evalkit, "_cluster_mean", count("mean", real_mean))
+    monkeypatch.setattr(evalkit, "_squared_distances", count("dist", real_dist))
+    labels, inertia = gl.kmeans(points, 6, seed=3)
+    iterations = calls["dist"] - 6 - 1  # k-means++ passes, then one final labelling
+    assert iterations >= 3
+    assert 6 <= calls["mean"] < 6 * iterations
+    want_labels, want_inertia = plain_kmeans(points, 6, seed=3)
+    assert np.array_equal(labels, want_labels) and inertia == want_inertia
+
+
 @pytest.mark.parametrize("size", [1, 511, 512, 513, 1537])
 def test_cluster_mean_in_blocks_has_the_one_shot_bits(size):
     rng = np.random.default_rng(size)
     points = rng.standard_normal((2000, 7)) * rng.uniform(0.1, 1e3, 7)
     rows = np.sort(rng.choice(2000, size, replace=False))
     want = points[rows].mean(axis=0)
-    assert np.array_equal(evalkit._cluster_mean((points,), np.array([0, 2000]), rows), want)
+    block = np.empty((evalkit._BLOCK_ROWS + 1, 7))
+    assert np.array_equal(evalkit._cluster_mean((points,), np.array([0, 2000]), rows, block), want)
     # two parts split inside a 512-row block, so blocks after the first cross it
     parts = (points[:700], points[700:])
-    assert np.array_equal(evalkit._cluster_mean(parts, np.array([0, 700, 2000]), rows), want)
+    assert np.array_equal(evalkit._cluster_mean(parts, np.array([0, 700, 2000]), rows, block), want)
 
 
 def kmeans_of_parts_matches_the_stack(parts, k, seed):

@@ -1,12 +1,15 @@
 import ctypes
 import dataclasses
+import functools
 import os
+import pickle
 
 import numpy as np
 import pytest
 
 import gaplab as gl
 from gaplab import sweep as sweep_mod
+from gaplab import trainkit
 
 
 def tiny_configs():
@@ -128,7 +131,8 @@ def test_run_sweep_validates_inputs():
 def test_run_sweep_rejects_a_negative_seed_before_any_run(monkeypatch):
     tc, sc = tiny_configs()
     calls = []
-    monkeypatch.setattr(sweep_mod, "run_single", lambda *args, **kw: calls.append(args))
+    for hook in ("_anchor", "_cell"):
+        monkeypatch.setattr(sweep_mod, hook, lambda *args, **kw: calls.append(args))
     for workers in (1, 2):
         with pytest.raises(ValueError, match="seeds must be >= 0, got -1"):
             gl.run_sweep(tc, sc, alphas=[0.5], seeds=[0, -1], max_workers=workers)
@@ -139,7 +143,8 @@ def test_run_sweep_rejects_oversized_batch_before_any_run(monkeypatch):
     import dataclasses
     tc, sc = tiny_configs()
     calls = []
-    monkeypatch.setattr(sweep_mod, "run_single", lambda *args, **kw: calls.append(args))
+    for hook in ("_anchor", "_cell"):
+        monkeypatch.setattr(sweep_mod, hook, lambda *args, **kw: calls.append(args))
     big = dataclasses.replace(tc, batch_size=5000)
     for workers in (1, 2):
         with pytest.raises(ValueError, match="batch_size 5000 exceeds the train split size 32"):
@@ -151,18 +156,126 @@ def test_run_sweep_failure_carries_completed_rows(monkeypatch):
     tc, sc = tiny_configs()
     good = dummy_record()
 
-    def fake_run_single(train_cfg, synth_cfg, alpha, seed, scheduled=True):
+    def fake_cell(run, synth_cfg, alpha, seed):
         if seed == 1:
             raise ValueError("boom")
         return good
 
-    monkeypatch.setattr(sweep_mod, "run_single", fake_run_single)
+    monkeypatch.setattr(sweep_mod, "_cell", fake_cell)
     with pytest.raises(gl.SweepRunError) as info:
         gl.run_sweep(tc, sc, alphas=[0.5], seeds=[0, 1], max_workers=1)
     err = info.value
     assert err.alpha == 0.5 and err.seed == 1
     assert err.rows == [("0", good)]
     assert "boom" in str(err)
+
+
+def branching_configs(anchor_epochs: int):
+    """tiny_configs with four steps per epoch and a two-epoch ramp."""
+    tc, sc = tiny_configs()
+    cur = dataclasses.replace(tc.curriculum, anchor_epochs=anchor_epochs, ramp_epochs=2)
+    return dataclasses.replace(tc, curriculum=cur), sc
+
+
+@pytest.mark.parametrize("scheduled", [True, False])
+@pytest.mark.parametrize("anchor_epochs", [2, 0])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_sweep_rows_equal_independent_runs(workers, anchor_epochs, scheduled):
+    # Every cell forks its seed's anchor run; run_single trains the cell alone.
+    tc, sc = branching_configs(anchor_epochs)
+    alphas, seeds = [0.0, 0.3, 1.0], [1, 0]
+    rows = gl.run_sweep(tc, sc, alphas, seeds, scheduled=scheduled, max_workers=workers)
+    expected = []
+    for a in alphas:
+        block = [gl.run_single(tc, sc, a, s, scheduled=scheduled) for s in seeds]
+        expected += [(str(s), record) for s, record in zip(seeds, block)]
+        expected.append(("mean", gl.mean_record(block)))
+    assert rows == expected
+
+
+def test_fork_leaves_its_parent_unchanged_and_owns_its_buffers():
+    tc, sc = branching_configs(2)
+    data = gl.synth_dataset(sc)
+    parent = trainkit._Run(tc, sc)
+    parent.advance(data, 2)
+    arrays = {name: getattr(parent.step, name).copy() for name in ("flat", "m", "v")}
+    weights = [[p.copy() for p in (enc.w1, enc.b1, enc.w2, enc.b2)] for enc, _ in parent.step.towers]
+    state = (parent.step.count, dataclasses.asdict(parent.scheduler), parent.alpha,
+             parent.order.bit_generator.state, list(parent.records))
+
+    # a pickled run (as a pool worker receives it) holds copies, not views
+    for source in (parent, pickle.loads(pickle.dumps(parent))):
+        fork = source.fork(0.7)
+        fork.advance(data, tc.epochs)
+        assert fork.scheduler.config.alpha_target == 0.7 and len(fork.records) == tc.epochs
+        for enc, grads in fork.step.towers:
+            for p in (enc.w1, enc.b1, enc.w2, enc.b2):
+                assert np.shares_memory(p, fork.step.flat)
+                assert not np.shares_memory(p, parent.step.flat)
+            assert all(np.shares_memory(g, fork.step.grad) for g in grads)
+
+    for name, before in arrays.items():
+        assert np.array_equal(getattr(parent.step, name), before)
+    for (enc, _), before in zip(parent.step.towers, weights):
+        for p, q in zip((enc.w1, enc.b1, enc.w2, enc.b2), before):
+            assert np.array_equal(p, q) and np.shares_memory(p, parent.step.flat)
+    assert state == (parent.step.count, dataclasses.asdict(parent.scheduler), parent.alpha,
+                     parent.order.bit_generator.state, parent.records)
+    assert parent.scheduler.config.alpha_target == tc.curriculum.alpha_target
+
+
+def test_sweep_trains_each_anchor_phase_once(monkeypatch):
+    tc, sc = branching_configs(2)
+    steps = []
+    real_step = trainkit._Step.__call__
+
+    def counting_step(self, *args):
+        steps.append(1)
+        return real_step(self, *args)
+
+    monkeypatch.setattr(trainkit._Step, "__call__", counting_step)
+    gl.run_sweep(tc, sc, alphas=[0.0, 0.3, 1.0], seeds=[0, 1], max_workers=1)
+    per_epoch = gl.epoch_steps(tc, sc)
+    anchor = tc.curriculum.anchor_epochs * per_epoch
+    rest = (tc.epochs - tc.curriculum.anchor_epochs) * per_epoch
+    assert len(steps) == 2 * (anchor + 3 * rest) < 6 * (anchor + rest)
+
+
+def _fail_at(cells, run, synth_cfg, alpha, seed):
+    if (alpha, seed) in cells:
+        raise ValueError(f"boom at {alpha}, {seed}")
+    return dummy_record(alpha)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_sweep_fails_at_the_first_failing_cell_in_row_order(monkeypatch, workers):
+    # Cells run seed by seed, rows are alpha-major: (0.0, 1) is the first failure
+    # in row order though (0.5, 0) is the first a serial sweep reaches.
+    tc, sc = tiny_configs()
+    monkeypatch.setattr(sweep_mod, "_cell", functools.partial(_fail_at, {(0.5, 0), (0.0, 1)}))
+    with pytest.raises(gl.SweepRunError) as info:
+        gl.run_sweep(tc, sc, alphas=[0.0, 0.5], seeds=[0, 1], max_workers=workers)
+    assert (info.value.alpha, info.value.seed) == (0.0, 1)
+    assert info.value.rows == [("0", dummy_record(0.0))]
+    assert "boom at 0.0, 1" in str(info.value)
+
+
+def test_a_failing_anchor_run_fails_every_cell_of_its_seed(monkeypatch):
+    tc, sc = tiny_configs()
+    real_anchor = sweep_mod._anchor
+
+    def anchor(train_cfg, synth_cfg, seed, scheduled):
+        if seed == 1:
+            raise trainkit.NonFiniteLossError(0, 1, 0.0, float("inf"))
+        return real_anchor(train_cfg, synth_cfg, seed, scheduled)
+
+    monkeypatch.setattr(sweep_mod, "_anchor", anchor)
+    monkeypatch.setattr(sweep_mod, "_cell", functools.partial(_fail_at, set()))
+    with pytest.raises(gl.SweepRunError) as info:
+        gl.run_sweep(tc, sc, alphas=[0.0, 0.5], seeds=[0, 1, 2], max_workers=1)
+    assert (info.value.alpha, info.value.seed) == (0.0, 1)
+    assert info.value.rows == [("0", dummy_record(0.0))]
+    assert isinstance(info.value.cause, trainkit.NonFiniteLossError)
 
 
 # ------------------------------------------------------------- sweep_to_csv
@@ -224,6 +337,10 @@ def _blas_threads() -> int:
     return get_threads()
 
 
+def _report_threads(run, synth_cfg, alpha, seed):
+    return gl.SweepRecord(**{name: float(_blas_threads()) for name in gl.SWEEP_FIELDS})
+
+
 def test_pool_workers_run_one_blas_thread(monkeypatch):
     set_threads = sweep_mod._openblas("set_num_threads")
     if set_threads is None or sweep_mod._openblas("get_num_threads") is None:
@@ -233,10 +350,8 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
     before = _blas_threads()
     parent_threads = max(before, 2)
 
-    def report_threads(train_cfg, synth_cfg, alpha, seed, scheduled=True):
-        return gl.SweepRecord(**{name: float(_blas_threads()) for name in gl.SWEEP_FIELDS})
-
-    monkeypatch.setattr(sweep_mod, "run_single", report_threads)
+    # the pool forks, so the workers inherit the patched module attribute
+    monkeypatch.setattr(sweep_mod, "_cell", _report_threads)
     tc, sc = tiny_configs()
     set_threads(parent_threads)
     try:
