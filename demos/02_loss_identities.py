@@ -42,8 +42,10 @@ def main():
     # ---- attraction + repulsion = one cross-entropy direction ----
     split = gl.clip_loss(v, t, temp).diagnostics
     align, oppose = split["align_term"], split["oppose_term"]
-    logits = temp.scale * gl.similarity_matrix(v, t)
-    i2t, _ = gl.row_cross_entropy(logits, np.arange(v.shape[0]))
+    # the image-to-text cross-entropy, written out: row i's target is text i
+    logits = temp.scale * (v @ t.T)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    i2t = float(np.mean(np.log(np.exp(shifted).sum(axis=1)) - np.diag(shifted)))
     print("attraction/repulsion split of the image-to-text direction:")
     print(f"  attraction {align:+.6f}  repulsion {oppose:+.6f}  sum {align + oppose:.6f}")
     print(f"  cross-entropy direct                            {i2t:.6f}")

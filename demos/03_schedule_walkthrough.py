@@ -13,12 +13,11 @@ import gaplab as gl
 
 
 def main():
-    cfg = gl.CurriculumConfig(
-        anchor_epochs=1, ramp_epochs=5, stabilize_epochs=1,
-        alpha_target=0.6, steps_per_epoch=4,
-    )
-    print(f"schedule: {cfg.total_steps} steps "
-          f"(anchor {cfg.anchor_steps}, ramp ends at {cfg.ramp_end_step}), "
+    cfg = gl.CurriculumConfig(anchor_epochs=1, ramp_epochs=5, stabilize_epochs=1, alpha_target=0.6)
+    # the step grid is the run's: a training run passes its batches per epoch
+    state = gl.scheduler_new(cfg, steps_per_epoch=4)
+    print(f"schedule: {state.total_steps} steps "
+          f"(anchor {state.anchor_steps}, ramp ends at {state.ramp_end_step}), "
           f"target {cfg.alpha_target}")
     print()
 
@@ -30,20 +29,19 @@ def main():
 
     # speed = alpha step / (even split of the remaining distance); the gate
     # keeps it inside [0.5, 1.5]
-    state = gl.scheduler_new(cfg)
     print(f"{'step':>4}  {'phase':<9}  {'loss in':>7}  {'alpha out':>9}  {'speed':>6}")
     prev = 0.0
     for step, loss in enumerate(losses):
         alpha = gl.scheduler_step(state, loss)
-        phase = gl.phase_of(cfg, step)
+        phase = gl.phase_of(state, step)
         speed = ""
         if phase is gl.Phase.RAMP:
-            remaining = cfg.ramp_end_step - step
+            remaining = state.ramp_end_step - step
             speed = f"{(alpha - prev) / ((cfg.alpha_target - prev) / remaining):6.3f}"
         note = ""
         if step == 14:
             note = "  <- loss blowing up, gate drops to half speed"
-        if step == cfg.ramp_end_step - 1:
+        if step == state.ramp_end_step - 1:
             note = "  <- last ramp step snaps to target"
         print(f"{step:4d}  {phase.value:<9}  {loss:7.2f}  {alpha:9.5f}  {speed:>6}{note}")
         prev = alpha

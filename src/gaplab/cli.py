@@ -64,9 +64,8 @@ def load_run_config(path) -> tuple[TrainConfig, SynthConfig]:
     """Parse and validate a run-config JSON file.
 
     Schema: {"synth": {...}, "train": {..., "curriculum": {...}}}. Every key
-    is optional and falls back to the toy defaults; unknown keys anywhere are
-    rejected. The curriculum's steps_per_epoch is not offered: training always
-    computes it from the data.
+    is optional and falls back to the toy defaults; unknown keys anywhere, and
+    sections that are not objects, are rejected.
     """
     with open(path, "r", encoding="utf-8") as f:
         try:
@@ -79,8 +78,7 @@ def load_run_config(path) -> tuple[TrainConfig, SynthConfig]:
     if unknown:
         raise ValueError(f"{path}: unknown top-level key(s): {', '.join(unknown)}")
 
-    synth_raw = raw.get("synth", {})
-    train_raw = dict(raw.get("train", {}))
+    synth_raw, train_raw = raw.get("synth", {}), raw.get("train", {})
     if not isinstance(synth_raw, dict) or not isinstance(train_raw, dict):
         raise ValueError(f"{path}: 'synth' and 'train' must be JSON objects")
     curriculum_raw = train_raw.pop("curriculum", {})
@@ -88,8 +86,7 @@ def load_run_config(path) -> tuple[TrainConfig, SynthConfig]:
         raise ValueError(f"{path}: 'train.curriculum' must be a JSON object")
 
     synth_cfg = _build_config(SynthConfig, synth_raw, "synth")
-    curriculum = _build_config(CurriculumConfig, curriculum_raw, "train.curriculum",
-                               exclude={"steps_per_epoch"})
+    curriculum = _build_config(CurriculumConfig, curriculum_raw, "train.curriculum")
     train_cfg = _build_config(TrainConfig, train_raw, "train", exclude={"curriculum"})
     train_cfg = dataclasses.replace(train_cfg, curriculum=curriculum)
     return train_cfg, synth_cfg
@@ -208,6 +205,8 @@ def cmd_sweep(args) -> int:
 def _csv_column(rows: list, name: str, path) -> np.ndarray:
     if not rows or name not in rows[0]:
         raise ValueError(f"{path}: no column named {name!r}")
+    if any(r[name] is None for r in rows):
+        raise ValueError(f"{path}: a row is too short to hold column {name!r}")
     try:
         return np.array([float(r[name]) for r in rows])
     except ValueError as exc:

@@ -13,8 +13,9 @@ so a rising loss (rho > 1) slows the ramp and a falling one speeds it up, with
 the speed factor always inside [0.5, 1.5]. Because the factor can stay below
 1, the final ramp step assigns alpha = alpha_target outright; that keeps the
 "reaches the target by the end of the ramp" contract without overshooting.
-A CurriculumState lives for one run: nothing snapshots or resumes it. Its
-phase is read off its step count through phase_of, not stored.
+A CurriculumState lives for one run: nothing snapshots or resumes it. It
+holds the run's step grid (steps per epoch, a fact of the data, not of the
+config), and its phase is read off its step count through phase_of, not stored.
 """
 
 from __future__ import annotations
@@ -46,12 +47,11 @@ class CurriculumConfig:
     ramp_epochs: int = 5
     stabilize_epochs: int = 2
     alpha_target: float = 0.5
-    steps_per_epoch: int = 12
     ema_slow_decay: float = 0.99
     ema_fast_decay: float = 0.9
 
     def __post_init__(self):
-        for name in ("anchor_epochs", "ramp_epochs", "stabilize_epochs", "steps_per_epoch"):
+        for name in ("anchor_epochs", "ramp_epochs", "stabilize_epochs"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -59,8 +59,6 @@ class CurriculumConfig:
             raise ValueError("epoch counts must be >= 0")
         if self.anchor_epochs + self.ramp_epochs + self.stabilize_epochs < 1:
             raise ValueError("schedule needs at least one epoch")
-        if self.steps_per_epoch < 1:
-            raise ValueError("steps_per_epoch must be >= 1")
         if not 0.0 <= self.alpha_target <= 1.0:
             raise ValueError(f"alpha_target must be in [0, 1], got {self.alpha_target}")
         if not 0.0 < self.ema_fast_decay < 1.0 or not 0.0 < self.ema_slow_decay < 1.0:
@@ -68,49 +66,54 @@ class CurriculumConfig:
         if self.ema_fast_decay >= self.ema_slow_decay:
             raise ValueError("ema_fast_decay must be smaller than ema_slow_decay")
 
-    @property
-    def anchor_steps(self) -> int:
-        return self.anchor_epochs * self.steps_per_epoch
-
-    @property
-    def ramp_end_step(self) -> int:
-        return (self.anchor_epochs + self.ramp_epochs) * self.steps_per_epoch
-
-    @property
-    def total_steps(self) -> int:
-        return (self.anchor_epochs + self.ramp_epochs + self.stabilize_epochs) * self.steps_per_epoch
-
 
 @dataclass
 class CurriculumState:
     """Single-owner mutable scheduler state; one instance per training run."""
 
     config: CurriculumConfig
+    steps_per_epoch: int
     global_step: int = 0
     alpha: float = 0.0
     ema_slow: float | None = None
     ema_fast: float | None = None
 
     @property
+    def anchor_steps(self) -> int:
+        return self.config.anchor_epochs * self.steps_per_epoch
+
+    @property
+    def ramp_end_step(self) -> int:
+        return (self.config.anchor_epochs + self.config.ramp_epochs) * self.steps_per_epoch
+
+    @property
+    def total_steps(self) -> int:
+        return self.ramp_end_step + self.config.stabilize_epochs * self.steps_per_epoch
+
+    @property
     def phase(self) -> Phase:
         """Phase of the next step; once the schedule is exhausted, that of the last one."""
-        return phase_of(self.config, min(self.global_step, self.config.total_steps - 1))
+        return phase_of(self, min(self.global_step, self.total_steps - 1))
 
 
-def phase_of(config: CurriculumConfig, global_step: int) -> Phase:
-    """Phase governing a given step index."""
-    if not 0 <= global_step < config.total_steps:
-        raise ValueError(f"step {global_step} outside the schedule (total {config.total_steps})")
-    if global_step < config.anchor_steps:
+def phase_of(state: CurriculumState, global_step: int) -> Phase:
+    """Phase governing a given step index of state's schedule."""
+    if not 0 <= global_step < state.total_steps:
+        raise ValueError(f"step {global_step} outside the schedule (total {state.total_steps})")
+    if global_step < state.anchor_steps:
         return Phase.ANCHOR
-    if global_step < config.ramp_end_step:
+    if global_step < state.ramp_end_step:
         return Phase.RAMP
     return Phase.STABILIZE
 
 
-def scheduler_new(config: CurriculumConfig) -> CurriculumState:
-    """Fresh state at step 0 with alpha 0 and EMAs untracked."""
-    return CurriculumState(config=config)
+def scheduler_new(config: CurriculumConfig, steps_per_epoch: int) -> CurriculumState:
+    """Fresh state at step 0 with alpha 0 and EMAs untracked, on a grid of
+    steps_per_epoch optimizer steps per epoch (an integer >= 1)."""
+    if not isinstance(steps_per_epoch, int) or isinstance(steps_per_epoch, bool) \
+            or steps_per_epoch < 1:
+        raise ValueError(f"steps_per_epoch must be an integer >= 1, got {steps_per_epoch!r}")
+    return CurriculumState(config=config, steps_per_epoch=steps_per_epoch)
 
 
 def scheduler_step(state: CurriculumState, observed_rw_loss: float) -> float:
@@ -124,10 +127,10 @@ def scheduler_step(state: CurriculumState, observed_rw_loss: float) -> float:
     if not math.isfinite(observed) or observed < 0.0:
         raise ValueError(f"observed loss must be finite and >= 0, got {observed_rw_loss}")
     cfg = state.config
-    if state.global_step >= cfg.total_steps:
-        raise RuntimeError(f"schedule exhausted after {cfg.total_steps} steps")
+    if state.global_step >= state.total_steps:
+        raise RuntimeError(f"schedule exhausted after {state.total_steps} steps")
 
-    phase = phase_of(cfg, state.global_step)
+    phase = phase_of(state, state.global_step)
     if phase is Phase.ANCHOR:
         state.alpha = 0.0
     elif phase is Phase.RAMP:
@@ -138,7 +141,7 @@ def scheduler_step(state: CurriculumState, observed_rw_loss: float) -> float:
             sd, fd = cfg.ema_slow_decay, cfg.ema_fast_decay
             state.ema_slow = sd * state.ema_slow + (1.0 - sd) * observed
             state.ema_fast = fd * state.ema_fast + (1.0 - fd) * observed
-        remaining = cfg.ramp_end_step - state.global_step
+        remaining = state.ramp_end_step - state.global_step
         if remaining == 1:
             state.alpha = cfg.alpha_target
         else:

@@ -1,8 +1,9 @@
 """Dense float64 building blocks shared by every other module.
 
-Everything here is a pure function of its inputs: row normalization,
-similarity products, numerically stable softmax cross-entropy with analytic
-gradients, and a deterministic 2-D PCA projection.
+Everything here is a pure function of its inputs: matrix validation, row
+normalization and a deterministic 2-D PCA projection. The losses and
+recall_at_k build their similarity products with BLAS; the einsum similarity
+and row cross-entropy oracles they are checked against live in the tests.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ import numpy as np
 __all__ = [
     "as_matrix",
     "l2_normalize_rows",
-    "similarity_matrix",
-    "row_cross_entropy",
     "pca_project_2d",
 ]
 
@@ -62,46 +61,6 @@ def _normalize_rows(m: np.ndarray, out=None):
     degenerate = norms < _NORM_FLOOR
     safe = np.where(degenerate, 1.0, norms)
     return np.divide(m, safe[:, None], out=out), norms, degenerate
-
-
-def similarity_matrix(a, b) -> np.ndarray:
-    """Pairwise dot products: out[i, j] = a_i . b_j, shape (a rows, b rows).
-
-    Uses a fixed-order einsum contraction so similarity_matrix(a, b).T and
-    similarity_matrix(b, a) are bitwise identical (BLAS matmul is not
-    guaranteed to be, at larger sizes). The losses and recall_at_k do not
-    call it: they build their products with BLAS.
-    """
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(f"column counts differ: {a.shape[1]} vs {b.shape[1]}")
-    return np.einsum("ik,jk->ij", a, b)
-
-
-def row_cross_entropy(logits, labels) -> tuple[float, np.ndarray]:
-    """Mean over rows of -log softmax(logits_i)[labels_i], plus its gradient.
-
-    The gradient is (softmax - onehot) / n_rows, so it sums to zero along each
-    row and feeding it back through any logit parameterization is exact.
-    """
-    logits = as_matrix(logits, "logits")
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.shape[0] != logits.shape[0]:
-        raise ValueError(f"labels must be a vector of length {logits.shape[0]}")
-    if labels.min() < 0 or labels.max() >= logits.shape[1]:
-        raise ValueError("label index out of range")
-    labels = labels.astype(np.intp)
-
-    n = logits.shape[0]
-    # max subtraction: scaled similarities can reach ~100 before exp
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    loss = 0.0 - log_p[np.arange(n), labels].mean()  # 0.0 - x avoids a -0.0 result
-    grad = np.exp(log_p)
-    grad[np.arange(n), labels] -= 1.0
-    grad /= n
-    return float(loss), grad
 
 
 def pca_project_2d(m) -> np.ndarray:

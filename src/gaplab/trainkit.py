@@ -6,9 +6,10 @@ two small tanh MLPs with unit-normalized outputs are then trained against the
 blended contrastive objective under the three-phase schedule. Everything is
 hand-differentiated (including the row-normalization Jacobian) and driven by
 an in-place Adam, so a full run is deterministic given its two seeds. train
-validates its data once and owns its step, which runs the private kernels on
-unchecked arrays; encoder_forward and encoder_backward wrap the same kernels.
-A run stops at epoch boundaries and forks there (sweep shares anchor epochs so).
+validates its data once; a private _Run then owns the whole run (parameters,
+optimizer moments, schedule, batch order and records) and steps it with the
+private kernels on unchecked arrays. A run stops at epoch boundaries and forks
+there (sweep shares anchor epochs so).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .curriculum import CurriculumConfig, CurriculumState, scheduler_new, scheduler_step
+from .curriculum import CurriculumConfig, scheduler_new, scheduler_step
 from .geometry import EmbeddingBatch, GapReport, gap_report
 from .losses import DEFAULT_LOG_SCALE, LOG_SCALE_MAX, LossOutput, Temperature, _cma
 from .numerics import _normalize_rows, as_matrix
@@ -30,16 +31,12 @@ __all__ = [
     "PairedDataset",
     "synth_dataset",
     "Encoder",
-    "EncoderCache",
-    "encoder_forward",
-    "encoder_backward",
     "TrainConfig",
     "EpochRecord",
     "RunHistory",
     "NonFiniteLossError",
     "train",
     "epoch_steps",
-    "encode_pairs",
 ]
 
 
@@ -154,10 +151,6 @@ class Encoder:
         return cls(w1, np.zeros(hidden_dim), w2, np.zeros(embed_dim))
 
     @property
-    def input_dim(self) -> int:
-        return self.w1.shape[0]
-
-    @property
     def embed_dim(self) -> int:
         return self.w2.shape[1]
 
@@ -171,9 +164,17 @@ class Encoder:
         self.flat = flat
         self.w1, self.b1, self.w2, self.b2 = self._views(flat)
 
+    # a copy or an unpickled encoder holds flat alone and views it again
+    def __getstate__(self):
+        return self.shapes, self.flat
+
+    def __setstate__(self, state):
+        self.shapes, flat = state
+        self._bind(flat)
+
 
 @dataclass
-class EncoderCache:
+class _EncoderCache:
     x: np.ndarray
     hidden: np.ndarray
     pre_norm: np.ndarray
@@ -182,28 +183,23 @@ class EncoderCache:
     degenerate: np.ndarray
 
 
-def _forward(enc: Encoder, x: np.ndarray) -> tuple[np.ndarray, EncoderCache]:
-    """encoder_forward on a validated x of the encoder's input width."""
+def _forward(enc: Encoder, x: np.ndarray) -> tuple[np.ndarray, _EncoderCache]:
+    """Unit-norm embeddings of a validated x of the encoder's input width, plus
+    the cache _backward needs. A norm that is not finite is the caller's to check."""
     hidden = np.tanh(x @ enc.w1 + enc.b1)
     pre_norm = hidden @ enc.w2 + enc.b2
     emb, norms, degenerate = _normalize_rows(pre_norm)
-    return emb, EncoderCache(x, hidden, pre_norm, emb, norms, degenerate)
+    return emb, _EncoderCache(x, hidden, pre_norm, emb, norms, degenerate)
 
 
-def encoder_forward(enc: Encoder, x) -> tuple[np.ndarray, EncoderCache]:
-    """Unit-norm embeddings plus the cache encoder_backward needs. ValueError if
-    x is not a finite matrix of the encoder's input width or an output norm is not finite."""
-    x = as_matrix(x, "x")
-    if x.shape[1] != enc.input_dim:
-        raise ValueError(f"input dim mismatch: encoder expects {enc.input_dim}, got {x.shape[1]}")
-    emb, cache = _forward(enc, x)
-    if not np.isfinite(cache.norms).all():
-        raise ValueError("encoder output norms are not finite")
-    return emb, cache
+def _backward(enc: Encoder, cache: _EncoderCache, grad_embeddings: np.ndarray, out) -> None:
+    """Parameter gradients for a loss on the normalized embeddings, given its
+    gradient there, written into out = [w1, b1, w2, b2]-shaped arrays.
 
-
-def _backward(enc: Encoder, cache: EncoderCache, grad_embeddings: np.ndarray, out) -> None:
-    """encoder_backward on a validated gradient, written into out = [w1, b1, w2, b2] arrays."""
+    Normalization Jacobian per row: (I - v v^T) / ||z||, which kills the
+    radial component of the upstream gradient; degenerate rows pass the
+    gradient through unchanged (normalization was the identity there).
+    """
     g_w1, g_b1, g_w2, g_b2 = out
     emb = cache.embeddings
     radial = np.einsum("ij,ij->i", grad_embeddings, emb)[:, None]
@@ -216,21 +212,6 @@ def _backward(enc: Encoder, cache: EncoderCache, grad_embeddings: np.ndarray, ou
     grad_pre = (grad_z @ enc.w2.T) * (1.0 - cache.hidden**2)
     np.matmul(cache.x.T, grad_pre, out=g_w1)
     grad_pre.sum(axis=0, out=g_b1)
-
-
-def encoder_backward(enc: Encoder, cache: EncoderCache, grad_embeddings) -> dict:
-    """Parameter gradients for a loss on the normalized embeddings.
-
-    Normalization Jacobian per row: (I - v v^T) / ||z||, which kills the
-    radial component of the upstream gradient; degenerate rows pass the
-    gradient through unchanged (normalization was the identity there).
-    """
-    grad_embeddings = as_matrix(grad_embeddings, "grad_embeddings")
-    if grad_embeddings.shape != cache.embeddings.shape:
-        raise ValueError("gradient shape does not match the cached embeddings")
-    grads = enc._views(np.empty_like(enc.flat))
-    _backward(enc, cache, grad_embeddings, grads)
-    return dict(zip(("w1", "b1", "w2", "b2"), grads))
 
 
 def _adam(flat, grad, m, v, step: int, lr: float, betas: tuple, eps: float) -> None:
@@ -325,72 +306,6 @@ class NonFiniteLossError(RuntimeError):
         return (NonFiniteLossError, (self.epoch, self.step, self.alpha, self.loss, self.what))
 
 
-class _Step:
-    """A run's parameters and its training step: forward, loss, backward and
-    Adam on arrays the caller validated once, with nothing in between. Both
-    encoders' parameters, then log_scale, sit in one float64 buffer, flat, that
-    the encoders' weights view; the gradient and Adam moments share its layout.
-    """
-
-    def __init__(self, img_enc: Encoder, txt_enc: Encoder, cfg: TrainConfig):
-        self.flat = np.concatenate([img_enc.flat, txt_enc.flat, [cfg.init_log_scale]])
-        self.grad, self.m, self.v = (np.zeros_like(self.flat) for _ in range(3))
-        self._bind(img_enc, txt_enc)
-        self.count = 0  # Adam steps taken
-        self.adam = (cfg.learning_rate, (cfg.adam_beta1, cfg.adam_beta2), cfg.adam_eps)
-
-    def _bind(self, *encoders: Encoder) -> None:
-        """Make both encoders view flat, and their gradients view grad."""
-        parts = (slice(0, encoders[0].flat.size), slice(encoders[0].flat.size, -1))
-        for enc, part in zip(encoders, parts):
-            enc._bind(self.flat[part])
-        self.towers = [(enc, enc._views(self.grad[part])) for enc, part in zip(encoders, parts)]
-
-    def fork(self) -> "_Step":
-        """A copy owning its buffers; its copied encoders are rebound to view them."""
-        new = copy.copy(self)
-        new.flat, new.grad, new.m, new.v = (a.copy() for a in (self.flat, self.grad, self.m, self.v))
-        new._bind(*(copy.copy(enc) for enc, _ in self.towers))
-        return new
-
-    def encode(self, tower: int, x: np.ndarray, epoch: int, alpha: float):
-        """(embeddings, cache) of tower 0 (image) or 1 (text) for a validated x."""
-        emb, cache = _forward(self.towers[tower][0], x)
-        worst = float(cache.norms.max())  # NaN if any norm is NaN
-        if not math.isfinite(worst):
-            raise NonFiniteLossError(epoch, self.count, alpha, worst, "encoder output norm")
-        return emb, cache
-
-    def __call__(self, inputs: tuple, alpha: float, epoch: int) -> LossOutput:
-        """One step on a validated (image, text) batch at blend alpha in [0, 1]."""
-        (vi, cache_i), (vt, cache_t) = (self.encode(i, x, epoch, alpha) for i, x in enumerate(inputs))
-        log_scale = float(self.flat[-1])
-        if not math.isfinite(log_scale):
-            raise NonFiniteLossError(epoch, self.count, alpha, log_scale, "log scale")
-        out = _cma(vi, vt, math.exp(log_scale), alpha)
-        if not math.isfinite(out.loss):
-            raise NonFiniteLossError(epoch, self.count, alpha, out.loss)
-        for (enc, grads), cache, upstream in zip(self.towers, (cache_i, cache_t),
-                                                 (out.grad_images, out.grad_texts)):
-            _backward(enc, cache, upstream, grads)
-        self.grad[-1] = out.grad_log_scale
-        self.count += 1
-        _adam(self.flat, self.grad, self.m, self.v, self.count, *self.adam)
-        return out
-
-
-def encode_pairs(img_enc: Encoder, txt_enc: Encoder, data: PairedDataset,
-                 rows: np.ndarray) -> tuple[EmbeddingBatch, EmbeddingBatch]:
-    """Encode selected dataset rows into labeled embedding batches."""
-    vi, _ = encoder_forward(img_enc, data.images[rows])
-    vt, _ = encoder_forward(txt_enc, data.texts[rows])
-    labels = data.labels[rows]
-    return (
-        EmbeddingBatch(vi, labels=labels, modality="image"),
-        EmbeddingBatch(vt, labels=labels, modality="text"),
-    )
-
-
 def epoch_steps(train_cfg: TrainConfig, synth_cfg: SynthConfig) -> int:
     """Optimizer steps per epoch; ValueError if batch_size exceeds the train split.
 
@@ -404,44 +319,85 @@ def epoch_steps(train_cfg: TrainConfig, synth_cfg: SynthConfig) -> int:
 
 
 class _Run:
-    """One run between epochs: its _Step, scheduler, batch-order generator,
-    current alpha, records and last eval batches. advance trains whole epochs
-    on data the caller owns; fork copies the mutable state."""
+    """One run between epochs, and its training step. Both encoders' parameters,
+    then log_scale, sit in one float64 buffer, flat, that the encoders' weights
+    view; the gradient (viewed per encoder by grads) and the Adam moments share
+    its layout. The run also owns its scheduler (None when alpha is pinned),
+    batch-order generator, alpha, records and last eval batches. advance trains
+    whole epochs on data the caller validated once; fork copies the run."""
 
     def __init__(self, train_cfg: TrainConfig, synth_cfg: SynthConfig, alpha: float | None = None):
         self.train_cfg = train_cfg
         self.steps_per_epoch = epoch_steps(train_cfg, synth_cfg)
-        # the schedule's step grid always comes from the data, not the config file
-        cfg = replace(train_cfg.curriculum, steps_per_epoch=self.steps_per_epoch)
         streams = np.random.SeedSequence((train_cfg.seed, 2)).spawn(3)
         r_img, r_txt, self.order = (np.random.default_rng(s) for s in streams)
         dims = (train_cfg.hidden_dim, train_cfg.embed_dim)
-        img_enc = Encoder.random(synth_cfg.image_input_dim, *dims, r_img)
-        txt_enc = Encoder.random(synth_cfg.text_input_dim, *dims, r_txt)
-        self.step = _Step(img_enc, txt_enc, train_cfg)
-        self.scheduler: CurriculumState | None = None
+        self.encoders = (Encoder.random(synth_cfg.image_input_dim, *dims, r_img),
+                         Encoder.random(synth_cfg.text_input_dim, *dims, r_txt))
+        self.flat = np.concatenate([*(enc.flat for enc in self.encoders), [train_cfg.init_log_scale]])
+        self.grad, self.m, self.v = (np.zeros_like(self.flat) for _ in range(3))
+        self._bind()
+        self.count = 0  # Adam steps taken
+        self.adam = (train_cfg.learning_rate, (train_cfg.adam_beta1, train_cfg.adam_beta2), train_cfg.adam_eps)
         if alpha is None:
-            self.scheduler = scheduler_new(cfg)
+            self.scheduler = scheduler_new(train_cfg.curriculum, self.steps_per_epoch)
             self.alpha = self.scheduler.alpha
+        elif not 0.0 <= float(alpha) <= 1.0:
+            raise ValueError(f"alpha must be in [0, 1], got {alpha}")
         else:
-            self.alpha = float(alpha)
-            if not 0.0 <= self.alpha <= 1.0:
-                raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+            self.scheduler, self.alpha = None, float(alpha)
         self.records: list = []
         self.eval_batches = None
+
+    def _bind(self) -> None:
+        """Make both encoders view flat, and their gradients (grads) view grad."""
+        size = self.encoders[0].flat.size
+        parts = (slice(0, size), slice(size, -1))
+        for enc, part in zip(self.encoders, parts):
+            enc._bind(self.flat[part])
+        self.grads = tuple(enc._views(self.grad[part]) for enc, part in zip(self.encoders, parts))
+
+    def __setstate__(self, state):
+        """A copy or an unpickled run: its encoders view its own buffers again."""
+        self.__dict__.update(state)
+        self._bind()
 
     def fork(self, alpha_target: float) -> "_Run":
         """A copy whose schedule heads for alpha_target (or, alpha pinned, pins it).
         Nothing reads the target before the first ramp step, so a fork made by
         then trains as a run started with that target."""
-        new = copy.copy(self)
-        new.step, new.order, new.records = self.step.fork(), copy.deepcopy(self.order), list(self.records)
-        if self.scheduler is None:
+        new = copy.deepcopy(self)
+        if new.scheduler is None:
             new.alpha = alpha_target
         else:
-            cfg = replace(self.scheduler.config, alpha_target=alpha_target)
-            new.scheduler = replace(self.scheduler, config=cfg)
+            new.scheduler.config = replace(new.scheduler.config, alpha_target=alpha_target)
         return new
+
+    def encode(self, tower: int, x: np.ndarray, epoch: int, alpha: float):
+        """(embeddings, cache) of tower 0 (image) or 1 (text) for a validated x."""
+        emb, cache = _forward(self.encoders[tower], x)
+        worst = float(cache.norms.max())  # NaN if any norm is NaN
+        if not math.isfinite(worst):
+            raise NonFiniteLossError(epoch, self.count, alpha, worst, "encoder output norm")
+        return emb, cache
+
+    def step(self, inputs: tuple, alpha: float, epoch: int) -> LossOutput:
+        """One step on a validated (image, text) batch at blend alpha in [0, 1]:
+        forward, loss, backward and Adam, with nothing in between."""
+        (vi, cache_i), (vt, cache_t) = (self.encode(i, x, epoch, alpha) for i, x in enumerate(inputs))
+        log_scale = float(self.flat[-1])
+        if not math.isfinite(log_scale):
+            raise NonFiniteLossError(epoch, self.count, alpha, log_scale, "log scale")
+        out = _cma(vi, vt, math.exp(log_scale), alpha)
+        if not math.isfinite(out.loss):
+            raise NonFiniteLossError(epoch, self.count, alpha, out.loss)
+        for enc, grads, cache, upstream in zip(self.encoders, self.grads, (cache_i, cache_t),
+                                               (out.grad_images, out.grad_texts)):
+            _backward(enc, cache, upstream, grads)
+        self.grad[-1] = out.grad_log_scale
+        self.count += 1
+        _adam(self.flat, self.grad, self.m, self.v, self.count, *self.adam)
+        return out
 
     # Every step checks its loss, output norms and log scale and raises on a
     # non-finite one, so NumPy's overflow warnings on the way there are noise.
@@ -467,8 +423,8 @@ class _Run:
                 if self.scheduler is not None:
                     self.alpha = scheduler_step(self.scheduler, diag["rw_term"])
 
-            vi, _ = step.encode(0, images[data.eval_idx], epoch, alpha_used)
-            vt, _ = step.encode(1, texts[data.eval_idx], epoch, alpha_used)
+            vi, _ = self.encode(0, images[data.eval_idx], epoch, alpha_used)
+            vt, _ = self.encode(1, texts[data.eval_idx], epoch, alpha_used)
             img_eval = EmbeddingBatch(vi, labels=eval_labels, modality="image")
             txt_eval = EmbeddingBatch(vt, labels=eval_labels, modality="text")
             self.eval_batches = (img_eval, txt_eval)
@@ -502,5 +458,4 @@ def train(train_cfg: TrainConfig, synth_cfg: SynthConfig, alpha: float | None = 
     data = synth_dataset(synth_cfg)
     run = _Run(train_cfg, synth_cfg, alpha)
     run.advance(data, train_cfg.epochs)
-    encoders = tuple(enc for enc, _ in run.step.towers)
-    return encoders, Temperature(run.step.flat[-1]), RunHistory(run.records, run.eval_batches)
+    return run.encoders, Temperature(run.flat[-1]), RunHistory(run.records, run.eval_batches)

@@ -16,7 +16,7 @@ import pytest
 import gaplab as gl
 from gaplab import cli as cli_mod
 
-from conftest import bound_losses, end_to_end_fd_error, unit_rows
+from conftest import bound_losses, end_to_end_fd_error, row_cross_entropy, similarity_matrix, unit_rows
 from test_evalkit import ari_by_pair_enumeration, v_measure_by_entropies
 
 RESULTS = []
@@ -140,8 +140,8 @@ def test_04_attraction_repulsion_recompose_the_cross_entropy():
         v, t, temp = random_pair(seed, n=7, d=5)
         split = gl.clip_loss(v, t, temp).diagnostics
         align, oppose = split["align_term"], split["oppose_term"]
-        logits = temp.scale * gl.similarity_matrix(v, t)
-        i2t, _ = gl.row_cross_entropy(logits, np.arange(7))
+        logits = temp.scale * similarity_matrix(v, t)
+        i2t, _ = row_cross_entropy(logits, np.arange(7))
         worst = max(worst, abs((align + oppose) - i2t))
     check(4, "attraction + repulsion equals the retrieval cross-entropy",
           worst <= 1e-10, f"worst residual {worst:.2e} over 20 seeds")
@@ -157,22 +157,22 @@ def test_05_schedule_contract_holds_for_random_runs():
             ramp_epochs=int(rng.integers(1, 5)),
             stabilize_epochs=int(rng.integers(0, 3)),
             alpha_target=float(rng.uniform(0.05, 1.0)),
-            steps_per_epoch=int(rng.integers(1, 8)),
         )
+        spe = int(rng.integers(1, 8))
         for _ in range(100):
-            losses = rng.uniform(0.0, 5.0, size=cfg.total_steps)
-            state = gl.scheduler_new(cfg)
+            state = gl.scheduler_new(cfg, spe)
+            losses = rng.uniform(0.0, 5.0, size=state.total_steps)
             prev = 0.0
             for step, loss in enumerate(losses):
                 alpha = gl.scheduler_step(state, float(loss))
-                phase = gl.phase_of(cfg, step)
+                phase = gl.phase_of(state, step)
                 ok = alpha <= cfg.alpha_target + 1e-15 and alpha >= prev - 1e-15
                 if phase is gl.Phase.ANCHOR:
                     ok = ok and alpha == 0.0
                 elif phase is gl.Phase.STABILIZE:
                     ok = ok and alpha == cfg.alpha_target
                 else:
-                    remaining = cfg.ramp_end_step - step
+                    remaining = state.ramp_end_step - step
                     if remaining == 1:
                         ok = ok and alpha == cfg.alpha_target
                     else:

@@ -18,7 +18,7 @@ import gaplab as gl
 from gaplab import cli as cli_mod
 from gaplab import sweep as sweep_mod
 
-from conftest import unit_rows
+from conftest import encode_pairs, unit_rows
 
 
 TINY_CONFIG = {
@@ -77,6 +77,10 @@ def test_load_run_config_defaults_and_overrides(tmp_path):
     assert tc.curriculum.anchor_epochs == 3      # untouched default
 
 
+# a section that is not an object, each of a type that once slipped past the check
+NOT_OBJECT_SECTIONS = [{"train": None}, {"train": 5}, {"train": [[1, 2]]}, {"train": "ab"}]
+
+
 def test_load_run_config_rejects_unknown_and_badly_typed_keys(tmp_path):
     cases = [
         {"typo": {}},
@@ -86,11 +90,17 @@ def test_load_run_config_rejects_unknown_and_badly_typed_keys(tmp_path):
         {"synth": {"seed": True}},
         {"train": {"learning_rate": "fast"}},
         {"train": {"curriculum": {"steps_per_epoch": 12}}},
+        *NOT_OBJECT_SECTIONS,
     ]
     for i, payload in enumerate(cases):
         path = tmp_path / f"bad{i}.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError):
+            cli_mod.load_run_config(path)
+    for i, payload in enumerate(NOT_OBJECT_SECTIONS):
+        path = tmp_path / f"section{i}.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="'synth' and 'train' must be JSON objects"):
             cli_mod.load_run_config(path)
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
@@ -104,7 +114,7 @@ def test_load_run_config_rejects_unknown_and_badly_typed_keys(tmp_path):
 RUN_CONFIG_SECTIONS = {
     "synth": (gl.SynthConfig, set()),
     "train": (gl.TrainConfig, {"curriculum"}),
-    "train.curriculum": (gl.CurriculumConfig, {"steps_per_epoch"}),
+    "train.curriculum": (gl.CurriculumConfig, set()),
 }
 INT_FIELDS = {
     "n_classes", "samples_per_class", "latent_dim", "image_input_dim",
@@ -319,14 +329,14 @@ def test_train_eval_embeddings_match_a_fresh_encode_of_the_eval_split(
     tc, sc = cli_mod.load_run_config(tiny_config_path)
     data = gl.synth_dataset(sc)
     (img, txt), _, _ = gl.train(tc, sc)
-    fresh = gl.encode_pairs(img, txt, data, data.eval_idx)
+    fresh = encode_pairs(img, txt, data, data.eval_idx)
 
     def from_checkpoint(name):
         w1, b1, w2, b2 = (gl.read_embeddings(out_dir / f"{name}_{p}.emb")[0]
                           for p in ("w1", "b1", "w2", "b2"))
         return gl.Encoder(w1, b1[0], w2, b2[0])
 
-    reloaded = gl.encode_pairs(from_checkpoint("image"), from_checkpoint("text"),
+    reloaded = encode_pairs(from_checkpoint("image"), from_checkpoint("text"),
                                data, data.eval_idx)
     for name, batch, again in zip(("eval_images.emb", "eval_texts.emb"), fresh, reloaded):
         vectors, labels = gl.read_embeddings(out_dir / name)
@@ -368,6 +378,17 @@ def test_train_rejects_steps_per_epoch_and_leaves_no_out_dir(tmp_path, capsys):
     code, _, stderr = run_cli(["train", "--config", config, "--out-dir", out_dir], capsys)
     assert code == 2
     assert "unknown key(s) in train.curriculum: steps_per_epoch" in stderr
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("payload", NOT_OBJECT_SECTIONS)
+def test_train_section_that_is_not_an_object_exits_2_and_leaves_no_out_dir(tmp_path, capsys, payload):
+    config = tmp_path / "section.json"
+    config.write_text(json.dumps(payload))
+    out_dir = tmp_path / "never"
+    code, _, stderr = run_cli(["train", "--config", config, "--out-dir", out_dir], capsys)
+    assert code == 2
+    assert stderr == f"error: {config}: 'synth' and 'train' must be JSON objects\n"
     assert not out_dir.exists()
 
 
@@ -696,6 +717,17 @@ def test_correlate_missing_column_exits_2(tmp_path, capsys):
                                "--out", tmp_path / "f.json"], capsys)
     assert code == 2
     assert "'b'" in stderr
+
+
+def test_correlate_short_row_exits_2_and_writes_nothing(tmp_path, capsys):
+    path = tmp_path / "short.csv"
+    path.write_text("seed,a,b\nmean,1.0,1.0\nmean,0.1\nmean,3.0,3.0\n")
+    out = tmp_path / "f.json"
+    code, _, stderr = run_cli(["correlate", "--sweep", path, "--x", "a", "--y", "b",
+                               "--out", out], capsys)
+    assert code == 2
+    assert stderr == f"error: {path}: a row is too short to hold column 'b'\n"
+    assert not out.exists()
 
 
 def test_correlate_constant_x_exits_2(tmp_path, capsys):

@@ -7,26 +7,29 @@ import gaplab as gl
 from gaplab import Phase
 
 
-def tiny(anchor=1, ramp=2, stabilize=1, target=0.5, spe=4, **kw):
-    return gl.CurriculumConfig(
-        anchor_epochs=anchor, ramp_epochs=ramp, stabilize_epochs=stabilize,
-        alpha_target=target, steps_per_epoch=spe, **kw)
+def tiny(anchor=1, ramp=2, stabilize=1, target=0.5, spe=4, **kw) -> gl.CurriculumState:
+    """A fresh scheduler state on spe steps per epoch."""
+    cfg = gl.CurriculumConfig(anchor_epochs=anchor, ramp_epochs=ramp, stabilize_epochs=stabilize,
+                              alpha_target=target, **kw)
+    return gl.scheduler_new(cfg, spe)
 
 
-def reference_alpha_trace(cfg: gl.CurriculumConfig, losses) -> list[float]:
-    """Straight-line reimplementation of the schedule used as an oracle."""
+def reference_alpha_trace(state: gl.CurriculumState, losses) -> list[float]:
+    """Straight-line reimplementation of the schedule used as an oracle; reads
+    only state's config and step grid."""
+    cfg = state.config
     alpha, slow, fast = 0.0, None, None
     out = []
     for step, loss in enumerate(losses):
-        if step < cfg.anchor_steps:
+        if step < state.anchor_steps:
             alpha = 0.0
-        elif step < cfg.ramp_end_step:
+        elif step < state.ramp_end_step:
             if slow is None:
                 slow = fast = loss
             else:
                 slow = cfg.ema_slow_decay * slow + (1 - cfg.ema_slow_decay) * loss
                 fast = cfg.ema_fast_decay * fast + (1 - cfg.ema_fast_decay) * loss
-            remaining = cfg.ramp_end_step - step
+            remaining = state.ramp_end_step - step
             if remaining == 1:
                 alpha = cfg.alpha_target
             else:
@@ -46,8 +49,9 @@ def test_config_validation():
         tiny(anchor=-1)
     with pytest.raises(ValueError):
         tiny(anchor=0, ramp=0, stabilize=0)
-    with pytest.raises(ValueError):
-        tiny(spe=0)
+    for spe in (0, -1, 2.0, True):
+        with pytest.raises(ValueError, match="steps_per_epoch must be an integer >= 1"):
+            tiny(spe=spe)
     with pytest.raises(ValueError):
         tiny(target=1.5)
     with pytest.raises(ValueError):
@@ -56,45 +60,44 @@ def test_config_validation():
         tiny(ema_fast_decay=1.0)
     with pytest.raises(ValueError):
         gl.CurriculumConfig(anchor_epochs=True)          # bool is not a count
-    with pytest.raises(ValueError):
-        gl.CurriculumConfig(steps_per_epoch=2.0)
+    with pytest.raises(TypeError):
+        gl.CurriculumConfig(steps_per_epoch=2)           # the step grid is the run's
 
 
 def test_config_step_arithmetic():
-    cfg = tiny(anchor=2, ramp=3, stabilize=1, spe=5)
-    assert cfg.anchor_steps == 10
-    assert cfg.ramp_end_step == 25
-    assert cfg.total_steps == 30
+    state = tiny(anchor=2, ramp=3, stabilize=1, spe=5)
+    assert state.steps_per_epoch == 5
+    assert state.anchor_steps == 10
+    assert state.ramp_end_step == 25
+    assert state.total_steps == 30
 
 
 # ----------------------------------------------------------------- phase_of
 
 def test_phase_boundaries():
-    cfg = tiny(anchor=2, ramp=3, stabilize=1, spe=5)
-    assert gl.phase_of(cfg, 0) is Phase.ANCHOR
-    assert gl.phase_of(cfg, 9) is Phase.ANCHOR
-    assert gl.phase_of(cfg, 10) is Phase.RAMP           # first ramp step
-    assert gl.phase_of(cfg, 24) is Phase.RAMP
-    assert gl.phase_of(cfg, 25) is Phase.STABILIZE      # first stabilize step
-    assert gl.phase_of(cfg, 29) is Phase.STABILIZE
+    state = tiny(anchor=2, ramp=3, stabilize=1, spe=5)
+    assert gl.phase_of(state, 0) is Phase.ANCHOR
+    assert gl.phase_of(state, 9) is Phase.ANCHOR
+    assert gl.phase_of(state, 10) is Phase.RAMP           # first ramp step
+    assert gl.phase_of(state, 24) is Phase.RAMP
+    assert gl.phase_of(state, 25) is Phase.STABILIZE      # first stabilize step
+    assert gl.phase_of(state, 29) is Phase.STABILIZE
     with pytest.raises(ValueError):
-        gl.phase_of(cfg, 30)
+        gl.phase_of(state, 30)
     with pytest.raises(ValueError):
-        gl.phase_of(cfg, -1)
+        gl.phase_of(state, -1)
 
 
 def test_no_anchor_starts_in_ramp():
-    cfg = tiny(anchor=0)
-    state = gl.scheduler_new(cfg)
+    state = tiny(anchor=0)
     assert state.phase is Phase.RAMP
     assert state.alpha == 0.0
     assert state.ema_slow is None and state.ema_fast is None
 
 
 def test_no_ramp_jumps_to_target():
-    cfg = tiny(anchor=1, ramp=0, stabilize=1, target=0.7, spe=3)
-    state = gl.scheduler_new(cfg)
-    trace = [gl.scheduler_step(state, 1.0) for _ in range(cfg.total_steps)]
+    state = tiny(anchor=1, ramp=0, stabilize=1, target=0.7, spe=3)
+    trace = [gl.scheduler_step(state, 1.0) for _ in range(state.total_steps)]
     assert trace[:3] == [0.0, 0.0, 0.0]
     assert trace[3:] == [0.7, 0.7, 0.7]
 
@@ -104,16 +107,14 @@ def test_no_ramp_jumps_to_target():
 def test_first_ramp_increment_hand_value():
     # 100 ramp steps from 0 toward 0.5; EMAs initialize equal so the speed
     # factor is 1.5 and the first increment is (0.5 / 100) * 1.5.
-    cfg = tiny(anchor=0, ramp=1, stabilize=1, target=0.5, spe=100)
-    state = gl.scheduler_new(cfg)
+    state = tiny(anchor=0, ramp=1, stabilize=1, target=0.5, spe=100)
     alpha = gl.scheduler_step(state, 1.0)
     assert abs(alpha - 0.0075) < 1e-15
     assert state.ema_slow == 1.0 and state.ema_fast == 1.0
 
 
 def test_rising_loss_halves_the_ramp_speed():
-    cfg = tiny(anchor=0, ramp=1, stabilize=1, target=0.5, spe=100)
-    state = gl.scheduler_new(cfg)
+    state = tiny(anchor=0, ramp=1, stabilize=1, target=0.5, spe=100)
     a1 = gl.scheduler_step(state, 1.0)
     a2 = gl.scheduler_step(state, 1000.0)   # loss explodes; rho clips to 2, s = 0
     expected = a1 + (0.5 - a1) / 99 * 0.5
@@ -121,8 +122,7 @@ def test_rising_loss_halves_the_ramp_speed():
 
 
 def test_falling_loss_accelerates():
-    cfg = tiny(anchor=0, ramp=1, stabilize=1, target=0.5, spe=100)
-    state = gl.scheduler_new(cfg)
+    state = tiny(anchor=0, ramp=1, stabilize=1, target=0.5, spe=100)
     a1 = gl.scheduler_step(state, 1.0)
     a2 = gl.scheduler_step(state, 0.0)      # fast EMA drops quicker: rho < 1
     rho = 0.9 / 0.99
@@ -131,28 +131,25 @@ def test_falling_loss_accelerates():
 
 
 def test_final_ramp_step_snaps_to_target_exactly():
-    cfg = tiny(anchor=1, ramp=1, stabilize=1, target=0.37, spe=6)
-    state = gl.scheduler_new(cfg)
+    state = tiny(anchor=1, ramp=1, stabilize=1, target=0.37, spe=6)
     rng = np.random.default_rng(0)
     trace = [gl.scheduler_step(state, float(rng.uniform(0.5, 4.0)))
-             for _ in range(cfg.ramp_end_step)]
+             for _ in range(state.ramp_end_step)]
     assert trace[-1] == 0.37
 
 
 def test_zero_target_keeps_alpha_at_zero():
-    cfg = tiny(target=0.0)
-    state = gl.scheduler_new(cfg)
-    for _ in range(cfg.total_steps):
+    state = tiny(target=0.0)
+    for _ in range(state.total_steps):
         assert gl.scheduler_step(state, 2.0) == 0.0
 
 
 # --------------------------------------------------------------- state flow
 
 def test_phase_field_tracks_upcoming_step():
-    cfg = tiny(anchor=1, ramp=1, stabilize=1, spe=2)
-    state = gl.scheduler_new(cfg)
+    state = tiny(anchor=1, ramp=1, stabilize=1, spe=2)
     seen = []
-    for _ in range(cfg.total_steps):
+    for _ in range(state.total_steps):
         gl.scheduler_step(state, 1.0)
         seen.append(state.phase)
     assert seen == [Phase.ANCHOR, Phase.RAMP, Phase.RAMP,
@@ -160,8 +157,7 @@ def test_phase_field_tracks_upcoming_step():
 
 
 def test_exhausted_schedule_raises():
-    cfg = tiny(anchor=0, ramp=1, stabilize=0, spe=2)
-    state = gl.scheduler_new(cfg)
+    state = tiny(anchor=0, ramp=1, stabilize=0, spe=2)
     gl.scheduler_step(state, 1.0)
     gl.scheduler_step(state, 1.0)
     with pytest.raises(RuntimeError):
@@ -169,7 +165,7 @@ def test_exhausted_schedule_raises():
 
 
 def test_bad_observed_loss_raises():
-    state = gl.scheduler_new(tiny())
+    state = tiny()
     for bad in (float("nan"), float("inf"), -0.5):
         with pytest.raises(ValueError):
             gl.scheduler_step(state, bad)
@@ -185,23 +181,23 @@ def test_schedule_contract_over_random_configs_and_losses():
             ramp_epochs=int(rng.integers(1, 5)),
             stabilize_epochs=int(rng.integers(0, 3)),
             alpha_target=float(rng.uniform(0.05, 1.0)),
-            steps_per_epoch=int(rng.integers(1, 9)),
         )
+        spe = int(rng.integers(1, 9))
         for _ in range(5):
-            losses = rng.uniform(0.0, 5.0, size=cfg.total_steps)
-            state = gl.scheduler_new(cfg)
+            state = gl.scheduler_new(cfg, spe)
+            losses = rng.uniform(0.0, 5.0, size=state.total_steps)
             trace = [gl.scheduler_step(state, float(x)) for x in losses]
 
-            assert trace == reference_alpha_trace(cfg, losses)
+            assert trace == reference_alpha_trace(state, losses)
             prev = 0.0
             for step, alpha in enumerate(trace):
-                phase = gl.phase_of(cfg, step)
+                phase = gl.phase_of(state, step)
                 if phase is Phase.ANCHOR:
                     assert alpha == 0.0
                 elif phase is Phase.STABILIZE:
                     assert alpha == cfg.alpha_target
                 else:
-                    remaining = cfg.ramp_end_step - step
+                    remaining = state.ramp_end_step - step
                     if remaining == 1:
                         assert alpha == cfg.alpha_target
                     else:
@@ -217,11 +213,10 @@ def test_schedule_contract_over_random_configs_and_losses():
 
 
 def test_scheduler_is_deterministic():
-    cfg = tiny(anchor=1, ramp=4, stabilize=1, spe=5)
     rng = np.random.default_rng(3)
-    losses = rng.uniform(0.2, 2.0, size=cfg.total_steps)
+    losses = rng.uniform(0.2, 2.0, size=tiny(anchor=1, ramp=4, stabilize=1, spe=5).total_steps)
     runs = []
     for _ in range(2):
-        state = gl.scheduler_new(cfg)
+        state = tiny(anchor=1, ramp=4, stabilize=1, spe=5)
         runs.append([gl.scheduler_step(state, float(x)) for x in losses])
     assert runs[0] == runs[1]

@@ -8,7 +8,7 @@ import pytest
 import gaplab as gl
 from gaplab import evalkit
 
-from conftest import traced_peak, unit_rows
+from conftest import similarity_matrix, traced_peak, unit_rows
 
 
 def blobs(rng, k=3, per=20, d=4, spread=0.05):
@@ -65,7 +65,7 @@ def v_measure_by_entropies(pred, truth) -> float:
 def recall_by_stable_sort(v, t, k) -> tuple[float, float]:
     """Recall@k in both directions from a stable sort of each similarity row:
     descending score, ties to the lower index."""
-    s = gl.similarity_matrix(v, t)
+    s = similarity_matrix(v, t)
     n = s.shape[0]
     result = []
     for mat in (s, s.T):

@@ -3,7 +3,7 @@ import pytest
 
 import gaplab as gl
 
-from conftest import random_orthogonal, unit_rows
+from conftest import random_orthogonal, row_cross_entropy, similarity_matrix, unit_rows
 
 
 # ---------------------------------------------------------------- as_matrix
@@ -58,12 +58,14 @@ def test_normalize_threshold_is_strict():
 
 
 # ---------------------------------------------------- similarity_matrix
+# The einsum similarity and the row cross-entropy are the loss tests' oracles
+# (tests/conftest.py); these tests pin the oracles themselves.
 
 def test_similarity_identity_and_antipodal():
     v = np.eye(3)
-    s = gl.similarity_matrix(v, v)
+    s = similarity_matrix(v, v)
     assert np.array_equal(s, np.eye(3))
-    s2 = gl.similarity_matrix(v, -v)
+    s2 = similarity_matrix(v, -v)
     assert np.array_equal(np.diag(s2), [-1.0, -1.0, -1.0])
 
 
@@ -71,7 +73,7 @@ def test_similarity_matches_loop_oracle():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((4, 5))
     b = rng.standard_normal((3, 5))
-    s = gl.similarity_matrix(a, b)
+    s = similarity_matrix(a, b)
     for i in range(4):
         for j in range(3):
             assert abs(s[i, j] - float(np.dot(a[i], b[j]))) < 1e-12
@@ -82,19 +84,19 @@ def test_similarity_self_is_exactly_symmetric():
     rng = np.random.default_rng(11)
     for n, d in [(8, 4), (257, 64)]:
         v = unit_rows(rng, n, d)
-        s = gl.similarity_matrix(v, v)
+        s = similarity_matrix(v, v)
         assert np.array_equal(s, s.T)
 
 
 def test_similarity_rejects_dim_mismatch():
     with pytest.raises(ValueError):
-        gl.similarity_matrix(np.zeros((2, 3)), np.zeros((2, 4)))
+        similarity_matrix(np.zeros((2, 3)), np.zeros((2, 4)))
 
 
 # ------------------------------------------------------- row_cross_entropy
 
 def test_cross_entropy_single_logit_is_zero():
-    loss, grad = gl.row_cross_entropy(np.array([[5.0]]), np.array([0]))
+    loss, grad = row_cross_entropy(np.array([[5.0]]), np.array([0]))
     assert loss == 0.0
     assert np.array_equal(grad, [[0.0]])
 
@@ -102,7 +104,7 @@ def test_cross_entropy_single_logit_is_zero():
 def test_cross_entropy_two_by_two_hand_value():
     # Uniform diagonal logits 1, off-diagonal 0: loss = log(1 + e^-1).
     logits = np.array([[1.0, 0.0], [0.0, 1.0]])
-    loss, _ = gl.row_cross_entropy(logits, np.array([0, 1]))
+    loss, _ = row_cross_entropy(logits, np.array([0, 1]))
     assert abs(loss - np.log1p(np.exp(-1.0))) < 1e-15
 
 
@@ -112,15 +114,15 @@ def test_cross_entropy_gradient_matches_finite_differences():
     for _ in range(10):
         logits = rng.standard_normal((4, 4)) * 2.0
         labels = rng.integers(0, 4, size=4)
-        _, grad = gl.row_cross_entropy(logits, labels)
+        _, grad = row_cross_entropy(logits, labels)
         for i in range(4):
             for j in range(4):
                 lp = logits.copy()
                 lm = logits.copy()
                 lp[i, j] += h
                 lm[i, j] -= h
-                num = (gl.row_cross_entropy(lp, labels)[0]
-                       - gl.row_cross_entropy(lm, labels)[0]) / (2 * h)
+                num = (row_cross_entropy(lp, labels)[0]
+                       - row_cross_entropy(lm, labels)[0]) / (2 * h)
                 denom = max(abs(num), abs(grad[i, j]), 1e-12)
                 assert abs(num - grad[i, j]) / denom < 1e-6
 
@@ -129,18 +131,18 @@ def test_cross_entropy_gradient_rows_sum_to_zero():
     rng = np.random.default_rng(10)
     logits = rng.standard_normal((6, 5))
     labels = rng.integers(0, 5, size=6)
-    _, grad = gl.row_cross_entropy(logits, labels)
+    _, grad = row_cross_entropy(logits, labels)
     assert np.max(np.abs(grad.sum(axis=1))) < 1e-15
 
 
 def test_cross_entropy_rejects_bad_labels():
     logits = np.zeros((2, 3))
     with pytest.raises(ValueError):
-        gl.row_cross_entropy(logits, np.array([0, 3]))
+        row_cross_entropy(logits, np.array([0, 3]))
     with pytest.raises(ValueError):
-        gl.row_cross_entropy(logits, np.array([-1, 0]))
+        row_cross_entropy(logits, np.array([-1, 0]))
     with pytest.raises(ValueError):
-        gl.row_cross_entropy(logits, np.array([0]))
+        row_cross_entropy(logits, np.array([0]))
 
 
 # --------------------------------------------------------- pca_project_2d

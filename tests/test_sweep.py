@@ -11,10 +11,11 @@ import gaplab as gl
 from gaplab import sweep as sweep_mod
 from gaplab import trainkit
 
+from conftest import encode_pairs
+
 
 def tiny_configs():
-    cur = gl.CurriculumConfig(anchor_epochs=1, ramp_epochs=1, stabilize_epochs=1,
-                              alpha_target=0.5, steps_per_epoch=1)
+    cur = gl.CurriculumConfig(anchor_epochs=1, ramp_epochs=1, stabilize_epochs=1, alpha_target=0.5)
     tc = gl.TrainConfig(curriculum=cur, batch_size=8, hidden_dim=8, embed_dim=4, seed=0)
     sc = gl.SynthConfig(n_classes=4, samples_per_class=10, latent_dim=4,
                         image_input_dim=6, text_input_dim=5, seed=0)
@@ -65,7 +66,7 @@ def test_run_single_matches_a_fresh_encode_of_the_eval_split(scheduled):
     sc = dataclasses.replace(sc, seed=2)
     (img, txt), _, _ = gl.train(tc, sc, alpha=None if scheduled else 0.4)
     data = gl.synth_dataset(sc)
-    images, texts = gl.encode_pairs(img, txt, data, data.eval_idx)
+    images, texts = encode_pairs(img, txt, data, data.eval_idx)
     report = gl.gap_report(images, texts)
     cluster = gl.joint_clustering_eval(images, texts, seed=2)
     i2t, t2i = gl.recall_at_k(images.vectors, texts.vectors, 1)
@@ -198,9 +199,9 @@ def test_fork_leaves_its_parent_unchanged_and_owns_its_buffers():
     data = gl.synth_dataset(sc)
     parent = trainkit._Run(tc, sc)
     parent.advance(data, 2)
-    arrays = {name: getattr(parent.step, name).copy() for name in ("flat", "m", "v")}
-    weights = [[p.copy() for p in (enc.w1, enc.b1, enc.w2, enc.b2)] for enc, _ in parent.step.towers]
-    state = (parent.step.count, dataclasses.asdict(parent.scheduler), parent.alpha,
+    arrays = {name: getattr(parent, name).copy() for name in ("flat", "m", "v")}
+    weights = [[p.copy() for p in (enc.w1, enc.b1, enc.w2, enc.b2)] for enc in parent.encoders]
+    state = (parent.count, dataclasses.asdict(parent.scheduler), parent.alpha,
              parent.order.bit_generator.state, list(parent.records))
 
     # a pickled run (as a pool worker receives it) holds copies, not views
@@ -208,32 +209,47 @@ def test_fork_leaves_its_parent_unchanged_and_owns_its_buffers():
         fork = source.fork(0.7)
         fork.advance(data, tc.epochs)
         assert fork.scheduler.config.alpha_target == 0.7 and len(fork.records) == tc.epochs
-        for enc, grads in fork.step.towers:
+        for enc, grads in zip(fork.encoders, fork.grads):
             for p in (enc.w1, enc.b1, enc.w2, enc.b2):
-                assert np.shares_memory(p, fork.step.flat)
-                assert not np.shares_memory(p, parent.step.flat)
-            assert all(np.shares_memory(g, fork.step.grad) for g in grads)
+                assert np.shares_memory(p, fork.flat)
+                assert not np.shares_memory(p, parent.flat)
+            assert all(np.shares_memory(g, fork.grad) for g in grads)
 
     for name, before in arrays.items():
-        assert np.array_equal(getattr(parent.step, name), before)
-    for (enc, _), before in zip(parent.step.towers, weights):
+        assert np.array_equal(getattr(parent, name), before)
+    for enc, before in zip(parent.encoders, weights):
         for p, q in zip((enc.w1, enc.b1, enc.w2, enc.b2), before):
-            assert np.array_equal(p, q) and np.shares_memory(p, parent.step.flat)
-    assert state == (parent.step.count, dataclasses.asdict(parent.scheduler), parent.alpha,
+            assert np.array_equal(p, q) and np.shares_memory(p, parent.flat)
+    assert state == (parent.count, dataclasses.asdict(parent.scheduler), parent.alpha,
                      parent.order.bit_generator.state, parent.records)
     assert parent.scheduler.config.alpha_target == tc.curriculum.alpha_target
+
+
+def test_an_unpickled_run_views_its_own_buffers_and_trains_on():
+    # a pool worker's cells start from an unpickled anchor run
+    tc, sc = branching_configs(2)
+    data = gl.synth_dataset(sc)
+    run = trainkit._Run(tc, sc)
+    run.advance(data, 2)
+    again = pickle.loads(pickle.dumps(run))
+    for enc, grads in zip(again.encoders, again.grads):
+        assert all(np.shares_memory(p, again.flat) for p in (enc.w1, enc.b1, enc.w2, enc.b2))
+        assert all(np.shares_memory(g, again.grad) for g in grads)
+    run.advance(data, tc.epochs)
+    again.advance(data, tc.epochs)
+    assert np.array_equal(again.flat, run.flat) and again.records == run.records
 
 
 def test_sweep_trains_each_anchor_phase_once(monkeypatch):
     tc, sc = branching_configs(2)
     steps = []
-    real_step = trainkit._Step.__call__
+    real_step = trainkit._Run.step
 
     def counting_step(self, *args):
         steps.append(1)
         return real_step(self, *args)
 
-    monkeypatch.setattr(trainkit._Step, "__call__", counting_step)
+    monkeypatch.setattr(trainkit._Run, "step", counting_step)
     gl.run_sweep(tc, sc, alphas=[0.0, 0.3, 1.0], seeds=[0, 1], max_workers=1)
     per_epoch = gl.epoch_steps(tc, sc)
     anchor = tc.curriculum.anchor_epochs * per_epoch

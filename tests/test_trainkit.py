@@ -1,3 +1,4 @@
+import copy
 import math
 import pickle
 import sys
@@ -7,9 +8,9 @@ import numpy as np
 import pytest
 
 import gaplab as gl
-from gaplab.trainkit import _Step, _adam
+from gaplab.trainkit import _Run, _adam, _forward
 
-from conftest import end_to_end_fd_error
+from conftest import encoder_grads, end_to_end_fd_error
 
 
 def small_synth(**kw):
@@ -21,8 +22,7 @@ def small_synth(**kw):
 
 def small_train(**kw):
     cur = kw.pop("curriculum", gl.CurriculumConfig(
-        anchor_epochs=1, ramp_epochs=2, stabilize_epochs=1,
-        alpha_target=0.5, steps_per_epoch=1))
+        anchor_epochs=1, ramp_epochs=2, stabilize_epochs=1, alpha_target=0.5))
     base = dict(curriculum=cur, batch_size=8, learning_rate=1e-3,
                 hidden_dim=8, embed_dim=4, seed=0)
     base.update(kw)
@@ -78,16 +78,16 @@ def test_synth_config_validation():
 def test_encoder_forward_unit_norms():
     rng = np.random.default_rng(0)
     enc = gl.Encoder.random(5, 7, 3, rng)
-    emb, cache = gl.encoder_forward(enc, rng.standard_normal((6, 5)))
+    emb, cache = _forward(enc, rng.standard_normal((6, 5)))
     assert np.allclose(np.linalg.norm(emb, axis=1), 1.0, atol=1e-12)
     assert not cache.degenerate.any()
     with pytest.raises(ValueError):
-        gl.encoder_forward(enc, rng.standard_normal((2, 4)))
+        _forward(enc, rng.standard_normal((2, 4)))
 
 
 def test_encoder_zero_weights_flag_degenerate_rows():
     enc = gl.Encoder(np.zeros((4, 3)), np.zeros(3), np.zeros((3, 2)), np.zeros(2))
-    emb, cache = gl.encoder_forward(enc, np.ones((2, 4)))
+    emb, cache = _forward(enc, np.ones((2, 4)))
     assert cache.degenerate.all()
     assert np.array_equal(emb, np.zeros((2, 2)))
 
@@ -101,7 +101,7 @@ def test_encoder_forward_normalizes_with_the_norms_it_caches():
     x = rng.standard_normal((9, 5))
     x[4] = 0.0
     enc.b2[:] = 0.0
-    emb, cache = gl.encoder_forward(enc, x)
+    emb, cache = _forward(enc, x)
     want, degenerate = gl.l2_normalize_rows(cache.pre_norm)
     assert np.array_equal(emb, want)
     assert np.array_equal(cache.embeddings, want)
@@ -120,9 +120,8 @@ def test_encoder_shape_validation():
 def test_backward_zero_upstream_gives_zero_grads():
     rng = np.random.default_rng(1)
     enc = gl.Encoder.random(5, 6, 3, rng)
-    emb, cache = gl.encoder_forward(enc, rng.standard_normal((4, 5)))
-    grads = gl.encoder_backward(enc, cache, np.zeros_like(emb))
-    for g in grads.values():
+    emb, cache = _forward(enc, rng.standard_normal((4, 5)))
+    for g in encoder_grads(enc, cache, np.zeros_like(emb)):
         assert np.max(np.abs(g)) == 0.0
 
 
@@ -131,18 +130,17 @@ def test_backward_kills_radial_gradient_component():
     # along each embedding row must vanish through the Jacobian.
     rng = np.random.default_rng(2)
     enc = gl.Encoder.random(5, 6, 3, rng)
-    emb, cache = gl.encoder_forward(enc, rng.standard_normal((4, 5)))
-    grads = gl.encoder_backward(enc, cache, emb.copy())
-    for g in grads.values():
+    emb, cache = _forward(enc, rng.standard_normal((4, 5)))
+    for g in encoder_grads(enc, cache, emb.copy()):
         assert np.max(np.abs(g)) < 1e-12
 
 
 def test_backward_rejects_bad_shape():
     rng = np.random.default_rng(3)
     enc = gl.Encoder.random(5, 6, 3, rng)
-    emb, cache = gl.encoder_forward(enc, rng.standard_normal((4, 5)))
+    emb, cache = _forward(enc, rng.standard_normal((4, 5)))
     with pytest.raises(ValueError):
-        gl.encoder_backward(enc, cache, emb[:2])
+        encoder_grads(enc, cache, emb[:2])
 
 
 def test_encoder_weights_are_views_of_one_buffer():
@@ -157,13 +155,30 @@ def test_encoder_weights_are_views_of_one_buffer():
     assert not enc.w1.any() and not enc.b2.any()
 
 
+def test_encoder_copies_view_their_own_buffer():
+    rng = np.random.default_rng(6)
+    enc = gl.Encoder.random(5, 6, 3, rng)
+    for again in (copy.deepcopy(enc), pickle.loads(pickle.dumps(enc))):
+        assert again.shapes == enc.shapes and np.array_equal(again.flat, enc.flat)
+        for view, original in zip((again.w1, again.b1, again.w2, again.b2),
+                                  (enc.w1, enc.b1, enc.w2, enc.b2)):
+            assert np.array_equal(view, original)
+            assert np.shares_memory(view, again.flat) and not np.shares_memory(view, enc.flat)
+        again.flat[:] = 0.0
+        assert not again.w1.any() and not again.b2.any()
+        assert enc.w1.any()
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_encoder_forward_rejects_overflowing_outputs():
     # Finite weights whose outputs' squared norms overflow: normalization
-    # would return zero rows, so the wrapper refuses them instead.
-    enc = gl.Encoder(np.ones((2, 3)), np.zeros(3), np.full((3, 2), 1e200), np.zeros(2))
-    with pytest.raises(ValueError, match="not finite"):
-        gl.encoder_forward(enc, np.ones((2, 2)))
+    # would return zero rows, so the run's encode refuses them instead.
+    run = _Run(small_train(), small_synth())
+    enc = run.encoders[0]
+    enc.w1[:], enc.b1[:], enc.w2[:], enc.b2[:] = 1.0, 0.0, 1e200, 0.0
+    with pytest.raises(gl.NonFiniteLossError, match="non-finite encoder output norm inf") as info:
+        run.encode(0, np.ones((2, 6)), epoch=0, alpha=0.0)
+    assert info.value.what == "encoder output norm"
 
 
 def test_full_backprop_matches_finite_differences():
@@ -301,36 +316,31 @@ def test_flat_adam_matches_the_per_key_oracle_bit_for_bit():
 # ----------------------------------------------------------------- the step
 
 def test_private_step_matches_the_public_composition():
-    """_Step against encoder_forward -> cma_loss -> encoder_backward -> the
-    per-key oracle Adam, over a few steps across the blend."""
+    """_Run.step against _forward -> cma_loss -> _backward -> the per-key
+    oracle Adam, on copies of its encoders, over a few steps across the blend."""
     rng = np.random.default_rng(7)
     x_img = rng.standard_normal((6, 5))
     x_txt = rng.standard_normal((6, 4))
-    cfg = gl.TrainConfig(learning_rate=0.01, init_log_scale=1.5)
-
-    def encoders():
-        r = np.random.default_rng(8)
-        return gl.Encoder.random(5, 7, 3, r), gl.Encoder.random(4, 7, 3, r)
-
-    step = _Step(*encoders(), cfg)
-    ref = encoders()
+    cfg = small_train(learning_rate=0.01, init_log_scale=1.5, hidden_dim=7, embed_dim=3)
+    run = _Run(cfg, small_synth(image_input_dim=5, text_input_dim=4))
+    ref = copy.deepcopy(run.encoders)
     names = ("w1", "b1", "w2", "b2")
     params = {f"{side}_{k}": getattr(enc, k) for side, enc in zip(("img", "txt"), ref) for k in names}
     params["log_scale"] = cfg.init_log_scale
     state = AdamState()
     for i, alpha in enumerate((0.0, 0.25, 0.5, 1.0, 0.7)):
-        out = step((x_img, x_txt), alpha, epoch=0)
-        (vi, cache_i), (vt, cache_t) = (gl.encoder_forward(e, x) for e, x in zip(ref, (x_img, x_txt)))
+        out = run.step((x_img, x_txt), alpha, epoch=0)
+        (vi, cache_i), (vt, cache_t) = (_forward(e, x) for e, x in zip(ref, (x_img, x_txt)))
         want = gl.cma_loss(vi, vt, gl.Temperature(params["log_scale"]), alpha)
-        grads = {f"img_{k}": g for k, g in gl.encoder_backward(ref[0], cache_i, want.grad_images).items()}
-        grads.update({f"txt_{k}": g for k, g in gl.encoder_backward(ref[1], cache_t, want.grad_texts).items()})
+        grads = {f"img_{k}": g for k, g in zip(names, encoder_grads(ref[0], cache_i, want.grad_images))}
+        grads.update({f"txt_{k}": g for k, g in zip(names, encoder_grads(ref[1], cache_t, want.grad_texts))})
         grads["log_scale"] = want.grad_log_scale
         adam_step(params, grads, state, cfg.learning_rate, (cfg.adam_beta1, cfg.adam_beta2), cfg.adam_eps)
 
         assert abs(out.loss - want.loss) <= 1e-12 * abs(want.loss), i
         flat_want = np.concatenate([np.ravel(params[k]) for k in params])
-        assert np.abs(step.flat - flat_want).max() <= 1e-12 * np.abs(flat_want).max(), i
-    assert step.count == 5
+        assert np.abs(run.flat - flat_want).max() <= 1e-12 * np.abs(flat_want).max(), i
+    assert run.count == 5
 
 
 def test_step_reports_overflowing_norms_as_divergence():
@@ -398,8 +408,7 @@ def test_train_is_deterministic():
 
 
 def test_constant_alpha_zero_matches_scheduled_zero_target():
-    cur = gl.CurriculumConfig(anchor_epochs=1, ramp_epochs=2, stabilize_epochs=1,
-                              alpha_target=0.0, steps_per_epoch=1)
+    cur = gl.CurriculumConfig(anchor_epochs=1, ramp_epochs=2, stabilize_epochs=1, alpha_target=0.0)
     tc = small_train(curriculum=cur)
     syn = small_synth()
     (img_a, txt_a), temp_a, hist_a = gl.train(tc, syn)
@@ -418,10 +427,11 @@ def test_constant_alpha_is_recorded_every_epoch():
 
 
 def test_train_recomputes_steps_per_epoch_from_data():
-    # The config says 999 steps per epoch; the data (32 train rows / batch 8)
-    # says 4. The schedule must still reach its target by the last epoch.
-    cur = gl.CurriculumConfig(anchor_epochs=1, ramp_epochs=2, stabilize_epochs=1,
-                              alpha_target=0.5, steps_per_epoch=999)
+    # The config has no step grid; the data (32 train rows / batch 8) says 4
+    # steps per epoch, and the schedule must reach its target by the last epoch.
+    cur = gl.CurriculumConfig(anchor_epochs=1, ramp_epochs=2, stabilize_epochs=1, alpha_target=0.5)
+    assert not hasattr(cur, "steps_per_epoch")
+    assert _Run(small_train(curriculum=cur), small_synth()).scheduler.steps_per_epoch == 4
     _, _, history = gl.train(small_train(curriculum=cur), small_synth())
     assert history[-1].alpha == 0.5
 
@@ -460,17 +470,16 @@ def test_epoch_records_serialize():
     assert row["gap"]["n_pairs"] == 8
 
 
-# ------------------------------------------------------------- encode_pairs
+# ------------------------------------------------------------- eval batches
 
-def test_encode_pairs_labels_and_modalities():
+def test_eval_batches_carry_labels_and_modalities():
     syn = small_synth()
     data = gl.synth_dataset(syn)
-    rng = np.random.default_rng(4)
-    img = gl.Encoder.random(6, 8, 4, rng)
-    txt = gl.Encoder.random(5, 8, 4, rng)
-    bi, bt = gl.encode_pairs(img, txt, data, data.eval_idx)
+    _, _, history = gl.train(small_train(), syn)
+    bi, bt = history.eval_batches
     assert bi.modality == "image" and bt.modality == "text"
     assert np.array_equal(bi.labels, data.labels[data.eval_idx])
+    assert np.array_equal(bt.labels, data.labels[data.eval_idx])
     assert np.allclose(np.linalg.norm(bi.vectors, axis=1), 1.0, atol=1e-12)
 
 
