@@ -157,9 +157,9 @@ def _write_checkpoint(out_dir: str, name: str, enc) -> None:
 def cmd_train(args) -> int:
     train_cfg, synth_cfg = load_run_config(args.config)
     epoch_steps(train_cfg, synth_cfg)  # reject the config before creating out_dir,
-    synth_dataset(synth_cfg)  # including one whose synthetic views overflow
+    data = synth_dataset(synth_cfg)  # including one whose synthetic views overflow
     os.makedirs(args.out_dir, exist_ok=True)
-    (img_enc, txt_enc), temp, history = train(train_cfg, synth_cfg)
+    (img_enc, txt_enc), temp, history = train(train_cfg, synth_cfg, data=data)
 
     _atomic_write_text(os.path.join(args.out_dir, "history.jsonl"), history.to_jsonl())
     images, texts = history.eval_batches

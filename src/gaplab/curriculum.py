@@ -9,10 +9,12 @@ rho <= 1 else 2 - rho, and the per-step increment is
 
     delta_alpha = (alpha_target - alpha) / remaining_steps * (0.5 + s(rho))
 
-so a rising loss (rho > 1) slows the ramp and a falling one speeds it up, with
-the speed factor always inside [0.5, 1.5]. Because the factor can stay below
-1, the final ramp step assigns alpha = alpha_target outright; that keeps the
-"reaches the target by the end of the ramp" contract without overshooting.
+so s is a tent that peaks at rho = 1: a flat loss ramps fastest (factor 1.5),
+and any trend slows the ramp, a falling loss (rho < 1) as well as a rising
+one (rho > 1); the speed factor stays inside [0.5, 1.5]. Because the factor
+can stay below 1, the final ramp step assigns alpha = alpha_target outright;
+that keeps the "reaches the target by the end of the ramp" contract without
+overshooting.
 A CurriculumState lives for one run: nothing snapshots or resumes it. It
 holds the run's step grid (steps per epoch, a fact of the data, not of the
 config), and its phase is read off its step count through phase_of, not stored.

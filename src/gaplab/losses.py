@@ -20,6 +20,12 @@ and reweighted, _intra for intra, which builds V V^T and T T^T itself. cma_loss
 wraps _cma, which builds V T^T once and runs both kernels on it, so its
 endpoint identities with clip_loss and intra_loss hold by construction; the
 trainer calls _cma directly on arrays it has already validated.
+
+Each logit block is shifted once, by its maximum, so its softmax normalizers
+take fewer passes (cf. Milakov & Gimelshein, arXiv:1805.02867): _reweighted
+reads both directions off one exp of its block. A block spanning 600 or more
+(never unit rows, which span at most 200 at the scale cap) keeps one shift
+per row and per column, so no row's exp underflows to 0.
 """
 
 from __future__ import annotations
@@ -77,12 +83,22 @@ class LossOutput:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _softmax_lse(a, axis: int):
+def _block_max(a):
+    """max a, the one shift for the whole block, if a spans less than 600: then
+    every exp(a - max a) is at least exp(-600) ~ 1e-261, a normal float. Else
+    None: each row or column needs its own (past 745, a row could underflow to 0)."""
+    top = a.max()
+    return top if top - a.min() < 600.0 else None
+
+
+def _softmax_lse(a, axis: int, top=None):
     """Softmax of a along axis and its log-sum-exp, from one exp pass.
 
-    The max shift keeps exp in range: scaled similarities reach ~100.
+    The shift keeps exp in range: scaled similarities reach ~100. It is top
+    (see _block_max) when given, else each line's own maximum.
     """
-    top = a.max(axis=axis, keepdims=True)
+    if top is None:
+        top = a.max(axis=axis, keepdims=True)
     p = a - top
     np.exp(p, out=p)
     total = p.sum(axis=axis, keepdims=True)
@@ -97,7 +113,9 @@ def _reweighted(s_vt, v, t, tau, beta):
     beta=0 skips the mask, so plain symmetric InfoNCE falls out bitwise. Both
     cross-entropy directions read the one matrix: the image-to-text softmax
     runs along its rows, the text-to-image one along its columns, and
-    dL/dA = (P_row + P_col) / 2n - I / n.
+    dL/dA = (P_row + P_col) / 2n - I / n. When the block allows one shift
+    (_block_max), one E = exp(A - max A) serves both: with row sums r and
+    column sums c, P_row + P_col = E * (1/r_i + 1/c_j).
 
     Returns (loss, grad_V, grad_T, grad_log_scale, A, row LSE of A).
     """
@@ -107,13 +125,21 @@ def _reweighted(s_vt, v, t, tau, beta):
     if beta:
         a *= 1.0 - beta
         np.fill_diagonal(a, diag)
-    p_row, lse_row = _softmax_lse(a, 1)
-    p_col, lse_col = _softmax_lse(a, 0)
+    half = 0.5 / n
+    top = _block_max(a)
+    if top is None:
+        p_row, lse_row = _softmax_lse(a, 1)
+        p_col, lse_col = _softmax_lse(a, 0)
+        grad_a = p_row
+        grad_a += p_col
+        grad_a *= half
+    else:
+        grad_a = a - top
+        np.exp(grad_a, out=grad_a)
+        rows, cols = grad_a.sum(axis=1), grad_a.sum(axis=0)
+        lse_row, lse_col = top + np.log(rows), top + np.log(cols)
+        grad_a *= np.add.outer(half / rows, half / cols)
     loss = 0.5 * (float((lse_row - diag).mean()) + float((lse_col - diag).mean()))
-
-    grad_a = p_row
-    grad_a += p_col
-    grad_a *= 0.5 / n
     grad_a.flat[::n + 1] -= 1.0 / n
     # every entry of A is proportional to tau = exp(log_scale)
     grad_log_scale = float(np.vdot(grad_a, a))
@@ -145,7 +171,7 @@ def _intra(s_vt, v, t, tau):
         logits = anchor @ anchor.T.copy()  # gemm: anchor @ anchor.T is the slower syrk
         logits *= tau
         np.fill_diagonal(logits, cross)
-        p, lse = _softmax_lse(logits, 1)
+        p, lse = _softmax_lse(logits, 1, _block_max(logits))
         # dL/dlogits = (P - I) / 2n: its diagonal is shared by V and T, its
         # off-diagonal part feeds the anchor's own modality only
         loss += 0.5 * float((lse - cross).mean())

@@ -10,13 +10,14 @@ worker processes first, and each seed's cells once its anchor run is done.
 The GAPLAB_THREADS environment variable caps the worker count; 1 forces a
 plain in-process loop, seed by seed. Each pool worker runs OpenBLAS with one
 thread: the cells already fill the CPUs, and at these sizes threads inside a
-cell only spin. Output rows keep the input order regardless of completion
-order: per-seed rows first, then one mean row per alpha block.
+cell only spin (training runs on one thread on either path). A cell encodes
+the eval split and reports its gap at its final epoch only, the one its row
+reads. Output rows keep the input order regardless of completion order:
+per-seed rows first, then one mean row per alpha block.
 """
 
 from __future__ import annotations
 
-import ctypes
 import os
 import pickle
 import tempfile
@@ -30,7 +31,7 @@ from .evalkit import (
     joint_clustering_eval,
     recall_at_k,
 )
-from .trainkit import SynthConfig, TrainConfig, _Run, epoch_steps, synth_dataset, train
+from .trainkit import SynthConfig, TrainConfig, _blas_threads, _Run, epoch_steps, synth_dataset, train
 
 __all__ = [
     "CSV_HEADER",
@@ -70,42 +71,6 @@ def worker_count() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _openblas(name: str):
-    """The function openblas_<name> of the OpenBLAS mapped into this process, or None.
-
-    Only Linux lists its mappings (/proc/self/maps). A system OpenBLAS exports
-    the plain name; NumPy's wheels rename it: a 64_ suffix for 64-bit integer
-    builds (NumPy 1.x) and a scipy_ prefix as well (NumPy 2.x).
-    """
-    try:
-        with open("/proc/self/maps", "rb") as f:
-            fields = [line.split(None, 5) for line in f]
-    except OSError:
-        return None
-    paths = sorted({os.fsdecode(f[5].strip()) for f in fields
-                    if len(f) == 6 and b"openblas" in f[5].lower()})
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for symbol in (f"openblas_{name}", f"openblas_{name}64_",
-                       f"scipy_openblas_{name}", f"scipy_openblas_{name}64_"):
-            fn = getattr(lib, symbol, None)
-            if fn is not None:
-                return fn
-    return None
-
-
-def _one_blas_thread() -> None:
-    """Pool initializer: pin this worker's OpenBLAS to one thread, if it has one."""
-    set_threads = _openblas("set_num_threads")
-    if set_threads is not None:
-        set_threads.argtypes = [ctypes.c_int]
-        set_threads.restype = None
-        set_threads(1)
 
 
 def run_single(train_cfg: TrainConfig, synth_cfg: SynthConfig, alpha_target: float,
@@ -163,7 +128,8 @@ def _anchor(train_cfg: TrainConfig, synth_cfg: SynthConfig, seed: int, scheduled
     """seed's run through the epochs its cells share: none when alpha is pinned."""
     sc = replace(synth_cfg, seed=seed)
     run = _Run(replace(train_cfg, seed=seed), sc, None if scheduled else 0.0)
-    run.advance(synth_dataset(sc), train_cfg.curriculum.anchor_epochs if scheduled else 0)
+    run.advance(synth_dataset(sc), train_cfg.curriculum.anchor_epochs if scheduled else 0,
+                final_report_only=True)
     return run
 
 
@@ -171,7 +137,8 @@ def _cell(run: _Run, synth_cfg: SynthConfig, alpha_target: float, seed: int) -> 
     """Cell (alpha_target, seed): a fork of seed's anchor run, trained and evaluated.
     It rebuilds the data: kept over the evaluation, it would raise peak memory."""
     branch = run.fork(alpha_target)
-    branch.advance(synth_dataset(replace(synth_cfg, seed=seed)), run.train_cfg.epochs)
+    branch.advance(synth_dataset(replace(synth_cfg, seed=seed)), run.train_cfg.epochs,
+                   final_report_only=True)
     return _record(branch.eval_batches, branch.records[-1].gap, alpha_target, seed)
 
 
@@ -249,7 +216,8 @@ def run_sweep(train_cfg: TrainConfig, synth_cfg: SynthConfig, alphas, seeds,
     # Anchor runs reach their cells through files: sent through the parent,
     # each would raise its peak memory by about its size.
     with tempfile.TemporaryDirectory() as tmp, \
-            ProcessPoolExecutor(max_workers=max_workers, initializer=_one_blas_thread) as pool:
+            ProcessPoolExecutor(max_workers=max_workers, initializer=_blas_threads,
+                                initargs=(1,)) as pool:
         paths = [os.path.join(tmp, f"{j}.pickle") for j in range(len(seeds))]
         anchors = [pool.submit(_save_anchor, path, train_cfg, synth_cfg, s, scheduled)
                    for path, s in zip(paths, seeds)]

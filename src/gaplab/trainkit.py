@@ -9,14 +9,19 @@ an in-place Adam, so a full run is deterministic given its two seeds. train
 validates its data once; a private _Run then owns the whole run (parameters,
 optimizer moments, schedule, batch order and records) and steps it with the
 private kernels on unchecked arrays. A run stops at epoch boundaries and forks
-there (sweep shares anchor epochs so).
+there (sweep shares anchor epochs so). While a run trains, OpenBLAS runs one
+thread: at these sizes (128-row batches) its other threads only spin.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import ctypes
+import functools
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -272,7 +277,7 @@ class EpochRecord:
     rw_term: float
     intra_term: float
     grad_norm_ratio: float | None
-    gap: GapReport
+    gap: GapReport | None  # None where a sweep skipped the epoch's eval
 
 
 @dataclass
@@ -318,6 +323,62 @@ def epoch_steps(train_cfg: TrainConfig, synth_cfg: SynthConfig) -> int:
     return steps
 
 
+@functools.cache
+def _openblas():
+    """(get, set) for the thread count of the OpenBLAS mapped into this process,
+    or None; looked up once per process.
+
+    Only Linux lists its mappings (/proc/self/maps). A system OpenBLAS exports
+    the plain names; NumPy's wheels rename them: a 64_ suffix for 64-bit integer
+    builds (NumPy 1.x) and a scipy_ prefix as well (NumPy 2.x).
+    """
+    paths = set()
+    try:
+        with open("/proc/self/maps", "rb") as f:
+            for line in f:  # one line at a time: a list of them all would raise peak memory
+                fields = line.split(None, 5)
+                if len(fields) == 6 and b"openblas" in fields[5].lower():
+                    paths.add(os.fsdecode(fields[5].strip()))
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("openblas_", "scipy_openblas_"):
+            for suffix in ("", "64_"):
+                get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    return get, set_
+    return None
+
+
+def _blas_threads(count: int) -> int | None:
+    """Set this process's OpenBLAS to count threads and return the count it had;
+    without OpenBLAS, do nothing and return None."""
+    blas = _openblas()
+    if blas is None:
+        return None
+    before = blas[0]()
+    blas[1](count)
+    return before
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body on one OpenBLAS thread and restore the caller's count after it."""
+    before = _blas_threads(1)
+    try:
+        yield
+    finally:
+        if before is not None:
+            _blas_threads(before)
+
+
 class _Run:
     """One run between epochs, and its training step. Both encoders' parameters,
     then log_scale, sit in one float64 buffer, flat, that the encoders' weights
@@ -351,15 +412,26 @@ class _Run:
 
     def _bind(self) -> None:
         """Make both encoders view flat, and their gradients (grads) view grad."""
-        size = self.encoders[0].flat.size
+        size = sum(math.prod(shape) for shape in self.encoders[0].shapes)
         parts = (slice(0, size), slice(size, -1))
         for enc, part in zip(self.encoders, parts):
             enc._bind(self.flat[part])
         self.grads = tuple(enc._views(self.grad[part]) for enc, part in zip(self.encoders, parts))
 
+    def __getstate__(self):
+        """A copy or a pickle holds flat and grad once: of the encoders only their
+        shapes, since they and grads are views that __setstate__ rebuilds."""
+        state = self.__dict__.copy()
+        state["encoders"] = [enc.shapes for enc in self.encoders]
+        del state["grads"]
+        return state
+
     def __setstate__(self, state):
         """A copy or an unpickled run: its encoders view its own buffers again."""
         self.__dict__.update(state)
+        self.encoders = tuple(Encoder.__new__(Encoder) for _ in state["encoders"])
+        for enc, shapes in zip(self.encoders, state["encoders"]):
+            enc.shapes = shapes
         self._bind()
 
     def fork(self, alpha_target: float) -> "_Run":
@@ -402,8 +474,14 @@ class _Run:
     # Every step checks its loss, output norms and log scale and raises on a
     # non-finite one, so NumPy's overflow warnings on the way there are noise.
     @np.errstate(over="ignore", invalid="ignore")
-    def advance(self, data: PairedDataset, until: int) -> None:
-        """Train the epochs from the next one up to (not including) epoch until."""
+    @_one_blas_thread()
+    def advance(self, data: PairedDataset, until: int, final_report_only: bool = False) -> None:
+        """Train the epochs from the next one up to (not including) epoch until.
+
+        Each epoch's record carries the gap report of the eval split encoded at
+        its end. final_report_only (a sweep, which reads the last one alone)
+        encodes and reports only the run's final epoch; the others' gap is None.
+        """
         step, batch = self.step, self.train_cfg.batch_size
         images, texts, n_train = data.images, data.texts, data.train_idx.size
         eval_labels = data.labels[data.eval_idx]
@@ -423,11 +501,13 @@ class _Run:
                 if self.scheduler is not None:
                     self.alpha = scheduler_step(self.scheduler, diag["rw_term"])
 
-            vi, _ = self.encode(0, images[data.eval_idx], epoch, alpha_used)
-            vt, _ = self.encode(1, texts[data.eval_idx], epoch, alpha_used)
-            img_eval = EmbeddingBatch(vi, labels=eval_labels, modality="image")
-            txt_eval = EmbeddingBatch(vt, labels=eval_labels, modality="text")
-            self.eval_batches = (img_eval, txt_eval)
+            gap = None
+            if not final_report_only or epoch == self.train_cfg.epochs - 1:
+                vi, _ = self.encode(0, images[data.eval_idx], epoch, alpha_used)
+                vt, _ = self.encode(1, texts[data.eval_idx], epoch, alpha_used)
+                self.eval_batches = (EmbeddingBatch(vi, labels=eval_labels, modality="image"),
+                                     EmbeddingBatch(vt, labels=eval_labels, modality="text"))
+                gap = gap_report(*self.eval_batches)
             self.records.append(EpochRecord(
                 epoch=epoch,
                 alpha=alpha_used,
@@ -435,11 +515,12 @@ class _Run:
                 rw_term=float(np.mean(rw_terms)),
                 intra_term=float(np.mean(intra_terms)),
                 grad_norm_ratio=float(np.mean(ratios)) if ratios else None,
-                gap=gap_report(img_eval, txt_eval),
+                gap=gap,
             ))
 
 
-def train(train_cfg: TrainConfig, synth_cfg: SynthConfig, alpha: float | None = None):
+def train(train_cfg: TrainConfig, synth_cfg: SynthConfig, alpha: float | None = None, *,
+          data: PairedDataset | None = None):
     """Full three-phase run; returns ((image encoder, text encoder), Temperature, RunHistory).
 
     Per step: encode a batch, evaluate the blended loss at the current alpha,
@@ -454,8 +535,12 @@ def train(train_cfg: TrainConfig, synth_cfg: SynthConfig, alpha: float | None = 
     curriculum ablation). Randomness is consumed identically either way, so
     two runs with equal seeds see the same data, initialization, and batch
     order.
+
+    data, when given, is synth_dataset(synth_cfg) built by the caller (gaplab
+    train builds it to reject a bad config before creating its output directory).
     """
-    data = synth_dataset(synth_cfg)
+    if data is None:
+        data = synth_dataset(synth_cfg)
     run = _Run(train_cfg, synth_cfg, alpha)
     run.advance(data, train_cfg.epochs)
     return run.encoders, Temperature(run.flat[-1]), RunHistory(run.records, run.eval_batches)

@@ -322,6 +322,22 @@ def test_train_is_byte_deterministic(tmp_path, tiny_config_path, capsys):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
 
+def test_train_builds_the_dataset_once(tmp_path, tiny_config_path, capsys, monkeypatch):
+    # the build that rejects an overflowing config before out_dir exists is the one trained on
+    built = []
+    real = gl.trainkit.synth_dataset
+
+    def counted(config):
+        built.append(config)
+        return real(config)
+
+    for mod in (cli_mod, gl.trainkit):
+        monkeypatch.setattr(mod, "synth_dataset", counted)
+    assert run_cli(["train", "--config", tiny_config_path, "--out-dir", tmp_path / "run"],
+                   capsys)[0] == 0
+    assert len(built) == 1
+
+
 def test_train_eval_embeddings_match_a_fresh_encode_of_the_eval_split(
         tmp_path, tiny_config_path, capsys):
     out_dir = tmp_path / "run"
@@ -405,7 +421,7 @@ def test_train_negative_seed_exits_2_before_any_work(tmp_path, capsys, monkeypat
 
 
 def test_train_numerical_failure_exits_3(tmp_path, tiny_config_path, capsys, monkeypatch):
-    def explode(train_cfg, synth_cfg):
+    def explode(train_cfg, synth_cfg, data):
         raise gl.trainkit.NonFiniteLossError(0, 4, 0.1, float("nan"))
 
     monkeypatch.setattr(cli_mod, "train", explode)

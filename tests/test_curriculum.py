@@ -121,13 +121,25 @@ def test_rising_loss_halves_the_ramp_speed():
     assert abs(a2 - expected) < 1e-15
 
 
-def test_falling_loss_accelerates():
+def test_falling_loss_ramps_at_half_plus_rho():
     state = tiny(anchor=0, ramp=1, stabilize=1, target=0.5, spe=100)
     a1 = gl.scheduler_step(state, 1.0)
     a2 = gl.scheduler_step(state, 0.0)      # fast EMA drops quicker: rho < 1
     rho = 0.9 / 0.99
     expected = a1 + (0.5 - a1) / 99 * (0.5 + rho)
     assert abs(a2 - expected) < 1e-15
+
+
+def test_a_flat_loss_ramps_fastest():
+    # s(rho) is a tent that peaks at rho = 1: a trend either way slows the ramp
+    def alpha_after(losses):
+        state = tiny(anchor=0, ramp=1, stabilize=1, target=1.0, spe=60)
+        return [gl.scheduler_step(state, float(loss)) for loss in losses][-1]
+
+    flat = alpha_after([1.5] * 20)
+    falling = alpha_after(np.linspace(2.0, 1.0, 20))
+    rising = alpha_after(np.linspace(1.0, 2.0, 20))
+    assert flat > falling > rising
 
 
 def test_final_ramp_step_snaps_to_target_exactly():

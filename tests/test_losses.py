@@ -426,6 +426,41 @@ def test_losses_match_the_dense_einsum_oracle(n, d, unit):
                 assert np.all(err <= 1e-12 * np.abs(w) + floor), (key, log_scale, alpha, err.max())
 
 
+def test_a_logit_block_spanning_past_the_shared_shift_falls_back_per_line(monkeypatch):
+    """Row norms 0.1 and 10 at tau = 100 span logits over more than 1000: one
+    shift by the block maximum would underflow whole lines of exp to 0."""
+    rng = np.random.default_rng(23)
+    n, d = 16, 8
+    norms = np.where(np.arange(n) % 2 == 0, 0.1, 10.0)[:, None]
+    v, _ = gl.l2_normalize_rows(rng.standard_normal((n, d)))
+    t, _ = gl.l2_normalize_rows(rng.standard_normal((n, d)))
+    v, t = v * norms, t * norms[::-1]
+    temp = gl.Temperature(gl.LOG_SCALE_MAX)
+    assert np.ptp(temp.scale * (v @ t.T)) > 1000.0
+
+    per_line = []
+    real = gl.losses._softmax_lse
+
+    def spy(a, axis, top=None):
+        per_line.append(top is None)
+        return real(a, axis, top)
+
+    monkeypatch.setattr(gl.losses, "_softmax_lse", spy)
+    floor = 1e-15 * temp.scale * 100.0
+    for alpha in (0.0, 0.37, 1.0):
+        per_line.clear()
+        out = gl.cma_loss(v, t, temp, alpha)
+        assert per_line == [True] * 4  # both directions of V T^T, then both intra blocks
+        want = dense_cma(v, t, temp.scale, alpha)
+        got = {"loss": out.loss, "grad_images": out.grad_images,
+               "grad_texts": out.grad_texts, "grad_log_scale": out.grad_log_scale,
+               **out.diagnostics}
+        for key, w in got.items():
+            assert np.all(np.isfinite(w)), key
+            err = np.abs(np.asarray(w) - want[key])
+            assert np.all(err <= 1e-12 * np.abs(want[key]) + floor), (key, alpha, err.max())
+
+
 def test_cma_loss_validates_once_and_skips_the_checked_helpers(monkeypatch):
     """One cma_loss call checks V and T and nothing below them.
 

@@ -1,4 +1,3 @@
-import ctypes
 import dataclasses
 import functools
 import os
@@ -178,6 +177,16 @@ def branching_configs(anchor_epochs: int):
     return dataclasses.replace(tc, curriculum=cur), sc
 
 
+def independent_rows(tc, sc, alphas, seeds, scheduled=True) -> list:
+    """The rows run_sweep should return, each cell trained alone by run_single."""
+    rows = []
+    for a in alphas:
+        block = [gl.run_single(tc, sc, a, s, scheduled=scheduled) for s in seeds]
+        rows += [(str(s), record) for s, record in zip(seeds, block)]
+        rows.append(("mean", gl.mean_record(block)))
+    return rows
+
+
 @pytest.mark.parametrize("scheduled", [True, False])
 @pytest.mark.parametrize("anchor_epochs", [2, 0])
 @pytest.mark.parametrize("workers", [1, 2])
@@ -186,12 +195,7 @@ def test_run_sweep_rows_equal_independent_runs(workers, anchor_epochs, scheduled
     tc, sc = branching_configs(anchor_epochs)
     alphas, seeds = [0.0, 0.3, 1.0], [1, 0]
     rows = gl.run_sweep(tc, sc, alphas, seeds, scheduled=scheduled, max_workers=workers)
-    expected = []
-    for a in alphas:
-        block = [gl.run_single(tc, sc, a, s, scheduled=scheduled) for s in seeds]
-        expected += [(str(s), record) for s, record in zip(seeds, block)]
-        expected.append(("mean", gl.mean_record(block)))
-    assert rows == expected
+    assert rows == independent_rows(tc, sc, alphas, seeds, scheduled)
 
 
 def test_fork_leaves_its_parent_unchanged_and_owns_its_buffers():
@@ -238,6 +242,51 @@ def test_an_unpickled_run_views_its_own_buffers_and_trains_on():
     run.advance(data, tc.epochs)
     again.advance(data, tc.epochs)
     assert np.array_equal(again.flat, run.flat) and again.records == run.records
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_anchor_only_sweep_reports_its_anchor_runs(workers):
+    # ramp = stabilize = 0: the cells train nothing, and each row reads its
+    # anchor run's final eval
+    tc, sc = tiny_configs()
+    cur = dataclasses.replace(tc.curriculum, anchor_epochs=2, ramp_epochs=0, stabilize_epochs=0)
+    tc = dataclasses.replace(tc, curriculum=cur)
+    rows = gl.run_sweep(tc, sc, [0.0, 1.0], [0, 1], max_workers=workers)
+    assert rows == independent_rows(tc, sc, [0.0, 1.0], [0, 1])
+
+
+def test_a_sweep_reports_each_cells_final_epoch_only(monkeypatch):
+    tc, sc = branching_configs(2)
+    reports = []
+    real_report = trainkit.gap_report
+
+    def counted(*args):
+        reports.append(1)
+        return real_report(*args)
+
+    monkeypatch.setattr(trainkit, "gap_report", counted)
+    gl.run_sweep(tc, sc, alphas=[0.0, 0.3, 1.0], seeds=[0, 1], max_workers=1)
+    assert len(reports) == 6
+    # train's history keeps every epoch's report
+    assert len(gl.train(tc, sc)[2]) == tc.epochs and len(reports) == 6 + tc.epochs
+
+
+def test_an_anchor_runs_pickle_holds_its_buffers_once():
+    # what a pool worker writes for its seed's cells, at the default config
+    tc, sc = gl.TrainConfig(), gl.SynthConfig()
+    run = trainkit._Run(tc, sc)
+    run.advance(gl.synth_dataset(sc), tc.curriculum.anchor_epochs)
+    eval_bytes = sum(b.vectors.nbytes + b.labels.nbytes for b in run.eval_batches)
+    # flat, grad and both Adam moments once each (the encoders and the
+    # gradient views into them would add 92,672 bytes), the eval batches and
+    # a few KiB of schedule, records and config
+    assert len(pickle.dumps(run)) <= 4 * run.flat.nbytes + eval_bytes + 4096
+    again = pickle.loads(pickle.dumps(run))
+    assert again.eval_batches[0].vectors.tobytes() == run.eval_batches[0].vectors.tobytes()
+    for enc, grads in zip(again.encoders, again.grads):
+        assert all(np.shares_memory(p, again.flat) for p in (enc.w1, enc.b1, enc.w2, enc.b2))
+        assert all(np.shares_memory(g, again.grad) for g in grads)
+    assert np.array_equal(again.encoders[1].w2, run.encoders[1].w2)
 
 
 def test_sweep_trains_each_anchor_phase_once(monkeypatch):
@@ -346,24 +395,16 @@ def test_worker_count_defaults_to_usable_cpus(monkeypatch):
 
 # ------------------------------------------------------- BLAS threads in the pool
 
-def _blas_threads() -> int:
-    get_threads = sweep_mod._openblas("get_num_threads")
-    get_threads.argtypes = []
-    get_threads.restype = ctypes.c_int
-    return get_threads()
-
-
 def _report_threads(run, synth_cfg, alpha, seed):
-    return gl.SweepRecord(**{name: float(_blas_threads()) for name in gl.SWEEP_FIELDS})
+    threads = float(trainkit._openblas()[0]())
+    return gl.SweepRecord(**{name: threads for name in gl.SWEEP_FIELDS})
 
 
 def test_pool_workers_run_one_blas_thread(monkeypatch):
-    set_threads = sweep_mod._openblas("set_num_threads")
-    if set_threads is None or sweep_mod._openblas("get_num_threads") is None:
+    if trainkit._openblas() is None:
         pytest.skip("no OpenBLAS library mapped into this process")
-    set_threads.argtypes = [ctypes.c_int]
-    set_threads.restype = None
-    before = _blas_threads()
+    get_threads, set_threads = trainkit._openblas()
+    before = get_threads()
     parent_threads = max(before, 2)
 
     # the pool forks, so the workers inherit the patched module attribute
@@ -372,7 +413,7 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
     set_threads(parent_threads)
     try:
         rows = gl.run_sweep(tc, sc, alphas=[0.0, 0.5], seeds=[0, 1], max_workers=2)
-        assert _blas_threads() == parent_threads
+        assert get_threads() == parent_threads
     finally:
         set_threads(before)
     assert len(rows) == 6
@@ -380,5 +421,10 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
 
 
 def test_blas_pinning_is_a_no_op_without_openblas(monkeypatch):
-    monkeypatch.setattr(sweep_mod, "_openblas", lambda name: None)
-    sweep_mod._one_blas_thread()
+    monkeypatch.setattr(trainkit, "_openblas", lambda: None)
+    assert trainkit._blas_threads(1) is None
+    tc, sc = tiny_configs()
+    # the pool workers fork, so their initializer and training see the patch too
+    record = gl.run_single(tc, sc, 0.5, 0)
+    assert gl.run_sweep(tc, sc, alphas=[0.5], seeds=[0], max_workers=2) == \
+        [("0", record), ("mean", record)]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import gaplab as gl
+from gaplab import trainkit
 from gaplab.trainkit import _Run, _adam, _forward
 
 from conftest import encoder_grads, end_to_end_fd_error
@@ -354,6 +355,50 @@ def test_step_reports_overflowing_norms_as_divergence():
     with pytest.raises(gl.NonFiniteLossError) as info:
         gl.train(small_train(learning_rate=1e200), small_synth())
     assert (info.value.what, info.value.step) == ("encoder output norm", 1)
+
+
+def openblas_or_skip():
+    """(get, set) of this process's OpenBLAS thread count; skips the test without one."""
+    if trainkit._openblas() is None:
+        pytest.skip("no OpenBLAS library mapped into this process")
+    return trainkit._openblas()
+
+
+def test_train_restores_the_callers_blas_threads_also_after_divergence():
+    get_threads, set_threads = openblas_or_skip()
+    before = get_threads()
+    caller = max(before, 2)
+    set_threads(caller)
+    try:
+        gl.train(small_train(), small_synth())
+        assert get_threads() == caller
+        with pytest.raises(gl.NonFiniteLossError):
+            gl.train(small_train(batch_size=32, learning_rate=1e300), small_synth())
+        assert get_threads() == caller
+    finally:
+        set_threads(before)
+
+
+def test_the_training_step_runs_on_one_blas_thread(monkeypatch):
+    get_threads, set_threads = openblas_or_skip()
+    seen = []
+    real_step = _Run.step
+
+    def step(self, *args):
+        seen.append(get_threads())
+        return real_step(self, *args)
+
+    monkeypatch.setattr(_Run, "step", step)
+    before = get_threads()
+    caller = max(before, 2)
+    set_threads(caller)
+    try:
+        gl.train(small_train(), small_synth())
+        gl.run_sweep(small_train(), small_synth(), alphas=[0.5], seeds=[0], max_workers=1)
+        assert get_threads() == caller
+    finally:
+        set_threads(before)
+    assert seen and set(seen) == {1}
 
 
 def count_as_matrix_calls(monkeypatch) -> list:
