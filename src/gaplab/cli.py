@@ -17,14 +17,13 @@ import csv
 import dataclasses
 import io
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
 from .curriculum import CurriculumConfig
-from .embfile import atomic_write_bytes, read_embeddings, write_embeddings
+from .embfile import _check_float32, atomic_write_bytes, read_embeddings, write_embeddings
 from .evalkit import linear_fit_r2
 from .geometry import EmbeddingBatch, _center_into, gap_report
 from .numerics import pca_project_2d
@@ -40,23 +39,21 @@ def _atomic_write_text(path, text: str) -> None:
 
 def _build_config(cls, data: dict, where: str, exclude=()):
     """cls(**data) after checking each key against the field names and types of
-    cls; a number must be finite (JSON parsing accepts NaN and Infinity)."""
+    cls; a number must be finite in float64 (JSON parsing accepts NaN, Infinity
+    and integers of any size)."""
     types = {f.name: f.type for f in dataclasses.fields(cls) if f.name not in exclude}
     unknown = sorted(set(data) - set(types))
     if unknown:
         raise ValueError(f"unknown key(s) in {where}: {', '.join(unknown)}")
     kwargs = {}
     for key, value in data.items():
-        if types[key] in (int, "int"):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{where}.{key} must be an integer, got {value!r}")
-            kwargs[key] = value
-        else:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{where}.{key} must be a number, got {value!r}")
-            if not math.isfinite(value):
-                raise ValueError(f"{where}.{key} must be finite, got {value!r}")
-            kwargs[key] = float(value)
+        integer = types[key] in (int, "int")
+        if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+            noun = "an integer" if integer else "a number"
+            raise ValueError(f"{where}.{key} must be {noun}, got {value!r}")
+        if not abs(value) <= sys.float_info.max:  # exact for integers of any size
+            raise ValueError(f"{where}.{key} must be finite, got {value!r}")
+        kwargs[key] = value if integer else float(value)
     return cls(**kwargs)
 
 
@@ -111,8 +108,11 @@ def _read_pair(images_path, texts_path):
 
 
 def _check_out_dirs(*paths) -> None:
-    """Reject an output whose directory is missing or unwritable before any work."""
+    """Reject an output that is a directory, or whose directory is missing or
+    unwritable, before any work."""
     for path in paths:
+        if os.path.isdir(path):
+            raise ValueError(f"{path}: output path is a directory")
         directory = os.path.dirname(os.fspath(path)) or "."
         if not os.path.isdir(directory):
             raise ValueError(f"{path}: output directory {directory} does not exist")
@@ -136,6 +136,8 @@ def cmd_center(args) -> int:
     for batch in (images, texts):  # the pair is ours: center it in place
         _center_into(batch.vectors, batch.vectors, args.renormalize)
     after = gap_report(images, texts)
+    for path, batch in ((args.out_images, images), (args.out_texts, texts)):
+        _check_float32(batch.vectors, path)  # both, before either file is written
     write_embeddings(args.out_images, images.vectors, images.labels)
     write_embeddings(args.out_texts, texts.vectors, texts.labels)
     print(f"before: {before.summary()}")

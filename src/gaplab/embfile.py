@@ -61,9 +61,19 @@ def atomic_write_bytes(path, data: bytes) -> None:
     _atomic_write(path, lambda f: f.write(data))
 
 
+def _check_float32(m: np.ndarray, path) -> None:
+    """Refuse a matrix with a finite value that float32 rounds to inf. Casting
+    only the two extremes makes no n x d temporary."""
+    with np.errstate(over="ignore"):
+        if np.isinf(np.float32(m.max())) or np.isinf(np.float32(m.min())):
+            raise ValueError(f"{path}: values beyond the float32 range cannot be written")
+
+
 def write_embeddings(path, matrix, labels=None) -> None:
-    """Serialize a matrix (and optional labels) to the EMB1 container."""
+    """Serialize a matrix (and optional labels) to the EMB1 container; a value
+    that is not finite in float32 is refused before any file is created."""
     m = as_matrix(matrix)
+    _check_float32(m, path)
     n, d = m.shape
     if labels is not None:
         labels = np.asarray(labels)

@@ -1,14 +1,14 @@
 """Evaluation suite: joint clustering, retrieval, the text-to-image linear
 probe, and least-squares trend fitting.
 
-Everything here is deterministic: k-means takes an explicit seed, retrieval
+Everything here is deterministic: clustering takes an explicit seed, retrieval
 ties break toward the lower index, and the probe is a closed-form ridge
 system. The probe is the interchangeability measure: a classifier fit only on
 text embeddings scored only on image embeddings, so its accuracy tracks how
 freely one modality substitutes for the other.
 
-Joint clustering pools the two modalities without a stacked copy: k-means
-reads its points as row parts.
+Joint clustering pools the two modalities without a stacked copy: its
+private k-means, _kmeans, reads the points as row parts.
 """
 
 from __future__ import annotations
@@ -19,13 +19,12 @@ from math import comb, log
 import numpy as np
 
 from .geometry import _BLOCK_ROWS, EmbeddingBatch
-from .numerics import _paired_inputs, as_matrix
+from .numerics import _paired_inputs
 
 __all__ = [
     "ClusterReport",
     "SweepRecord",
     "SWEEP_FIELDS",
-    "kmeans",
     "adjusted_rand_index",
     "v_measure",
     "joint_clustering_eval",
@@ -113,8 +112,12 @@ def _cluster_mean(parts, bounds: np.ndarray, rows: np.ndarray, block: np.ndarray
 
 
 def _kmeans(parts, k: int, seed: int) -> tuple[np.ndarray, float]:
-    """kmeans of the rows of a tuple of 2-D float64 arrays, stacked only
-    logically: labels and inertia carry the bits of kmeans(np.vstack(parts))."""
+    """Seeded k-means++ and Lloyd iterations, beside one n x k distance buffer,
+    over the rows of a tuple of 2-D float64 arrays stacked only logically: the
+    bits are those of (np.vstack(parts),). Stops when every centroid moves
+    less than 1e-6 or after 100 iterations. An emptied cluster is re-seeded
+    with the point farthest from its own centroid (lowest index on ties).
+    Returns (labels, inertia)."""
     bounds = np.cumsum([0] + [part.shape[0] for part in parts])
     n = int(bounds[-1])
     if not 1 <= k <= n:
@@ -173,16 +176,6 @@ def _kmeans(parts, k: int, seed: int) -> tuple[np.ndarray, float]:
     labels = dist.argmin(axis=1)
     inertia = float(dist[np.arange(n), labels].sum())
     return labels, inertia
-
-
-def kmeans(points, k: int, seed: int = 0) -> tuple[np.ndarray, float]:
-    """Seeded k-means++ and Lloyd iterations, beside one n x k distance buffer.
-
-    Stops when every centroid moves less than 1e-6 or after 100 iterations.
-    An emptied cluster is re-seeded with the point currently farthest from its
-    own centroid (lowest point index on ties). Returns (labels, inertia).
-    """
-    return _kmeans((as_matrix(points, "points"),), k, seed)
 
 
 def _check_labelings(pred, truth) -> tuple[np.ndarray, np.ndarray]:

@@ -1,9 +1,10 @@
 """Gap decomposition and spectral diagnostics for paired embedding batches.
 
-The central quantities: the raw paired-cosine gap, the distance between the
-two modality centroids, the residual "shape" gap left after each modality is
-centered on its own mean, effective ranks of the embedding matrices, and the
-fusion index (joint rank over mean per-modality rank).
+One call, gap_report, splits the raw paired-cosine gap into the distance
+between the two modality centroids and the residual "shape" gap left after
+each modality is centered on its own mean, beside the effective ranks of the
+embedding matrices and the fusion index (joint rank over mean per-modality
+rank). GapReport defines each field; mean_center removes the centroid part.
 
 Typical full-scale magnitudes for an untouched pretrained dual encoder are a
 raw gap around 0.7 and a distribution gap around 0.69; nothing in this module
@@ -22,12 +23,7 @@ __all__ = [
     "MODALITIES",
     "EmbeddingBatch",
     "GapReport",
-    "raw_gap",
-    "centroid_gap",
-    "distribution_gap",
     "mean_center",
-    "effective_rank",
-    "fusion_index",
     "gap_report",
 ]
 
@@ -72,7 +68,20 @@ class EmbeddingBatch:
 
 @dataclass
 class GapReport:
-    """All gap and rank diagnostics for one paired batch."""
+    """All gap and rank diagnostics for one paired batch, as gap_report fills it.
+
+    raw_gap is 1 minus the mean paired dot product (the cosine for unit rows;
+    nothing is renormalized); centroid_gap is the distance between the two
+    modality means. distribution_gap is 1 minus the mean paired cosine after
+    each modality is shifted by its own mean and renormalized, so no shift of
+    either modality by a constant vector moves it. A pair with a centered row
+    of norm below 1e-12 is degenerate: left out of that mean and counted in
+    degenerate_pairs; an all-degenerate batch is an error. The effective ranks
+    are exp(entropy) of the normalized singular values (those below 1e-12 *
+    sigma_max dropped) of the raw image, text and stacked matrices.
+    fusion_index is erank_joint over the mean per-modality rank: near 2 when
+    the modalities occupy orthogonal subspaces, near 1 when they overlap.
+    """
 
     raw_gap: float
     centroid_gap: float
@@ -91,15 +100,9 @@ class GapReport:
         )
 
 
-def _vectors_of(batch) -> np.ndarray:
-    if isinstance(batch, EmbeddingBatch):
-        return batch.vectors
-    return as_matrix(batch, "batch")
-
-
 def _paired(images, texts) -> tuple[np.ndarray, np.ndarray]:
-    v = _vectors_of(images)
-    t = _vectors_of(texts)
+    v, t = (b.vectors if isinstance(b, EmbeddingBatch) else as_matrix(b, "batch")
+            for b in (images, texts))
     if v.shape[0] != t.shape[0]:
         raise ValueError(f"pair count mismatch: {v.shape[0]} images vs {t.shape[0]} texts")
     if v.shape[1] != t.shape[1]:
@@ -131,34 +134,6 @@ def _distribution_gap(v: np.ndarray, t: np.ndarray,
     if n_bad:
         cos = cos[~bad]
     return float(1.0 - cos.mean()), n_bad
-
-
-def raw_gap(images, texts) -> float:
-    """1 minus the mean paired cosine similarity.
-
-    Rows are expected unit-norm (dot product = cosine); no renormalization is
-    applied here.
-    """
-    return _raw_gap(*_paired(images, texts))
-
-
-def centroid_gap(images, texts) -> float:
-    """Euclidean distance between the two modality means."""
-    v, t = _paired(images, texts)
-    return float(np.linalg.norm(v.mean(axis=0) - t.mean(axis=0)))
-
-
-def distribution_gap(images, texts) -> tuple[float, int]:
-    """Residual gap after per-modality centering.
-
-    Each modality is shifted by its own mean and the centered rows are
-    re-normalized; the value is 1 minus the mean paired cosine of those rows.
-    Pairs where either centered row has norm < 1e-12 are excluded from the
-    mean and returned as the degenerate count. Shifting either modality by a
-    constant vector leaves the value unchanged.
-    """
-    v, t = _paired(images, texts)
-    return _distribution_gap(v, t, v.mean(axis=0), t.mean(axis=0))
 
 
 def _center_into(m: np.ndarray, out: np.ndarray, renormalize: bool) -> np.ndarray:
@@ -231,16 +206,6 @@ def _erank(sv: np.ndarray) -> float:
     return float(np.exp(-(p * np.log(p)).sum()))
 
 
-def effective_rank(batch) -> float:
-    """exp(entropy) of the normalized singular-value distribution.
-
-    Computed on the raw (non-centered) matrix, through the singular values of
-    its R factor. Singular values below 1e-12 * sigma_max are dropped before
-    normalization.
-    """
-    return _erank(_r_factor(_vectors_of(batch))[1])
-
-
 def _ranks(v: np.ndarray, t: np.ndarray) -> tuple[float, float, float]:
     """Effective ranks of V, T and the stacked [V; T], from one R per modality.
 
@@ -256,19 +221,6 @@ def _ranks(v: np.ndarray, t: np.ndarray) -> tuple[float, float, float]:
 def _fusion(er_v: float, er_t: float, er_joint: float) -> float:
     """Fusion index from the effective ranks of V, T and [V; T]."""
     return er_joint / (0.5 * (er_v + er_t))
-
-
-def fusion_index(images, texts) -> float:
-    """Effective rank of the pooled rows over the mean per-modality rank.
-
-    Near 2 when the modalities occupy orthogonal subspaces, near 1 when they
-    overlap fully. Row counts may differ; dimensions must match.
-    """
-    v = _vectors_of(images)
-    t = _vectors_of(texts)
-    if v.shape[1] != t.shape[1]:
-        raise ValueError(f"embedding dim mismatch: {v.shape[1]} vs {t.shape[1]}")
-    return _fusion(*_ranks(v, t))
 
 
 def gap_report(images, texts) -> GapReport:

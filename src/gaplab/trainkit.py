@@ -77,7 +77,10 @@ class SynthConfig:
     @property
     def n_train(self) -> int:
         """Rows in the train split; the other n_samples - n_train rows are the eval split."""
-        n_train = int(self.n_samples * self.train_fraction)
+        try:
+            n_train = int(self.n_samples * self.train_fraction)
+        except OverflowError:  # the product is beyond the float64 range
+            raise ValueError("n_classes * samples_per_class is too large") from None
         if n_train < 1 or n_train >= self.n_samples:
             raise ValueError("train_fraction leaves an empty split")
         return n_train

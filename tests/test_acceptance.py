@@ -117,16 +117,16 @@ def test_03_distribution_gap_ignores_translations():
     rng = np.random.default_rng(100)
     v = unit_rows(rng, 24, 8)
     t = unit_rows(rng, 24, 8)
-    base, _ = gl.distribution_gap(v, t)
+    base = gl.gap_report(v, t).distribution_gap
     worst_shift = 0.0
     for _ in range(50):
         sv = rng.standard_normal(8) * rng.uniform(0.1, 30.0)
         st = rng.standard_normal(8) * rng.uniform(0.1, 30.0)
-        shifted, _ = gl.distribution_gap(v + sv, t + st)
+        shifted = gl.gap_report(v + sv, t + st).distribution_gap
         worst_shift = max(worst_shift, abs(shifted - base))
-    cv, ct = gl.mean_center(v, t)
-    centroid_after = gl.centroid_gap(cv, ct)
-    dist_after, _ = gl.distribution_gap(cv, ct)
+    after = gl.gap_report(*gl.mean_center(v, t))
+    centroid_after = after.centroid_gap
+    dist_after = after.distribution_gap
     drift = abs(dist_after - base)
     elapsed = time.perf_counter() - started
     check(3, "distribution gap is translation-blind and centering kills only the centroid gap",

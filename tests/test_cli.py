@@ -79,6 +79,8 @@ def test_load_run_config_defaults_and_overrides(tmp_path):
 
 # a section that is not an object, each of a type that once slipped past the check
 NOT_OBJECT_SECTIONS = [{"train": None}, {"train": 5}, {"train": [[1, 2]]}, {"train": "ab"}]
+# integer literals too large for a float64, in a number field and an integer field
+BEYOND_FLOAT64 = [{"train": {"learning_rate": 10**400}}, {"synth": {"n_classes": 10**400}}]
 
 
 def test_load_run_config_rejects_unknown_and_badly_typed_keys(tmp_path):
@@ -91,6 +93,7 @@ def test_load_run_config_rejects_unknown_and_badly_typed_keys(tmp_path):
         {"train": {"learning_rate": "fast"}},
         {"train": {"curriculum": {"steps_per_epoch": 12}}},
         *NOT_OBJECT_SECTIONS,
+        *BEYOND_FLOAT64,
     ]
     for i, payload in enumerate(cases):
         path = tmp_path / f"bad{i}.json"
@@ -197,6 +200,22 @@ def test_analyze_pair_mismatch_exits_2(tmp_path, emb_pair, capsys):
     assert "mismatch" in stderr
 
 
+def command_argv(command, outputs, tmp_path, emb_pair, config_path) -> list:
+    """argv for a subcommand with valid inputs and the given outputs under tmp_path."""
+    vp, tp = emb_pair
+    sweep_csv = tmp_path / "sweep.csv"
+    sweep_csv.write_text("alpha_target,seed,raw_gap\n0.0,mean,0.5\n0.5,mean,0.3\n1.0,mean,0.2\n")
+    inputs = {
+        "train": ["--config", config_path],
+        "sweep": ["--config", config_path, "--alphas", "0,0.5", "--seeds", "0"],
+        "correlate": ["--sweep", sweep_csv, "--x", "alpha_target", "--y", "raw_gap"],
+    }
+    argv = [command, *inputs.get(command, ["--images", vp, "--texts", tp])]
+    for flag, name in outputs:
+        argv += [flag, tmp_path / name]
+    return argv
+
+
 @pytest.mark.parametrize("command, outputs", [
     ("analyze", [("--out", "missing/r.json")]),
     ("center", [("--out-images", "ci.emb"), ("--out-texts", "missing/ct.emb")]),
@@ -214,26 +233,42 @@ def test_missing_output_directory_exits_2_before_any_work(tmp_path, emb_pair, ti
                         (cli_mod, "run_sweep"), (sweep_mod, "_anchor"), (sweep_mod, "_cell"),
                         (cli_mod, "linear_fit_r2")]:
         monkeypatch.setattr(owner, name, must_not_run)
-    vp, tp = emb_pair
-    sweep_csv = tmp_path / "sweep.csv"
-    sweep_csv.write_text("alpha_target,seed,raw_gap\n0.0,mean,0.5\n0.5,mean,0.3\n1.0,mean,0.2\n")
+    argv = command_argv(command, outputs, tmp_path, emb_pair, tiny_config_path)
     if command == "train":
         (tmp_path / "missing").write_text("")
-    inputs = {
-        "train": ["--config", tiny_config_path],
-        "sweep": ["--config", tiny_config_path, "--alphas", "0,0.5", "--seeds", "0"],
-        "correlate": ["--sweep", sweep_csv, "--x", "alpha_target", "--y", "raw_gap"],
-    }
     before = sorted(os.listdir(tmp_path))
-    argv = [command, *inputs.get(command, ["--images", vp, "--texts", tp])]
-    for flag, name in outputs:
-        argv += [flag, tmp_path / name]
     code, stdout, stderr = run_cli(argv, capsys)
     assert code == 2
     assert "missing" in stderr
     assert command == "train" or "does not exist" in stderr
     assert stdout == ""
     assert sorted(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize("command, outputs", [
+    ("analyze", [("--out", "taken")]),
+    ("center", [("--out-images", "ci.emb"), ("--out-texts", "taken")]),
+    ("sweep", [("--out", "taken")]),
+    ("correlate", [("--out", "taken")]),
+    ("plot", [("--out", "taken")]),
+])
+def test_output_path_that_is_a_directory_exits_2_before_any_input_is_read(
+        tmp_path, emb_pair, tiny_config_path, capsys, monkeypatch, command, outputs):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("read an input before the output paths were checked")
+
+    for owner, name in [(cli_mod, "read_embeddings"), (cli_mod, "load_run_config"),
+                        (cli_mod.csv, "DictReader")]:
+        monkeypatch.setattr(owner, name, must_not_run)
+    argv = command_argv(command, outputs, tmp_path, emb_pair, tiny_config_path)
+    (tmp_path / "taken").mkdir()
+    before = sorted(os.listdir(tmp_path))
+    code, stdout, stderr = run_cli(argv, capsys)
+    assert code == 2
+    assert stderr == f"error: {tmp_path / 'taken'}: output path is a directory\n"
+    assert stdout == ""
+    assert sorted(os.listdir(tmp_path)) == before
+    assert os.listdir(tmp_path / "taken") == []
 
 
 def test_unwritable_output_directory_exits_2(tmp_path, emb_pair, capsys, monkeypatch):
@@ -264,10 +299,27 @@ def test_center_zeroes_centroids_and_keeps_distribution_gap(tmp_path, emb_pair, 
     cv, cvl = gl.read_embeddings(ov)
     ct, _ = gl.read_embeddings(ot)
     assert np.array_equal(cvl, vl)              # labels ride along
-    assert gl.centroid_gap(cv, ct) < 1e-6
-    before, _ = gl.distribution_gap(v, t)
-    after, _ = gl.distribution_gap(cv, ct)
-    assert abs(before - after) < 1e-5           # float32 file round-trip
+    after = gl.gap_report(cv, ct)
+    assert after.centroid_gap < 1e-6
+    before = gl.gap_report(v, t).distribution_gap
+    assert abs(before - after.distribution_gap) < 1e-5  # float32 file round-trip
+
+
+def test_center_beyond_float32_exits_2_and_writes_neither_file(tmp_path, capsys):
+    # Valid float32 texts whose centered first column reaches 4e38: the
+    # texts output cannot be written, so the images output is not either.
+    v = unit_rows(np.random.default_rng(3), 3, 2)
+    t = np.array([[3e38, 1.0], [-3e38, 2.0], [-3e38, 4.0]])
+    vp, tp = tmp_path / "v.emb", tmp_path / "t.emb"
+    gl.write_embeddings(vp, v)
+    gl.write_embeddings(tp, t)
+    ot = tmp_path / "ct.emb"
+    code, stdout, stderr = run_cli(["center", "--images", vp, "--texts", tp,
+                                    "--out-images", tmp_path / "cv.emb", "--out-texts", ot], capsys)
+    assert code == 2
+    assert stderr == f"error: {ot}: values beyond the float32 range cannot be written\n"
+    assert stdout == ""
+    assert sorted(os.listdir(tmp_path)) == ["t.emb", "v.emb"]
 
 
 def test_center_renormalize_gives_unit_rows(tmp_path, emb_pair, capsys):
@@ -626,6 +678,8 @@ def test_sweep_failure_writes_partial_csv_and_exits_3(tmp_path, tiny_config_path
     ({"synth": {"noise_sigma": math.nan}}, "synth.noise_sigma"),
     ({"train": {"adam_eps": math.inf}}, "train.adam_eps"),
     ({"train": {"curriculum": {"ema_fast_decay": -math.inf}}}, "train.curriculum.ema_fast_decay"),
+    (BEYOND_FLOAT64[0], "train.learning_rate"),
+    (BEYOND_FLOAT64[1], "synth.n_classes"),
 ])
 def test_non_finite_run_config_exits_2_before_any_work(tmp_path, capsys, monkeypatch, config, key):
     monkeypatch.setattr(cli_mod, "train", lambda *args, **kwargs: pytest.fail("train ran"))

@@ -165,6 +165,18 @@ def test_write_rejects_bad_labels_before_creating_a_file(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
+def test_write_rejects_values_beyond_float32_before_creating_a_file(tmp_path):
+    # finite in float64, but the float32 cast would write inf, which no read accepts
+    for bad in ([[1e39, 1.0], [0.0, 2.0]], [[1.0, 2.0], [-1e39, 0.0]]):
+        with pytest.raises(ValueError, match="beyond the float32 range"):
+            gl.write_embeddings(tmp_path / "big.emb", bad)
+    assert os.listdir(tmp_path) == []
+    top = float(np.finfo(np.float32).max)
+    gl.write_embeddings(tmp_path / "top.emb", [[top, -top], [1.0, 2.0]])
+    back, _ = gl.read_embeddings(tmp_path / "top.emb")
+    assert back.tolist() == [[top, -top], [1.0, 2.0]]
+
+
 def test_read_rejects_non_finite_value_in_a_later_chunk(tmp_path):
     m = np.zeros((600, 1024), dtype="<f4")
     m[599, 1023] = np.inf

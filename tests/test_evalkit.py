@@ -82,7 +82,7 @@ def recall_by_stable_sort(v, t, k) -> tuple[float, float]:
 def test_kmeans_recovers_separated_blobs():
     rng = np.random.default_rng(0)
     points, truth = blobs(rng)
-    labels, inertia = gl.kmeans(points, 3, seed=1)
+    labels, inertia = evalkit._kmeans((points,), 3, 1)
     assert gl.adjusted_rand_index(labels, truth) == 1.0
     assert inertia >= 0.0
 
@@ -90,7 +90,7 @@ def test_kmeans_recovers_separated_blobs():
 def test_kmeans_k_equals_n_has_zero_inertia():
     rng = np.random.default_rng(1)
     points = rng.standard_normal((6, 3))
-    labels, inertia = gl.kmeans(points, 6, seed=0)
+    labels, inertia = evalkit._kmeans((points,), 6, 0)
     # distances come from the expanded quadratic form, so "zero" carries a
     # cancellation residue on the order of the machine epsilon
     assert inertia < 1e-12
@@ -100,8 +100,8 @@ def test_kmeans_k_equals_n_has_zero_inertia():
 def test_kmeans_is_deterministic_in_the_seed():
     rng = np.random.default_rng(2)
     points, _ = blobs(rng, k=4, per=15)
-    a = gl.kmeans(points, 4, seed=7)
-    b = gl.kmeans(points, 4, seed=7)
+    a = evalkit._kmeans((points,), 4, 7)
+    b = evalkit._kmeans((points,), 4, 7)
     assert np.array_equal(a[0], b[0]) and a[1] == b[1]
 
 
@@ -111,7 +111,7 @@ def test_kmeans_result_bits_are_pinned():
     # neither may move a label or a bit of the inertia.
     rng = np.random.default_rng(2024)
     points = rng.standard_normal((120, 5)) + np.repeat(1.5 * rng.standard_normal((4, 5)), 30, axis=0)
-    labels, inertia = gl.kmeans(points, 4, seed=5)
+    labels, inertia = evalkit._kmeans((points,), 4, 5)
     assert "".join(map(str, labels)) == (
         "333333333333333333333333333333222222222222222222222222202222"
         "000000200000030022000000000000111111111111111111111111111111"
@@ -165,7 +165,7 @@ def test_kmeans_in_blocks_equals_the_whole_array_form():
     sizes = (600, 800, 1000)
     points = np.vstack([rng.standard_normal((m, 9)) + 20.0 * rng.standard_normal(9) for m in sizes])
     points = points[rng.permutation(points.shape[0])]
-    labels, inertia = gl.kmeans(points, 3, seed=3)
+    labels, inertia = evalkit._kmeans((points,), 3, 3)
     want_labels, want_inertia = plain_kmeans(points, 3, seed=3)
     assert sorted(np.bincount(labels)) == list(sizes)
     assert np.array_equal(labels, want_labels)
@@ -192,7 +192,7 @@ def test_kmeans_recomputes_only_the_means_whose_rows_changed(monkeypatch):
     for points, k, seed, n_steals in ((repeated, 6, 355, 2), (grid, 4, 209, 1)):
         steals = []
         monkeypatch.setattr(evalkit, "_row", lambda *args: steals.append(args[2]) or real_row(*args))
-        labels, inertia = gl.kmeans(points, k, seed=seed)
+        labels, inertia = evalkit._kmeans((points,), k, seed)
         assert len(steals) == k + n_steals  # k-means++ takes k rows, then the steals
         want_labels, want_inertia = plain_kmeans(points, k, seed=seed)
         assert np.array_equal(labels, want_labels) and inertia == want_inertia
@@ -209,7 +209,7 @@ def test_kmeans_recomputes_only_the_means_whose_rows_changed(monkeypatch):
 
     monkeypatch.setattr(evalkit, "_cluster_mean", count("mean", real_mean))
     monkeypatch.setattr(evalkit, "_squared_distances", count("dist", real_dist))
-    labels, inertia = gl.kmeans(points, 6, seed=3)
+    labels, inertia = evalkit._kmeans((points,), 6, 3)
     iterations = calls["dist"] - 6 - 1  # k-means++ passes, then one final labelling
     assert iterations >= 3
     assert 6 <= calls["mean"] < 6 * iterations
@@ -231,9 +231,9 @@ def test_cluster_mean_in_blocks_has_the_one_shot_bits(size):
 
 
 def kmeans_of_parts_matches_the_stack(parts, k, seed):
-    """The parts form's labels, after checking its bits against kmeans(vstack)."""
+    """The parts form's labels, after checking its bits against one stacked part."""
     labels, inertia = evalkit._kmeans(parts, k, seed)
-    want_labels, want_inertia = gl.kmeans(np.vstack(parts), k, seed=seed)
+    want_labels, want_inertia = evalkit._kmeans((np.vstack(parts),), k, seed)
     assert np.array_equal(labels, want_labels)
     assert inertia == want_inertia
     return labels
@@ -278,7 +278,7 @@ def test_kmeans_of_parts_reseeds_from_the_second_part(monkeypatch):
 
 def test_kmeans_handles_duplicate_points():
     points = np.array([[0.0, 0.0]] * 5 + [[10.0, 10.0]] * 5 + [[0.0, 10.0]])
-    labels, inertia = gl.kmeans(points, 4, seed=0)
+    labels, inertia = evalkit._kmeans((points,), 4, 0)
     assert labels.shape == (11,)
     assert labels.max() < 4 and labels.min() >= 0
     assert np.isfinite(inertia)
@@ -287,9 +287,9 @@ def test_kmeans_handles_duplicate_points():
 def test_kmeans_validates_k():
     points = np.zeros((3, 2))
     with pytest.raises(ValueError):
-        gl.kmeans(points, 0)
+        evalkit._kmeans((points,), 0, 0)
     with pytest.raises(ValueError):
-        gl.kmeans(points, 4)
+        evalkit._kmeans((points,), 4, 0)
 
 
 # ---------------------------------------------------------------------- ARI
@@ -435,7 +435,7 @@ def test_joint_clustering_pools_batches_of_different_sizes():
     images = gl.EmbeddingBatch(points[:300], labels=labels[:300])
     texts = gl.EmbeddingBatch(points[300:], labels=labels[300:], modality="text")
     report = gl.joint_clustering_eval(images, texts, seed=2)
-    want_labels, want_inertia = gl.kmeans(points, 4, seed=2)
+    want_labels, want_inertia = evalkit._kmeans((points,), 4, 2)
     assert report.n_points == 500
     assert report.inertia == want_inertia
     assert report.ari == gl.adjusted_rand_index(want_labels, labels)

@@ -6,12 +6,18 @@ import numpy as np
 import pytest
 
 import gaplab as gl
+from gaplab.geometry import _distribution_gap, _erank, _fusion, _r_factor, _ranks, _raw_gap
 
 from conftest import random_orthogonal, unit_rows
 
 
 def paired_batches(rng, n=12, d=6):
     return unit_rows(rng, n, d), unit_rows(rng, n, d)
+
+
+def erank(m) -> float:
+    """Effective rank of one matrix, through the kernel behind gap_report's ranks."""
+    return _erank(_r_factor(m)[1])
 
 
 # ---------------------------------------------------------- EmbeddingBatch
@@ -45,24 +51,27 @@ def test_batch_rejects_non_integer_labels(labels):
 def test_raw_gap_identical_and_antipodal():
     rng = np.random.default_rng(2)
     v = unit_rows(rng, 8, 5)
-    assert abs(gl.raw_gap(v, v)) < 1e-15
-    assert abs(gl.raw_gap(v, -v) - 2.0) < 1e-15
+    assert abs(gl.gap_report(v, v).raw_gap) < 1e-15
+    assert abs(gl.gap_report(v, -v).raw_gap - 2.0) < 1e-15
 
 
 def test_raw_gap_hand_case_orthogonal_pairs():
     v = np.array([[1.0, 0.0], [0.0, 1.0]])
     t = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert abs(gl.raw_gap(v, t) - 1.0) < 1e-15
+    assert abs(gl.gap_report(v, t).raw_gap - 1.0) < 1e-15
 
 
 def test_raw_gap_accepts_batches_and_checks_pairing():
     rng = np.random.default_rng(3)
     v, t = paired_batches(rng)
-    direct = gl.raw_gap(v, t)
-    wrapped = gl.raw_gap(gl.EmbeddingBatch(v), gl.EmbeddingBatch(t, modality="text"))
+    direct = gl.gap_report(v, t)
+    wrapped = gl.gap_report(gl.EmbeddingBatch(v), gl.EmbeddingBatch(t, modality="text"))
+    assert direct.raw_gap == wrapped.raw_gap
     assert direct == wrapped
     with pytest.raises(ValueError):
-        gl.raw_gap(v, t[:-1])
+        gl.gap_report(v, t[:-1])
+    with pytest.raises(ValueError, match="dim mismatch"):
+        gl.gap_report(v, t[:, :-1])
 
 
 # ------------------------------------------------------------ centroid_gap
@@ -70,15 +79,18 @@ def test_raw_gap_accepts_batches_and_checks_pairing():
 def test_centroid_gap_values():
     rng = np.random.default_rng(4)
     v = unit_rows(rng, 6, 4)
-    assert abs(gl.centroid_gap(v, v)) < 1e-15
+    assert abs(gl.gap_report(v, v).centroid_gap) < 1e-15
 
-    a = np.tile([1.0, 0.0], (5, 1))
-    b = np.tile([0.0, 1.0], (5, 1))
-    assert abs(gl.centroid_gap(a, b) - np.sqrt(2.0)) < 1e-15
+    # Means e1 and e2, with a third column that keeps the centered rows
+    # nonzero (a constant cloud has only degenerate pairs).
+    spread = np.array([[1.0], [-1.0]] * 3)
+    a = np.hstack([np.tile([1.0, 0.0], (6, 1)), spread])
+    b = np.hstack([np.tile([0.0, 1.0], (6, 1)), spread])
+    assert abs(gl.gap_report(a, b).centroid_gap - np.sqrt(2.0)) < 1e-15
 
     # Antipodal clouds sit two mean-lengths apart.
     expected = 2.0 * np.linalg.norm(v.mean(axis=0))
-    assert abs(gl.centroid_gap(v, -v) - expected) < 1e-12
+    assert abs(gl.gap_report(v, -v).centroid_gap - expected) < 1e-12
 
 
 # -------------------------------------------------------- distribution_gap
@@ -86,17 +98,18 @@ def test_centroid_gap_values():
 def test_distribution_gap_translation_invariance():
     rng = np.random.default_rng(5)
     v, t = paired_batches(rng)
-    base, _ = gl.distribution_gap(v, t)
+    base = gl.gap_report(v, t).distribution_gap
     for _ in range(50):
         shift = rng.standard_normal(v.shape[1]) * rng.uniform(0.1, 50.0)
-        shifted, _ = gl.distribution_gap(v + shift, t)
+        shifted = gl.gap_report(v + shift, t).distribution_gap
         assert abs(shifted - base) < 1e-10
 
 
 def test_distribution_gap_loop_oracle():
     rng = np.random.default_rng(6)
     v, t = paired_batches(rng, n=7, d=4)
-    got, excluded = gl.distribution_gap(v, t)
+    r = gl.gap_report(v, t)
+    got, excluded = r.distribution_gap, r.degenerate_pairs
     assert excluded == 0
 
     cv = v - v.mean(axis=0)
@@ -115,7 +128,8 @@ def test_distribution_gap_counts_degenerate_pairs():
     v = np.vstack([(b + c) / 2.0, b, c])
     rng = np.random.default_rng(7)
     t = unit_rows(rng, 3, 3)
-    value, excluded = gl.distribution_gap(v, t)
+    r = gl.gap_report(v, t)
+    value, excluded = r.distribution_gap, r.degenerate_pairs
     assert excluded == 1
     assert np.isfinite(value)
 
@@ -123,8 +137,8 @@ def test_distribution_gap_counts_degenerate_pairs():
 def test_distribution_gap_all_degenerate_is_an_error():
     v = np.tile([0.5, 0.5], (3, 1))
     t = np.tile([0.1, 0.9], (3, 1))
-    with pytest.raises(ValueError):
-        gl.distribution_gap(v, t)
+    with pytest.raises(ValueError, match="all pairs are degenerate"):
+        gl.gap_report(v, t)
 
 
 def dense_unit_rows(m):
@@ -163,7 +177,7 @@ def test_blocked_distribution_gap_equals_the_dense_form_bit_for_bit():
     t = with_rows_at_centroid(rng, n, d, [700, 1100, 1541])
     want = dense_distribution_gap(v, t)
     assert want[1] == 5
-    assert gl.distribution_gap(v, t) == want
+    assert _distribution_gap(v, t, v.mean(axis=0), t.mean(axis=0)) == want
     report = gl.gap_report(v, t)
     assert (report.distribution_gap, report.degenerate_pairs) == want
 
@@ -182,14 +196,13 @@ def test_blocked_renormalize_equals_the_dense_form_bit_for_bit():
 def test_all_degenerate_is_an_error_across_blocks():
     v = np.tile([0.5, 0.5, 0.25], (3 * 512 + 7, 1))
     with pytest.raises(ValueError, match="all pairs are degenerate"):
-        gl.distribution_gap(v, np.random.default_rng(14).standard_normal(v.shape))
+        gl.gap_report(v, np.random.default_rng(14).standard_normal(v.shape))
 
 
 def test_distribution_gap_identical_clouds():
     rng = np.random.default_rng(8)
     v = unit_rows(rng, 9, 5)
-    value, _ = gl.distribution_gap(v, v)
-    assert abs(value) < 1e-12
+    assert abs(gl.gap_report(v, v).distribution_gap) < 1e-12
 
 
 # --------------------------------------------------------------- rotations
@@ -198,11 +211,11 @@ def test_gaps_are_orthogonal_invariant():
     rng = np.random.default_rng(9)
     v, t = paired_batches(rng)
     q = random_orthogonal(rng, v.shape[1])
-    assert abs(gl.raw_gap(v @ q, t @ q) - gl.raw_gap(v, t)) < 1e-9
-    assert abs(gl.centroid_gap(v @ q, t @ q) - gl.centroid_gap(v, t)) < 1e-9
-    a, _ = gl.distribution_gap(v @ q, t @ q)
-    b, _ = gl.distribution_gap(v, t)
-    assert abs(a - b) < 1e-9
+    a = gl.gap_report(v @ q, t @ q)
+    b = gl.gap_report(v, t)
+    assert abs(a.raw_gap - b.raw_gap) < 1e-9
+    assert abs(a.centroid_gap - b.centroid_gap) < 1e-9
+    assert abs(a.distribution_gap - b.distribution_gap) < 1e-9
 
 
 # -------------------------------------------------------------- mean_center
@@ -210,11 +223,10 @@ def test_gaps_are_orthogonal_invariant():
 def test_mean_center_kills_centroid_gap_keeps_distribution_gap():
     rng = np.random.default_rng(10)
     v, t = paired_batches(rng)
-    before, _ = gl.distribution_gap(v, t)
-    cv, ct = gl.mean_center(v, t)
-    assert gl.centroid_gap(cv, ct) < 1e-10
-    after, _ = gl.distribution_gap(cv, ct)
-    assert abs(after - before) < 1e-10
+    before = gl.gap_report(v, t).distribution_gap
+    after = gl.gap_report(*gl.mean_center(v, t))
+    assert after.centroid_gap < 1e-10
+    assert abs(after.distribution_gap - before) < 1e-10
 
 
 def test_mean_center_idempotent():
@@ -238,56 +250,47 @@ def test_mean_center_renormalize_and_metadata():
     assert cv.modality == "image" and ct.modality == "text"
 
 
-# ----------------------------------------------------------- effective_rank
+# ----------------------------------------------------------- effective rank
 
 def test_effective_rank_hand_values():
-    assert abs(gl.effective_rank(np.eye(4)) - 4.0) < 1e-9
+    assert abs(erank(np.eye(4)) - 4.0) < 1e-9
     rank1 = np.outer([1.0, 2.0, 3.0], [1.0, 1.0])
-    assert abs(gl.effective_rank(rank1) - 1.0) < 1e-9
+    assert abs(erank(rank1) - 1.0) < 1e-9
     # Spectrum (1, 1, 0): two equal directions.
     flat = np.diag([1.0, 1.0, 0.0])
-    assert abs(gl.effective_rank(flat) - 2.0) < 1e-9
+    assert abs(erank(flat) - 2.0) < 1e-9
 
 
 def test_effective_rank_bounds_and_errors():
     rng = np.random.default_rng(13)
     m = rng.standard_normal((20, 6))
-    er = gl.effective_rank(m)
+    er = erank(m)
     assert 1.0 <= er <= 6.0 + 1e-12
     with pytest.raises(ValueError):
-        gl.effective_rank(np.zeros((3, 3)))
+        erank(np.zeros((3, 3)))
     with pytest.raises(ValueError):
-        gl.effective_rank(m[:1])
+        erank(m[:1])
 
 
 def test_effective_rank_scale_invariant():
     rng = np.random.default_rng(14)
     m = rng.standard_normal((10, 5))
-    assert abs(gl.effective_rank(m) - gl.effective_rank(m * 37.5)) < 1e-9
+    assert abs(erank(m) - erank(m * 37.5)) < 1e-9
 
 
-# ------------------------------------------------------------- fusion_index
+# ------------------------------------------------------------- fusion index
 
 def test_fusion_index_identical_clouds_is_one():
     rng = np.random.default_rng(15)
     v = unit_rows(rng, 10, 6)
-    assert abs(gl.fusion_index(v, v) - 1.0) < 1e-9
+    assert abs(gl.gap_report(v, v).fusion_index - 1.0) < 1e-9
 
 
 def test_fusion_index_orthogonal_subspaces_is_two():
     d, k = 8, 4
     v = np.eye(d)[:k]          # spans e1..e4
     t = np.eye(d)[k:]          # spans e5..e8
-    assert abs(gl.fusion_index(v, t) - 2.0) < 1e-6
-
-
-def test_fusion_index_allows_different_row_counts():
-    rng = np.random.default_rng(16)
-    v = unit_rows(rng, 10, 5)
-    t = unit_rows(rng, 7, 5)
-    assert gl.fusion_index(v, t) > 0.0
-    with pytest.raises(ValueError):
-        gl.fusion_index(v, unit_rows(rng, 7, 4))
+    assert abs(gl.gap_report(v, t).fusion_index - 2.0) < 1e-6
 
 
 def erank_by_stacked_svd(m) -> float:
@@ -319,10 +322,10 @@ def test_r_factor_ranks_match_the_stacked_svd(case):
     def close(got, want):
         return abs(got - want) <= 1e-12 * abs(want)
 
-    assert close(gl.effective_rank(v), er_v)
-    assert close(gl.effective_rank(t), er_t)
-    assert close(gl.effective_rank(np.vstack([v, t])), er_joint)
-    assert close(gl.fusion_index(v, t), er_joint / (0.5 * (er_v + er_t)))
+    assert close(erank(v), er_v)
+    assert close(erank(t), er_t)
+    assert close(erank(np.vstack([v, t])), er_joint)
+    assert close(_fusion(*_ranks(v, t)), er_joint / (0.5 * (er_v + er_t)))
     if v.shape[0] == t.shape[0]:
         r = gl.gap_report(v, t)
         assert close(r.erank_image, er_v) and close(r.erank_text, er_t)
@@ -364,9 +367,9 @@ def assert_ranks_match_the_stacked_svd(v, t):
     def close(got, want):
         return abs(got - want) <= 1e-12 * abs(want)
 
-    assert close(gl.effective_rank(v), er_v)
-    assert close(gl.effective_rank(t), er_t)
-    assert close(gl.fusion_index(v, t), fusion)
+    assert close(erank(v), er_v)
+    assert close(erank(t), er_t)
+    assert close(_fusion(*_ranks(v, t)), fusion)
     r = gl.gap_report(v, t)
     assert close(r.erank_image, er_v) and close(r.erank_text, er_t)
     assert close(r.erank_joint, er_joint) and close(r.fusion_index, fusion)
@@ -386,7 +389,7 @@ def test_cholesky_qr2_ranks_match_the_stacked_svd(monkeypatch, cond, rows):
     else:
         # CholeskyQR2 is not trusted here; Householder gives the same bits as before.
         assert len(calls) >= 1
-        assert (gl.effective_rank(v), gl.effective_rank(t)) == fallback
+        assert (erank(v), erank(t)) == fallback
 
 
 @pytest.mark.parametrize("cond, choleskys, householders", [
@@ -406,7 +409,7 @@ def test_cholesky_qr2_rejects_an_ill_conditioned_r1_before_the_second_pass(
                 factored = []
                 patch.setattr(gl.geometry.np.linalg, "cholesky",
                               lambda a: factored.append(a.shape) or cholesky(a))
-                er = gl.effective_rank(m)
+                er = erank(m)
             assert (len(factored), len(calls)) == (choleskys, householders)
             if householders:
                 assert er == fallback
@@ -425,7 +428,7 @@ def test_cholesky_qr2_hands_rank_deficient_and_wide_inputs_to_householder(monkey
     calls = count_householder_calls(monkeypatch)
     assert_ranks_match_the_stacked_svd(v, t)
     assert len(calls) >= 1
-    assert (gl.effective_rank(v), gl.effective_rank(t)) == fallback
+    assert (erank(v), erank(t)) == fallback
 
 
 # --------------------------------------------------------------- gap_report
@@ -436,15 +439,15 @@ def test_gap_report_fields_match_individual_ops():
     labels = np.arange(15)
     r = gl.gap_report(gl.EmbeddingBatch(v, labels=labels),
                       gl.EmbeddingBatch(t, labels=labels, modality="text"))
-    dist, excl = gl.distribution_gap(v, t)
-    assert r.raw_gap == gl.raw_gap(v, t)
-    assert r.centroid_gap == gl.centroid_gap(v, t)
+    dist, excl = _distribution_gap(v, t, v.mean(axis=0), t.mean(axis=0))
+    assert r.raw_gap == _raw_gap(v, t)
+    assert r.centroid_gap == float(np.linalg.norm(v.mean(axis=0) - t.mean(axis=0)))
     assert r.distribution_gap == dist
     assert r.degenerate_pairs == excl
     assert r.n_pairs == 15
-    assert r.erank_image == gl.effective_rank(v)
-    assert r.erank_text == gl.effective_rank(t)
-    assert r.fusion_index == gl.fusion_index(v, t)
+    assert r.erank_image == erank(v)
+    assert r.erank_text == erank(t)
+    assert r.fusion_index == _fusion(*_ranks(v, t))
 
 
 def test_gap_report_identical_batches():

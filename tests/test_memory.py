@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import gaplab as gl
-from gaplab import cli
+from gaplab import cli, evalkit
 
 from conftest import traced_peak, unit_rows
 
@@ -77,7 +77,7 @@ def test_kmeans_makes_no_n_by_d_temporary():
     v, _ = pair()
     # Two clusters of about n/2 rows each: a one-shot gather of either would
     # take about D/2, as the squared points of the old norm pass took D.
-    (labels, _), peak = traced_peak(gl.kmeans, v, 2, seed=0)
+    (labels, _), peak = traced_peak(evalkit._kmeans, (v,), 2, 0)
     assert np.bincount(labels).min() > 512
     assert peak <= 0.25 * D
 

@@ -72,6 +72,10 @@ def test_synth_config_validation():
         small_synth(train_fraction=1.0)
     with pytest.raises(ValueError, match="synth seed must be >= 0, got -1"):
         small_synth(seed=-1)
+    # each count fits in a float64, their product does not
+    huge = gl.SynthConfig(n_classes=10**200, samples_per_class=10**200)
+    with pytest.raises(ValueError, match="n_classes \\* samples_per_class is too large"):
+        huge.n_train
 
 
 # ------------------------------------------------------------------ encoder
