@@ -364,7 +364,7 @@ def main(argv=None) -> int:
     except NonFiniteLossError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:  # MemoryError: arrays too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

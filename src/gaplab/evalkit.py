@@ -77,7 +77,7 @@ def _squared_distances(parts, bounds, point_sq: np.ndarray, centers: np.ndarray,
     """
     d2 = np.empty((point_sq.size, centers.shape[0])) if out is None else out
     for part, lo, hi in zip(parts, bounds, bounds[1:]):
-        np.matmul(part, centers.T, out=d2[lo:hi])
+        np.matmul(centers, part.T, out=d2[lo:hi].T)
     d2 *= -2.0
     d2 += point_sq[:, None]
     d2 += (centers**2).sum(axis=1)[None, :]

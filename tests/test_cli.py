@@ -722,6 +722,25 @@ def test_overflowing_synthetic_views_exit_2_before_any_work(tmp_path, capsys, mo
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_unallocatable_config_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, command):
+    # A 20 x 1e12 float64 prototype block (146 TiB) fails at allocation,
+    # before any page of it is touched.
+    for hook in ("_anchor", "_cell"):
+        monkeypatch.setattr(sweep_mod, hook, lambda *args, **kwargs: pytest.fail("cell ran"))
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"synth": {"latent_dim": 10**12}}))
+    out = tmp_path / "out"
+    argv = {"train": ["train", "--config", path, "--out-dir", out],
+            "sweep": ["sweep", "--config", path, "--alphas", "0.5", "--seeds", "0",
+                      "--out", out]}[command]
+    code, stdout, stderr = run_cli(argv, capsys)
+    assert code == 2
+    assert stderr.startswith("error: Unable to allocate") and stderr.count("\n") == 1
+    assert stdout == ""
+    assert sorted(os.listdir(tmp_path)) == ["huge.json"]
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_sweep_diverging_anchor_run_writes_the_partial_csv(tmp_path, capsys, monkeypatch, workers):
     # Every cell diverges at its first update, inside the shared anchor epochs:

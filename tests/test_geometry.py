@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import gaplab as gl
-from gaplab.geometry import _distribution_gap, _erank, _fusion, _r_factor, _ranks, _raw_gap
+from gaplab.geometry import (_distribution_gap, _erank, _fusion, _r_factor, _ranks, _raw_gap,
+                             _tri_inv)
 
 from conftest import random_orthogonal, unit_rows
 
@@ -375,12 +376,7 @@ def assert_ranks_match_the_stacked_svd(v, t):
     assert close(r.erank_joint, er_joint) and close(r.fusion_index, fusion)
 
 
-@pytest.mark.parametrize("rows", [2 * CQR2_D, 8 * CQR2_D])
-@pytest.mark.parametrize("cond", [1.0, 1e3, 1e5, 1e7, 1e10])
-def test_cholesky_qr2_ranks_match_the_stacked_svd(monkeypatch, cond, rows):
-    rng = np.random.default_rng(21)
-    v = conditioned(rng, rows, CQR2_D, cond)
-    t = conditioned(rng, rows, CQR2_D, cond)
+def assert_cholesky_qr2_up_to_cond_1e5(monkeypatch, v, t, cond):
     fallback = erank_by_householder(v), erank_by_householder(t)
     calls = count_householder_calls(monkeypatch)
     assert_ranks_match_the_stacked_svd(v, t)
@@ -390,6 +386,15 @@ def test_cholesky_qr2_ranks_match_the_stacked_svd(monkeypatch, cond, rows):
         # CholeskyQR2 is not trusted here; Householder gives the same bits as before.
         assert len(calls) >= 1
         assert (erank(v), erank(t)) == fallback
+
+
+@pytest.mark.parametrize("rows", [2 * CQR2_D, 8 * CQR2_D])
+@pytest.mark.parametrize("cond", [1.0, 1e3, 1e5, 1e7, 1e10])
+def test_cholesky_qr2_ranks_match_the_stacked_svd(monkeypatch, cond, rows):
+    rng = np.random.default_rng(21)
+    v = conditioned(rng, rows, CQR2_D, cond)
+    t = conditioned(rng, rows, CQR2_D, cond)
+    assert_cholesky_qr2_up_to_cond_1e5(monkeypatch, v, t, cond)
 
 
 @pytest.mark.parametrize("cond, choleskys, householders", [
@@ -413,6 +418,34 @@ def test_cholesky_qr2_rejects_an_ill_conditioned_r1_before_the_second_pass(
             assert (len(factored), len(calls)) == (choleskys, householders)
             if householders:
                 assert er == fallback
+
+
+@pytest.mark.parametrize("cond", [1.0, 1e3, 1e5, 1e7])
+def test_cholesky_qr2_over_several_row_blocks_and_a_blocked_inverse(monkeypatch, cond):
+    # 1300 rows are three blocks, the last one short; 160 columns put R1's
+    # inverse through one 2 x 2 block step.
+    rng = np.random.default_rng(24)
+    v, t = conditioned(rng, 1300, 160, cond), conditioned(rng, 1300, 160, cond)
+    assert_cholesky_qr2_up_to_cond_1e5(monkeypatch, v, t, cond)
+
+
+@pytest.mark.parametrize("d", [129, 300])
+def test_tri_inv_matches_the_general_inverse(d):
+    rng = np.random.default_rng(25)
+    r = np.linalg.cholesky(np.cov(rng.standard_normal((d, 3 * d)))).T
+    got, want = _tri_inv(r), np.linalg.inv(r)
+    assert np.abs(r @ got - np.eye(d)).max() <= 1e-14
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    assert not np.tril(got, -1).any()
+
+
+@pytest.mark.parametrize("n, d", [(512, 128), (500, 100), (200, 24)])
+def test_one_row_block_keeps_the_whole_array_cholesky_qr2_bits(n, d):
+    m = np.random.default_rng(26).standard_normal((n, d))
+    r1 = np.linalg.cholesky(m.T @ m).T
+    q1 = m @ np.linalg.inv(r1)
+    r = np.linalg.cholesky(q1.T @ q1).T @ r1
+    assert np.array_equal(_r_factor(m)[0], r)
 
 
 @pytest.mark.parametrize("case", ["rank_deficient", "wide"])
