@@ -13,11 +13,13 @@ fixed inputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
 import json
 import os
+import pathlib
 import sys
 
 import numpy as np
@@ -28,7 +30,7 @@ from .evalkit import linear_fit_r2
 from .geometry import EmbeddingBatch, _center_into, gap_report
 from .numerics import pca_project_2d
 from .sweep import SweepRunError, run_sweep, sweep_to_csv
-from .trainkit import NonFiniteLossError, SynthConfig, TrainConfig, epoch_steps, synth_dataset, train
+from .trainkit import NonFiniteLossError, SynthConfig, TrainConfig, train
 
 __all__ = ["main", "entrypoint", "load_run_config", "render_svg"]
 
@@ -158,21 +160,24 @@ def _write_checkpoint(out_dir: str, name: str, enc) -> None:
 
 def cmd_train(args) -> int:
     train_cfg, synth_cfg = load_run_config(args.config)
-    epoch_steps(train_cfg, synth_cfg)  # reject the config before creating out_dir,
-    data = synth_dataset(synth_cfg)  # including one whose synthetic views overflow
-    os.makedirs(args.out_dir, exist_ok=True)
-    (img_enc, txt_enc), temp, history = train(train_cfg, synth_cfg, data=data)
-
-    _atomic_write_text(os.path.join(args.out_dir, "history.jsonl"), history.to_jsonl())
-    images, texts = history.eval_batches
-    write_embeddings(os.path.join(args.out_dir, "eval_images.emb"), images.vectors, images.labels)
-    write_embeddings(os.path.join(args.out_dir, "eval_texts.emb"), texts.vectors, texts.labels)
-    _write_checkpoint(args.out_dir, "image", img_enc)
-    _write_checkpoint(args.out_dir, "text", txt_enc)
-    _atomic_write_text(
-        os.path.join(args.out_dir, "temperature.json"),
-        json.dumps({"log_scale": temp.log_scale}) + "\n",
-    )
+    out_dir = pathlib.Path(args.out_dir).absolute()
+    made = [p for p in (out_dir, *out_dir.parents) if not p.exists()]  # deepest first
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+        encoders, temp, history = train(train_cfg, synth_cfg)
+        _atomic_write_text(os.path.join(args.out_dir, "history.jsonl"), history.to_jsonl())
+        for name, batch, enc in zip(("image", "text"), history.eval_batches, encoders):
+            write_embeddings(os.path.join(args.out_dir, f"eval_{name}s.emb"), batch.vectors, batch.labels)
+            _write_checkpoint(args.out_dir, name, enc)
+        _atomic_write_text(
+            os.path.join(args.out_dir, "temperature.json"),
+            json.dumps({"log_scale": temp.log_scale}) + "\n",
+        )
+    except BaseException:
+        for path in made:  # a failed run leaves none of them, unless it holds a file
+            with contextlib.suppress(OSError):
+                path.rmdir()
+        raise
 
     last = history[-1]
     print(f"epochs={len(history)} final_loss={last.loss:.6f} final_alpha={last.alpha:.6f}")

@@ -31,7 +31,7 @@ from .evalkit import (
     joint_clustering_eval,
     recall_at_k,
 )
-from .trainkit import SynthConfig, TrainConfig, _blas_threads, _Run, epoch_steps, synth_dataset, train
+from .trainkit import SynthConfig, TrainConfig, _blas_threads, _Run, synth_dataset, train
 
 __all__ = [
     "CSV_HEADER",
@@ -160,10 +160,11 @@ def run_sweep(train_cfg: TrainConfig, synth_cfg: SynthConfig, alphas, seeds,
 
     Per alpha block: one row per seed (labels are the seed values as strings)
     followed by a "mean" row. Invalid inputs, including a seed whose synthetic
-    views are not finite, raise ValueError before any run starts. The first
-    failing cell in row order raises SweepRunError carrying the rows before
-    it, so callers can persist a partial table; a failed anchor run fails all
-    its seed's cells, and runs not yet started in the pool are cancelled.
+    views are not finite, raise ValueError, and a run too large to allocate
+    MemoryError, before any run starts. The first failing cell in row order
+    raises SweepRunError carrying the rows before it, so callers can persist a
+    partial table; a failed anchor run fails all its seed's cells, and runs
+    not yet started in the pool are cancelled.
     """
     alphas = [float(a) for a in alphas]
     seeds = [int(s) for s in seeds]
@@ -172,7 +173,7 @@ def run_sweep(train_cfg: TrainConfig, synth_cfg: SynthConfig, alphas, seeds,
     for a in alphas:
         if not 0.0 <= a <= 1.0:
             raise ValueError(f"alpha_target must be in [0, 1], got {a}")
-    epoch_steps(train_cfg, synth_cfg)
+    _Run(train_cfg, synth_cfg)  # a bad batch size or split, or arrays too large to allocate
     for s in seeds:
         if s < 0:
             raise ValueError(f"seeds must be >= 0, got {s}")

@@ -6,11 +6,11 @@ two small tanh MLPs with unit-normalized outputs are then trained against the
 blended contrastive objective under the three-phase schedule. Everything is
 hand-differentiated (including the row-normalization Jacobian) and driven by
 an in-place Adam, so a full run is deterministic given its two seeds. train
-validates its data once; a private _Run then owns the whole run (parameters,
-optimizer moments, schedule, batch order and records) and steps it with the
-private kernels on unchecked arrays. A run stops at epoch boundaries and forks
-there (sweep shares anchor epochs so). While a run trains, OpenBLAS runs one
-thread: at these sizes (128-row batches) its other threads only spin.
+validates the run once; a private _Run then owns it (parameter layout and
+buffer, optimizer moments, schedule, batch order and records) and steps it
+with the private kernels on unchecked arrays. A run stops at epoch boundaries
+and forks there (sweep shares anchor epochs so). While a run trains, OpenBLAS
+runs one thread: at these sizes (128-row batches) its other threads only spin.
 """
 
 from __future__ import annotations
@@ -76,13 +76,13 @@ class SynthConfig:
 
     @property
     def n_train(self) -> int:
-        """Rows in the train split; the other n_samples - n_train rows are the eval split."""
+        """Rows in the train split; the other n_samples - n_train rows, at least 2, are the eval split."""
         try:
             n_train = int(self.n_samples * self.train_fraction)
         except OverflowError:  # the product is beyond the float64 range
             raise ValueError("n_classes * samples_per_class is too large") from None
-        if n_train < 1 or n_train >= self.n_samples:
-            raise ValueError("train_fraction leaves an empty split")
+        if n_train < 1 or self.n_samples - n_train < 2:  # one eval row always centers to zero
+            raise ValueError("train_fraction leaves an empty train split or fewer than 2 eval rows")
         return n_train
 
 
@@ -137,20 +137,19 @@ def synth_dataset(config: SynthConfig) -> PairedDataset:
 class Encoder:
     """Two-layer tanh MLP whose output rows are projected to the unit sphere.
 
-    w1, b1, w2 and b2 are views, in that order, into one float64 vector, flat;
-    train rebinds both encoders into its run's parameter buffer.
+    w1, b1, w2 and b2 are float64 arrays; float64 input is kept without a
+    copy, so a training run's encoders view its parameter buffer.
     """
 
     def __init__(self, w1, b1, w2, b2):
-        w1, b1, w2, b2 = params = [np.asarray(p, dtype=np.float64) for p in (w1, b1, w2, b2)]
+        w1, b1, w2, b2 = [np.asarray(p, dtype=np.float64) for p in (w1, b1, w2, b2)]
         if w1.ndim != 2 or w2.ndim != 2:
             raise ValueError("weights must be 2-D")
         if b1.shape != (w1.shape[1],) or b2.shape != (w2.shape[1],):
             raise ValueError("bias shapes do not match weights")
         if w1.shape[1] != w2.shape[0]:
             raise ValueError("hidden dimensions do not match")
-        self.shapes = [p.shape for p in params]
-        self._bind(np.concatenate([p.ravel() for p in params]))
+        self.w1, self.b1, self.w2, self.b2 = w1, b1, w2, b2
 
     @classmethod
     def random(cls, input_dim: int, hidden_dim: int, embed_dim: int, rng: np.random.Generator):
@@ -161,24 +160,6 @@ class Encoder:
     @property
     def embed_dim(self) -> int:
         return self.w2.shape[1]
-
-    def _views(self, flat: np.ndarray) -> list:
-        """[w1, b1, w2, b2]-shaped views into a vector laid out as flat."""
-        ends = np.cumsum([math.prod(shape) for shape in self.shapes])[:-1]
-        return [part.reshape(shape) for part, shape in zip(np.split(flat, ends), self.shapes)]
-
-    def _bind(self, flat: np.ndarray) -> None:
-        """Make flat, which must already hold this encoder's values, its parameter store."""
-        self.flat = flat
-        self.w1, self.b1, self.w2, self.b2 = self._views(flat)
-
-    # a copy or an unpickled encoder holds flat alone and views it again
-    def __getstate__(self):
-        return self.shapes, self.flat
-
-    def __setstate__(self, state):
-        self.shapes, flat = state
-        self._bind(flat)
 
 
 @dataclass
@@ -383,12 +364,12 @@ def _one_blas_thread():
 
 
 class _Run:
-    """One run between epochs, and its training step. Both encoders' parameters,
-    then log_scale, sit in one float64 buffer, flat, that the encoders' weights
-    view; the gradient (viewed per encoder by grads) and the Adam moments share
-    its layout. The run also owns its scheduler (None when alpha is pinned),
-    batch-order generator, alpha, records and last eval batches. advance trains
-    whole epochs on data the caller validated once; fork copies the run."""
+    """One run between epochs, and its training step. It alone owns the layout of
+    flat, one float64 buffer that the encoders view: w1, b1, w2 and b2 of each
+    encoder (shapes lists them in order), then log_scale. The gradient (viewed
+    per encoder by grads) and the Adam moments share it. The run also owns its
+    scheduler (None when alpha is pinned), batch-order generator, alpha, records
+    and last eval batches. advance trains epochs on validated data; fork copies it."""
 
     def __init__(self, train_cfg: TrainConfig, synth_cfg: SynthConfig, alpha: float | None = None):
         self.train_cfg = train_cfg
@@ -396,9 +377,11 @@ class _Run:
         streams = np.random.SeedSequence((train_cfg.seed, 2)).spawn(3)
         r_img, r_txt, self.order = (np.random.default_rng(s) for s in streams)
         dims = (train_cfg.hidden_dim, train_cfg.embed_dim)
-        self.encoders = (Encoder.random(synth_cfg.image_input_dim, *dims, r_img),
-                         Encoder.random(synth_cfg.text_input_dim, *dims, r_txt))
-        self.flat = np.concatenate([*(enc.flat for enc in self.encoders), [train_cfg.init_log_scale]])
+        params = [p for enc in (Encoder.random(synth_cfg.image_input_dim, *dims, r_img),
+                                Encoder.random(synth_cfg.text_input_dim, *dims, r_txt))
+                  for p in (enc.w1, enc.b1, enc.w2, enc.b2)]
+        self.shapes = [p.shape for p in params]
+        self.flat = np.concatenate([*(p.ravel() for p in params), [train_cfg.init_log_scale]])
         self.grad, self.m, self.v = (np.zeros_like(self.flat) for _ in range(3))
         self._bind()
         self.count = 0  # Adam steps taken
@@ -415,26 +398,22 @@ class _Run:
 
     def _bind(self) -> None:
         """Make both encoders view flat, and their gradients (grads) view grad."""
-        size = sum(math.prod(shape) for shape in self.encoders[0].shapes)
-        parts = (slice(0, size), slice(size, -1))
-        for enc, part in zip(self.encoders, parts):
-            enc._bind(self.flat[part])
-        self.grads = tuple(enc._views(self.grad[part]) for enc, part in zip(self.encoders, parts))
+        ends = np.cumsum([math.prod(shape) for shape in self.shapes])
+        weights, grads = ([part.reshape(shape) for part, shape in zip(np.split(buffer, ends), self.shapes)]
+                          for buffer in (self.flat, self.grad))
+        self.encoders = (Encoder(*weights[:4]), Encoder(*weights[4:]))
+        self.grads = (grads[:4], grads[4:])
 
     def __getstate__(self):
-        """A copy or a pickle holds flat and grad once: of the encoders only their
-        shapes, since they and grads are views that __setstate__ rebuilds."""
+        """A copy or a pickle holds flat and grad once: the encoders and grads
+        are views of them that __setstate__ rebuilds."""
         state = self.__dict__.copy()
-        state["encoders"] = [enc.shapes for enc in self.encoders]
-        del state["grads"]
+        del state["encoders"], state["grads"]
         return state
 
     def __setstate__(self, state):
         """A copy or an unpickled run: its encoders view its own buffers again."""
         self.__dict__.update(state)
-        self.encoders = tuple(Encoder.__new__(Encoder) for _ in state["encoders"])
-        for enc, shapes in zip(self.encoders, state["encoders"]):
-            enc.shapes = shapes
         self._bind()
 
     def fork(self, alpha_target: float) -> "_Run":
@@ -522,8 +501,7 @@ class _Run:
             ))
 
 
-def train(train_cfg: TrainConfig, synth_cfg: SynthConfig, alpha: float | None = None, *,
-          data: PairedDataset | None = None):
+def train(train_cfg: TrainConfig, synth_cfg: SynthConfig, alpha: float | None = None):
     """Full three-phase run; returns ((image encoder, text encoder), Temperature, RunHistory).
 
     Per step: encode a batch, evaluate the blended loss at the current alpha,
@@ -539,11 +517,9 @@ def train(train_cfg: TrainConfig, synth_cfg: SynthConfig, alpha: float | None = 
     two runs with equal seeds see the same data, initialization, and batch
     order.
 
-    data, when given, is synth_dataset(synth_cfg) built by the caller (gaplab
-    train builds it to reject a bad config before creating its output directory).
+    Every check comes before the first step: ValueError for a bad batch size,
+    split or synthetic view, MemoryError for arrays too large to allocate.
     """
-    if data is None:
-        data = synth_dataset(synth_cfg)
     run = _Run(train_cfg, synth_cfg, alpha)
-    run.advance(data, train_cfg.epochs)
+    run.advance(synth_dataset(synth_cfg), train_cfg.epochs)
     return run.encoders, Temperature(run.flat[-1]), RunHistory(run.records, run.eval_batches)

@@ -375,7 +375,7 @@ def test_train_is_byte_deterministic(tmp_path, tiny_config_path, capsys):
 
 
 def test_train_builds_the_dataset_once(tmp_path, tiny_config_path, capsys, monkeypatch):
-    # the build that rejects an overflowing config before out_dir exists is the one trained on
+    # the build that rejects an overflowing config is the one trained on
     built = []
     real = gl.trainkit.synth_dataset
 
@@ -383,8 +383,7 @@ def test_train_builds_the_dataset_once(tmp_path, tiny_config_path, capsys, monke
         built.append(config)
         return real(config)
 
-    for mod in (cli_mod, gl.trainkit):
-        monkeypatch.setattr(mod, "synth_dataset", counted)
+    monkeypatch.setattr(gl.trainkit, "synth_dataset", counted)
     assert run_cli(["train", "--config", tiny_config_path, "--out-dir", tmp_path / "run"],
                    capsys)[0] == 0
     assert len(built) == 1
@@ -473,7 +472,7 @@ def test_train_negative_seed_exits_2_before_any_work(tmp_path, capsys, monkeypat
 
 
 def test_train_numerical_failure_exits_3(tmp_path, tiny_config_path, capsys, monkeypatch):
-    def explode(train_cfg, synth_cfg, data):
+    def explode(train_cfg, synth_cfg):
         raise gl.trainkit.NonFiniteLossError(0, 4, 0.1, float("nan"))
 
     monkeypatch.setattr(cli_mod, "train", explode)
@@ -492,6 +491,27 @@ def test_train_diverging_run_exits_3(tmp_path, capsys, learning_rate):
     code, _, stderr = run_cli(["train", "--config", config, "--out-dir", tmp_path / "x"], capsys)
     assert code == 3
     assert "numerical failure: non-finite encoder output norm inf at epoch 0, step 1" in stderr
+
+
+@pytest.mark.parametrize("out_dir", ["run", "a/b/run"])
+def test_a_diverging_train_leaves_no_out_dir(tmp_path, capsys, out_dir):
+    config = tmp_path / "diverge.json"
+    config.write_text(json.dumps({"train": {"learning_rate": 1e300}}))
+    assert run_cli(["train", "--config", config, "--out-dir", tmp_path / out_dir], capsys)[0] == 3
+    assert os.listdir(tmp_path) == ["diverge.json"]
+
+
+def test_a_failing_train_removes_only_the_directories_it_made(tmp_path, capsys):
+    config = tmp_path / "diverge.json"
+    config.write_text(json.dumps({"train": {"learning_rate": 1e300}}))
+    mine, empty = tmp_path / "mine", tmp_path / "empty"
+    mine.mkdir()
+    empty.mkdir()
+    (mine / "notes.txt").write_bytes(b"keep me\n")
+    for out_dir in (mine, empty / "run"):
+        assert run_cli(["train", "--config", config, "--out-dir", out_dir], capsys)[0] == 3
+    assert os.listdir(mine) == ["notes.txt"] and (mine / "notes.txt").read_bytes() == b"keep me\n"
+    assert os.listdir(empty) == []
 
 
 def test_train_divergence_prints_only_the_failure_line(tmp_path, capfd):
@@ -724,21 +744,42 @@ def test_overflowing_synthetic_views_exit_2_before_any_work(tmp_path, capsys, mo
 
 @pytest.mark.parametrize("command", ["train", "sweep"])
 def test_unallocatable_config_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, command):
-    # A 20 x 1e12 float64 prototype block (146 TiB) fails at allocation,
-    # before any page of it is touched.
+    # A 20 x 1e12 float64 prototype block (146 TiB) or a 32 x 1e12 first
+    # encoder weight (233 TiB) fails at allocation, before any page of it
+    # is touched.
     for hook in ("_anchor", "_cell"):
         monkeypatch.setattr(sweep_mod, hook, lambda *args, **kwargs: pytest.fail("cell ran"))
     path = tmp_path / "huge.json"
-    path.write_text(json.dumps({"synth": {"latent_dim": 10**12}}))
     out = tmp_path / "out"
     argv = {"train": ["train", "--config", path, "--out-dir", out],
             "sweep": ["sweep", "--config", path, "--alphas", "0.5", "--seeds", "0",
                       "--out", out]}[command]
-    code, stdout, stderr = run_cli(argv, capsys)
-    assert code == 2
-    assert stderr.startswith("error: Unable to allocate") and stderr.count("\n") == 1
-    assert stdout == ""
-    assert sorted(os.listdir(tmp_path)) == ["huge.json"]
+    for payload in ({"synth": {"latent_dim": 10**12}}, {"train": {"hidden_dim": 10**12}}):
+        path.write_text(json.dumps(payload))
+        for workers in ("1", "2"):
+            monkeypatch.setenv("GAPLAB_THREADS", workers)
+            code, stdout, stderr = run_cli(argv, capsys)
+            assert code == 2, payload
+            assert stderr.startswith("error: Unable to allocate") and stderr.count("\n") == 1
+            assert stdout == ""
+            assert sorted(os.listdir(tmp_path)) == ["huge.json"]
+
+
+def test_a_split_with_one_eval_row_exits_2_before_any_step(tmp_path, capsys, monkeypatch):
+    # 1,999 train rows and 1 eval row, which centering always zeroes
+    monkeypatch.setattr(gl.trainkit._Run, "step", lambda *args: pytest.fail("a step ran"))
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps({"synth": {"train_fraction": 0.9995}}))
+    message = "error: train_fraction leaves an empty train split or fewer than 2 eval rows\n"
+    out_dir = tmp_path / "never"
+    assert run_cli(["train", "--config", path, "--out-dir", out_dir], capsys) == (2, "", message)
+    assert not out_dir.exists()
+    for workers in ("1", "2"):
+        monkeypatch.setenv("GAPLAB_THREADS", workers)
+        out = tmp_path / "s.csv"
+        assert run_cli(["sweep", "--config", path, "--alphas", "0.5", "--seeds", "0,1",
+                        "--out", out], capsys) == (2, "", message)
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

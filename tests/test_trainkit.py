@@ -70,6 +70,10 @@ def test_synth_config_validation():
             small_synth(noise_sigma=bad)
     with pytest.raises(ValueError):
         small_synth(train_fraction=1.0)
+    # one eval row always centers to zero; two are the fewest a gap report reads
+    assert gl.SynthConfig(train_fraction=0.999).n_train == 1998
+    with pytest.raises(ValueError, match="fewer than 2 eval rows"):
+        gl.SynthConfig(train_fraction=0.9995).n_train
     with pytest.raises(ValueError, match="synth seed must be >= 0, got -1"):
         small_synth(seed=-1)
     # each count fits in a float64, their product does not
@@ -148,30 +152,17 @@ def test_backward_rejects_bad_shape():
         encoder_grads(enc, cache, emb[:2])
 
 
-def test_encoder_weights_are_views_of_one_buffer():
-    rng = np.random.default_rng(5)
-    w1, b1, w2, b2 = (rng.standard_normal(s) for s in ((5, 6), (6,), (6, 3), (3,)))
-    enc = gl.Encoder(w1, b1, w2, b2)
-    assert enc.flat.shape == (5 * 6 + 6 + 6 * 3 + 3,)
-    assert np.array_equal(enc.flat, np.concatenate([w1.ravel(), b1, w2.ravel(), b2]))
-    for view in (enc.w1, enc.b1, enc.w2, enc.b2):
-        assert np.shares_memory(view, enc.flat)
-    enc.flat[:] = 0.0
-    assert not enc.w1.any() and not enc.b2.any()
-
-
-def test_encoder_copies_view_their_own_buffer():
+def test_encoder_copies_equal_it_and_share_no_memory_with_it():
     rng = np.random.default_rng(6)
-    enc = gl.Encoder.random(5, 6, 3, rng)
+    params = [rng.standard_normal(s) for s in ((5, 6), (6,), (6, 3), (3,))]
+    enc = gl.Encoder(*params)
+    mine = (enc.w1, enc.b1, enc.w2, enc.b2)
+    assert all(p is q for p, q in zip(mine, params))  # float64 input is kept as given
     for again in (copy.deepcopy(enc), pickle.loads(pickle.dumps(enc))):
-        assert again.shapes == enc.shapes and np.array_equal(again.flat, enc.flat)
-        for view, original in zip((again.w1, again.b1, again.w2, again.b2),
-                                  (enc.w1, enc.b1, enc.w2, enc.b2)):
-            assert np.array_equal(view, original)
-            assert np.shares_memory(view, again.flat) and not np.shares_memory(view, enc.flat)
-        again.flat[:] = 0.0
-        assert not again.w1.any() and not again.b2.any()
-        assert enc.w1.any()
+        theirs = (again.w1, again.b1, again.w2, again.b2)
+        for p, q in zip(theirs, mine):
+            assert p.dtype == np.float64 and np.array_equal(p, q)
+        assert not any(np.shares_memory(p, q) for p in theirs for q in mine)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
