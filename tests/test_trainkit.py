@@ -152,7 +152,18 @@ def test_backward_rejects_bad_shape():
         encoder_grads(enc, cache, emb[:2])
 
 
-def test_encoder_copies_equal_it_and_share_no_memory_with_it():
+def test_encoder_weights_are_views_of_one_buffer():
+    # a run's encoders view its flat buffer: w1, b1, w2, b2 per encoder, then log_scale
+    run = _Run(small_train(), small_synth())
+    params = [p for enc in run.encoders for p in (enc.w1, enc.b1, enc.w2, enc.b2)]
+    assert run.flat.shape == (sum(p.size for p in params) + 1,)
+    assert np.array_equal(run.flat, np.concatenate([*(p.ravel() for p in params), run.flat[-1:]]))
+    assert all(np.shares_memory(p, run.flat) for p in params)
+    run.flat[:] = 0.0
+    assert not any(p.any() for p in params)
+
+
+def test_encoder_copies_view_their_own_buffer():
     rng = np.random.default_rng(6)
     params = [rng.standard_normal(s) for s in ((5, 6), (6,), (6, 3), (3,))]
     enc = gl.Encoder(*params)
@@ -163,6 +174,9 @@ def test_encoder_copies_equal_it_and_share_no_memory_with_it():
         for p, q in zip(theirs, mine):
             assert p.dtype == np.float64 and np.array_equal(p, q)
         assert not any(np.shares_memory(p, q) for p in theirs for q in mine)
+        for p in theirs:
+            p[...] = 0.0
+        assert enc.w1.any()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
