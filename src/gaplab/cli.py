@@ -109,10 +109,11 @@ def _read_pair(images_path, texts_path):
     return images, texts
 
 
-def _check_out_dirs(*paths) -> None:
-    """Reject an output that is a directory, or whose directory is missing or
-    unwritable, before any work."""
-    for path in paths:
+def _check_out_dirs(*paths, inputs=()) -> None:
+    """Reject an output that is a directory, whose directory is missing or
+    unwritable, or that names the same file as an input or an earlier
+    output, before any work."""
+    for i, path in enumerate(paths):
         if os.path.isdir(path):
             raise ValueError(f"{path}: output path is a directory")
         directory = os.path.dirname(os.fspath(path)) or "."
@@ -120,10 +121,13 @@ def _check_out_dirs(*paths) -> None:
             raise ValueError(f"{path}: output directory {directory} does not exist")
         if not os.access(directory, os.W_OK | os.X_OK):
             raise ValueError(f"{path}: output directory {directory} is not writable")
+        for other in (*inputs, *paths[:i]):
+            if os.path.realpath(other) == os.path.realpath(path):
+                raise ValueError(f"{path}: output path is the same file as {other}")
 
 
 def cmd_analyze(args) -> int:
-    _check_out_dirs(args.out)
+    _check_out_dirs(args.out, inputs=(args.images, args.texts))
     images, texts = _read_pair(args.images, args.texts)
     report = gap_report(images, texts)
     _atomic_write_text(args.out, json.dumps(dataclasses.asdict(report), indent=2) + "\n")
@@ -132,7 +136,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_center(args) -> int:
-    _check_out_dirs(args.out_images, args.out_texts)
+    _check_out_dirs(args.out_images, args.out_texts, inputs=(args.images, args.texts))
     images, texts = _read_pair(args.images, args.texts)
     before = gap_report(images, texts)
     for batch in (images, texts):  # the pair is ours: center it in place
@@ -194,7 +198,7 @@ def _parse_list(text: str, flag: str, kind) -> list:
 
 
 def cmd_sweep(args) -> int:
-    _check_out_dirs(args.out)
+    _check_out_dirs(args.out, inputs=(args.config,))
     train_cfg, synth_cfg = load_run_config(args.config)
     alphas = _parse_list(args.alphas, "--alphas", float)
     seeds = _parse_list(args.seeds, "--seeds", int)
@@ -221,7 +225,7 @@ def _csv_column(rows: list, name: str, path) -> np.ndarray:
 
 
 def cmd_correlate(args) -> int:
-    _check_out_dirs(args.out)
+    _check_out_dirs(args.out, inputs=(args.sweep,))
     with open(args.sweep, "r", encoding="utf-8", newline="") as f:
         all_rows = list(csv.DictReader(f))
     rows = [r for r in all_rows if r.get("seed") == "mean"]
@@ -303,7 +307,7 @@ def render_svg(images: EmbeddingBatch, texts: EmbeddingBatch) -> str:
 
 
 def cmd_plot(args) -> int:
-    _check_out_dirs(args.out)
+    _check_out_dirs(args.out, inputs=(args.images, args.texts))
     images, texts = _read_pair(args.images, args.texts)
     _atomic_write_text(args.out, render_svg(images, texts))
     print(f"wrote scatter of {2 * images.n} points to {args.out}")

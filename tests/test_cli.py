@@ -271,6 +271,35 @@ def test_output_path_that_is_a_directory_exits_2_before_any_input_is_read(
     assert os.listdir(tmp_path / "taken") == []
 
 
+@pytest.mark.parametrize("command, outputs, other", [
+    ("analyze", [("--out", "images.emb")], "images.emb"),
+    ("analyze", [("--out", "alias/../texts.emb")], "texts.emb"),
+    ("center", [("--out-images", "c.emb"), ("--out-texts", "c.emb")], "c.emb"),
+    ("center", [("--out-images", "ci.emb"), ("--out-texts", "images.emb")], "images.emb"),
+    ("sweep", [("--out", "config.json")], "config.json"),
+    ("correlate", [("--out", "sweep.csv")], "sweep.csv"),
+    ("plot", [("--out", "texts.emb")], "texts.emb"),
+])
+def test_output_path_that_names_an_input_or_another_output_exits_2_before_any_input_is_read(
+        tmp_path, emb_pair, tiny_config_path, capsys, monkeypatch, command, outputs, other):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("read an input before the output paths were checked")
+
+    for owner, name in [(cli_mod, "read_embeddings"), (cli_mod, "load_run_config"),
+                        (cli_mod.csv, "DictReader")]:
+        monkeypatch.setattr(owner, name, must_not_run)
+    argv = command_argv(command, outputs, tmp_path, emb_pair, tiny_config_path)
+    (tmp_path / "alias").mkdir()
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    code, stdout, stderr = run_cli(argv, capsys)
+    assert code == 2
+    out = tmp_path / outputs[-1][1]
+    assert stderr == f"error: {out}: output path is the same file as {tmp_path / other}\n"
+    assert stdout == ""
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+    assert sorted(os.listdir(tmp_path)) == sorted([*before, "alias"])
+
+
 def test_unwritable_output_directory_exits_2(tmp_path, emb_pair, capsys, monkeypatch):
     # Simulated: the suite may run as root, for whom every directory is writable.
     vp, tp = emb_pair

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 import gaplab as gl
-from gaplab.geometry import (_distribution_gap, _erank, _fusion, _r_factor, _ranks, _raw_gap,
-                             _tri_inv)
+from gaplab.geometry import _distribution_gap, _erank, _fusion, _ranks, _raw_gap, _spectrum
 
 from conftest import random_orthogonal, unit_rows
 
@@ -18,7 +17,7 @@ def paired_batches(rng, n=12, d=6):
 
 def erank(m) -> float:
     """Effective rank of one matrix, through the kernel behind gap_report's ranks."""
-    return _erank(_r_factor(m)[1])
+    return _erank(_spectrum(m)[0])
 
 
 # ---------------------------------------------------------- EmbeddingBatch
@@ -334,11 +333,17 @@ def test_r_factor_ranks_match_the_stacked_svd(case):
         assert close(r.fusion_index, er_joint / (0.5 * (er_v + er_t)))
 
 
+# The tests named after CholeskyQR2 kept their names when the Gram path
+# replaced it; they now pin the Gram path's conditioning guard.
 CQR2_D = 24
 
 
 def conditioned(rng, n, d, cond):
-    """U diag(sigma) W' with sigma log-spaced from 1 down to 1/cond."""
+    """U diag(sigma) W' with sigma log-spaced from 1 down to 1/cond.
+
+    At cond 10^2.5 the Gram's eigenvalue ratio is exactly the guard's 1e-5,
+    so which side of the guard it lands on is up to rounding: no test uses it.
+    """
     u, _ = np.linalg.qr(rng.standard_normal((n, d)))
     return (u * np.logspace(0.0, -np.log10(cond), d)) @ random_orthogonal(rng, d).T
 
@@ -348,15 +353,16 @@ def erank_by_householder(m) -> float:
     return erank_by_stacked_svd(np.linalg.qr(m, mode="r"))
 
 
-def count_householder_calls(monkeypatch) -> list:
+def count_linalg_calls(monkeypatch, name) -> list:
+    """Shapes of the arguments of every np.linalg.<name> call from here on."""
     calls = []
-    qr = np.linalg.qr
+    original = getattr(np.linalg, name)
 
     def counted(*args, **kwargs):
         calls.append(args[0].shape)
-        return qr(*args, **kwargs)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(gl.geometry.np.linalg, "qr", counted)
+    monkeypatch.setattr(gl.geometry.np.linalg, name, counted)
     return calls
 
 
@@ -376,92 +382,98 @@ def assert_ranks_match_the_stacked_svd(v, t):
     assert close(r.erank_joint, er_joint) and close(r.fusion_index, fusion)
 
 
-def assert_cholesky_qr2_up_to_cond_1e5(monkeypatch, v, t, cond):
+def ranks_counting_calls(monkeypatch, v, t) -> tuple[int, int]:
+    """(eigvalsh calls, Householder QR calls) of one _ranks(v, t)."""
+    with monkeypatch.context() as patch:
+        eighs = count_linalg_calls(patch, "eigvalsh")
+        qrs = count_linalg_calls(patch, "qr")
+        _ranks(v, t)
+    return len(eighs), len(qrs)
+
+
+def assert_gram_path_up_to_cond_1e2(monkeypatch, v, t, cond):
     fallback = erank_by_householder(v), erank_by_householder(t)
-    calls = count_householder_calls(monkeypatch)
     assert_ranks_match_the_stacked_svd(v, t)
-    if cond <= 1e5:
-        assert calls == []
+    if cond <= 1e2:
+        # one eigvalsh per modality and one of G_v + G_t, no QR
+        assert ranks_counting_calls(monkeypatch, v, t) == (3, 0)
     else:
-        # CholeskyQR2 is not trusted here; Householder gives the same bits as before.
-        assert len(calls) >= 1
+        # the Gram's eigenvalues are not trusted here; Householder gives the same bits as before
+        assert ranks_counting_calls(monkeypatch, v, t) == (2, 2)
         assert (erank(v), erank(t)) == fallback
 
 
 @pytest.mark.parametrize("rows", [2 * CQR2_D, 8 * CQR2_D])
-@pytest.mark.parametrize("cond", [1.0, 1e3, 1e5, 1e7, 1e10])
+@pytest.mark.parametrize("cond", [1.0, 1e2, 1e3, 1e5, 1e7, 1e10])
 def test_cholesky_qr2_ranks_match_the_stacked_svd(monkeypatch, cond, rows):
     rng = np.random.default_rng(21)
     v = conditioned(rng, rows, CQR2_D, cond)
     t = conditioned(rng, rows, CQR2_D, cond)
-    assert_cholesky_qr2_up_to_cond_1e5(monkeypatch, v, t, cond)
+    assert_gram_path_up_to_cond_1e2(monkeypatch, v, t, cond)
 
 
-@pytest.mark.parametrize("cond, choleskys, householders", [
-    (1e5, 2, 0),    # both passes run and R is kept
-    (1.5e6, 2, 1),  # R1 passes the column-norm bound (below 8e5 here), R fails the sigma test
-    (1e7, 1, 1),    # the bound on R1 exceeds 1e6: no second pass
-])
-def test_cholesky_qr2_rejects_an_ill_conditioned_r1_before_the_second_pass(
-        monkeypatch, cond, choleskys, householders):
-    cholesky = np.linalg.cholesky
+@pytest.mark.parametrize("cond", [1e3, 1e5, 1.5e6, 1e7])
+def test_cholesky_qr2_rejects_an_ill_conditioned_r1_before_the_second_pass(monkeypatch, cond):
+    # One eigvalsh rejects the Gram; Householder alone does the rest.
     for rows in (2 * CQR2_D, 8 * CQR2_D):
         rng = np.random.default_rng(21)
         for m in (conditioned(rng, rows, CQR2_D, cond), conditioned(rng, rows, CQR2_D, cond)):
-            fallback = erank_by_householder(m)
+            r = np.linalg.qr(m, mode="r")
             with monkeypatch.context() as patch:
-                calls = count_householder_calls(patch)
-                factored = []
-                patch.setattr(gl.geometry.np.linalg, "cholesky",
-                              lambda a: factored.append(a.shape) or cholesky(a))
-                er = erank(m)
-            assert (len(factored), len(calls)) == (choleskys, householders)
-            if householders:
-                assert er == fallback
+                eighs = count_linalg_calls(patch, "eigvalsh")
+                qrs = count_linalg_calls(patch, "qr")
+                sv, gram, got_r = _spectrum(m)
+            assert (len(eighs), len(qrs), gram) == (1, 1, None)
+            assert np.array_equal(got_r, r)
+            assert _erank(sv) == erank_by_householder(m)
 
 
-@pytest.mark.parametrize("cond", [1.0, 1e3, 1e5, 1e7])
+@pytest.mark.parametrize("cond", [1.0, 1e2, 1e3, 1e5, 1e7])
 def test_cholesky_qr2_over_several_row_blocks_and_a_blocked_inverse(monkeypatch, cond):
-    # 1300 rows are three blocks, the last one short; 160 columns put R1's
-    # inverse through one 2 x 2 block step.
+    # 1300 x 160: more rows than one row block and a d of more than 128.
     rng = np.random.default_rng(24)
     v, t = conditioned(rng, 1300, 160, cond), conditioned(rng, 1300, 160, cond)
-    assert_cholesky_qr2_up_to_cond_1e5(monkeypatch, v, t, cond)
+    assert_gram_path_up_to_cond_1e2(monkeypatch, v, t, cond)
 
 
-@pytest.mark.parametrize("d", [129, 300])
-def test_tri_inv_matches_the_general_inverse(d):
-    rng = np.random.default_rng(25)
-    r = np.linalg.cholesky(np.cov(rng.standard_normal((d, 3 * d)))).T
-    got, want = _tri_inv(r), np.linalg.inv(r)
-    assert np.abs(r @ got - np.eye(d)).max() <= 1e-14
-    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-    assert not np.tril(got, -1).any()
-
-
-@pytest.mark.parametrize("n, d", [(512, 128), (500, 100), (200, 24)])
-def test_one_row_block_keeps_the_whole_array_cholesky_qr2_bits(n, d):
-    m = np.random.default_rng(26).standard_normal((n, d))
-    r1 = np.linalg.cholesky(m.T @ m).T
-    q1 = m @ np.linalg.inv(r1)
-    r = np.linalg.cholesky(q1.T @ q1).T @ r1
-    assert np.array_equal(_r_factor(m)[0], r)
-
-
-@pytest.mark.parametrize("case", ["rank_deficient", "wide"])
+@pytest.mark.parametrize("case", ["rank_deficient", "wide", "overflowing"])
 def test_cholesky_qr2_hands_rank_deficient_and_wide_inputs_to_householder(monkeypatch, case):
     rng = np.random.default_rng(22)
-    shape = {"rank_deficient": (8 * CQR2_D, CQR2_D), "wide": (CQR2_D // 2, CQR2_D)}[case]
+    shape = {"wide": (CQR2_D // 2, CQR2_D)}.get(case, (8 * CQR2_D, CQR2_D))
     if case == "rank_deficient":
         v = _low_rank(rng, *shape, CQR2_D // 2)
         t = _low_rank(rng, *shape, CQR2_D // 3)
     else:
         v, t = rng.standard_normal(shape), rng.standard_normal(shape)
+    if case == "overflowing":  # m'm overflows to inf; the Householder R does not
+        v, t = v * 1e200, t * 1e200
     fallback = erank_by_householder(v), erank_by_householder(t)
-    calls = count_householder_calls(monkeypatch)
+    with np.errstate(over="ignore"):
+        assert_ranks_match_the_stacked_svd(v, t)
+        eighs, qrs = ranks_counting_calls(monkeypatch, v, t)
+        assert (erank(v), erank(t)) == fallback
+    assert (eighs, qrs) == ((2, 2) if case == "rank_deficient" else (0, 2))
+
+
+def test_a_mixed_pair_takes_its_joint_rank_from_the_stacked_householder_factors(monkeypatch):
+    rng = np.random.default_rng(27)
+    v = conditioned(rng, 8 * CQR2_D, CQR2_D, 10.0)
+    t = _low_rank(rng, 8 * CQR2_D, CQR2_D, CQR2_D // 2)
+    assert _spectrum(v)[1] is not None and _spectrum(t)[1] is None
     assert_ranks_match_the_stacked_svd(v, t)
-    assert len(calls) >= 1
-    assert (erank(v), erank(t)) == fallback
+    stacked = np.vstack([np.linalg.qr(v, mode="r"), np.linalg.qr(t, mode="r")])
+    assert _ranks(v, t)[2] == erank_by_stacked_svd(stacked)
+    # both Grams are tried, then v's R is formed for the stack
+    assert ranks_counting_calls(monkeypatch, v, t) == (2, 2)
+
+
+@pytest.mark.parametrize("zero_side", ["image", "text"])
+def test_an_all_zero_modality_has_no_effective_rank(zero_side):
+    rng = np.random.default_rng(28)
+    m, zero = rng.standard_normal((40, 6)), np.zeros((40, 6))
+    pair = (zero, m) if zero_side == "image" else (m, zero)
+    with pytest.raises(ValueError, match="all-zero matrix has no effective rank"):
+        _ranks(*pair)
 
 
 # --------------------------------------------------------------- gap_report
@@ -512,7 +524,7 @@ def test_gap_report_validates_once_and_skips_householder(monkeypatch):
     v = conditioned(rng, 600, 24, 10.0)
     t = conditioned(rng, 600, 24, 10.0)
     batches = gl.EmbeddingBatch(v), gl.EmbeddingBatch(t, modality="text")
-    calls = count_householder_calls(monkeypatch)
+    calls = count_linalg_calls(monkeypatch, "qr")
     checks = []
     original = gl.numerics.as_matrix
 

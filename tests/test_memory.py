@@ -27,8 +27,20 @@ def test_gap_report_holds_only_row_blocks_beyond_its_inputs():
     v, t = pair()
     report, peak = traced_peak(gl.gap_report, v, t)
     assert report.n_pairs == N
-    # row blocks and d x d factors; a whole CholeskyQR2 Q1 would be D by itself
+    # row blocks and d x d Grams; an n x d temporary would be D by itself
     assert peak <= 0.3 * D
+
+
+def test_gap_report_at_dump_width_holds_under_half_of_one_input():
+    # At d = 512 each d x d Gram is an eighth of D, and G_v, G_t, their sum
+    # and eigvalsh's copy of it can be live at once; an n x d temporary would
+    # be D by itself.
+    d = 512
+    rng = np.random.default_rng(0)
+    v, t = unit_rows(rng, N, d), unit_rows(rng, N, d)
+    report, peak = traced_peak(gl.gap_report, v, t)
+    assert report.n_pairs == N
+    assert peak <= 0.5 * N * d * 8
 
 
 def test_mean_center_renormalize_holds_its_outputs():
