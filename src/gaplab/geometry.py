@@ -225,9 +225,8 @@ def _ranks(v: np.ndarray, t: np.ndarray) -> tuple[float, float, float]:
     G_v + G_t is the Gram of [V; T], and its condition number is at most the
     larger of the two modalities', so when both took the Gram path the joint
     singular values are read off its eigenvalues, under the same guard.
-    Otherwise [R_v; R_t], the
-    stacked Householder R factors, has that Gram and so those singular
-    values. Neither way factors the stacked rows.
+    Otherwise [R_v; R_t], the stacked Householder R factors, has that Gram
+    and so those singular values. Neither way factors the stacked rows.
     """
     (sv_v, g_v, r_v), (sv_t, g_t, r_t) = _spectrum(v), _spectrum(t)
     sv_joint = None if g_v is None or g_t is None else _gram_sv(g_v + g_t)

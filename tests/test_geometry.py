@@ -398,7 +398,7 @@ def assert_gram_path_up_to_cond_1e2(monkeypatch, v, t, cond):
         # one eigvalsh per modality and one of G_v + G_t, no QR
         assert ranks_counting_calls(monkeypatch, v, t) == (3, 0)
     else:
-        # the Gram's eigenvalues are not trusted here; Householder gives the same bits as before
+        # the Gram's eigenvalues are not trusted here: Householder alone, bit for bit
         assert ranks_counting_calls(monkeypatch, v, t) == (2, 2)
         assert (erank(v), erank(t)) == fallback
 
@@ -430,7 +430,7 @@ def test_cholesky_qr2_rejects_an_ill_conditioned_r1_before_the_second_pass(monke
 
 @pytest.mark.parametrize("cond", [1.0, 1e2, 1e3, 1e5, 1e7])
 def test_cholesky_qr2_over_several_row_blocks_and_a_blocked_inverse(monkeypatch, cond):
-    # 1300 x 160: more rows than one row block and a d of more than 128.
+    # 1300 x 160: larger than CQR2_D on both axes, and several row blocks.
     rng = np.random.default_rng(24)
     v, t = conditioned(rng, 1300, 160, cond), conditioned(rng, 1300, 160, cond)
     assert_gram_path_up_to_cond_1e2(monkeypatch, v, t, cond)
