@@ -3,7 +3,8 @@ probe, and least-squares trend fitting.
 
 Everything here is deterministic: clustering takes an explicit seed, retrieval
 ties break toward the lower index, and the probe is a closed-form ridge
-system. The probe is the interchangeability measure: a classifier fit only on
+system. Recall@1 ranks by float64 scores but computes them in float32
+wherever a proven rounding margin settles the query. The probe is the interchangeability measure: a classifier fit only on
 text embeddings scored only on image embeddings, so its accuracy tracks how
 freely one modality substitutes for the other.
 
@@ -14,12 +15,12 @@ private k-means, _kmeans, reads the points as row parts.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from math import comb, log
+from math import comb, frexp, ldexp, log
 
 import numpy as np
 
 from .geometry import _BLOCK_ROWS, EmbeddingBatch
-from .numerics import _paired_inputs
+from .numerics import _check_product_sums, _max_abs, _paired_inputs
 
 __all__ = [
     "ClusterReport",
@@ -282,20 +283,36 @@ def joint_clustering_eval(images: EmbeddingBatch, texts: EmbeddingBatch,
 
 
 # Image rows scored per block in recall_at_k: a block's scores are
-# _RECALL_BLOCK_ROWS x n float64, so memory is O(n), not O(n^2).
+# _RECALL_BLOCK_ROWS x n, so memory is O(n), not O(n^2).
 _RECALL_BLOCK_ROWS = 256
 
 
-def _recall_hits(v: np.ndarray, t: np.ndarray, k: int) -> tuple[int, int]:
+def _recall_hits(v: np.ndarray, t: np.ndarray, k: int,
+                 top: tuple[float, float]) -> tuple[int, int]:
     """Image and text queries whose partner (same index) ranks in the top k.
+
+    Rank is 1 plus the competitors scoring strictly higher, plus the equal
+    ones at a lower index, so a competitor at a lower index counts when its
+    float64 score is >= the partner's and one at a higher index when it is
+    >. The partner's own entry is never counted, so it cannot outrank itself.
+
+    k = 1 takes _screened_hits, which settles nearly every query from one
+    float32 product; k > 1 takes _exact_hits. Both give these float64 ranks.
+    top is (max |v|, max |t|), which scales the screen. The screen's bound
+    needs (d + 2) u32 well below 1; past d of about 1.7 million (no
+    embedding comes near) k = 1 takes the float64 kernel too.
+    """
+    if k == 1 and (v.shape[1] + 2) * _U32 < 0.1:
+        return _screened_hits(v, t, top)
+    return _exact_hits(v, t, k)
+
+
+def _exact_hits(v: np.ndarray, t: np.ndarray, k: int) -> tuple[int, int]:
+    """_recall_hits in float64 throughout.
 
     One GEMM S = v[block] @ t.T per block of image rows serves both
     directions: its rows rank texts for each image query, and its columns
-    add each text query's counts over that block of images. Rank is 1 plus
-    the competitors scoring strictly higher, plus the equal ones at a lower
-    index, so a competitor at a lower index counts when its score is >= the
-    partner's and one at a higher index when it is >. The partner's own entry
-    is never counted, so it cannot outrank itself.
+    add each text query's counts over that block of images.
 
     An image query's partner score is the diagonal entry of its own row of S,
     as are its competitors. A text query's column spans every block, so its
@@ -334,6 +351,120 @@ def _recall_hits(v: np.ndarray, t: np.ndarray, k: int) -> tuple[int, int]:
     return int(np.count_nonzero(i2t_rank <= k)), int(np.count_nonzero(t2i_rank <= k))
 
 
+# Unit roundoffs, and the smallest normal numbers, of float32 and float64.
+_U32, _U64 = 2.0**-24, 2.0**-53
+_TINY32, _TINY64 = 2.0**-126, 2.0**-1022
+
+
+def _gamma(m: int, u: float) -> float:
+    """Higham's gamma_m = m u / (1 - m u)."""
+    return m * u / (1.0 - m * u)
+
+
+def _screened_hits(v: np.ndarray, t: np.ndarray, top: tuple[float, float]) -> tuple[int, int]:
+    """_recall_hits at k = 1, from float32 scores plus a float64 rescoring of
+    the queries they cannot settle.
+
+    Scaling. x = 2^a v_i and y = 2^b t_j, with 2^a and 2^b the powers of two
+    that bring max |v| and max |t| into [1/2, 1), or below it when the
+    scale would pass 2^1000 (an all-subnormal input). So every |x_k| and
+    |y_k| is below 1 and no float32 cast or product overflows. In real
+    arithmetic x.y = 2^(a+b) v_i.t_j, so ranking by one is ranking by the
+    other, and the float64 ranks are left as they are.
+
+    Bound. Let s = x.y, s32 its float32 score from copies rounded to float32,
+    and s64 = 2^(a+b) fl64(v_i.t_j) for any float64 dot product of v_i and
+    t_j: _exact_hits's block GEMM or the rescoring below. With unit
+    roundoffs u32 = 2^-24 and u64 = 2^-53, gamma_m = m u / (1 - m u), and the
+    smallest normal numbers tiny32 and tiny64:
+    - rounding x and y to float32 moves each product x_k y_k by a factor
+      (1 + u32)^2, and the float32 dot product of d terms adds gamma_d
+      (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+      section 3.1; Jeannerod & Rump 2013 give d u). Since
+      (1 + u)^2 (1 + gamma_d) <= 1 + gamma_(d+2) (Higham, Lemma 3.3),
+      |s32 - s| <= gamma32_(d+2) sum_k |x_k y_k|;
+    - |s64 - s| <= gamma64_d sum_k |x_k y_k|;
+    - underflow, gradual or flushed to zero, adds at most tiny per rounded
+      input (times the other factor, below 1), product and sum, and later
+      sums grow it by at most 1 + gamma_d < 2: below 8 d tiny32 for s32
+      (2d inputs, d products, d - 1 sums) and 8 d 2^(a+b) tiny64 for s64.
+      This absolute term A covers rows whose float32 copies underflow, and
+      inputs so small that their float64 products underflow.
+    By Cauchy-Schwarz, sum_k |x_k y_k| <= |x| |y|. The norms, taken in
+    float64, are within (d/2 + 2) u64 relative of the true ones (and, where
+    squares underflow, short by far less than A); the 1% slack in
+    c = 1.01 (gamma32_(d+2) + gamma64_d) covers that and the rounding of the
+    margin and of P - C below. So |s32 - s64| <= c |x_i| |y_j| + A for
+    every pair.
+
+    Screen. One float32 product per block of image rows gives each pair's
+    partner score P on the diagonal square, which is then masked to -inf,
+    the best competitor C of each image row, and a running best of each
+    text column, so no pre-pass is needed. An image query i is a hit when
+    P - C > c |x_i| (|y_i| + max_j |y_j|) + 2A: then its partner's float64
+    score beats every competitor's strictly, under any tie rule. It is a
+    miss when C - P exceeds the same margin, and text queries mirror this.
+    The rest, a handful in a few thousand on unit-norm dumps, are scored
+    again in float64 by _first_ranked, under the tie rule; an exact float64
+    tie there rests on the same BLAS assumption as _exact_hits's pre-pass.
+    Memory is one float32 copy of T (n d 4 bytes) plus one float32 score
+    block, half of _exact_hits's float64 one.
+    """
+    n, d = v.shape
+    b = _RECALL_BLOCK_ROWS
+    exp_v, exp_t = (min(1000, -frexp(m)[1]) for m in top)
+    c = 1.01 * (_gamma(d + 2, _U32) + _gamma(d, _U64))
+    floor = 8 * d * (_TINY32 + ldexp(_TINY64, exp_v + exp_t))  # A
+
+    t32 = np.empty(t.shape, dtype=np.float32)
+    t_norm = np.empty(n)
+    for lo in range(0, n, b):
+        y = np.ldexp(t[lo:lo + b], exp_t)
+        t_norm[lo:lo + b] = np.sqrt(np.einsum("ij,ij->i", y, y))
+        t32[lo:lo + b] = y
+    v_norm = np.empty(n)
+    own = np.empty(n, dtype=np.float32)
+    row_best = np.empty(n, dtype=np.float32)
+    col_best = np.full(n, -np.inf, dtype=np.float32)
+    block = np.empty((min(b, n), n), dtype=np.float32)  # every block's scores
+    for lo in range(0, n, b):
+        hi = min(lo + b, n)
+        x = np.ldexp(v[lo:hi], exp_v)
+        v_norm[lo:hi] = np.sqrt(np.einsum("ij,ij->i", x, x))
+        scores = np.matmul(x.astype(np.float32), t32.T, out=block[:hi - lo])
+        diag = (np.arange(hi - lo), np.arange(lo, hi))
+        own[lo:hi] = scores[diag]
+        scores[diag] = -np.inf
+        scores.max(axis=1, out=row_best[lo:hi])
+        np.maximum(col_best, scores.max(axis=0), out=col_best)
+    del t32, block, scores  # the rescoring's float64 block takes their place
+
+    own = own.astype(np.float64)
+    hits = []
+    for queries, keys, best, q_norm, k_norm in ((v, t, row_best, v_norm, t_norm),
+                                                (t, v, col_best, t_norm, v_norm)):
+        lead = own - best
+        margin = c * q_norm * (k_norm + k_norm.max()) + 2.0 * floor
+        unsettled = np.flatnonzero(np.abs(lead) <= margin)
+        hits.append(int(np.count_nonzero(lead > margin))
+                    + _first_ranked(queries, keys, unsettled))
+    return hits[0], hits[1]
+
+
+def _first_ranked(queries: np.ndarray, keys: np.ndarray, rows: np.ndarray) -> int:
+    """How many of the given query rows rank their partner, keys[row], first
+    by float64 scores under the tie rule, scored by blocks of rows."""
+    cols = np.arange(keys.shape[0])
+    hits = 0
+    for lo in range(0, rows.size, _RECALL_BLOCK_ROWS):
+        idx = rows[lo:lo + _RECALL_BLOCK_ROWS]
+        scores = queries[idx] @ keys.T
+        own = scores[np.arange(idx.size), idx][:, None]
+        beaten = (scores > own) | (scores == own) & (cols < idx[:, None])
+        hits += int(np.count_nonzero(~beaten.any(axis=1)))
+    return hits
+
+
 def recall_at_k(v, t, k: int) -> tuple[float, float]:
     """Fraction of queries whose true partner ranks in the top k by dot product.
 
@@ -342,13 +473,19 @@ def recall_at_k(v, t, k: int) -> tuple[float, float]:
     text-to-image). A competitor with a score equal to the true partner's
     outranks it only at a lower index, so results carry no platform sort
     ambiguity. Scores are computed in blocks of image rows, one product
-    serving both directions, so memory grows linearly in n.
+    serving both directions, so memory grows linearly in n. k must be an
+    integer (not a bool) in [1, n]; inputs whose float64 scores could
+    overflow are rejected.
     """
     v, t = _paired_inputs(v, t)
-    n = v.shape[0]
+    n, d = v.shape
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    i2t, t2i = _recall_hits(v, t, k)
+    top = _max_abs(v), _max_abs(t)
+    _check_product_sums(d, *top, "V and T")
+    i2t, t2i = _recall_hits(v, t, k, top)
     return i2t / n, t2i / n
 
 

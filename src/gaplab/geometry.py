@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _normalize_rows, as_matrix
+from .numerics import _check_product_sums, _max_abs, _normalize_rows, as_matrix
 
 __all__ = [
     "MODALITIES",
@@ -202,7 +202,8 @@ def _spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, np.ndarray 
     if m.shape[0] < 2:
         raise ValueError(f"need at least 2 rows, got {m.shape[0]}")
     if m.shape[0] >= m.shape[1]:
-        gram = m.T @ m
+        with np.errstate(over="ignore", invalid="ignore"):  # _gram_sv rejects a non-finite G
+            gram = m.T @ m
         sv = _gram_sv(gram)
         if sv is not None:
             return sv, gram, None
@@ -229,7 +230,8 @@ def _ranks(v: np.ndarray, t: np.ndarray) -> tuple[float, float, float]:
     and so those singular values. Neither way factors the stacked rows.
     """
     (sv_v, g_v, r_v), (sv_t, g_t, r_t) = _spectrum(v), _spectrum(t)
-    sv_joint = None if g_v is None or g_t is None else _gram_sv(g_v + g_t)
+    with np.errstate(over="ignore"):  # _gram_sv rejects an overflowed sum
+        sv_joint = None if g_v is None or g_t is None else _gram_sv(g_v + g_t)
     if sv_joint is None:
         r_v = np.linalg.qr(v, mode="r") if r_v is None else r_v
         r_t = np.linalg.qr(t, mode="r") if r_t is None else r_t
@@ -245,9 +247,17 @@ def _fusion(er_v: float, er_t: float, er_joint: float) -> float:
 def gap_report(images, texts) -> GapReport:
     """Compute every gap and rank diagnostic for one paired batch.
 
-    The inputs are validated once; each modality mean is taken once.
+    The inputs are validated once; each modality mean is taken once. Inputs
+    whose float64 sums of products could overflow are rejected before any
+    work. Every such sum is at most 4 n d times the largest entry squared:
+    the joint Gram's eigenvalues are at most its trace, 2 n d squares, and a
+    centered row's squared norm is d squares of entries up to twice the
+    largest.
     """
     v, t = _paired(images, texts)
+    n, d = v.shape
+    top = max(_max_abs(v), _max_abs(t))
+    _check_product_sums(4 * n * d, top, top, "the batches")
     mean_v = v.mean(axis=0)
     mean_t = t.mean(axis=0)
     dist, n_bad = _distribution_gap(v, t, mean_v, mean_t)

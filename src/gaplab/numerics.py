@@ -40,6 +40,24 @@ def _paired_inputs(v, t) -> tuple[np.ndarray, np.ndarray]:
     return v, t
 
 
+def _max_abs(m: np.ndarray) -> float:
+    """Largest |entry| of a finite matrix, with no m-sized temporary."""
+    return max(float(m.max()), -float(m.min()))
+
+
+def _check_product_sums(terms: int, a_max: float, b_max: float, what: str) -> None:
+    """Raise ValueError when a float64 sum of ``terms`` products of two entries
+    no larger than a_max and b_max could overflow.
+
+    terms * a_max * b_max (a Python float, which goes to inf without a
+    warning) must stay within half the float64 maximum: every partial sum,
+    rounding included, is then finite.
+    """
+    if terms * a_max * b_max > np.finfo(np.float64).max / 2:
+        raise ValueError(f"{what} have entries up to {max(a_max, b_max):.3g}, "
+                         "so their float64 sums of products can overflow")
+
+
 def l2_normalize_rows(m) -> tuple[np.ndarray, np.ndarray]:
     """Scale each row to unit Euclidean norm.
 

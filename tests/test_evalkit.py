@@ -551,8 +551,9 @@ def test_recall_memory_stays_below_the_dense_matrix():
     rng = np.random.default_rng(31)
     v = rng.standard_normal((n, d))
     t = rng.standard_normal((n, d))
-    _, peak = traced_peak(gl.recall_at_k, v, t, 5)
-    assert peak <= n * n * 8 / 4
+    for k in (1, 5):  # the float32 screen, and the float64 kernel
+        _, peak = traced_peak(gl.recall_at_k, v, t, k)
+        assert peak <= n * n * 8 / 4
 
 
 def test_recall_is_monotone_in_k():
@@ -565,20 +566,103 @@ def test_recall_is_monotone_in_k():
     assert values[-1] == (1.0, 1.0)
 
 
-def test_recall_ties_resolve_by_index():
+def count_rescored(monkeypatch) -> list:
+    """Patch the float64 rescoring of recall@1's screen; returns the list that
+    collects each call's query rows, image queries first."""
+    calls = []
+    first_ranked = evalkit._first_ranked
+
+    def counting(queries, keys, rows):
+        calls.append(rows.tolist())
+        return first_ranked(queries, keys, rows)
+
+    monkeypatch.setattr(evalkit, "_first_ranked", counting)
+    return calls
+
+
+def test_recall_ties_resolve_by_index(monkeypatch):
     # Identical first two text rows: query 0 keeps rank 1, query 1 loses it.
+    # The float32 screen cannot settle an exact tie, so both are scored again.
     t = np.eye(3)
     t[1] = t[0]
+    rescored = count_rescored(monkeypatch)
     i2t, _ = gl.recall_at_k(t, t, 1)
     assert abs(i2t - 2.0 / 3.0) < 1e-15
+    assert rescored[0] == [0, 1]
 
 
 def test_recall_validates_k():
     v = np.eye(3)
-    with pytest.raises(ValueError):
-        gl.recall_at_k(v, v, 0)
-    with pytest.raises(ValueError):
-        gl.recall_at_k(v, v, 4)
+    for k in (0, 4, 1.5, 1.0, True, np.bool_(True), "1"):
+        with pytest.raises(ValueError):
+            gl.recall_at_k(v, v, k)
+    assert gl.recall_at_k(v, v, np.int64(1)) == gl.recall_at_k(v, v, np.uint8(3)) == (1.0, 1.0)
+
+
+def near_tie(partner_wins: bool, competitor_first: bool):
+    """(V, T), two pairs, where image 0's partner and its competitor score
+    float64 values 2^-35 apart that both round to 1.0 in float32, while the
+    float32 product puts them 2^-23 apart the other way round.
+
+    With V's query row (1, 1), the scores are exact sums in float64:
+    (1 + 2^-24 - 2^-35, 0) scores just below the float32 midpoint
+    1 + 2^-24, so its cast rounds down to 1, and
+    (1 + 2^-24 + 2^-40, -2^-40 - 2^-34) scores 2^-35 less, but its first
+    entry's cast rounds up to 1 + 2^-23, which the small second term cannot
+    pull back.
+    """
+    high = np.array([1.0 + 2.0**-24 - 2.0**-35, 0.0])
+    low = np.array([1.0 + 2.0**-24 + 2.0**-40, -2.0**-40 - 2.0**-34])
+    s64 = np.array([1.0, 1.0]) @ np.stack([high, low]).T
+    assert s64[0] - s64[1] == 2.0**-35 and (s64.astype(np.float32) == 1.0).all()
+    s32 = np.ones(2, dtype=np.float32) @ np.stack([high, low]).astype(np.float32).T
+    assert s32[1] - s32[0] == 2.0**-23
+    t = np.stack([high, low] if partner_wins else [low, high])
+    v = np.array([[1.0, 1.0], [-1.0, 1.0]])
+    if competitor_first:
+        v, t = v[::-1], t[::-1]
+    return v, t
+
+
+@pytest.mark.parametrize("partner_wins", [True, False])
+@pytest.mark.parametrize("competitor_first", [True, False])
+@pytest.mark.parametrize("text_queries", [False, True])
+def test_screened_recall_rescores_near_ties_the_float32_product_flips(
+        monkeypatch, partner_wins, competitor_first, text_queries):
+    v, t = near_tie(partner_wins, competitor_first)
+    if text_queries:  # the same query, asked text-to-image
+        v, t = t, v
+    rescored = count_rescored(monkeypatch)
+    got = gl.recall_at_k(v, t, 1)
+    assert got == recall_by_stable_sort(v, t, 1)
+    query = int(competitor_first)
+    assert query in rescored[text_queries]
+
+
+@pytest.mark.parametrize("scale_v, scale_t, tiny_rows", [
+    (1e39, 1e39, 1.0),    # beyond float32: a plain cast would overflow
+    (1e30, 1e30, 1.0),    # float32 products would overflow
+    (1e-30, 1e-30, 1.0),  # float32 products would underflow
+    (1e30, 1e-30, 1.0),
+    (1.0, 1.0, 1e-43),    # half the image rows are float32 subnormals
+    (1e-162, 1e-162, 1.0),  # float64 products are subnormal
+    (1e-310, 1e-20, 1.0),   # float64 products underflow to 0: every score ties
+])
+def test_screened_recall_matches_the_float64_ranks_at_any_scale(scale_v, scale_t, tiny_rows):
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal((200, 6))
+    t = v + 0.3 * rng.standard_normal((200, 6))
+    v[:100] *= tiny_rows
+    v, t = scale_v * v, scale_t * t
+    assert gl.recall_at_k(v, t, 1) == recall_by_stable_sort(v, t, 1)
+
+
+def test_recall_rejects_scores_that_overflow_float64():
+    rng = np.random.default_rng(35)
+    v, t = rng.standard_normal((50, 8)), rng.standard_normal((50, 8))
+    with pytest.raises(ValueError, match="can overflow"):
+        gl.recall_at_k(1e200 * v, 1e200 * t, 1)
+    assert gl.recall_at_k(1e150 * v, 1e150 * t, 1) == recall_by_stable_sort(v, t, 1)
 
 
 # -------------------------------------------------------------------- probe

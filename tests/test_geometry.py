@@ -1,6 +1,7 @@
 import json
 import sys
-from dataclasses import asdict
+import warnings
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -72,6 +73,18 @@ def test_raw_gap_accepts_batches_and_checks_pairing():
         gl.gap_report(v, t[:-1])
     with pytest.raises(ValueError, match="dim mismatch"):
         gl.gap_report(v, t[:, :-1])
+
+
+def test_gap_report_rejects_sums_of_products_that_overflow_float64():
+    rng = np.random.default_rng(36)
+    v, t = rng.standard_normal((50, 8)), rng.standard_normal((50, 8))
+    with pytest.raises(ValueError, match="can overflow"):
+        gl.gap_report(1e200 * v, 1e200 * t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = gl.gap_report(1e150 * v, 1e150 * t)
+    assert all(np.isfinite(getattr(r, f.name)) for f in fields(r))
+    assert r.distribution_gap == pytest.approx(gl.gap_report(v, t).distribution_gap, rel=1e-12)
 
 
 # ------------------------------------------------------------ centroid_gap
@@ -366,7 +379,8 @@ def count_linalg_calls(monkeypatch, name) -> list:
     return calls
 
 
-def assert_ranks_match_the_stacked_svd(v, t):
+def assert_ranks_match_the_stacked_svd(v, t, report=True):
+    """The kernels' ranks, and gap_report's unless report is False, against the SVD."""
     er_v, er_t = erank_by_stacked_svd(v), erank_by_stacked_svd(t)
     er_joint = erank_by_stacked_svd(np.vstack([v, t]))
     fusion = er_joint / (0.5 * (er_v + er_t))
@@ -377,6 +391,8 @@ def assert_ranks_match_the_stacked_svd(v, t):
     assert close(erank(v), er_v)
     assert close(erank(t), er_t)
     assert close(_fusion(*_ranks(v, t)), fusion)
+    if not report:
+        return
     r = gl.gap_report(v, t)
     assert close(r.erank_image, er_v) and close(r.erank_text, er_t)
     assert close(r.erank_joint, er_joint) and close(r.fusion_index, fusion)
@@ -447,11 +463,13 @@ def test_cholesky_qr2_hands_rank_deficient_and_wide_inputs_to_householder(monkey
         v, t = rng.standard_normal(shape), rng.standard_normal(shape)
     if case == "overflowing":  # m'm overflows to inf; the Householder R does not
         v, t = v * 1e200, t * 1e200
+        with pytest.raises(ValueError, match="can overflow"):
+            gl.gap_report(v, t)
     fallback = erank_by_householder(v), erank_by_householder(t)
-    with np.errstate(over="ignore"):
-        assert_ranks_match_the_stacked_svd(v, t)
-        eighs, qrs = ranks_counting_calls(monkeypatch, v, t)
-        assert (erank(v), erank(t)) == fallback
+    # no errstate: the kernels keep the Gram's overflow warning to themselves
+    assert_ranks_match_the_stacked_svd(v, t, report=case != "overflowing")
+    eighs, qrs = ranks_counting_calls(monkeypatch, v, t)
+    assert (erank(v), erank(t)) == fallback
     assert (eighs, qrs) == ((2, 2) if case == "rank_deficient" else (0, 2))
 
 
