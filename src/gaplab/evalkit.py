@@ -287,70 +287,6 @@ def joint_clustering_eval(images: EmbeddingBatch, texts: EmbeddingBatch,
 _RECALL_BLOCK_ROWS = 256
 
 
-def _recall_hits(v: np.ndarray, t: np.ndarray, k: int,
-                 top: tuple[float, float]) -> tuple[int, int]:
-    """Image and text queries whose partner (same index) ranks in the top k.
-
-    Rank is 1 plus the competitors scoring strictly higher, plus the equal
-    ones at a lower index, so a competitor at a lower index counts when its
-    float64 score is >= the partner's and one at a higher index when it is
-    >. The partner's own entry is never counted, so it cannot outrank itself.
-
-    k = 1 takes _screened_hits, which settles nearly every query from one
-    float32 product; k > 1 takes _exact_hits. Both give these float64 ranks.
-    top is (max |v|, max |t|), which scales the screen. The screen's bound
-    needs (d + 2) u32 well below 1; past d of about 1.7 million (no
-    embedding comes near) k = 1 takes the float64 kernel too.
-    """
-    if k == 1 and (v.shape[1] + 2) * _U32 < 0.1:
-        return _screened_hits(v, t, top)
-    return _exact_hits(v, t, k)
-
-
-def _exact_hits(v: np.ndarray, t: np.ndarray, k: int) -> tuple[int, int]:
-    """_recall_hits in float64 throughout.
-
-    One GEMM S = v[block] @ t.T per block of image rows serves both
-    directions: its rows rank texts for each image query, and its columns
-    add each text query's counts over that block of images.
-
-    An image query's partner score is the diagonal entry of its own row of S,
-    as are its competitors. A text query's column spans every block, so its
-    partner score comes from a pre-pass over the diagonal blocks; exact ties
-    there assume that the BLAS computes a dot product the same way whatever
-    the shape of the product it sits in.
-    """
-    n = v.shape[0]
-    b = _RECALL_BLOCK_ROWS
-    own = np.empty(n)
-    for lo in range(0, n, b):
-        own[lo:lo + b] = np.diagonal(v[lo:lo + b] @ t[lo:lo + b].T)
-    i2t_rank = np.ones(n, dtype=np.int64)
-    t2i_rank = np.ones(n, dtype=np.int64)
-    for lo in range(0, n, b):
-        hi = min(lo + b, n)
-        scores = v[lo:hi] @ t.T
-        own_rows = np.diagonal(scores[:, lo:hi])[:, None]
-        # texts before the block (lower index than every image query here)
-        left = scores[:, :lo]
-        i2t_rank[lo:hi] += np.count_nonzero(left >= own_rows, axis=1)
-        t2i_rank[:lo] += np.count_nonzero(left > own[:lo], axis=0)
-        # texts after the block (higher index than every image query here)
-        right = scores[:, hi:]
-        i2t_rank[lo:hi] += np.count_nonzero(right > own_rows, axis=1)
-        t2i_rank[hi:] += np.count_nonzero(right >= own[hi:], axis=0)
-        # the diagonal square: row r is image lo + r, column c is text lo + c
-        square = scores[:, lo:hi]
-        below = np.tri(hi - lo, k=-1, dtype=bool)  # c < r
-        above = below.T                             # c > r
-        i2t_rank[lo:hi] += np.count_nonzero(
-            (square >= own_rows) & below | (square > own_rows) & above, axis=1)
-        own_cols = own[lo:hi]
-        t2i_rank[lo:hi] += np.count_nonzero(
-            (square >= own_cols) & above | (square > own_cols) & below, axis=0)
-    return int(np.count_nonzero(i2t_rank <= k)), int(np.count_nonzero(t2i_rank <= k))
-
-
 # Unit roundoffs, and the smallest normal numbers, of float32 and float64.
 _U32, _U64 = 2.0**-24, 2.0**-53
 _TINY32, _TINY64 = 2.0**-126, 2.0**-1022
@@ -362,8 +298,9 @@ def _gamma(m: int, u: float) -> float:
 
 
 def _screened_hits(v: np.ndarray, t: np.ndarray, top: tuple[float, float]) -> tuple[int, int]:
-    """_recall_hits at k = 1, from float32 scores plus a float64 rescoring of
-    the queries they cannot settle.
+    """recall_at_k's hits at k = 1 (image queries, text queries), from float32
+    scores plus a float64 rescoring of the queries they cannot settle. top is
+    (max |v|, max |t|).
 
     Scaling. x = 2^a v_i and y = 2^b t_j, with 2^a and 2^b the powers of two
     that bring max |v| and max |t| into [1/2, 1), or below it when the
@@ -374,9 +311,9 @@ def _screened_hits(v: np.ndarray, t: np.ndarray, top: tuple[float, float]) -> tu
 
     Bound. Let s = x.y, s32 its float32 score from copies rounded to float32,
     and s64 = 2^(a+b) fl64(v_i.t_j) for any float64 dot product of v_i and
-    t_j: _exact_hits's block GEMM or the rescoring below. With unit
-    roundoffs u32 = 2^-24 and u64 = 2^-53, gamma_m = m u / (1 - m u), and the
-    smallest normal numbers tiny32 and tiny64:
+    t_j, such as the rescoring's below. With unit roundoffs u32 = 2^-24 and
+    u64 = 2^-53, gamma_m = m u / (1 - m u), and the smallest normal numbers
+    tiny32 and tiny64:
     - rounding x and y to float32 moves each product x_k y_k by a factor
       (1 + u32)^2, and the float32 dot product of d terms adds gamma_d
       (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
@@ -405,10 +342,11 @@ def _screened_hits(v: np.ndarray, t: np.ndarray, top: tuple[float, float]) -> tu
     score beats every competitor's strictly, under any tie rule. It is a
     miss when C - P exceeds the same margin, and text queries mirror this.
     The rest, a handful in a few thousand on unit-norm dumps, are scored
-    again in float64 by _first_ranked, under the tie rule; an exact float64
-    tie there rests on the same BLAS assumption as _exact_hits's pre-pass.
-    Memory is one float32 copy of T (n d 4 bytes) plus one float32 score
-    block, half of _exact_hits's float64 one.
+    again in float64 by _ranked_hits, under the tie rule. A query's partner
+    and competitors sit in one row of one product there, so an exact float64
+    tie assumes only that the BLAS computes equal dot products in one row
+    alike. Memory is one float32 copy of T (n d 4 bytes) plus one float32
+    score block, half of _ranked_hits's float64 one.
     """
     n, d = v.shape
     b = _RECALL_BLOCK_ROWS
@@ -447,21 +385,24 @@ def _screened_hits(v: np.ndarray, t: np.ndarray, top: tuple[float, float]) -> tu
         margin = c * q_norm * (k_norm + k_norm.max()) + 2.0 * floor
         unsettled = np.flatnonzero(np.abs(lead) <= margin)
         hits.append(int(np.count_nonzero(lead > margin))
-                    + _first_ranked(queries, keys, unsettled))
+                    + _ranked_hits(queries, keys, unsettled, 1))
     return hits[0], hits[1]
 
 
-def _first_ranked(queries: np.ndarray, keys: np.ndarray, rows: np.ndarray) -> int:
-    """How many of the given query rows rank their partner, keys[row], first
-    by float64 scores under the tie rule, scored by blocks of rows."""
+def _ranked_hits(queries: np.ndarray, keys: np.ndarray, rows: np.ndarray, k: int) -> int:
+    """How many of the given query rows rank their partner, keys[row], in the
+    top k by float64 scores under recall_at_k's tie rule. Blocks of rows are
+    scored into one reused buffer, and each query is ranked within its own
+    row of the product."""
     cols = np.arange(keys.shape[0])
+    block = np.empty((min(_RECALL_BLOCK_ROWS, rows.size), keys.shape[0]))
     hits = 0
     for lo in range(0, rows.size, _RECALL_BLOCK_ROWS):
         idx = rows[lo:lo + _RECALL_BLOCK_ROWS]
-        scores = queries[idx] @ keys.T
+        scores = np.matmul(queries[idx], keys.T, out=block[:idx.size])
         own = scores[np.arange(idx.size), idx][:, None]
         beaten = (scores > own) | (scores == own) & (cols < idx[:, None])
-        hits += int(np.count_nonzero(~beaten.any(axis=1)))
+        hits += int(np.count_nonzero(np.count_nonzero(beaten, axis=1) < k))
     return hits
 
 
@@ -470,11 +411,16 @@ def recall_at_k(v, t, k: int) -> tuple[float, float]:
 
     The dot product is the cosine only for unit-norm rows; no normalization
     is applied here. Both directions are returned (image-to-text,
-    text-to-image). A competitor with a score equal to the true partner's
-    outranks it only at a lower index, so results carry no platform sort
-    ambiguity. Scores are computed in blocks of image rows, one product
-    serving both directions, so memory grows linearly in n. k must be an
-    integer (not a bool) in [1, n]; inputs whose float64 scores could
+    text-to-image). A query's rank is 1 plus the competitors whose float64
+    score beats its partner's: those scoring strictly higher, and the equal
+    ones at a lower index, so results carry no platform sort ambiguity.
+
+    Scores are computed in blocks of query rows, so memory grows linearly in
+    n. k = 1 settles nearly every query from one float32 product
+    (_screened_hits) and rescores the rest in float64; k > 1 scores every
+    query of both directions in float64, as does k = 1 past d of about 1.7
+    million, where the screen's bound ((d + 2) u32 well below 1) fails. k must
+    be an integer (not a bool) in [1, n]; inputs whose float64 scores could
     overflow are rejected.
     """
     v, t = _paired_inputs(v, t)
@@ -485,7 +431,11 @@ def recall_at_k(v, t, k: int) -> tuple[float, float]:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     top = _max_abs(v), _max_abs(t)
     _check_product_sums(d, *top, "V and T")
-    i2t, t2i = _recall_hits(v, t, k, top)
+    if k == 1 and (d + 2) * _U32 < 0.1:
+        i2t, t2i = _screened_hits(v, t, top)
+    else:
+        rows = np.arange(n)
+        i2t, t2i = _ranked_hits(v, t, rows, k), _ranked_hits(t, v, rows, k)
     return i2t / n, t2i / n
 
 

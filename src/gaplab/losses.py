@@ -14,8 +14,9 @@ temperature scale. Gradients are taken treating V and T as free variables;
 backprop through row normalization is the trainer's job. finite_diff_check
 validates any loss callable against central differences.
 
-Each public loss validates its inputs once and hands the block V T^T (one
-BLAS product) to one of two unchecked private kernels: _reweighted for clip
+Each public loss validates its inputs once, rejecting any whose float64
+sums could overflow (_checked_pair), and hands the block V T^T (one BLAS
+product) to one of two unchecked private kernels: _reweighted for clip
 and reweighted, _intra for intra, which builds V V^T and T T^T itself. cma_loss
 wraps _cma, which builds V T^T once and runs both kernels on it, so its
 endpoint identities with clip_loss and intra_loss hold by construction; the
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import _paired_inputs
+from .numerics import _check_product_sums, _max_abs, _paired_inputs
 
 __all__ = [
     "LOG_SCALE_MAX",
@@ -81,6 +82,30 @@ class LossOutput:
     grad_texts: np.ndarray
     grad_log_scale: float
     diagnostics: dict = field(default_factory=dict)
+
+
+def _checked_pair(v, t) -> tuple[np.ndarray, np.ndarray]:
+    """(V, T) through _paired_inputs, rejected before any work when a float64
+    sum that a public loss takes could overflow.
+
+    With m the largest |entry| of V and T, each entry of V T^T, V V^T and
+    T T^T is at most d m^2, and each logit, at most 100 (the scale cap) times
+    one, at most L = 100 d m^2. The largest sums are then:
+    - a loss term or a log-scale gradient: n terms lse_i - a_ii, each in
+      [0, 2L + log n], or logits under softmax weights that sum to n: at
+      most n (2L + log n);
+    - cma_loss's gradient norms: each gradient weighs rows of V or T by tau
+      times weights whose absolute values sum to at most 2, so each column
+      sums to at most 200 m in absolute value, and a component's two squared
+      norms to at most 2 d (200 m)^2.
+    So 200 (n + 400) d products of m^2 bound every sum; the half of the
+    float64 maximum that _check_product_sums keeps covers the n log n.
+    """
+    v, t = _paired_inputs(v, t)
+    n, d = v.shape
+    top = max(_max_abs(v), _max_abs(t))
+    _check_product_sums(200 * (n + 400) * d, top, top, "V and T")
+    return v, t
 
 
 def _block_max(a):
@@ -197,7 +222,7 @@ def clip_loss(v, t, temp: Temperature) -> LossOutput:
     oppose_term = (1/N) sum_i log sum_j exp(tau * v_i . t_j) pushes every pair
     apart, and their sum is exactly the image-to-text cross-entropy.
     """
-    v, t = _paired_inputs(v, t)
+    v, t = _checked_pair(v, t)
     loss, gv, gt, gs, a, lse_row = _reweighted(v @ t.T, v, t, temp.scale, 0.0)
     split = {"align_term": float(-a.diagonal().mean()), "oppose_term": float(lse_row.mean())}
     return LossOutput(loss, gv, gt, gs, split)
@@ -211,7 +236,7 @@ def reweighted_loss(v, t, temp: Temperature, beta: float) -> LossOutput:
     only gradient effect is the same (1 - beta) factor on off-diagonal
     similarity gradients.
     """
-    v, t = _paired_inputs(v, t)
+    v, t = _checked_pair(v, t)
     beta = float(beta)
     if not 0.0 <= beta <= 0.05:
         raise ValueError(f"beta must be in [0, 0.05], got {beta}")
@@ -228,7 +253,7 @@ def intra_loss(v, t, temp: Temperature) -> LossOutput:
     every other member of its own modality, which drags the two intra-modal
     geometries toward each other.
     """
-    v, t = _paired_inputs(v, t)
+    v, t = _checked_pair(v, t)
     loss, gv, gt, gs = _intra(v @ t.T, v, t, temp.scale)
     return LossOutput(loss, gv, gt, gs, {"intra_term": loss})
 
@@ -268,7 +293,7 @@ def cma_loss(v, t, temp: Temperature, alpha: float) -> LossOutput:
     grad_norm_rw and grad_norm_intra are each component's gradient norm over
     (V, T), there to expose the imbalance between the two objectives.
     """
-    v, t = _paired_inputs(v, t)
+    v, t = _checked_pair(v, t)
     alpha = float(alpha)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")

@@ -473,10 +473,10 @@ def test_recall_matches_stable_sort_oracle():
             assert gl.recall_at_k(v, t, k) == recall_by_stable_sort(v, t, k)
 
 
-@pytest.mark.parametrize("block", [evalkit._RECALL_BLOCK_ROWS, 7])
-def test_blocked_recall_keeps_the_tie_rule_across_blocks(monkeypatch, block):
-    monkeypatch.setattr(evalkit, "_RECALL_BLOCK_ROWS", block)
-    n = 2 * block + 37  # the last block is partial
+def straddling_key_ties(block: int):
+    """(V, T) of 2 block + 37 pairs (the last block is partial) with duplicated
+    keys straddling two block boundaries."""
+    n = 2 * block + 37
     rng = np.random.default_rng(30)
     # Small integer entries: every score is exact, so ties are exact ties.
     v = rng.integers(-2, 3, size=(n, 3)).astype(np.float64)
@@ -486,13 +486,12 @@ def test_blocked_recall_keeps_the_tie_rule_across_blocks(monkeypatch, block):
     # equal key before it.
     t[block - 1] = t[block] = v[block - 1] = v[block] = 5.0
     v[2 * block - 1] = v[2 * block] = t[2 * block - 1] = t[2 * block] = -5.0
-    for k in (1, 3, n):
-        assert gl.recall_at_k(v, t, k) == recall_by_stable_sort(v, t, k)
+    return v, t
 
 
-@pytest.mark.parametrize("block", [evalkit._RECALL_BLOCK_ROWS, 7])
-def test_blocked_recall_keeps_the_tie_rule_for_text_queries(monkeypatch, block):
-    monkeypatch.setattr(evalkit, "_RECALL_BLOCK_ROWS", block)
+def straddling_image_ties(block: int):
+    """(V, T) of 2 block + 37 pairs with unique text rows and duplicated image
+    rows straddling two block boundaries."""
     n = 2 * block + 37
     rng = np.random.default_rng(32)
     # Unique text rows: distinct codes in [-6, 6]^3, plus a fourth coordinate.
@@ -510,8 +509,36 @@ def test_blocked_recall_keeps_the_tie_rule_for_text_queries(monkeypatch, block):
         scores = v @ t[i]
         assert scores.max() == scores[i] == scores[i - 1]
     assert np.unique(t, axis=0).shape[0] == n
-    for k in (1, 3, n):
+    return v, t
+
+
+@pytest.mark.parametrize("block", [evalkit._RECALL_BLOCK_ROWS, 7])
+def test_blocked_recall_keeps_the_tie_rule_across_blocks(monkeypatch, block):
+    monkeypatch.setattr(evalkit, "_RECALL_BLOCK_ROWS", block)
+    v, t = straddling_key_ties(block)
+    for k in (1, 3, v.shape[0]):
         assert gl.recall_at_k(v, t, k) == recall_by_stable_sort(v, t, k)
+
+
+@pytest.mark.parametrize("block", [evalkit._RECALL_BLOCK_ROWS, 7])
+def test_blocked_recall_keeps_the_tie_rule_for_text_queries(monkeypatch, block):
+    monkeypatch.setattr(evalkit, "_RECALL_BLOCK_ROWS", block)
+    v, t = straddling_image_ties(block)
+    for k in (1, 3, v.shape[0]):
+        assert gl.recall_at_k(v, t, k) == recall_by_stable_sort(v, t, k)
+
+
+@pytest.mark.parametrize("ties", [straddling_key_ties, straddling_image_ties])
+@pytest.mark.parametrize("block", [evalkit._RECALL_BLOCK_ROWS, 7])
+def test_recall_at_1_past_the_screens_bound_takes_the_float64_kernel(monkeypatch, block, ties):
+    def must_not_run(*args):
+        raise AssertionError("the float32 screen ran past its bound")
+
+    monkeypatch.setattr(evalkit, "_RECALL_BLOCK_ROWS", block)
+    monkeypatch.setattr(evalkit, "_U32", 1.0)  # (d + 2) u32 < 0.1 fails at any d
+    monkeypatch.setattr(evalkit, "_screened_hits", must_not_run)
+    v, t = ties(block)
+    assert gl.recall_at_k(v, t, 1) == recall_by_stable_sort(v, t, 1)
 
 
 def recall_by_two_gemms(v, t, k) -> tuple[float, float]:
@@ -554,6 +581,8 @@ def test_recall_memory_stays_below_the_dense_matrix():
     for k in (1, 5):  # the float32 screen, and the float64 kernel
         _, peak = traced_peak(gl.recall_at_k, v, t, k)
         assert peak <= n * n * 8 / 4
+    # k > 1 holds one reused float64 score block and its boolean masks
+    assert peak <= 1.75 * evalkit._RECALL_BLOCK_ROWS * n * 8
 
 
 def test_recall_is_monotone_in_k():
@@ -567,16 +596,17 @@ def test_recall_is_monotone_in_k():
 
 
 def count_rescored(monkeypatch) -> list:
-    """Patch the float64 rescoring of recall@1's screen; returns the list that
-    collects each call's query rows, image queries first."""
+    """Patch the float64 kernel, which at k = 1 only rescores the queries
+    recall@1's screen leaves; returns the list that collects each call's
+    query rows, image queries first."""
     calls = []
-    first_ranked = evalkit._first_ranked
+    ranked_hits = evalkit._ranked_hits
 
-    def counting(queries, keys, rows):
+    def counting(queries, keys, rows, k):
         calls.append(rows.tolist())
-        return first_ranked(queries, keys, rows)
+        return ranked_hits(queries, keys, rows, k)
 
-    monkeypatch.setattr(evalkit, "_first_ranked", counting)
+    monkeypatch.setattr(evalkit, "_ranked_hits", counting)
     return calls
 
 

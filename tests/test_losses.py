@@ -461,6 +461,19 @@ def test_a_logit_block_spanning_past_the_shared_shift_falls_back_per_line(monkey
             assert np.all(err <= 1e-12 * np.abs(want[key]) + floor), (key, alpha, err.max())
 
 
+@pytest.mark.parametrize("log_scale", [math.log(10.0), gl.LOG_SCALE_MAX])
+def test_losses_reject_inputs_whose_products_overflow_float64(log_scale):
+    rng = np.random.default_rng(35)
+    v, t = rng.standard_normal((50, 8)), rng.standard_normal((50, 8))
+    temp = gl.Temperature(log_scale)
+    for name, loss in bound_losses(0.4, 0.05).items():
+        with pytest.raises(ValueError, match="can overflow"):
+            loss(1e200 * v, 1e200 * t, temp)
+        out = loss(1e150 * v, 1e150 * t, temp)  # a RuntimeWarning would raise here
+        assert math.isfinite(out.loss), name
+        assert all(np.isfinite(g).all() for g in (out.grad_images, out.grad_texts, out.grad_log_scale))
+
+
 def test_cma_loss_validates_once_and_skips_the_checked_helpers(monkeypatch):
     """One cma_loss call checks V and T and nothing below them.
 
