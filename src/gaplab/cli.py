@@ -92,21 +92,8 @@ def load_run_config(path) -> tuple[TrainConfig, SynthConfig]:
 
 
 def _read_pair(images_path, texts_path):
-    v, v_labels = read_embeddings(images_path)
-    t, t_labels = read_embeddings(texts_path)
-    if v.shape[0] != t.shape[0]:
-        raise ValueError(
-            f"pair count mismatch: {images_path} has {v.shape[0]} rows, "
-            f"{texts_path} has {t.shape[0]}"
-        )
-    if v.shape[1] != t.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: {images_path} is {v.shape[1]}-d, "
-            f"{texts_path} is {t.shape[1]}-d"
-        )
-    images = EmbeddingBatch(v, labels=v_labels, modality="image")
-    texts = EmbeddingBatch(t, labels=t_labels, modality="text")
-    return images, texts
+    return tuple(EmbeddingBatch(*read_embeddings(path), modality=modality)
+                 for path, modality in ((images_path, "image"), (texts_path, "text")))
 
 
 def _check_out_dirs(*paths, inputs=()) -> None:
@@ -266,8 +253,8 @@ def render_svg(images: EmbeddingBatch, texts: EmbeddingBatch) -> str:
     are stable across runs.
     """
     n = images.n
+    report = gap_report(images, texts)  # first: it rejects a mismatched pair
     proj = pca_project_2d(np.vstack([images.vectors, texts.vectors]))
-    report = gap_report(images, texts)
 
     width, height, margin = 640.0, 480.0, 42.0
     lo = proj.min(axis=0)

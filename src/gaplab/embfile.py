@@ -27,7 +27,7 @@ import tempfile
 
 import numpy as np
 
-from .numerics import as_matrix
+from .numerics import _checked_labels, _checked_matrix
 
 __all__ = ["MAGIC", "LABEL_MAGIC", "write_embeddings", "read_embeddings", "atomic_write_bytes"]
 
@@ -61,28 +61,23 @@ def atomic_write_bytes(path, data: bytes) -> None:
     _atomic_write(path, lambda f: f.write(data))
 
 
-def _check_float32(m: np.ndarray, path) -> None:
-    """Refuse a matrix with a finite value that float32 rounds to inf. Casting
-    only the two extremes makes no n x d temporary."""
+def _check_float32(matrix, path) -> np.ndarray:
+    """The matrix through the input check, refused if float32 rounds an entry to inf."""
+    m, top = _checked_matrix(matrix, "matrix")
     with np.errstate(over="ignore"):
-        if np.isinf(np.float32(m.max())) or np.isinf(np.float32(m.min())):
+        if np.isinf(np.float32(top)):
             raise ValueError(f"{path}: values beyond the float32 range cannot be written")
+    return m
 
 
 def write_embeddings(path, matrix, labels=None) -> None:
     """Serialize a matrix (and optional labels) to the EMB1 container; a value
     that is not finite in float32 is refused before any file is created."""
-    m = as_matrix(matrix)
-    _check_float32(m, path)
+    m = _check_float32(matrix, path)
     n, d = m.shape
-    if labels is not None:
-        labels = np.asarray(labels)
-        if labels.ndim != 1 or labels.shape[0] != n:
-            raise ValueError(f"labels must be a vector of length {n}")
-        if not np.issubdtype(labels.dtype, np.integer):
-            raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
-        if labels.min() < 0 or labels.max() > 0xFFFFFFFF:
-            raise ValueError("labels must fit in an unsigned 32-bit integer")
+    labels = _checked_labels(labels, n)
+    if labels is not None and (labels.min() < 0 or labels.max() > 0xFFFFFFFF):
+        raise ValueError("labels must fit in an unsigned 32-bit integer")
 
     def write(f):
         f.write(_HEADER.pack(MAGIC, n, d))

@@ -20,7 +20,7 @@ from math import comb, frexp, ldexp, log
 import numpy as np
 
 from .geometry import _BLOCK_ROWS, EmbeddingBatch
-from .numerics import _check_product_sums, _max_abs, _paired_inputs
+from .numerics import _check_product_sums, _checked_matrix, _paired_inputs
 
 __all__ = [
     "ClusterReport",
@@ -263,11 +263,17 @@ def joint_clustering_eval(images: EmbeddingBatch, texts: EmbeddingBatch,
     """Pool both modalities into one point set, cluster, and score against the
     duplicated class labels. Each embedding contributes one point; the batches
     may differ in size but not in dimension, and are never stacked. k is the
-    number of distinct labels over both batches, and must be at least 2."""
+    number of distinct labels over both batches, and must be at least 2.
+
+    Points whose float64 sums could overflow are rejected before any work: a
+    squared distance is at most 4 d m^2 for entries up to m (centroids' too),
+    and the seeding and the inertia sum one per point."""
     if images.labels is None or texts.labels is None:
         raise ValueError("both batches need labels for clustering evaluation")
     if images.dim != texts.dim:
         raise ValueError(f"images are {images.dim}-d but texts are {texts.dim}-d")
+    top = max(_checked_matrix(b.vectors, "points")[1] for b in (images, texts))
+    _check_product_sums(4 * (images.n + texts.n) * images.dim, top, top, "the batches")
     truth = np.concatenate([images.labels, texts.labels])
     k = int(np.unique(truth).size)
     if k < 2:
@@ -423,13 +429,12 @@ def recall_at_k(v, t, k: int) -> tuple[float, float]:
     be an integer (not a bool) in [1, n]; inputs whose float64 scores could
     overflow are rejected.
     """
-    v, t = _paired_inputs(v, t)
+    v, t, *top = _paired_inputs(v, t)
     n, d = v.shape
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
         raise ValueError(f"k must be an integer, got {k!r}")
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    top = _max_abs(v), _max_abs(t)
     _check_product_sums(d, *top, "V and T")
     if k == 1 and (d + 2) * _U32 < 0.1:
         i2t, t2i = _screened_hits(v, t, top)
@@ -445,10 +450,14 @@ def interchangeability_probe(train_texts: EmbeddingBatch, test_images: Embedding
     The ridge strength is 1e-2 times the mean diagonal of the text Gram
     matrix, so it is scale-free. Ties in the class scores resolve to the
     first class in sorted label order.
-    """
+
+    Texts whose float64 fit could overflow are rejected before any work:
+    with n texts and entries up to m, the Gram's trace is at most n d m^2,
+    and the ridge adds 1% of its mean to the diagonal."""
     if train_texts.labels is None or test_images.labels is None:
         raise ValueError("both batches need labels for the probe")
-    x = train_texts.vectors
+    x, top = _checked_matrix(train_texts.vectors, "texts")
+    _check_product_sums(2 * x.shape[0] * x.shape[1], top, top, "the texts")
     classes = np.unique(train_texts.labels)
     if classes.size < 2:
         raise ValueError("probe needs at least 2 classes")
@@ -470,7 +479,10 @@ def linear_fit_r2(x, y) -> tuple[float, float, float]:
 
     Constant x is an error (no slope is identified); constant y fits slope 0
     with r_squared defined as 0. A NaN or infinite entry is an error.
-    """
+
+    Scaling x and y by the powers of two that bring their largest |entry|
+    into [1/2, 1) is exact and keeps every sum in range at any finite scale;
+    a slope or intercept beyond the float64 range is an error."""
     x = np.asarray(x, dtype=np.float64).ravel()
     y = np.asarray(y, dtype=np.float64).ravel()
     if x.shape[0] != y.shape[0]:
@@ -482,13 +494,18 @@ def linear_fit_r2(x, y) -> tuple[float, float, float]:
     if np.ptp(x) == 0.0:
         raise ValueError("x is constant; the slope is not identified")
 
+    exp_x, exp_y = (-frexp(float(np.abs(z).max()))[1] for z in (x, y))
+    x, y = np.ldexp(x, exp_x), np.ldexp(y, exp_y)
     xm = x - x.mean()
     ym = y - y.mean()
     slope = float((xm * ym).sum() / (xm * xm).sum())
     intercept = float(y.mean() - slope * x.mean())
     ss_tot = float((ym * ym).sum())
     if ss_tot == 0.0:
-        return 0.0, float(y.mean()), 0.0
+        return 0.0, ldexp(float(y.mean()), -exp_y), 0.0
     residual = y - (slope * x + intercept)
     r_squared = 1.0 - float((residual * residual).sum()) / ss_tot
-    return slope, intercept, r_squared
+    try:
+        return ldexp(slope, exp_x - exp_y), ldexp(intercept, -exp_y), r_squared
+    except OverflowError:
+        raise ValueError("the fit is beyond the float64 range") from None

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _check_product_sums, _max_abs, _normalize_rows, as_matrix
+from .numerics import (_check_product_sums, _checked_labels, _normalize_rows, _paired_inputs,
+                       as_matrix)
 
 __all__ = [
     "MODALITIES",
@@ -47,15 +48,7 @@ class EmbeddingBatch:
 
     def __post_init__(self):
         self.vectors = as_matrix(self.vectors, "vectors")
-        if self.labels is not None:
-            labels = np.asarray(self.labels)
-            if labels.ndim != 1 or labels.shape[0] != self.vectors.shape[0]:
-                raise ValueError(
-                    f"labels must have length {self.vectors.shape[0]}, got shape {labels.shape}"
-                )
-            if not np.issubdtype(labels.dtype, np.integer):
-                raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
-            self.labels = labels.astype(np.int64)
+        self.labels = _checked_labels(self.labels, self.vectors.shape[0])
         if self.modality not in MODALITIES:
             raise ValueError(f"modality must be one of {MODALITIES}, got {self.modality!r}")
 
@@ -105,14 +98,8 @@ class GapReport:
         )
 
 
-def _paired(images, texts) -> tuple[np.ndarray, np.ndarray]:
-    v, t = (b.vectors if isinstance(b, EmbeddingBatch) else as_matrix(b, "batch")
-            for b in (images, texts))
-    if v.shape[0] != t.shape[0]:
-        raise ValueError(f"pair count mismatch: {v.shape[0]} images vs {t.shape[0]} texts")
-    if v.shape[1] != t.shape[1]:
-        raise ValueError(f"embedding dim mismatch: {v.shape[1]} vs {t.shape[1]}")
-    return v, t
+def _paired(images, texts) -> tuple[np.ndarray, np.ndarray, float, float]:
+    return _paired_inputs(*(b.vectors if isinstance(b, EmbeddingBatch) else b for b in (images, texts)))
 
 
 def _raw_gap(v: np.ndarray, t: np.ndarray) -> float:
@@ -160,15 +147,11 @@ def mean_center(images, texts, renormalize: bool = False) -> tuple[EmbeddingBatc
     preserving the distribution gap exactly; renormalization re-projects rows
     to the unit sphere at the cost of that exactness.
     """
-    v, t = _paired(images, texts)
-    vc, tc = (_center_into(m, np.empty_like(m), renormalize) for m in (v, t))
-
-    def rebuild(batch, vectors, default_modality):
-        if isinstance(batch, EmbeddingBatch):
-            return EmbeddingBatch(vectors, labels=batch.labels, modality=batch.modality)
-        return EmbeddingBatch(vectors, modality=default_modality)
-
-    return rebuild(images, vc, "image"), rebuild(texts, tc, "text")
+    v, t, _, _ = _paired(images, texts)
+    # a batch keeps its labels and modality; an array gets no labels and its side's modality
+    return tuple(EmbeddingBatch(_center_into(m, np.empty_like(m), renormalize),
+                                getattr(b, "labels", None), getattr(b, "modality", modality))
+                 for m, b, modality in ((v, images, "image"), (t, texts, "text")))
 
 
 def _gram_sv(gram: np.ndarray) -> np.ndarray | None:
@@ -254,9 +237,9 @@ def gap_report(images, texts) -> GapReport:
     centered row's squared norm is d squares of entries up to twice the
     largest.
     """
-    v, t = _paired(images, texts)
+    v, t, top_v, top_t = _paired(images, texts)
     n, d = v.shape
-    top = max(_max_abs(v), _max_abs(t))
+    top = max(top_v, top_t)
     _check_product_sums(4 * n * d, top, top, "the batches")
     mean_v = v.mean(axis=0)
     mean_t = t.mean(axis=0)

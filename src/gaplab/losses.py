@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import _check_product_sums, _max_abs, _paired_inputs
+from .numerics import _check_product_sums, _paired_inputs
 
 __all__ = [
     "LOG_SCALE_MAX",
@@ -101,9 +101,9 @@ def _checked_pair(v, t) -> tuple[np.ndarray, np.ndarray]:
     So 200 (n + 400) d products of m^2 bound every sum; the half of the
     float64 maximum that _check_product_sums keeps covers the n log n.
     """
-    v, t = _paired_inputs(v, t)
+    v, t, top_v, top_t = _paired_inputs(v, t)
     n, d = v.shape
-    top = max(_max_abs(v), _max_abs(t))
+    top = max(top_v, top_t)
     _check_product_sums(200 * (n + 400) * d, top, top, "V and T")
     return v, t
 
@@ -343,7 +343,7 @@ def finite_diff_check(loss, v, t, temp: Temperature, h: float = 1e-5) -> float:
     """
     if not 1e-7 <= h <= 1e-3:
         raise ValueError(f"h must be in [1e-7, 1e-3], got {h}")
-    v, t = _paired_inputs(v, t)
+    v, t, _, _ = _paired_inputs(v, t)
     out = loss(v, t, temp)
     v, t, log_scale = v.copy(), t.copy(), np.array([temp.log_scale])
     probe = Temperature()

@@ -1,12 +1,14 @@
 """Dense float64 building blocks shared by every other module.
 
-Everything here is a pure function of its inputs: matrix validation, row
+Everything here is a pure function of its inputs: input validation, row
 normalization and a deterministic 2-D PCA projection. The losses and
 recall_at_k build their similarity products with BLAS; the einsum similarity
 and row cross-entropy oracles they are checked against live in the tests.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -21,28 +23,45 @@ _NORM_FLOOR = 1e-12  # rows with a smaller norm count as degenerate
 
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
     """Coerce to a 2-D float64 array with >= 1 row and column and finite entries."""
+    return _checked_matrix(values, name)[0]
+
+
+def _checked_matrix(values, name: str) -> tuple[np.ndarray, float]:
+    """as_matrix's array and its largest |entry|, the one check of every input
+    matrix. One max and one min reduction, with no temporary, are also the
+    finiteness scan: NaN reaches both and an infinity is an extreme."""
     m = np.asarray(values, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
     if m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"{name} needs at least one row and one column, got {m.shape}")
-    if not np.all(np.isfinite(m)):
+    hi, lo = float(m.max()), float(m.min())
+    if not (math.isfinite(hi) and math.isfinite(lo)):
         raise ValueError(f"{name} contains NaN or Inf entries")
-    return m
+    return m, max(hi, -lo)
 
 
-def _paired_inputs(v, t) -> tuple[np.ndarray, np.ndarray]:
-    """(V, T) as validated matrices of one shape: the losses' and recall's input check."""
-    v = as_matrix(v, "V")
-    t = as_matrix(t, "T")
-    if v.shape != t.shape:
-        raise ValueError(f"V and T must share a shape, got {v.shape} vs {t.shape}")
-    return v, t
+def _paired_inputs(v, t) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """(V, T, max |V|, max |T|) for an image and a text matrix of one shape:
+    the pair check of gap_report, mean_center, recall and the losses."""
+    (v, v_top), (t, t_top) = _checked_matrix(v, "images"), _checked_matrix(t, "texts")
+    if v.shape[0] != t.shape[0]:
+        raise ValueError(f"pair count mismatch: {v.shape[0]} images vs {t.shape[0]} texts")
+    if v.shape[1] != t.shape[1]:
+        raise ValueError(f"embedding dim mismatch: {v.shape[1]} vs {t.shape[1]}")
+    return v, t, v_top, t_top
 
 
-def _max_abs(m: np.ndarray) -> float:
-    """Largest |entry| of a finite matrix, with no m-sized temporary."""
-    return max(float(m.max()), -float(m.min()))
+def _checked_labels(labels, n: int) -> np.ndarray | None:
+    """Optional class labels as an int64 vector of length n, or None."""
+    if labels is None:
+        return None
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or labels.shape[0] != n:
+        raise ValueError(f"labels must have length {n}, got shape {labels.shape}")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
+    return labels.astype(np.int64)
 
 
 def _check_product_sums(terms: int, a_max: float, b_max: float, what: str) -> None:
@@ -88,10 +107,8 @@ def pca_project_2d(m) -> np.ndarray:
     positive, so the projection is deterministic across runs.
     """
     m = as_matrix(m)
-    if m.shape[0] < 2:
-        raise ValueError(f"need at least 2 rows, got {m.shape[0]}")
-    if m.shape[1] < 2:
-        raise ValueError(f"need at least 2 columns, got {m.shape[1]}")
+    if min(m.shape) < 2:
+        raise ValueError(f"need at least 2 rows and 2 columns, got shape {m.shape}")
 
     centered = m - m.mean(axis=0)
     scatter = centered.T @ centered

@@ -200,6 +200,44 @@ def test_analyze_pair_mismatch_exits_2(tmp_path, emb_pair, capsys):
     assert "mismatch" in stderr
 
 
+@pytest.mark.parametrize("shape, message", [((29, 6), "pair count mismatch"),
+                                            ((30, 5), "embedding dim mismatch")])
+@pytest.mark.parametrize("command, outputs", [
+    ("analyze", [("--out", "r.json")]),
+    ("center", [("--out-images", "ci.emb"), ("--out-texts", "ct.emb")]),
+    ("plot", [("--out", "p.svg")]),
+])
+def test_a_mismatched_pair_exits_2_and_writes_nothing(tmp_path, emb_pair, capsys, command,
+                                                      outputs, shape, message):
+    vp, tp = emb_pair
+    gl.write_embeddings(tp, unit_rows(np.random.default_rng(1), *shape))
+    argv = command_argv(command, outputs, tmp_path, emb_pair, None)
+    before = sorted(os.listdir(tmp_path))
+    code, stdout, stderr = run_cli(argv, capsys)
+    assert (code, stdout) == (2, "")
+    assert message in stderr
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_correlate_fits_a_column_at_any_finite_scale(tmp_path, capsys):
+    path = tmp_path / "tiny.csv"
+    path.write_text("seed,a,b\nmean,1e-200,1.0\nmean,2e-200,2.0\nmean,3e-200,3.0\n")
+    out = tmp_path / "f.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, _ = run_cli(["correlate", "--sweep", path, "--x", "a", "--y", "b",
+                              "--out", out], capsys)
+    assert code == 0
+
+    def reject(constant):
+        raise AssertionError(f"{constant} is not valid JSON")
+
+    data = json.loads(out.read_text(), parse_constant=reject)
+    assert data["slope"] == pytest.approx(1e200, rel=1e-14)
+    assert abs(data["intercept"]) < 1e-14
+    assert data["r_squared"] == pytest.approx(1.0, abs=1e-14)
+
+
 def command_argv(command, outputs, tmp_path, emb_pair, config_path) -> list:
     """argv for a subcommand with valid inputs and the given outputs under tmp_path."""
     vp, tp = emb_pair

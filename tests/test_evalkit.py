@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -453,6 +454,32 @@ def test_joint_clustering_rejects_a_dimension_mismatch_before_any_work(monkeypat
         gl.joint_clustering_eval(images, texts)
 
 
+def overflow_pair(scale):
+    """The 40 x 8 standard-normal labelled pair, both batches times scale."""
+    rng = np.random.default_rng(37)
+    v, t = rng.standard_normal((40, 8)), rng.standard_normal((40, 8))
+    labels = np.arange(40) % 4
+    return (gl.EmbeddingBatch(scale * v, labels=labels),
+            gl.EmbeddingBatch(scale * t, labels=labels, modality="text"))
+
+
+def test_joint_clustering_rejects_sums_of_products_that_overflow_float64(monkeypatch):
+    base = gl.joint_clustering_eval(*overflow_pair(1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = gl.joint_clustering_eval(*overflow_pair(1e150))
+    assert (scaled.ari, scaled.v_measure, scaled.k, scaled.n_points) == \
+        (base.ari, base.v_measure, base.k, base.n_points)
+    assert scaled.inertia == pytest.approx(1e300 * base.inertia, rel=1e-12)
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("clustered before the overflow check")
+
+    monkeypatch.setattr(evalkit, "_kmeans", must_not_run)
+    with pytest.raises(ValueError, match="can overflow"):
+        gl.joint_clustering_eval(*overflow_pair(1e200))
+
+
 # ---------------------------------------------------------------- recall@k
 
 def test_recall_orthonormal_and_mismatched():
@@ -751,6 +778,23 @@ def test_probe_validation():
         gl.interchangeability_probe(single, images)
 
 
+def test_probe_rejects_a_fit_that_overflows_float64(monkeypatch):
+    images, texts = overflow_pair(1.0)
+    base = gl.interchangeability_probe(texts, images)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        images, texts = overflow_pair(1e150)
+        assert gl.interchangeability_probe(texts, images) == base
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("solved before the overflow check")
+
+    monkeypatch.setattr(np.linalg, "solve", must_not_run)
+    images, texts = overflow_pair(1e200)
+    with pytest.raises(ValueError, match="can overflow"):
+        gl.interchangeability_probe(texts, images)
+
+
 # ------------------------------------------------------------ linear_fit_r2
 
 def test_linear_fit_exact_line():
@@ -805,6 +849,57 @@ def test_linear_fit_rejects_non_finite_entries(bad):
         gl.linear_fit_r2([1.0, 2.0, bad], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="must be finite"):
         gl.linear_fit_r2([1.0, 2.0, 3.0], [1.0, bad, 3.0])
+
+
+def unscaled_linear_fit(x, y):
+    """The least-squares formulas with no scaling: linear_fit_r2's oracle
+    wherever no sum overflows or underflows."""
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    xm, ym = x - x.mean(), y - y.mean()
+    slope = float((xm * ym).sum() / (xm * xm).sum())
+    intercept = float(y.mean() - slope * x.mean())
+    ss_tot = float((ym * ym).sum())
+    if ss_tot == 0.0:
+        return 0.0, float(y.mean()), 0.0
+    residual = y - (slope * x + intercept)
+    return slope, intercept, 1.0 - float((residual * residual).sum()) / ss_tot
+
+
+def test_linear_fit_keeps_the_unscaled_bits_at_moderate_scales():
+    rng = np.random.default_rng(38)
+    for _ in range(500):
+        n = int(rng.integers(3, 12))
+        sx, sy = 10.0 ** rng.uniform(-5, 5, 2)
+        x = sx * (rng.standard_normal(n) + rng.standard_normal())
+        y = sy * rng.standard_normal(n) + 0.5 * x * sy / sx
+        assert gl.linear_fit_r2(x, y) == unscaled_linear_fit(x, y)
+
+
+@pytest.mark.parametrize("scale_x, scale_y", [
+    (1e200, 1.0), (1e-200, 1.0), (1.0, 1e200), (1.0, 1e-200),
+    (2.0**600, 1.0), (2.0**-600, 1.0), (2.0**600, 2.0**-300), (1e-310, 1e-310),
+], ids=["x1e200", "x1e-200", "y1e200", "y1e-200", "x2^600", "x2^-600", "x2^600-y2^-300",
+        "both1e-310"])
+def test_linear_fit_at_any_finite_scale(scale_x, scale_y):
+    x = np.array([1.0, 2.0, 3.0, 5.0])
+    y = np.array([2.0, 3.5, 4.5, 7.5])
+    slope, intercept, r2 = unscaled_linear_fit(x, y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = gl.linear_fit_r2(scale_x * x, scale_y * y)
+    want = (slope * scale_y / scale_x, intercept * scale_y, r2)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_linear_fit_pins_the_line_through_huge_x():
+    slope, intercept, r2 = gl.linear_fit_r2(np.array([1.0, 2.0, 3.0]) * 1e200, [1.0, 2.0, 3.0])
+    assert slope == pytest.approx(1e-200, rel=1e-15)
+    assert abs(intercept) < 1e-15 and r2 == pytest.approx(1.0, abs=1e-15)
+
+
+def test_linear_fit_beyond_the_float64_range_is_an_error():
+    with pytest.raises(ValueError, match="beyond the float64 range"):
+        gl.linear_fit_r2(np.array([1.0, 2.0, 3.0]) * 1e-200, np.array([1.0, 2.0, 4.0]) * 1e200)
 
 
 # ------------------------------------------------------------------ records

@@ -536,25 +536,28 @@ def test_gap_report_json_round_trip_and_summary():
 
 
 def test_gap_report_validates_once_and_skips_householder(monkeypatch):
-    """Counts calls through every gaplab module that binds as_matrix, so a
-    re-import under another name is caught too."""
+    """Counts scans by the input check, numerics._checked_matrix (as_matrix
+    runs through it), through every gaplab module that binds it, so a
+    re-import under another name is caught too: one scan per matrix, for
+    arrays and for batches alike."""
     rng = np.random.default_rng(23)
     v = conditioned(rng, 600, 24, 10.0)
     t = conditioned(rng, 600, 24, 10.0)
     batches = gl.EmbeddingBatch(v), gl.EmbeddingBatch(t, modality="text")
     calls = count_linalg_calls(monkeypatch, "qr")
     checks = []
-    original = gl.numerics.as_matrix
+    original = gl.numerics._checked_matrix
 
     def counted(*args, **kwargs):
         checks.append(1)
         return original(*args, **kwargs)
 
     for mod_name, mod in list(sys.modules.items()):
-        if mod_name.startswith("gaplab") and getattr(mod, "as_matrix", None) is original:
-            monkeypatch.setattr(mod, "as_matrix", counted)
+        if mod_name.startswith("gaplab") and getattr(mod, "_checked_matrix", None) is original:
+            monkeypatch.setattr(mod, "_checked_matrix", counted)
 
     gl.gap_report(v, t)
     assert (len(checks), calls) == (2, [])
+    checks.clear()
     gl.gap_report(*batches)
     assert (len(checks), calls) == (2, [])

@@ -486,7 +486,7 @@ def test_cma_loss_validates_once_and_skips_the_checked_helpers(monkeypatch):
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.startswith("gaplab"):
             assert not hasattr(mod, "similarity_matrix") and not hasattr(mod, "row_cross_entropy")
-    calls = {"as_matrix": 0}
+    calls = {"_checked_matrix": 0}  # the input check; as_matrix runs through it
     for name in calls:
         original = getattr(gl.numerics, name)
 
@@ -499,4 +499,4 @@ def test_cma_loss_validates_once_and_skips_the_checked_helpers(monkeypatch):
                 monkeypatch.setattr(mod, name, counted)
 
     gl.cma_loss(v, t, gl.Temperature(), alpha=0.4)
-    assert calls == {"as_matrix": 2}
+    assert calls == {"_checked_matrix": 2}

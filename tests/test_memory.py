@@ -23,6 +23,15 @@ def pair():
     return unit_rows(rng, N, DIM), unit_rows(rng, N, DIM)
 
 
+def test_as_matrix_holds_no_temporary():
+    # The input check is one max and one min reduction; an n x d finiteness
+    # mask would be an eighth of D by itself.
+    m = unit_rows(np.random.default_rng(0), N, 512)
+    out, peak = traced_peak(gl.as_matrix, m)
+    assert out is m
+    assert peak <= 0.01 * N * 512 * 8
+
+
 def test_gap_report_holds_only_row_blocks_beyond_its_inputs():
     v, t = pair()
     report, peak = traced_peak(gl.gap_report, v, t)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import gaplab as gl
+from gaplab import embfile, evalkit, geometry, losses
 
 from conftest import random_orthogonal, row_cross_entropy, similarity_matrix, unit_rows
 
@@ -23,6 +24,69 @@ def test_as_matrix_rejects_bad_input():
         gl.as_matrix(np.array([[1.0, np.nan]]))
     with pytest.raises(ValueError):
         gl.as_matrix(np.array([[np.inf, 1.0]]))
+
+
+# Every public entry point that takes an embedding matrix, with the private
+# kernels it runs once its inputs pass: (call, module, kernels, labelled). A
+# labelled entry takes one matrix and its labels; the others take a pair.
+TEMP = gl.Temperature()
+CHECKED_ENTRIES = {
+    "gap_report": (lambda v, t, _: gl.gap_report(v, t), geometry,
+                   ["_raw_gap", "_distribution_gap", "_ranks"], False),
+    "mean_center": (lambda v, t, _: gl.mean_center(v, t), geometry, ["_center_into"], False),
+    "recall_at_k": (lambda v, t, _: gl.recall_at_k(v, t, 1), evalkit,
+                    ["_screened_hits", "_ranked_hits"], False),
+    "clip_loss": (lambda v, t, _: gl.clip_loss(v, t, TEMP), losses,
+                  ["_reweighted", "_intra", "_cma"], False),
+    "reweighted_loss": (lambda v, t, _: gl.reweighted_loss(v, t, TEMP, 0.05), losses,
+                        ["_reweighted", "_intra", "_cma"], False),
+    "intra_loss": (lambda v, t, _: gl.intra_loss(v, t, TEMP), losses,
+                   ["_reweighted", "_intra", "_cma"], False),
+    "cma_loss": (lambda v, t, _: gl.cma_loss(v, t, TEMP, 0.5), losses,
+                 ["_reweighted", "_intra", "_cma"], False),
+    "EmbeddingBatch": (lambda m, labels, _: gl.EmbeddingBatch(m, labels=labels), None, [], True),
+    "write_embeddings": (lambda m, labels, path: gl.write_embeddings(path, m, labels), embfile,
+                         ["_atomic_write"], True),
+}
+INPUT_FAULTS = ["NaN", "+inf", "-inf", "count mismatch", "dim mismatch"]
+
+
+def faulty_inputs(fault, labelled):
+    """A 12 x 4 pair with the fault: a non-finite entry (NaN in the images,
+    an infinity in the texts), or texts one row or one column short. For a
+    labelled entry, the matrix is the pair's sum, so either entry reaches it,
+    and the mismatches are labels one short and labels as a column."""
+    rng = np.random.default_rng(39)
+    v, t = rng.standard_normal((12, 4)), rng.standard_normal((12, 4))
+    labels = np.arange(12) % 3
+    if fault == "count mismatch":
+        return (v, labels[:-1]) if labelled else (v, t[:-1])
+    if fault == "dim mismatch":
+        return (v, labels[:, None]) if labelled else (v, t[:, :-1])
+    (v if fault == "NaN" else t)[3, 2] = {"NaN": np.nan, "+inf": np.inf, "-inf": -np.inf}[fault]
+    return (v + t, labels) if labelled else (v, t)
+
+
+@pytest.mark.parametrize("fault", INPUT_FAULTS)
+@pytest.mark.parametrize("entry", list(CHECKED_ENTRIES))
+def test_every_embedding_input_is_checked_before_any_kernel_runs(entry, fault, monkeypatch,
+                                                                  tmp_path):
+    call, module, kernels, labelled = CHECKED_ENTRIES[entry]
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError(f"{entry} ran a kernel on a {fault} input")
+
+    for name in kernels:
+        monkeypatch.setattr(module, name, must_not_run)
+    if fault in ("NaN", "+inf", "-inf"):
+        message = "contains NaN or Inf entries"
+    elif labelled:
+        message = "labels must have length"
+    else:
+        message = "pair count mismatch" if fault == "count mismatch" else "embedding dim mismatch"
+    with pytest.raises(ValueError, match=message):
+        call(*faulty_inputs(fault, labelled), tmp_path / "out.emb")
+    assert not any(tmp_path.iterdir())
 
 
 # ----------------------------------------------------- l2_normalize_rows
