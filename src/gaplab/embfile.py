@@ -27,7 +27,7 @@ import tempfile
 
 import numpy as np
 
-from .numerics import _checked_labels, _checked_matrix
+from .numerics import _checked_labels, _checked_matrix, _row_blocks
 
 __all__ = ["MAGIC", "LABEL_MAGIC", "write_embeddings", "read_embeddings", "atomic_write_bytes"]
 
@@ -81,9 +81,8 @@ def write_embeddings(path, matrix, labels=None) -> None:
 
     def write(f):
         f.write(_HEADER.pack(MAGIC, n, d))
-        rows = _chunk_rows(d)
-        for lo in range(0, n, rows):
-            f.write(m[lo:lo + rows].astype("<f4", order="C"))
+        for rows in _row_blocks(n, _chunk_rows(d)):
+            f.write(m[rows].astype("<f4", order="C"))
         if labels is not None:
             f.write(LABEL_MAGIC)
             f.write(labels.astype("<u4", order="C"))
@@ -129,12 +128,11 @@ def read_embeddings(path) -> tuple[np.ndarray, np.ndarray | None]:
             )
 
         matrix = np.empty((n, d))
-        rows = _chunk_rows(d)
-        chunk = np.empty((min(rows, n), d), dtype="<f4")
-        for lo in range(0, n, rows):
-            part = chunk[:min(rows, n - lo)]
+        chunk = np.empty((min(_chunk_rows(d), n), d), dtype="<f4")
+        for rows in _row_blocks(n, _chunk_rows(d)):
+            dest = matrix[rows]
+            part = chunk[:dest.shape[0]]
             _read_into(f, part, path)
-            dest = matrix[lo:lo + part.shape[0]]
             dest[...] = part
             # A sum of finite float32-range values cannot overflow float64, so
             # it is finite exactly when every entry is.

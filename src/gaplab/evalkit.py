@@ -19,8 +19,9 @@ from math import comb, frexp, ldexp, log
 
 import numpy as np
 
-from .geometry import _BLOCK_ROWS, EmbeddingBatch
-from .numerics import _check_product_sums, _checked_matrix, _paired_inputs
+from . import numerics
+from .geometry import EmbeddingBatch
+from .numerics import _check_product_sums, _checked_matrix, _paired_inputs, _row_blocks
 
 __all__ = [
     "ClusterReport",
@@ -93,16 +94,16 @@ def _row(parts, bounds: np.ndarray, i) -> np.ndarray:
 
 def _cluster_mean(parts, bounds: np.ndarray, rows: np.ndarray, block: np.ndarray) -> np.ndarray:
     """points[rows].mean(axis=0) of the parts stacked, for sorted global rows,
-    gathering at most _BLOCK_ROWS rows at a time into block, a
-    (_BLOCK_ROWS + 1) x d scratch array.
+    gathering one row block at a time into block, a (numerics._BLOCK_ROWS + 1)
+    x d scratch array.
 
     NumPy sums a C-contiguous block over axis 0 row by row, in order, so each
     block after the first carries the running total as its leading row: the
     additions, and the bits, are those of the one-shot mean.
     """
     lead = 0
-    for lo in range(0, rows.size, _BLOCK_ROWS):
-        idx = rows[lo:lo + _BLOCK_ROWS]
+    for span in _row_blocks(rows.size):
+        idx = rows[span]
         cuts = np.searchsorted(idx, bounds)
         for part, start, a, b in zip(parts, bounds, cuts, cuts[1:]):
             # mode="raise" would gather into a temporary first
@@ -115,21 +116,21 @@ def _cluster_mean(parts, bounds: np.ndarray, rows: np.ndarray, block: np.ndarray
 def _kmeans(parts, k: int, seed: int) -> tuple[np.ndarray, float]:
     """Seeded k-means++ and Lloyd iterations, beside one n x k distance buffer,
     over the rows of a tuple of 2-D float64 arrays stacked only logically: the
-    bits are those of (np.vstack(parts),). Stops when every centroid moves
-    less than 1e-6 or after 100 iterations. An emptied cluster is re-seeded
-    with the point farthest from its own centroid (lowest index on ties).
-    Returns (labels, inertia)."""
+    bits are those of (np.vstack(parts),). Stops when no centroid moves more
+    than 1e-6 times the largest point norm, or after 100 iterations. An
+    emptied cluster is re-seeded with the point farthest from its own
+    centroid (lowest index on ties). Returns (labels, inertia)."""
     bounds = np.cumsum([0] + [part.shape[0] for part in parts])
     n = int(bounds[-1])
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     rng = np.random.default_rng(seed)
     point_sq = np.empty(n)
-    for part, start, stop in zip(parts, bounds, bounds[1:]):
-        for lo in range(start, stop, _BLOCK_ROWS):
-            hi = min(lo + _BLOCK_ROWS, stop)
-            point_sq[lo:hi] = (part[lo - start:hi - start] ** 2).sum(axis=1)
+    for part, start in zip(parts, bounds):
+        for rows in _row_blocks(part.shape[0]):
+            point_sq[start:][rows] = (part[rows] ** 2).sum(axis=1)
 
+    tol = 1e-6 * np.sqrt(point_sq.max())
     centers = np.empty((k, parts[0].shape[1]))
     centers[0] = _row(parts, bounds, rng.integers(n))
     d2 = _squared_distances(parts, bounds, point_sq, centers[:1]).ravel()
@@ -155,7 +156,7 @@ def _kmeans(parts, k: int, seed: int) -> tuple[np.ndarray, float]:
             stale[labels[moved]] = stale[new_labels[moved]] = True
         labels = new_labels
         counts = np.bincount(labels, minlength=k)
-        block = np.empty((_BLOCK_ROWS + 1, centers.shape[1]))  # serves every mean below
+        block = np.empty((numerics._BLOCK_ROWS + 1, centers.shape[1]))  # serves every mean below
         for c in np.flatnonzero(stale & (counts > 0)):
             new_centers[c] = _cluster_mean(parts, bounds, np.flatnonzero(labels == c), block)
         del block  # the distance pass and the steals stay under the gathers' peak
@@ -170,7 +171,7 @@ def _kmeans(parts, k: int, seed: int) -> tuple[np.ndarray, float]:
             labels = None
         shift = np.linalg.norm(new_centers - centers, axis=1).max()
         centers = new_centers
-        if shift < 1e-6:
+        if shift <= tol:
             break
 
     _squared_distances(parts, bounds, point_sq, centers, out=dist)
@@ -288,11 +289,6 @@ def joint_clustering_eval(images: EmbeddingBatch, texts: EmbeddingBatch,
     )
 
 
-# Image rows scored per block in recall_at_k: a block's scores are
-# _RECALL_BLOCK_ROWS x n, so memory is O(n), not O(n^2).
-_RECALL_BLOCK_ROWS = 256
-
-
 # Unit roundoffs, and the smallest normal numbers, of float32 and float64.
 _U32, _U64 = 2.0**-24, 2.0**-53
 _TINY32, _TINY64 = 2.0**-126, 2.0**-1022
@@ -355,31 +351,29 @@ def _screened_hits(v: np.ndarray, t: np.ndarray, top: tuple[float, float]) -> tu
     score block, half of _ranked_hits's float64 one.
     """
     n, d = v.shape
-    b = _RECALL_BLOCK_ROWS
     exp_v, exp_t = (min(1000, -frexp(m)[1]) for m in top)
     c = 1.01 * (_gamma(d + 2, _U32) + _gamma(d, _U64))
     floor = 8 * d * (_TINY32 + ldexp(_TINY64, exp_v + exp_t))  # A
 
     t32 = np.empty(t.shape, dtype=np.float32)
     t_norm = np.empty(n)
-    for lo in range(0, n, b):
-        y = np.ldexp(t[lo:lo + b], exp_t)
-        t_norm[lo:lo + b] = np.sqrt(np.einsum("ij,ij->i", y, y))
-        t32[lo:lo + b] = y
+    for rows in _row_blocks(n):
+        y = np.ldexp(t[rows], exp_t)
+        t_norm[rows] = np.sqrt(np.einsum("ij,ij->i", y, y))
+        t32[rows] = y
     v_norm = np.empty(n)
     own = np.empty(n, dtype=np.float32)
     row_best = np.empty(n, dtype=np.float32)
     col_best = np.full(n, -np.inf, dtype=np.float32)
-    block = np.empty((min(b, n), n), dtype=np.float32)  # every block's scores
-    for lo in range(0, n, b):
-        hi = min(lo + b, n)
-        x = np.ldexp(v[lo:hi], exp_v)
-        v_norm[lo:hi] = np.sqrt(np.einsum("ij,ij->i", x, x))
-        scores = np.matmul(x.astype(np.float32), t32.T, out=block[:hi - lo])
-        diag = (np.arange(hi - lo), np.arange(lo, hi))
-        own[lo:hi] = scores[diag]
+    block = np.empty((min(numerics._BLOCK_ROWS, n), n), dtype=np.float32)  # every block's scores
+    for rows in _row_blocks(n):
+        x = np.ldexp(v[rows], exp_v)
+        v_norm[rows] = np.sqrt(np.einsum("ij,ij->i", x, x))
+        scores = np.matmul(x.astype(np.float32), t32.T, out=block[:x.shape[0]])
+        diag = (np.arange(x.shape[0]), np.arange(rows.start, rows.stop))
+        own[rows] = scores[diag]
         scores[diag] = -np.inf
-        scores.max(axis=1, out=row_best[lo:hi])
+        scores.max(axis=1, out=row_best[rows])
         np.maximum(col_best, scores.max(axis=0), out=col_best)
     del t32, block, scores  # the rescoring's float64 block takes their place
 
@@ -401,10 +395,10 @@ def _ranked_hits(queries: np.ndarray, keys: np.ndarray, rows: np.ndarray, k: int
     scored into one reused buffer, and each query is ranked within its own
     row of the product."""
     cols = np.arange(keys.shape[0])
-    block = np.empty((min(_RECALL_BLOCK_ROWS, rows.size), keys.shape[0]))
+    block = np.empty((min(numerics._BLOCK_ROWS, rows.size), keys.shape[0]))
     hits = 0
-    for lo in range(0, rows.size, _RECALL_BLOCK_ROWS):
-        idx = rows[lo:lo + _RECALL_BLOCK_ROWS]
+    for span in _row_blocks(rows.size):
+        idx = rows[span]
         scores = np.matmul(queries[idx], keys.T, out=block[:idx.size])
         own = scores[np.arange(idx.size), idx][:, None]
         beaten = (scores > own) | (scores == own) & (cols < idx[:, None])
@@ -451,13 +445,17 @@ def interchangeability_probe(train_texts: EmbeddingBatch, test_images: Embedding
     matrix, so it is scale-free. Ties in the class scores resolve to the
     first class in sorted label order.
 
-    Texts whose float64 fit could overflow are rejected before any work:
-    with n texts and entries up to m, the Gram's trace is at most n d m^2,
-    and the ridge adds 1% of its mean to the diagonal."""
+    Texts whose float64 fit could overflow or underflow are rejected before
+    any work. With n texts and entries up to m, the Gram's trace is at most
+    n d m^2, and the ridge adds 1% of its mean to the diagonal. Its largest
+    entry is at least m^2, so m^2 >= 2^-969 (tiny64 / u64) keeps the 2^-1075
+    an underflow can cost each product or sum below u64^2 of it."""
     if train_texts.labels is None or test_images.labels is None:
         raise ValueError("both batches need labels for the probe")
     x, top = _checked_matrix(train_texts.vectors, "texts")
     _check_product_sums(2 * x.shape[0] * x.shape[1], top, top, "the texts")
+    if top * top < _TINY64 / _U64:
+        raise ValueError(f"the texts have entries only up to {top:.3g}, so their float64 Gram underflows")
     classes = np.unique(train_texts.labels)
     if classes.size < 2:
         raise ValueError("probe needs at least 2 classes")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (_check_product_sums, _checked_labels, _normalize_rows, _paired_inputs,
-                       as_matrix)
+                       _row_blocks, as_matrix)
 
 __all__ = [
     "MODALITIES",
@@ -31,11 +31,6 @@ __all__ = [
 ]
 
 MODALITIES = ("image", "text")
-
-# Rows per block wherever a per-row step would otherwise make an n x d
-# temporary: the centered statistics, renormalization and the k-means point
-# norms.
-_BLOCK_ROWS = 512
 
 
 @dataclass
@@ -110,17 +105,16 @@ def _distribution_gap(v: np.ndarray, t: np.ndarray,
                       mean_v: np.ndarray, mean_t: np.ndarray) -> tuple[float, int]:
     # Each step is per row, so blocks give the bits of the whole-matrix form
     # while only the paired cosines and the degenerate mask stay n-sized.
-    # Half blocks: two centered blocks and a norm temporary are live at once.
-    n, step = v.shape[0], _BLOCK_ROWS // 2
+    n = v.shape[0]
     cos = np.empty(n)
     bad = np.empty(n, dtype=bool)
-    for lo in range(0, n, step):
-        vb = v[lo:lo + step] - mean_v
-        tb = t[lo:lo + step] - mean_t
+    for rows in _row_blocks(n):
+        vb = v[rows] - mean_v
+        tb = t[rows] - mean_t
         v_bad = _normalize_rows(vb, out=vb)[2]
         t_bad = _normalize_rows(tb, out=tb)[2]
-        np.einsum("ij,ij->i", vb, tb, out=cos[lo:lo + step])
-        np.logical_or(v_bad, t_bad, out=bad[lo:lo + step])
+        np.einsum("ij,ij->i", vb, tb, out=cos[rows])
+        np.logical_or(v_bad, t_bad, out=bad[rows])
     n_bad = int(bad.sum())
     if n_bad == n:
         raise ValueError("all pairs are degenerate after centering")
@@ -134,9 +128,8 @@ def _center_into(m: np.ndarray, out: np.ndarray, renormalize: bool) -> np.ndarra
     then re-normalized in place by row blocks when asked."""
     np.subtract(m, m.mean(axis=0), out=out)
     if renormalize:
-        for lo in range(0, out.shape[0], _BLOCK_ROWS):
-            block = out[lo:lo + _BLOCK_ROWS]
-            _normalize_rows(block, out=block)
+        for rows in _row_blocks(out.shape[0]):
+            _normalize_rows(out[rows], out=out[rows])
     return out
 
 

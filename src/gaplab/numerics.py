@@ -19,6 +19,16 @@ __all__ = [
 ]
 
 _NORM_FLOOR = 1e-12  # rows with a smaller norm count as degenerate
+# Rows per block of every _row_blocks loop whose per-row steps would otherwise
+# make an n x d (or n x n) temporary.
+_BLOCK_ROWS = 256
+
+
+def _row_blocks(n: int, rows: int = 0):
+    """The slices lo:min(lo + rows, n) that cover range(n) in order; rows
+    defaults to _BLOCK_ROWS, read at each call."""
+    rows = rows or _BLOCK_ROWS
+    return (slice(lo, min(lo + rows, n)) for lo in range(0, n, rows))
 
 
 def as_matrix(values, name: str = "matrix") -> np.ndarray:

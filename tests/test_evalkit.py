@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import gaplab as gl
-from gaplab import evalkit
+from gaplab import evalkit, numerics
 
 from conftest import similarity_matrix, traced_peak, unit_rows
 
@@ -122,10 +122,12 @@ def test_kmeans_result_bits_are_pinned():
 
 def plain_kmeans(points, k, seed):
     """The whole-array form of kmeans: one-shot norms, distances and means,
-    every mean recomputed on every iteration."""
+    every mean recomputed on every iteration, and the same stopping rule (no
+    centroid moves more than 1e-6 times the largest point norm)."""
     n = points.shape[0]
     rng = np.random.default_rng(seed)
     point_sq = (points**2).sum(axis=1)
+    tol = 1e-6 * np.sqrt(point_sq.max())
 
     def sq_dist(centers):
         d2 = point_sq[:, None] - 2.0 * (points @ centers.T) + (centers**2).sum(axis=1)[None, :]
@@ -151,7 +153,7 @@ def plain_kmeans(points, k, seed):
                 dist[worst] = 0.0
         shift = np.linalg.norm(new_centers - centers, axis=1).max()
         centers = new_centers
-        if shift < 1e-6:
+        if shift <= tol:
             break
     dist = sq_dist(centers)
     labels = dist.argmin(axis=1)
@@ -218,15 +220,18 @@ def test_kmeans_recomputes_only_the_means_whose_rows_changed(monkeypatch):
     assert np.array_equal(labels, want_labels) and inertia == want_inertia
 
 
-@pytest.mark.parametrize("size", [1, 511, 512, 513, 1537])
+B = numerics._BLOCK_ROWS
+
+
+@pytest.mark.parametrize("size", [1, B - 1, B, B + 1, 1537])
 def test_cluster_mean_in_blocks_has_the_one_shot_bits(size):
     rng = np.random.default_rng(size)
     points = rng.standard_normal((2000, 7)) * rng.uniform(0.1, 1e3, 7)
     rows = np.sort(rng.choice(2000, size, replace=False))
     want = points[rows].mean(axis=0)
-    block = np.empty((evalkit._BLOCK_ROWS + 1, 7))
+    block = np.empty((B + 1, 7))
     assert np.array_equal(evalkit._cluster_mean((points,), np.array([0, 2000]), rows, block), want)
-    # two parts split inside a 512-row block, so blocks after the first cross it
+    # two parts split inside a row block, so blocks after the first cross it
     parts = (points[:700], points[700:])
     assert np.array_equal(evalkit._cluster_mean(parts, np.array([0, 700, 2000]), rows, block), want)
 
@@ -275,6 +280,23 @@ def test_kmeans_of_parts_reseeds_from_the_second_part(monkeypatch):
     assert any(i >= 3 for i in looked_up[8:])  # the first 8 are the k-means++ picks
     dup = np.array([[0.0, 0.0]] * 5 + [[10.0, 10.0]] * 5 + [[0.0, 10.0]])
     kmeans_of_parts_matches_the_stack((dup[:6], dup[6:]), 4, seed=0)
+
+
+@pytest.mark.parametrize("e", [20, -20, -30, -400])
+def test_kmeans_stops_at_the_same_step_at_any_power_of_two_scale(e):
+    # 40 + 40 unit rows in 4 classes. An absolute stopping shift of 1e-6
+    # stopped early from 2^-20 down (inertia/s^2 42.1 against 33.6, ARI 0.52
+    # against 0.93); scaled to the largest point norm, every power of two
+    # gives the same labels and inertia scaled by exactly 2^(2e).
+    rng = np.random.default_rng(41)
+    labels = np.arange(40) % 4
+    centers = rng.standard_normal((4, 8))
+    v, t = (gl.l2_normalize_rows(centers[labels] + 0.8 * rng.standard_normal((40, 8)))[0]
+            for _ in range(2))
+    want_labels, want_inertia = evalkit._kmeans((v, t), 4, 0)
+    got_labels, got_inertia = evalkit._kmeans((np.ldexp(v, e), np.ldexp(t, e)), 4, 0)
+    assert np.array_equal(got_labels, want_labels)
+    assert got_inertia == math.ldexp(want_inertia, 2 * e)
 
 
 def test_kmeans_handles_duplicate_points():
@@ -539,29 +561,29 @@ def straddling_image_ties(block: int):
     return v, t
 
 
-@pytest.mark.parametrize("block", [evalkit._RECALL_BLOCK_ROWS, 7])
+@pytest.mark.parametrize("block", [numerics._BLOCK_ROWS, 7])
 def test_blocked_recall_keeps_the_tie_rule_across_blocks(monkeypatch, block):
-    monkeypatch.setattr(evalkit, "_RECALL_BLOCK_ROWS", block)
+    monkeypatch.setattr(numerics, "_BLOCK_ROWS", block)
     v, t = straddling_key_ties(block)
     for k in (1, 3, v.shape[0]):
         assert gl.recall_at_k(v, t, k) == recall_by_stable_sort(v, t, k)
 
 
-@pytest.mark.parametrize("block", [evalkit._RECALL_BLOCK_ROWS, 7])
+@pytest.mark.parametrize("block", [numerics._BLOCK_ROWS, 7])
 def test_blocked_recall_keeps_the_tie_rule_for_text_queries(monkeypatch, block):
-    monkeypatch.setattr(evalkit, "_RECALL_BLOCK_ROWS", block)
+    monkeypatch.setattr(numerics, "_BLOCK_ROWS", block)
     v, t = straddling_image_ties(block)
     for k in (1, 3, v.shape[0]):
         assert gl.recall_at_k(v, t, k) == recall_by_stable_sort(v, t, k)
 
 
 @pytest.mark.parametrize("ties", [straddling_key_ties, straddling_image_ties])
-@pytest.mark.parametrize("block", [evalkit._RECALL_BLOCK_ROWS, 7])
+@pytest.mark.parametrize("block", [numerics._BLOCK_ROWS, 7])
 def test_recall_at_1_past_the_screens_bound_takes_the_float64_kernel(monkeypatch, block, ties):
     def must_not_run(*args):
         raise AssertionError("the float32 screen ran past its bound")
 
-    monkeypatch.setattr(evalkit, "_RECALL_BLOCK_ROWS", block)
+    monkeypatch.setattr(numerics, "_BLOCK_ROWS", block)
     monkeypatch.setattr(evalkit, "_U32", 1.0)  # (d + 2) u32 < 0.1 fails at any d
     monkeypatch.setattr(evalkit, "_screened_hits", must_not_run)
     v, t = ties(block)
@@ -573,7 +595,7 @@ def recall_by_two_gemms(v, t, k) -> tuple[float, float]:
 
     def hits(queries, keys):
         n = queries.shape[0]
-        block = evalkit._RECALL_BLOCK_ROWS
+        block = numerics._BLOCK_ROWS
         cols = np.arange(n)
         total = 0
         for lo in range(0, n, block):
@@ -589,9 +611,9 @@ def recall_by_two_gemms(v, t, k) -> tuple[float, float]:
     return hits(v, t) / n, hits(t, v) / n
 
 
-@pytest.mark.parametrize("block", [evalkit._RECALL_BLOCK_ROWS, 7])
+@pytest.mark.parametrize("block", [numerics._BLOCK_ROWS, 7])
 def test_one_gemm_recall_equals_the_two_gemm_kernel(monkeypatch, block):
-    monkeypatch.setattr(evalkit, "_RECALL_BLOCK_ROWS", block)
+    monkeypatch.setattr(numerics, "_BLOCK_ROWS", block)
     n, d = 2 * block + 37, 16
     rng = np.random.default_rng(33)
     v = rng.standard_normal((n, d))
@@ -609,7 +631,7 @@ def test_recall_memory_stays_below_the_dense_matrix():
         _, peak = traced_peak(gl.recall_at_k, v, t, k)
         assert peak <= n * n * 8 / 4
     # k > 1 holds one reused float64 score block and its boolean masks
-    assert peak <= 1.75 * evalkit._RECALL_BLOCK_ROWS * n * 8
+    assert peak <= 1.75 * numerics._BLOCK_ROWS * n * 8
 
 
 def test_recall_is_monotone_in_k():
@@ -793,6 +815,22 @@ def test_probe_rejects_a_fit_that_overflows_float64(monkeypatch):
     images, texts = overflow_pair(1e200)
     with pytest.raises(ValueError, match="can overflow"):
         gl.interchangeability_probe(texts, images)
+
+
+def test_probe_rejects_texts_whose_gram_underflows(monkeypatch):
+    # Unit rows at 2^-400 have squares near 2^-800, normal numbers: the
+    # accuracy is the unscaled one. At 1e-160 the squares are subnormal,
+    # where the fit returned chance; they are refused before the solve.
+    texts, images = probe_batches(np.random.default_rng(42), per=10)
+    base = gl.interchangeability_probe(texts, images)
+
+    def scaled(factor):
+        return gl.EmbeddingBatch(factor * texts.vectors, labels=texts.labels, modality="text")
+
+    assert gl.interchangeability_probe(scaled(2.0**-400), images) == base
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: pytest.fail("solved before the check"))
+    with pytest.raises(ValueError, match="underflows"):
+        gl.interchangeability_probe(scaled(1e-160), images)
 
 
 # ------------------------------------------------------------ linear_fit_r2

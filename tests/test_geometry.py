@@ -181,7 +181,7 @@ def with_rows_at_centroid(rng, n, d, rows):
 
 
 def test_blocked_distribution_gap_equals_the_dense_form_bit_for_bit():
-    # Three full 512-row blocks and a partial one; odd d so that rows do not
+    # Six full 256-row blocks and a partial one; odd d so that rows do not
     # share an alignment. Degenerate pairs fall in three different blocks,
     # from either modality and from both.
     rng = np.random.default_rng(12)

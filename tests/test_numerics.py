@@ -1,8 +1,12 @@
+import ast
+from dataclasses import astuple
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import gaplab as gl
-from gaplab import embfile, evalkit, geometry, losses
+from gaplab import embfile, evalkit, geometry, losses, numerics
 
 from conftest import random_orthogonal, row_cross_entropy, similarity_matrix, unit_rows
 
@@ -87,6 +91,68 @@ def test_every_embedding_input_is_checked_before_any_kernel_runs(entry, fault, m
     with pytest.raises(ValueError, match=message):
         call(*faulty_inputs(fault, labelled), tmp_path / "out.emb")
     assert not any(tmp_path.iterdir())
+
+
+# ------------------------------------------------------------ row blocks
+
+B = numerics._BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n, rows, want", [
+    (1, 0, [(0, 1)]),
+    (B - 1, 0, [(0, B - 1)]),
+    (B, 0, [(0, B)]),
+    (B + 1, 0, [(0, B), (B, B + 1)]),
+    (10, 4, [(0, 4), (4, 8), (8, 10)]),
+])
+def test_row_blocks_cover_the_rows_in_order(n, rows, want):
+    assert [(s.start, s.stop) for s in numerics._row_blocks(n, rows)] == want
+
+
+# Every caller of _row_blocks, as (V, T, .emb path) -> outputs.
+BLOCK_CONSUMERS = {
+    "gap_report": lambda v, t, path: astuple(gl.gap_report(v, t)),
+    "mean_center": lambda v, t, path: [b.vectors for b in gl.mean_center(v, t, renormalize=True)],
+    "kmeans": lambda v, t, path: evalkit._kmeans((v, t), 4, 0),
+    "recall@1": lambda v, t, path: gl.recall_at_k(v, t, 1),
+    "recall@3": lambda v, t, path: gl.recall_at_k(v, t, 3),
+    "emb": lambda v, t, path: gl.write_embeddings(path, v) or gl.read_embeddings(path)[:1],
+}
+
+
+@pytest.mark.parametrize("consumer", list(BLOCK_CONSUMERS))
+def test_row_block_consumers_have_the_one_block_bits(consumer, monkeypatch, tmp_path):
+    # 53 rows in 7-row blocks end on a partial block. Four classes give the
+    # k-means means rows in every block, and texts near their images make
+    # most queries hits, so a lost block would show in recall.
+    n, d = 53, 5
+    rng = np.random.default_rng(44)
+    v = 3.0 * rng.standard_normal((4, d))[np.arange(n) % 4] + rng.standard_normal((n, d))
+    t = v + 0.3 * rng.standard_normal((n, d))
+
+    def run(rows):
+        monkeypatch.setattr(numerics, "_BLOCK_ROWS", rows)
+        monkeypatch.setattr(embfile, "_CHUNK_BYTES", 4 * d * rows)  # .emb passes its own rows
+        return [np.asarray(x).tobytes() for x in BLOCK_CONSUMERS[consumer](v, t, tmp_path / "v.emb")]
+
+    assert run(7) == run(n)
+
+
+def test_only_numerics_sizes_or_slices_row_blocks():
+    # The block size and the block loop live in numerics: no other module
+    # defines a *BLOCK* constant or a range with a step. embfile's byte budget
+    # reaches the loop as _row_blocks(n, _chunk_rows(d)).
+    found = []
+    for path in sorted(Path(gl.__file__).parent.glob("*.py")):
+        if path.name == "numerics.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and "BLOCK" in node.id:
+                found.append(f"{path.name}:{node.lineno} defines {node.id}")
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "range" and len(node.args) == 3):
+                found.append(f"{path.name}:{node.lineno} slices rows with a stepped range")
+    assert not found
 
 
 # ----------------------------------------------------- l2_normalize_rows
