@@ -258,10 +258,14 @@ def intra_loss(v, t, temp: Temperature) -> LossOutput:
     return LossOutput(loss, gv, gt, gs, {"intra_term": loss})
 
 
-def _cma(v, t, tau: float, alpha: float) -> LossOutput:
-    """cma_loss on validated (V, T), scale tau = exp(log_scale) and alpha in [0, 1]."""
+def _cma(v, t, tau: float, alpha: float, lean: bool = False) -> LossOutput:
+    """cma_loss on validated (V, T), scale tau = exp(log_scale) and alpha in [0, 1]. lean at
+    alpha 0 skips intra: its weight is 0, and on unit rows with tau <= 100 its loss is finite."""
     s_vt = v @ t.T
     rw_loss, rw_gv, rw_gt, rw_gs, _, _ = _reweighted(s_vt, v, t, tau, 0.05 * alpha)
+    if lean and alpha == 0.0:  # the same bits up to a zero's sign; the other diagnostics are NaN
+        unread = dict.fromkeys(("intra_term", "grad_norm_rw", "grad_norm_intra"), math.nan)
+        return LossOutput(rw_loss, rw_gv, rw_gt, rw_gs, {"rw_term": rw_loss, **unread})
     in_loss, in_gv, in_gt, in_gs = _intra(s_vt, v, t, tau)
 
     w_rw = 1.0 - alpha

@@ -5,15 +5,17 @@ A run's data, initialization, and batch order derive from its seed alone, and
 nothing reads alpha_target before the first ramp step (the anchor phase pins
 alpha at 0; the loss EMAs start at the ramp). So a sweep trains each seed's
 anchor epochs once and forks that run per alpha target, and every cell keeps
-the bits of a run trained alone (run_single). Anchor runs go to the parallel
-worker processes first, and each seed's cells once its anchor run is done.
-The GAPLAB_THREADS environment variable caps the worker count; 1 forces a
-plain in-process loop, seed by seed. Each pool worker runs OpenBLAS with one
-thread: the cells already fill the CPUs, and at these sizes threads inside a
-cell only spin (training runs on one thread on either path). A cell encodes
-the eval split and reports its gap at its final epoch only, the one its row
-reads. Output rows keep the input order regardless of completion order:
-per-seed rows first, then one mean row per alpha block.
+the bits of a run trained alone (run_single), though its alpha-0 steps skip
+the zero-weight intra term. Anchor runs go to the parallel worker processes
+first; a seed's cells are ready once its own anchor run is done, and the pool
+holds one job beyond its workers, the first ready cell in row order. The
+GAPLAB_THREADS environment variable caps the worker count; 1 forces a plain
+in-process loop, seed by seed. Each pool worker runs OpenBLAS with one thread:
+the cells already fill the CPUs, and at these sizes threads inside a cell only
+spin (training runs on one thread on either path). A cell encodes the eval
+split and reports its gap at its final epoch only, the one its row reads.
+Output rows keep the input order regardless of completion order: per-seed
+rows first, then one mean row per alpha block.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from __future__ import annotations
 import os
 import pickle
 import tempfile
-from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import replace
 
 from .evalkit import (
@@ -163,9 +164,10 @@ def run_sweep(train_cfg: TrainConfig, synth_cfg: SynthConfig, alphas, seeds,
     views are not finite, raise ValueError, and a run too large to allocate
     MemoryError, before any run starts. The first failing cell in row order
     raises SweepRunError carrying the rows before it, so callers can persist a
-    partial table; a failed anchor run fails all its seed's cells, and runs
-    not yet started in the pool are cancelled.
+    partial table; a failed anchor run fails all its seed's cells. On any
+    exception, runs not yet started in the pool are cancelled.
     """
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
     alphas = [float(a) for a in alphas]
     seeds = [int(s) for s in seeds]
     if not alphas or not seeds:
@@ -185,13 +187,12 @@ def run_sweep(train_cfg: TrainConfig, synth_cfg: SynthConfig, alphas, seeds,
     cells: dict = {}  # (alpha index, seed index) -> record, exception raised or Future
     rows: list = []
 
-    def consume():
+    def consume(settle):
         for i, a in enumerate(alphas):
             block = []
             for j, s in enumerate(seeds):
-                cell = cells[i, j]
                 try:
-                    record = cell.result() if isinstance(cell, Future) else cell
+                    record = settle((i, j))
                     if isinstance(record, Exception):
                         raise record
                 except Exception as exc:
@@ -213,24 +214,34 @@ def run_sweep(train_cfg: TrainConfig, synth_cfg: SynthConfig, alphas, seeds,
                 cells[i, j], limit = exc, i
             if limit == 0:
                 break
-        return consume()
+        return consume(cells.__getitem__)
     # Anchor runs reach their cells through files: sent through the parent,
     # each would raise its peak memory by about its size.
     with tempfile.TemporaryDirectory() as tmp, \
             ProcessPoolExecutor(max_workers=max_workers, initializer=_blas_threads,
                                 initargs=(1,)) as pool:
         paths = [os.path.join(tmp, f"{j}.pickle") for j in range(len(seeds))]
-        anchors = [pool.submit(_save_anchor, path, train_cfg, synth_cfg, s, scheduled)
-                   for path, s in zip(paths, seeds)]
+        anchors = {pool.submit(_save_anchor, path, train_cfg, synth_cfg, s, scheduled): j
+                   for j, (path, s) in enumerate(zip(paths, seeds))}
+        ready, running = [], set(anchors)  # cells whose anchor run is done; jobs not done
+        def settle(key):  # cell key's result, running the pool until it is done
+            while key not in cells or not cells[key].done():
+                ready.sort()  # row order
+                while ready and len(running) <= max_workers:
+                    i, j = ready.pop(0)
+                    cells[i, j] = pool.submit(_load_cell, paths[j], synth_cfg, alphas[i], seeds[j])
+                    running.add(cells[i, j])
+                done = wait(running, return_when=FIRST_COMPLETED).done
+                running.difference_update(done)
+                for anchor in done & anchors.keys():
+                    if anchor.exception() is not None:  # it fails its seed's first cell
+                        cells[0, anchors[anchor]] = anchor
+                    else:
+                        ready.extend((i, anchors[anchor]) for i in range(len(alphas)))
+            return cells[key].result()
         try:
-            for j, s in enumerate(seeds):  # in seed order, so row order's first cells run first
-                if anchors[j].exception() is not None:
-                    cells[0, j] = anchors[j]  # a failed anchor run fails its seed's first cell
-                else:
-                    for i, a in enumerate(alphas):
-                        cells[i, j] = pool.submit(_load_cell, paths[j], synth_cfg, a, s)
-            return consume()
-        except SweepRunError:
+            return consume(settle)
+        except BaseException:  # a failed cell, or any other exit such as Ctrl-C
             pool.shutdown(cancel_futures=True)
             raise
 

@@ -435,14 +435,14 @@ class _Run:
             raise NonFiniteLossError(epoch, self.count, alpha, worst, "encoder output norm")
         return emb, cache
 
-    def step(self, inputs: tuple, alpha: float, epoch: int) -> LossOutput:
+    def step(self, inputs: tuple, alpha: float, epoch: int, lean: bool = False) -> LossOutput:
         """One step on a validated (image, text) batch at blend alpha in [0, 1]:
         forward, loss, backward and Adam, with nothing in between."""
         (vi, cache_i), (vt, cache_t) = (self.encode(i, x, epoch, alpha) for i, x in enumerate(inputs))
         log_scale = float(self.flat[-1])
         if not math.isfinite(log_scale):
             raise NonFiniteLossError(epoch, self.count, alpha, log_scale, "log scale")
-        out = _cma(vi, vt, math.exp(log_scale), alpha)
+        out = _cma(vi, vt, math.exp(log_scale), alpha, lean)
         if not math.isfinite(out.loss):
             raise NonFiniteLossError(epoch, self.count, alpha, out.loss)
         for enc, grads, cache, upstream in zip(self.encoders, self.grads, (cache_i, cache_t),
@@ -461,8 +461,8 @@ class _Run:
         """Train the epochs from the next one up to (not including) epoch until.
 
         Each epoch's record carries the gap report of the eval split encoded at
-        its end. final_report_only (a sweep, which reads the last one alone)
-        encodes and reports only the run's final epoch; the others' gap is None.
+        its end. final_report_only (a sweep, which reads the last one alone) reports
+        the final epoch only (the others' gap is None) and runs alpha-0 steps lean (_cma).
         """
         step, batch = self.step, self.train_cfg.batch_size
         images, texts, n_train = data.images, data.texts, data.train_idx.size
@@ -473,7 +473,7 @@ class _Run:
             for b in range(self.steps_per_epoch):
                 rows = data.train_idx[order[b * batch:(b + 1) * batch]]
                 alpha_used = self.alpha  # recorded below as that of the epoch's last step
-                out = step((images[rows], texts[rows]), alpha_used, epoch)
+                out = step((images[rows], texts[rows]), alpha_used, epoch, final_report_only)
                 diag = out.diagnostics
                 losses.append(out.loss)
                 rw_terms.append(diag["rw_term"])

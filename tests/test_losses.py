@@ -218,6 +218,24 @@ def test_cma_gradient_norm_diagnostics():
     assert out.diagnostics["grad_norm_intra"] > 0.0
 
 
+def test_lean_cma_at_alpha_0_keeps_the_blends_bits():
+    # a sweep's steps at alpha 0 skip the zero-weight intra term; elsewhere
+    # lean changes nothing
+    rng = np.random.default_rng(14)
+    for n, d in BITWISE_SHAPES:
+        v, t = pair(rng, n, d)
+        tau = gl.Temperature(gl.LOG_SCALE_MAX).scale
+        for alpha in (0.0, 0.3, 1.0):
+            full, lean = (gl.losses._cma(v, t, tau, alpha, lean) for lean in (False, True))
+            assert_same_output(lean, full, (n, d, alpha))
+            assert lean.diagnostics["rw_term"] == full.diagnostics["rw_term"]
+            if alpha:
+                assert lean.diagnostics == full.diagnostics
+            else:
+                assert all(math.isnan(lean.diagnostics[k])
+                           for k in ("intra_term", "grad_norm_rw", "grad_norm_intra"))
+
+
 def test_cma_alpha_range_enforced():
     rng = np.random.default_rng(13)
     v, t = pair(rng)

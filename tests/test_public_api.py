@@ -1,4 +1,8 @@
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import gaplab as gl
 
@@ -61,3 +65,17 @@ def test_package_keeps_every_earlier_export():
     namespace = {}
     exec("from gaplab import *", namespace)
     assert set(PUBLIC_NAMES) <= set(namespace)
+
+
+def test_importing_gaplab_loads_no_process_pool():
+    # only a parallel sweep forks: train, analyze and center should not pay
+    # for multiprocessing at import
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, gaplab; print(sorted(m for m in sys.modules if m == 'multiprocessing'"
+            " or m.startswith('concurrent.futures')))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -1,14 +1,16 @@
 import dataclasses
 import functools
+import multiprocessing
 import os
 import pickle
+import time
 
 import numpy as np
 import pytest
 
 import gaplab as gl
+from gaplab import losses, trainkit
 from gaplab import sweep as sweep_mod
-from gaplab import trainkit
 
 from conftest import encode_pairs
 
@@ -113,8 +115,8 @@ def test_run_sweep_row_order_and_means():
 
 def test_run_sweep_parallel_matches_serial():
     tc, sc = tiny_configs()
-    serial = gl.run_sweep(tc, sc, alphas=[0.25], seeds=[0, 1], max_workers=1)
-    parallel = gl.run_sweep(tc, sc, alphas=[0.25], seeds=[0, 1], max_workers=2)
+    serial = gl.run_sweep(tc, sc, alphas=[0.0, 0.25, 1.0], seeds=[0, 1], max_workers=1)
+    parallel = gl.run_sweep(tc, sc, alphas=[0.0, 0.25, 1.0], seeds=[0, 1], max_workers=2)
     assert serial == parallel
 
 
@@ -306,6 +308,25 @@ def test_sweep_trains_each_anchor_phase_once(monkeypatch):
     assert len(steps) == 2 * (anchor + 3 * rest) < 6 * (anchor + rest)
 
 
+def test_sweep_steps_at_alpha_0_skip_the_intra_term(monkeypatch):
+    tc, sc = branching_configs(2)
+    calls = []
+    real_intra = losses._intra
+
+    def counted(*args):
+        calls.append(1)
+        return real_intra(*args)
+
+    monkeypatch.setattr(losses, "_intra", counted)
+    for scheduled in (True, False):
+        gl.run_sweep(tc, sc, alphas=[0.0], seeds=[0], scheduled=scheduled, max_workers=1)
+    assert calls == []
+    # train keeps the full kernel, and with it every record's diagnostics
+    history = gl.train(tc, sc)[2]
+    assert len(calls) == tc.epochs * gl.epoch_steps(tc, sc)
+    assert all(np.isfinite(r.intra_term) for r in history.records)
+
+
 def _fail_at(cells, run, synth_cfg, alpha, seed):
     if (alpha, seed) in cells:
         raise ValueError(f"boom at {alpha}, {seed}")
@@ -341,6 +362,50 @@ def test_a_failing_anchor_run_fails_every_cell_of_its_seed(monkeypatch):
     assert (info.value.alpha, info.value.seed) == (0.0, 1)
     assert info.value.rows == [("0", dummy_record(0.0))]
     assert isinstance(info.value.cause, trainkit.NonFiniteLossError)
+
+
+def test_each_seeds_cells_start_when_its_own_anchor_run_ends(monkeypatch):
+    # seed 0's anchor run waits for a cell of seed 1: a pool that queued
+    # cells seed by seed would wait on seed 0 first and never start it
+    released = multiprocessing.get_context("fork").Event()
+    real_anchor = sweep_mod._anchor
+
+    def anchor(train_cfg, synth_cfg, seed, scheduled):
+        if seed == 0 and not released.wait(5.0):
+            raise TimeoutError("seed 1's cells never started")
+        return real_anchor(train_cfg, synth_cfg, seed, scheduled)
+
+    def cell(run, synth_cfg, alpha, seed):
+        if seed == 1:
+            released.set()
+        return dummy_record(alpha)
+
+    monkeypatch.setattr(sweep_mod, "_anchor", anchor)
+    monkeypatch.setattr(sweep_mod, "_cell", cell)
+    tc, sc = tiny_configs()
+    rows = gl.run_sweep(tc, sc, alphas=[0.0, 0.5], seeds=[0, 1], max_workers=2)
+    assert [label for label, _ in rows] == ["0", "1", "mean"] * 2
+
+
+def test_any_exception_in_the_parent_cancels_the_queued_cells(monkeypatch, tmp_path):
+    # the first block's mean raises: each cell leaves a file when it starts.
+    # The pool runs ready cells in row order with one job queued beyond its
+    # workers, so about the first block and three more start, not all 16
+    def cell(run, synth_cfg, alpha, seed):
+        (tmp_path / f"{alpha}-{seed}").touch()
+        time.sleep(0.05)
+        return dummy_record(alpha)
+
+    def mean_record(records):
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setattr(sweep_mod, "_cell", cell)
+    monkeypatch.setattr(sweep_mod, "mean_record", mean_record)
+    tc, sc = tiny_configs()
+    alphas = [i / 8 for i in range(8)]
+    with pytest.raises(RuntimeError, match="interrupted"):
+        gl.run_sweep(tc, sc, alphas, seeds=[0, 1], max_workers=2)
+    assert 2 <= len(list(tmp_path.iterdir())) < 8
 
 
 # ------------------------------------------------------------- sweep_to_csv
