@@ -266,15 +266,16 @@ def joint_clustering_eval(images: EmbeddingBatch, texts: EmbeddingBatch,
     may differ in size but not in dimension, and are never stacked. k is the
     number of distinct labels over both batches, and must be at least 2.
 
-    Points whose float64 sums could overflow are rejected before any work: a
-    squared distance is at most 4 d m^2 for entries up to m (centroids' too),
-    and the seeding and the inertia sum one per point."""
+    Points whose float64 sums could overflow, or products underflow, are
+    rejected before any work: a squared distance is at most 4 d m^2 for entries
+    up to m (centroids' too), and the seeding and the inertia sum one per point."""
     if images.labels is None or texts.labels is None:
         raise ValueError("both batches need labels for clustering evaluation")
     if images.dim != texts.dim:
         raise ValueError(f"images are {images.dim}-d but texts are {texts.dim}-d")
     top = max(_checked_matrix(b.vectors, "points")[1] for b in (images, texts))
     _check_product_sums(4 * (images.n + texts.n) * images.dim, top, top, "the batches")
+    _check_underflow(top, top, "the batches")
     truth = np.concatenate([images.labels, texts.labels])
     k = int(np.unique(truth).size)
     if k < 2:
@@ -292,6 +293,14 @@ def joint_clustering_eval(images: EmbeddingBatch, texts: EmbeddingBatch,
 # Unit roundoffs, and the smallest normal numbers, of float32 and float64.
 _U32, _U64 = 2.0**-24, 2.0**-53
 _TINY32, _TINY64 = 2.0**-126, 2.0**-1022
+
+
+def _check_underflow(a_max: float, b_max: float, what: str) -> None:
+    """Raise ValueError when float64 products of entries up to a_max and b_max
+    could underflow: a_max b_max >= 2^-969 (tiny64 / u64) keeps the 2^-1075 an
+    underflow can cost each product or sum below u64^2 of the largest product."""
+    if a_max * b_max < _TINY64 / _U64:
+        raise ValueError(f"{what} have entries only up to {max(a_max, b_max):.3g}: float64 underflows")
 
 
 def _gamma(m: int, u: float) -> float:
@@ -421,7 +430,7 @@ def recall_at_k(v, t, k: int) -> tuple[float, float]:
     query of both directions in float64, as does k = 1 past d of about 1.7
     million, where the screen's bound ((d + 2) u32 well below 1) fails. k must
     be an integer (not a bool) in [1, n]; inputs whose float64 scores could
-    overflow are rejected.
+    overflow or underflow (_check_underflow) are rejected.
     """
     v, t, *top = _paired_inputs(v, t)
     n, d = v.shape
@@ -430,6 +439,7 @@ def recall_at_k(v, t, k: int) -> tuple[float, float]:
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     _check_product_sums(d, *top, "V and T")
+    _check_underflow(*top, "V and T")
     if k == 1 and (d + 2) * _U32 < 0.1:
         i2t, t2i = _screened_hits(v, t, top)
     else:
@@ -448,14 +458,12 @@ def interchangeability_probe(train_texts: EmbeddingBatch, test_images: Embedding
     Texts whose float64 fit could overflow or underflow are rejected before
     any work. With n texts and entries up to m, the Gram's trace is at most
     n d m^2, and the ridge adds 1% of its mean to the diagonal. Its largest
-    entry is at least m^2, so m^2 >= 2^-969 (tiny64 / u64) keeps the 2^-1075
-    an underflow can cost each product or sum below u64^2 of it."""
+    entry is at least m^2, the product _check_underflow bounds."""
     if train_texts.labels is None or test_images.labels is None:
         raise ValueError("both batches need labels for the probe")
     x, top = _checked_matrix(train_texts.vectors, "texts")
     _check_product_sums(2 * x.shape[0] * x.shape[1], top, top, "the texts")
-    if top * top < _TINY64 / _U64:
-        raise ValueError(f"the texts have entries only up to {top:.3g}, so their float64 Gram underflows")
+    _check_underflow(top, top, "the texts")
     classes = np.unique(train_texts.labels)
     if classes.size < 2:
         raise ValueError("probe needs at least 2 classes")

@@ -12,10 +12,12 @@ holds one job beyond its workers, the first ready cell in row order. The
 GAPLAB_THREADS environment variable caps the worker count; 1 forces a plain
 in-process loop, seed by seed. Each pool worker runs OpenBLAS with one thread:
 the cells already fill the CPUs, and at these sizes threads inside a cell only
-spin (training runs on one thread on either path). A cell encodes the eval
-split and reports its gap at its final epoch only, the one its row reads.
-Output rows keep the input order regardless of completion order: per-seed
-rows first, then one mean row per alpha block.
+spin (training runs on one thread on either path). Forked workers inherit it
+from the parent, which holds one thread while the pool runs, so they call no
+setter: after a fork, any call re-creates OpenBLAS's pool, whose new helper
+thread busy-waits. A cell encodes the eval split and reports its gap at its
+final epoch only, the one its row reads. Rows keep the input order, whatever
+the completion order: per-seed rows first, then one mean row per alpha block.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .evalkit import (
     joint_clustering_eval,
     recall_at_k,
 )
-from .trainkit import SynthConfig, TrainConfig, _blas_threads, _Run, synth_dataset, train
+from .trainkit import SynthConfig, TrainConfig, _blas_threads, _one_blas_thread, _Run, synth_dataset, train
 
 __all__ = [
     "CSV_HEADER",
@@ -217,7 +219,8 @@ def run_sweep(train_cfg: TrainConfig, synth_cfg: SynthConfig, alphas, seeds,
         return consume(cells.__getitem__)
     # Anchor runs reach their cells through files: sent through the parent,
     # each would raise its peak memory by about its size.
-    with tempfile.TemporaryDirectory() as tmp, \
+    # Forked workers inherit one BLAS thread; the initializer pins spawned ones.
+    with _one_blas_thread(), tempfile.TemporaryDirectory() as tmp, \
             ProcessPoolExecutor(max_workers=max_workers, initializer=_blas_threads,
                                 initargs=(1,)) as pool:
         paths = [os.path.join(tmp, f"{j}.pickle") for j in range(len(seeds))]

@@ -10,7 +10,8 @@ validates the run once; a private _Run then owns it (parameter layout and
 buffer, optimizer moments, schedule, batch order and records) and steps it
 with the private kernels on unchecked arrays. A run stops at epoch boundaries
 and forks there (sweep shares anchor epochs so). While a run trains, OpenBLAS
-runs one thread: at these sizes (128-row batches) its other threads only spin.
+runs one thread, as at 128-row batches its other threads only spin; a count
+already in place is not set again, so a forked sweep worker makes no pool.
 """
 
 from __future__ import annotations
@@ -343,12 +344,15 @@ def _openblas():
 
 def _blas_threads(count: int) -> int | None:
     """Set this process's OpenBLAS to count threads and return the count it had;
-    without OpenBLAS, do nothing and return None."""
+    without OpenBLAS, do nothing and return None. An unchanged count calls no
+    setter: after a fork, any call re-creates OpenBLAS's pool, whose new helper
+    threads each busy-wait (about 0.13 s of CPU) before they sleep."""
     blas = _openblas()
     if blas is None:
         return None
     before = blas[0]()
-    blas[1](count)
+    if count != before:
+        blas[1](count)
     return before
 
 

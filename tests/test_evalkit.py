@@ -733,7 +733,59 @@ def test_screened_recall_matches_the_float64_ranks_at_any_scale(scale_v, scale_t
     t = v + 0.3 * rng.standard_normal((200, 6))
     v[:100] *= tiny_rows
     v, t = scale_v * v, scale_t * t
+    if scale_v * scale_t < 1e-300:
+        # The float64 ranks there are not the unscaled ones (recall 0.005
+        # against 0.235 where every score ties), so the input is refused.
+        with pytest.raises(ValueError, match="underflows"):
+            gl.recall_at_k(v, t, 1)
+        return
     assert gl.recall_at_k(v, t, 1) == recall_by_stable_sort(v, t, 1)
+
+
+def scaled_unit_pair(e):
+    """80 labelled unit pairs (d = 8, 4 classes), unscaled and times 2^e."""
+    rng = np.random.default_rng(41)
+    labels = np.arange(80) % 4
+    centers = rng.standard_normal((4, 8))
+    v, t = (gl.l2_normalize_rows(centers[labels] + 0.8 * rng.standard_normal((80, 8)))[0]
+            for _ in range(2))
+    return labels, (v, t), (np.ldexp(v, e), np.ldexp(t, e))
+
+
+def answer_or_value_error(call, *args):
+    try:
+        return call(*args)
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize("e", [0, -500, -900, -1030])
+def test_recall_and_clustering_give_the_unscaled_answer_or_raise(e):
+    # From 2^-900 down the float64 products underflow: recall@1 read
+    # (0.0125, 0.0125) against (0.0625, 0.0875) and the ARI 0 against 0.90.
+    labels, (v, t), (sv, st) = scaled_unit_pair(e)
+    for k in (1, 3):
+        assert answer_or_value_error(gl.recall_at_k, sv, st, k) in (None, gl.recall_at_k(v, t, k))
+
+    def cluster(v, t):
+        return gl.joint_clustering_eval(gl.EmbeddingBatch(v, labels=labels),
+                                        gl.EmbeddingBatch(t, labels=labels, modality="text"))
+
+    want, got = cluster(v, t), answer_or_value_error(cluster, sv, st)
+    assert got is None or (got.ari, got.v_measure, got.k, got.n_points, got.inertia) == \
+        (want.ari, want.v_measure, want.k, want.n_points, math.ldexp(want.inertia, 2 * e))
+
+
+def test_recall_and_clustering_reject_underflowing_products_before_any_work(monkeypatch):
+    labels, _, (sv, st) = scaled_unit_pair(-900)
+    for name in ("_screened_hits", "_ranked_hits", "_kmeans"):
+        monkeypatch.setattr(evalkit, name, lambda *args: pytest.fail("worked before the check"))
+    for k in (1, 3):
+        with pytest.raises(ValueError, match="underflows"):
+            gl.recall_at_k(sv, st, k)
+    with pytest.raises(ValueError, match="underflows"):
+        gl.joint_clustering_eval(gl.EmbeddingBatch(sv, labels=labels),
+                                 gl.EmbeddingBatch(st, labels=labels, modality="text"))
 
 
 def test_recall_rejects_scores_that_overflow_float64():

@@ -485,6 +485,73 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
     assert all(rec.probe_accuracy == 1.0 for _, rec in rows)
 
 
+def _report_os_threads(run, synth_cfg, alpha, seed):
+    threads = float(len(os.listdir("/proc/self/task")))
+    return gl.SweepRecord(**{name: threads for name in gl.SWEEP_FIELDS})
+
+
+def test_pool_workers_run_no_blas_helper_thread(monkeypatch):
+    # A fork shuts OpenBLAS's thread pool down, and any setter call after it
+    # starts the pool again: a busy-waiting helper thread beside each worker.
+    if trainkit._openblas() is None or not os.path.isdir("/proc/self/task"):
+        pytest.skip("needs an OpenBLAS library mapped into this process and /proc")
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("workers inherit the parent's thread count only when forked")
+    get_threads, set_threads = trainkit._openblas()
+    before = get_threads()
+    monkeypatch.setattr(sweep_mod, "_cell", _report_os_threads)
+    tc, sc = tiny_configs()
+    set_threads(max(before, 2))
+    try:
+        rows = gl.run_sweep(tc, sc, alphas=[0.0, 0.5], seeds=[0, 1], max_workers=2)
+    finally:
+        set_threads(before)
+    assert [rec.probe_accuracy for _, rec in rows] == [1.0] * 6
+
+
+def fake_openblas(monkeypatch, log, threads: int):
+    """Stand-in OpenBLAS hooks at threads threads. Each setter call, in this
+    process or a forked one, appends its (pid, count) to the file log; the
+    returned function reads them back."""
+    current = [threads]
+    log.write_text("")
+
+    def set_threads(count):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {count}\n")
+        current[0] = count
+
+    monkeypatch.setattr(trainkit, "_openblas", lambda: (lambda: current[0], set_threads))
+    return lambda: [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+
+
+def test_blas_threads_at_the_current_count_calls_no_setter(monkeypatch, tmp_path):
+    calls = fake_openblas(monkeypatch, tmp_path / "set.log", 2)
+    assert trainkit._blas_threads(2) == 2
+    assert calls() == []
+    assert trainkit._blas_threads(1) == 2
+    assert calls() == [(os.getpid(), 1)]
+
+
+@pytest.mark.parametrize("failing", [set(), {(0.0, 1)}])
+def test_a_pooled_sweep_sets_blas_threads_only_in_the_parent(monkeypatch, tmp_path, failing):
+    # The parent drops to one thread before the pool forks and restores the
+    # caller's count after it has shut down, also after a failed cell; the
+    # workers inherit one thread and call no setter, in the initializer or in
+    # training.
+    calls = fake_openblas(monkeypatch, tmp_path / "set.log", 3)
+    tc, sc = tiny_configs()
+    sweep = functools.partial(gl.run_sweep, tc, sc, alphas=[0.0, 0.5], seeds=[0, 1], max_workers=2)
+    if failing:
+        monkeypatch.setattr(sweep_mod, "_cell", functools.partial(_fail_at, failing))
+        with pytest.raises(gl.SweepRunError):
+            sweep()
+    else:
+        assert len(sweep()) == 6
+    assert calls() == [(os.getpid(), 1), (os.getpid(), 3)]
+    assert trainkit._openblas()[0]() == 3
+
+
 def test_blas_pinning_is_a_no_op_without_openblas(monkeypatch):
     monkeypatch.setattr(trainkit, "_openblas", lambda: None)
     assert trainkit._blas_threads(1) is None
