@@ -300,7 +300,7 @@ def _check_underflow(a_max: float, b_max: float, what: str) -> None:
     could underflow: a_max b_max >= 2^-969 (tiny64 / u64) keeps the 2^-1075 an
     underflow can cost each product or sum below u64^2 of the largest product."""
     if a_max * b_max < _TINY64 / _U64:
-        raise ValueError(f"{what} have entries only up to {max(a_max, b_max):.3g}: float64 underflows")
+        raise ValueError(f"{what} have entries only up to {min(a_max, b_max):.3g}: float64 underflows")
 
 
 def _gamma(m: int, u: float) -> float:
@@ -458,12 +458,20 @@ def interchangeability_probe(train_texts: EmbeddingBatch, test_images: Embedding
     Texts whose float64 fit could overflow or underflow are rejected before
     any work. With n texts and entries up to m, the Gram's trace is at most
     n d m^2, and the ridge adds 1% of its mean to the diagonal. Its largest
-    entry is at least m^2, the product _check_underflow bounds."""
+    entry is at least m^2, the product _check_underflow bounds. So are images
+    of another dimension, or whose scores could overflow or underflow: the
+    weights are scaled by the power of two that takes their largest |entry|
+    into [1/2, 1), which scales every score exactly and keeps each argmax."""
     if train_texts.labels is None or test_images.labels is None:
         raise ValueError("both batches need labels for the probe")
+    if test_images.dim != train_texts.dim:
+        raise ValueError(f"images are {test_images.dim}-d but texts are {train_texts.dim}-d")
     x, top = _checked_matrix(train_texts.vectors, "texts")
     _check_product_sums(2 * x.shape[0] * x.shape[1], top, top, "the texts")
     _check_underflow(top, top, "the texts")
+    image_top = _checked_matrix(test_images.vectors, "images")[1]
+    _check_product_sums(test_images.dim, image_top, 1.0, "the images")
+    _check_underflow(image_top, 0.5, "the images")
     classes = np.unique(train_texts.labels)
     if classes.size < 2:
         raise ValueError("probe needs at least 2 classes")
@@ -475,7 +483,7 @@ def interchangeability_probe(train_texts: EmbeddingBatch, test_images: Embedding
     lam = 1e-2 * float(np.diag(gram).mean())
     weights = np.linalg.solve(gram + lam * np.eye(x.shape[1]), x.T @ onehot)
 
-    scores = test_images.vectors @ weights
+    scores = test_images.vectors @ np.ldexp(weights, -frexp(float(np.abs(weights).max()))[1])
     pred = classes[scores.argmax(axis=1)]
     return float((pred == test_images.labels).mean())
 

@@ -10,14 +10,16 @@ the zero-weight intra term. Anchor runs go to the parallel worker processes
 first; a seed's cells are ready once its own anchor run is done, and the pool
 holds one job beyond its workers, the first ready cell in row order. The
 GAPLAB_THREADS environment variable caps the worker count; 1 forces a plain
-in-process loop, seed by seed. Each pool worker runs OpenBLAS with one thread:
-the cells already fill the CPUs, and at these sizes threads inside a cell only
-spin (training runs on one thread on either path). Forked workers inherit it
-from the parent, which holds one thread while the pool runs, so they call no
-setter: after a fork, any call re-creates OpenBLAS's pool, whose new helper
-thread busy-waits. A cell encodes the eval split and reports its gap at its
-final epoch only, the one its row reads. Rows keep the input order, whatever
-the completion order: per-seed rows first, then one mean row per alpha block.
+in-process path, which also settles the cells in row order (so it stops at the
+first failing row) and holds one anchor run per seed. Each pool worker runs
+OpenBLAS with one thread: the cells already fill the CPUs, and at these sizes
+threads inside a cell only spin (training runs on one thread on either path).
+Forked workers inherit it from the parent, which holds one thread while the
+pool runs, so they call no setter: after a fork, any call re-creates OpenBLAS's
+pool, whose new helper thread busy-waits. A cell encodes the eval split and
+reports its gap at its final epoch only, the one its row reads. Rows keep the
+input order, whatever the completion order: per-seed rows first, then one mean
+row per alpha block.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import os
 import pickle
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .evalkit import (
     SWEEP_FIELDS,
@@ -100,20 +102,9 @@ def _record(eval_batches, report, alpha_target: float, seed: int) -> SweepRecord
     cluster = joint_clustering_eval(images, texts, seed=seed)
     i2t, t2i = recall_at_k(images.vectors, texts.vectors, 1)
     probe = interchangeability_probe(texts, images)
-    return SweepRecord(
-        alpha_target=float(alpha_target),
-        raw_gap=report.raw_gap,
-        centroid_gap=report.centroid_gap,
-        distribution_gap=report.distribution_gap,
-        ari=cluster.ari,
-        v_measure=cluster.v_measure,
-        i2t_r1=i2t,
-        t2i_r1=t2i,
-        probe_accuracy=probe,
-        erank_image=report.erank_image,
-        erank_text=report.erank_text,
-        fusion_index=report.fusion_index,
-    )
+    gaps = {f.name: getattr(report, f.name) for f in fields(report) if f.name in SWEEP_FIELDS}
+    return SweepRecord(alpha_target=float(alpha_target), ari=cluster.ari, v_measure=cluster.v_measure,
+                       i2t_r1=i2t, t2i_r1=t2i, probe_accuracy=probe, **gaps)
 
 
 def mean_record(records: list) -> SweepRecord:
@@ -166,8 +157,11 @@ def run_sweep(train_cfg: TrainConfig, synth_cfg: SynthConfig, alphas, seeds,
     views are not finite, raise ValueError, and a run too large to allocate
     MemoryError, before any run starts. The first failing cell in row order
     raises SweepRunError carrying the rows before it, so callers can persist a
-    partial table; a failed anchor run fails all its seed's cells. On any
-    exception, runs not yet started in the pool are cancelled.
+    partial table; a failed anchor run fails all its seed's cells. Both paths
+    settle cells in row order. In process (max_workers 1), no cell after the
+    failing one runs, and each seed's anchor run is built at its first cell
+    and held to the end; in the pool, any exception cancels the runs not yet
+    started.
     """
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
     alphas = [float(a) for a in alphas]
@@ -186,17 +180,14 @@ def run_sweep(train_cfg: TrainConfig, synth_cfg: SynthConfig, alphas, seeds,
         max_workers = worker_count()
     max_workers = min(max_workers, len(alphas) * len(seeds))
 
-    cells: dict = {}  # (alpha index, seed index) -> record, exception raised or Future
     rows: list = []
 
-    def consume(settle):
+    def consume(settle):  # settle(i, j) is cell (alphas[i], seeds[j])'s record, or raises
         for i, a in enumerate(alphas):
             block = []
             for j, s in enumerate(seeds):
                 try:
-                    record = settle((i, j))
-                    if isinstance(record, Exception):
-                        raise record
+                    record = settle(i, j)
                 except Exception as exc:
                     raise SweepRunError(a, s, exc, rows) from exc
                 block.append(record)
@@ -205,18 +196,12 @@ def run_sweep(train_cfg: TrainConfig, synth_cfg: SynthConfig, alphas, seeds,
         return rows
 
     if max_workers <= 1:
-        limit = len(alphas)  # a cell at alpha index >= limit follows a failure in row order
-        for j, s in enumerate(seeds):
-            i = 0
-            try:
-                run = _anchor(train_cfg, synth_cfg, s, scheduled)
-                for i in range(limit):
-                    cells[i, j] = _cell(run, synth_cfg, alphas[i], s)
-            except Exception as exc:
-                cells[i, j], limit = exc, i
-            if limit == 0:
-                break
-        return consume(cells.__getitem__)
+        runs: dict = {}  # seed index -> anchor run, built by its seed's first cell
+        def settle(i, j):
+            if j not in runs:
+                runs[j] = _anchor(train_cfg, synth_cfg, seeds[j], scheduled)
+            return _cell(runs[j], synth_cfg, alphas[i], seeds[j])
+        return consume(settle)
     # Anchor runs reach their cells through files: sent through the parent,
     # each would raise its peak memory by about its size.
     # Forked workers inherit one BLAS thread; the initializer pins spawned ones.
@@ -226,22 +211,23 @@ def run_sweep(train_cfg: TrainConfig, synth_cfg: SynthConfig, alphas, seeds,
         paths = [os.path.join(tmp, f"{j}.pickle") for j in range(len(seeds))]
         anchors = {pool.submit(_save_anchor, path, train_cfg, synth_cfg, s, scheduled): j
                    for j, (path, s) in enumerate(zip(paths, seeds))}
+        cells: dict = {}  # (alpha index, seed index) -> Future
         ready, running = [], set(anchors)  # cells whose anchor run is done; jobs not done
-        def settle(key):  # cell key's result, running the pool until it is done
-            while key not in cells or not cells[key].done():
+        def settle(i, j):  # running the pool until cell (i, j) is done
+            while (i, j) not in cells or not cells[i, j].done():
                 ready.sort()  # row order
                 while ready and len(running) <= max_workers:
-                    i, j = ready.pop(0)
-                    cells[i, j] = pool.submit(_load_cell, paths[j], synth_cfg, alphas[i], seeds[j])
-                    running.add(cells[i, j])
+                    ai, si = ready.pop(0)  # alpha and seed index
+                    cells[ai, si] = pool.submit(_load_cell, paths[si], synth_cfg, alphas[ai], seeds[si])
+                    running.add(cells[ai, si])
                 done = wait(running, return_when=FIRST_COMPLETED).done
                 running.difference_update(done)
                 for anchor in done & anchors.keys():
                     if anchor.exception() is not None:  # it fails its seed's first cell
                         cells[0, anchors[anchor]] = anchor
                     else:
-                        ready.extend((i, anchors[anchor]) for i in range(len(alphas)))
-            return cells[key].result()
+                        ready.extend((ai, anchors[anchor]) for ai in range(len(alphas)))
+            return cells[i, j].result()
         try:
             return consume(settle)
         except BaseException:  # a failed cell, or any other exit such as Ctrl-C

@@ -841,7 +841,7 @@ def test_probe_is_scale_free():
     assert base == scaled
 
 
-def test_probe_validation():
+def test_probe_validation(monkeypatch):
     rng = np.random.default_rng(14)
     texts, images = probe_batches(rng)
     unseen = gl.EmbeddingBatch(images.vectors, labels=images.labels + 100)
@@ -850,6 +850,31 @@ def test_probe_validation():
     single = gl.EmbeddingBatch(texts.vectors, labels=np.zeros(texts.n, dtype=int), modality="text")
     with pytest.raises(ValueError):
         gl.interchangeability_probe(single, images)
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: pytest.fail("solved before the check"))
+    narrow = gl.EmbeddingBatch(images.vectors[:, :5], labels=images.labels)
+    with pytest.raises(ValueError, match="images are 5-d but texts are 8-d"):
+        gl.interchangeability_probe(texts, narrow)
+    for e, message in ((1023, "can overflow"), (-1000, "underflows")):
+        scaled = gl.EmbeddingBatch(np.ldexp(images.vectors, e), labels=images.labels)
+        with pytest.raises(ValueError, match=message):
+            gl.interchangeability_probe(texts, scaled)
+
+
+@pytest.mark.parametrize("e", [-1000, -960, -500, 0, 500, 1015, 1020])
+def test_probe_gives_the_unscaled_answer_or_raises(e):
+    # Texts at 2^-20 fit weights near 2^20: with images at 2^1015 the scores
+    # overflowed, and the probe read 0.3875 with only a RuntimeWarning.
+    labels, (v, t), _ = scaled_unit_pair(0)
+
+    def probe(text_e, image_e):
+        return gl.interchangeability_probe(
+            gl.EmbeddingBatch(np.ldexp(t, text_e), labels=labels, modality="text"),
+            gl.EmbeddingBatch(np.ldexp(v, image_e), labels=labels))
+
+    want = probe(0, 0)
+    for text_e in (-20, 0, 20):
+        got = answer_or_value_error(probe, text_e, e)
+        assert got == want if abs(e) <= 500 else got in (None, want)
 
 
 def test_probe_rejects_a_fit_that_overflows_float64(monkeypatch):

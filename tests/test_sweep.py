@@ -335,15 +335,23 @@ def _fail_at(cells, run, synth_cfg, alpha, seed):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_run_sweep_fails_at_the_first_failing_cell_in_row_order(monkeypatch, workers):
-    # Cells run seed by seed, rows are alpha-major: (0.0, 1) is the first failure
-    # in row order though (0.5, 0) is the first a serial sweep reaches.
+    # Rows are alpha-major: (0.0, 1) is the first failure in row order though
+    # (0.5, 0) is the first a seed-by-seed order reaches.
+    ran = []  # the cells run in this process, in order: none in the pool
+
+    def cell(run, synth_cfg, alpha, seed):
+        ran.append((alpha, seed))
+        return _fail_at({(0.5, 0), (0.0, 1)}, run, synth_cfg, alpha, seed)
+
     tc, sc = tiny_configs()
-    monkeypatch.setattr(sweep_mod, "_cell", functools.partial(_fail_at, {(0.5, 0), (0.0, 1)}))
+    monkeypatch.setattr(sweep_mod, "_cell", cell)
     with pytest.raises(gl.SweepRunError) as info:
         gl.run_sweep(tc, sc, alphas=[0.0, 0.5], seeds=[0, 1], max_workers=workers)
     assert (info.value.alpha, info.value.seed) == (0.0, 1)
     assert info.value.rows == [("0", dummy_record(0.0))]
     assert "boom at 0.0, 1" in str(info.value)
+    if workers == 1:  # no cell after the failing one in row order runs
+        assert ran == [(0.0, 0), (0.0, 1)]
 
 
 def test_a_failing_anchor_run_fails_every_cell_of_its_seed(monkeypatch):
