@@ -93,12 +93,9 @@ def write_embeddings(path, matrix, labels=None) -> None:
 def _read_into(f, buf, path) -> None:
     """Fill buf from f, or raise the truncation error if the file ends first."""
     raw = buf.reshape(-1).view(np.uint8)
-    got = 0
-    while got < raw.size:
-        k = f.readinto(raw[got:])
-        if not k:
-            raise ValueError(f"{path}: truncated payload ({got} of {raw.size} bytes in a chunk)")
-        got += k
+    got = f.readinto(raw)  # a buffered file or BytesIO is short only at its end
+    if got < raw.size:
+        raise ValueError(f"{path}: truncated payload ({got} of {raw.size} bytes in a chunk)")
 
 
 def read_embeddings(path) -> tuple[np.ndarray, np.ndarray | None]:

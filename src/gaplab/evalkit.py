@@ -21,7 +21,8 @@ import numpy as np
 
 from . import numerics
 from .geometry import EmbeddingBatch
-from .numerics import _check_product_sums, _checked_matrix, _paired_inputs, _row_blocks
+from .numerics import (_TINY32, _TINY64, _U32, _U64, _check_products, _checked_matrix, _paired_inputs,
+                       _row_blocks)
 
 __all__ = [
     "ClusterReport",
@@ -274,8 +275,7 @@ def joint_clustering_eval(images: EmbeddingBatch, texts: EmbeddingBatch,
     if images.dim != texts.dim:
         raise ValueError(f"images are {images.dim}-d but texts are {texts.dim}-d")
     top = max(_checked_matrix(b.vectors, "points")[1] for b in (images, texts))
-    _check_product_sums(4 * (images.n + texts.n) * images.dim, top, top, "the batches")
-    _check_underflow(top, top, "the batches")
+    _check_products(4 * (images.n + texts.n) * images.dim, top, top, "the batches")
     truth = np.concatenate([images.labels, texts.labels])
     k = int(np.unique(truth).size)
     if k < 2:
@@ -288,19 +288,6 @@ def joint_clustering_eval(images: EmbeddingBatch, texts: EmbeddingBatch,
         n_points=truth.size,
         inertia=inertia,
     )
-
-
-# Unit roundoffs, and the smallest normal numbers, of float32 and float64.
-_U32, _U64 = 2.0**-24, 2.0**-53
-_TINY32, _TINY64 = 2.0**-126, 2.0**-1022
-
-
-def _check_underflow(a_max: float, b_max: float, what: str) -> None:
-    """Raise ValueError when float64 products of entries up to a_max and b_max
-    could underflow: a_max b_max >= 2^-969 (tiny64 / u64) keeps the 2^-1075 an
-    underflow can cost each product or sum below u64^2 of the largest product."""
-    if a_max * b_max < _TINY64 / _U64:
-        raise ValueError(f"{what} have entries only up to {min(a_max, b_max):.3g}: float64 underflows")
 
 
 def _gamma(m: int, u: float) -> float:
@@ -430,7 +417,7 @@ def recall_at_k(v, t, k: int) -> tuple[float, float]:
     query of both directions in float64, as does k = 1 past d of about 1.7
     million, where the screen's bound ((d + 2) u32 well below 1) fails. k must
     be an integer (not a bool) in [1, n]; inputs whose float64 scores could
-    overflow or underflow (_check_underflow) are rejected.
+    overflow or underflow (_check_products) are rejected before any work.
     """
     v, t, *top = _paired_inputs(v, t)
     n, d = v.shape
@@ -438,8 +425,7 @@ def recall_at_k(v, t, k: int) -> tuple[float, float]:
         raise ValueError(f"k must be an integer, got {k!r}")
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    _check_product_sums(d, *top, "V and T")
-    _check_underflow(*top, "V and T")
+    _check_products(d, *top, "V and T")
     if k == 1 and (d + 2) * _U32 < 0.1:
         i2t, t2i = _screened_hits(v, t, top)
     else:
@@ -458,20 +444,20 @@ def interchangeability_probe(train_texts: EmbeddingBatch, test_images: Embedding
     Texts whose float64 fit could overflow or underflow are rejected before
     any work. With n texts and entries up to m, the Gram's trace is at most
     n d m^2, and the ridge adds 1% of its mean to the diagonal. Its largest
-    entry is at least m^2, the product _check_underflow bounds. So are images
+    entry is at least m^2, the product _check_products bounds. So are images
     of another dimension, or whose scores could overflow or underflow: the
     weights are scaled by the power of two that takes their largest |entry|
-    into [1/2, 1), which scales every score exactly and keeps each argmax."""
+    into [1/2, 1), which scales every score exactly and keeps each argmax. A
+    score then sums d products of entries up to m and weights below 1, the
+    largest at least 1/2, which the check of 2 d products of m and 1/2 covers."""
     if train_texts.labels is None or test_images.labels is None:
         raise ValueError("both batches need labels for the probe")
     if test_images.dim != train_texts.dim:
         raise ValueError(f"images are {test_images.dim}-d but texts are {train_texts.dim}-d")
     x, top = _checked_matrix(train_texts.vectors, "texts")
-    _check_product_sums(2 * x.shape[0] * x.shape[1], top, top, "the texts")
-    _check_underflow(top, top, "the texts")
+    _check_products(2 * x.shape[0] * x.shape[1], top, top, "the texts")
     image_top = _checked_matrix(test_images.vectors, "images")[1]
-    _check_product_sums(test_images.dim, image_top, 1.0, "the images")
-    _check_underflow(image_top, 0.5, "the images")
+    _check_products(2 * test_images.dim, image_top, 0.5, "the images")
     classes = np.unique(train_texts.labels)
     if classes.size < 2:
         raise ValueError("probe needs at least 2 classes")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (_check_product_sums, _checked_labels, _normalize_rows, _paired_inputs,
+from .numerics import (_check_products, _checked_labels, _normalize_rows, _paired_inputs,
                        _row_blocks, as_matrix)
 
 __all__ = [
@@ -93,8 +93,14 @@ class GapReport:
         )
 
 
-def _paired(images, texts) -> tuple[np.ndarray, np.ndarray, float, float]:
-    return _paired_inputs(*(b.vectors if isinstance(b, EmbeddingBatch) else b for b in (images, texts)))
+def _paired(images, texts) -> tuple[np.ndarray, np.ndarray]:
+    """(V, T) of batches or arrays, through the pair check and _check_products
+    at 4 n d products of the largest entry squared. That bounds every sum here:
+    the joint Gram's trace (2 n d squares), a centered row's squared norm (d
+    squares of entries up to twice the largest) and a column sum."""
+    v, t, *top = _paired_inputs(*(b.vectors if isinstance(b, EmbeddingBatch) else b for b in (images, texts)))
+    _check_products(4 * v.size, max(top), max(top), "the batches")
+    return v, t
 
 
 def _raw_gap(v: np.ndarray, t: np.ndarray) -> float:
@@ -138,9 +144,10 @@ def mean_center(images, texts, renormalize: bool = False) -> tuple[EmbeddingBatc
 
     The default is a pure translation, which zeroes the centroid gap while
     preserving the distribution gap exactly; renormalization re-projects rows
-    to the unit sphere at the cost of that exactness.
+    to the unit sphere at the cost of that exactness. Inputs are refused as
+    gap_report's are.
     """
-    v, t, _, _ = _paired(images, texts)
+    v, t = _paired(images, texts)
     # a batch keeps its labels and modality; an array gets no labels and its side's modality
     return tuple(EmbeddingBatch(_center_into(m, np.empty_like(m), renormalize),
                                 getattr(b, "labels", None), getattr(b, "modality", modality))
@@ -224,16 +231,10 @@ def gap_report(images, texts) -> GapReport:
     """Compute every gap and rank diagnostic for one paired batch.
 
     The inputs are validated once; each modality mean is taken once. Inputs
-    whose float64 sums of products could overflow are rejected before any
-    work. Every such sum is at most 4 n d times the largest entry squared:
-    the joint Gram's eigenvalues are at most its trace, 2 n d squares, and a
-    centered row's squared norm is d squares of entries up to twice the
-    largest.
+    whose float64 sums of products could overflow, or products underflow,
+    are rejected before any work (_paired).
     """
-    v, t, top_v, top_t = _paired(images, texts)
-    n, d = v.shape
-    top = max(top_v, top_t)
-    _check_product_sums(4 * n * d, top, top, "the batches")
+    v, t = _paired(images, texts)
     mean_v = v.mean(axis=0)
     mean_t = t.mean(axis=0)
     dist, n_bad = _distribution_gap(v, t, mean_v, mean_t)

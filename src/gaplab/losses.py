@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import _check_product_sums, _paired_inputs
+from .numerics import _check_products, _paired_inputs
 
 __all__ = [
     "LOG_SCALE_MAX",
@@ -86,7 +86,7 @@ class LossOutput:
 
 def _checked_pair(v, t) -> tuple[np.ndarray, np.ndarray]:
     """(V, T) through _paired_inputs, rejected before any work when a float64
-    sum that a public loss takes could overflow.
+    sum that a public loss takes could overflow, or its products underflow.
 
     With m the largest |entry| of V and T, each entry of V T^T, V V^T and
     T T^T is at most d m^2, and each logit, at most 100 (the scale cap) times
@@ -99,12 +99,12 @@ def _checked_pair(v, t) -> tuple[np.ndarray, np.ndarray]:
       sums to at most 200 m in absolute value, and a component's two squared
       norms to at most 2 d (200 m)^2.
     So 200 (n + 400) d products of m^2 bound every sum; the half of the
-    float64 maximum that _check_product_sums keeps covers the n log n.
+    float64 maximum that _check_products keeps covers the n log n.
     """
     v, t, top_v, top_t = _paired_inputs(v, t)
     n, d = v.shape
     top = max(top_v, top_t)
-    _check_product_sums(200 * (n + 400) * d, top, top, "V and T")
+    _check_products(200 * (n + 400) * d, top, top, "V and T")
     return v, t
 
 

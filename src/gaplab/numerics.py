@@ -74,17 +74,27 @@ def _checked_labels(labels, n: int) -> np.ndarray | None:
     return labels.astype(np.int64)
 
 
-def _check_product_sums(terms: int, a_max: float, b_max: float, what: str) -> None:
-    """Raise ValueError when a float64 sum of ``terms`` products of two entries
-    no larger than a_max and b_max could overflow.
+# Unit roundoffs, and the smallest normal numbers, of float32 and float64.
+_U32, _U64 = 2.0**-24, 2.0**-53
+_TINY32, _TINY64 = 2.0**-126, 2.0**-1022
+
+
+def _check_products(terms: int, a_max: float, b_max: float, what: str) -> None:
+    """Raise ValueError when float64 products of entries no larger than a_max
+    and b_max could overflow, summed ``terms`` at a time, or underflow: the
+    one float64 range rule of every input check, made before any work.
 
     terms * a_max * b_max (a Python float, which goes to inf without a
     warning) must stay within half the float64 maximum: every partial sum,
-    rounding included, is then finite.
+    rounding included, is then finite. a_max b_max >= 2^-969 (tiny64 / u64)
+    keeps the 2^-1075 an underflow can cost each product or sum below u64^2
+    of the largest product.
     """
     if terms * a_max * b_max > np.finfo(np.float64).max / 2:
         raise ValueError(f"{what} have entries up to {max(a_max, b_max):.3g}, "
                          "so their float64 sums of products can overflow")
+    if a_max * b_max < _TINY64 / _U64:
+        raise ValueError(f"{what} have entries only up to {min(a_max, b_max):.3g}: float64 underflows")
 
 
 def l2_normalize_rows(m) -> tuple[np.ndarray, np.ndarray]:

@@ -201,7 +201,8 @@ def run_sweep(train_cfg: TrainConfig, synth_cfg: SynthConfig, alphas, seeds,
             if j not in runs:
                 runs[j] = _anchor(train_cfg, synth_cfg, seeds[j], scheduled)
             return _cell(runs[j], synth_cfg, alphas[i], seeds[j])
-        return consume(settle)
+        with _one_blas_thread():  # else each run's restore wakes OpenBLAS's spinning helpers
+            return consume(settle)
     # Anchor runs reach their cells through files: sent through the parent,
     # each would raise its peak memory by about its size.
     # Forked workers inherit one BLAS thread; the initializer pins spawned ones.

@@ -85,6 +85,8 @@ def test_gap_report_rejects_sums_of_products_that_overflow_float64():
         r = gl.gap_report(1e150 * v, 1e150 * t)
     assert all(np.isfinite(getattr(r, f.name)) for f in fields(r))
     assert r.distribution_gap == pytest.approx(gl.gap_report(v, t).distribution_gap, rel=1e-12)
+    with pytest.raises(ValueError, match="underflows"):
+        gl.gap_report(2.0**-900 * v, 2.0**-900 * t)
 
 
 # ------------------------------------------------------------ centroid_gap
@@ -261,6 +263,25 @@ def test_mean_center_renormalize_and_metadata():
     assert np.allclose(np.linalg.norm(cv.vectors, axis=1), 1.0, atol=1e-9)
     assert np.array_equal(cv.labels, labels)
     assert cv.modality == "image" and ct.modality == "text"
+
+
+@pytest.mark.parametrize("renormalize", [False, True])
+def test_mean_center_refuses_out_of_range_inputs_before_any_work(renormalize):
+    # The first column sum and centered entries overflow float64, though each
+    # entry is finite; three rows of 1e308 overflow the column sum alone. A
+    # RuntimeWarning from work already started would fail the test.
+    texts = np.arange(6.0).reshape(3, 2)
+    for images in ([[1.7e308, 1.0], [-1.7e308, 1.0], [-1.7e308, 2.0]], np.full((3, 2), 1e308)):
+        with pytest.raises(ValueError, match="can overflow"):
+            gl.mean_center(images, texts, renormalize=renormalize)
+    v, t = paired_batches(np.random.default_rng(37))
+    with pytest.raises(ValueError, match="underflows"):
+        gl.mean_center(2.0**-540 * v, 2.0**-540 * t, renormalize=renormalize)
+    # Inside the range a power-of-two scaling moves no bit.
+    scale = 2.0**400
+    for big, unit in zip(gl.mean_center(scale * v, scale * t, renormalize=renormalize),
+                         gl.mean_center(v, t, renormalize=renormalize)):
+        assert np.array_equal(big.vectors, unit.vectors if renormalize else scale * unit.vectors)
 
 
 # ----------------------------------------------------------- effective rank

@@ -487,6 +487,8 @@ def test_losses_reject_inputs_whose_products_overflow_float64(log_scale):
     for name, loss in bound_losses(0.4, 0.05).items():
         with pytest.raises(ValueError, match="can overflow"):
             loss(1e200 * v, 1e200 * t, temp)
+        with pytest.raises(ValueError, match="underflows"):
+            loss(2.0**-540 * v, 2.0**-540 * t, temp)
         out = loss(1e150 * v, 1e150 * t, temp)  # a RuntimeWarning would raise here
         assert math.isfinite(out.loss), name
         assert all(np.isfinite(g).all() for g in (out.grad_images, out.grad_texts, out.grad_log_scale))

@@ -155,6 +155,23 @@ def test_only_numerics_sizes_or_slices_row_blocks():
     assert not found
 
 
+def test_only_numerics_holds_the_float64_range_rule():
+    # The rule's constants (unit roundoffs _U*, smallest normals _TINY*) and
+    # every finfo call live in numerics; other modules import them.
+    found = []
+    for path in sorted(Path(gl.__file__).parent.glob("*.py")):
+        if path.name == "numerics.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                    and node.id.startswith(("_U", "_TINY"))):
+                found.append(f"{path.name}:{node.lineno} defines {node.id}")
+            if isinstance(node, ast.Call) and "finfo" in (getattr(node.func, "id", None),
+                                                           getattr(node.func, "attr", None)):
+                found.append(f"{path.name}:{node.lineno} calls finfo")
+    assert not found
+
+
 # ----------------------------------------------------- l2_normalize_rows
 
 def test_normalize_three_four_five():

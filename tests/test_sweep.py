@@ -542,14 +542,16 @@ def test_blas_threads_at_the_current_count_calls_no_setter(monkeypatch, tmp_path
 
 
 @pytest.mark.parametrize("failing", [set(), {(0.0, 1)}])
-def test_a_pooled_sweep_sets_blas_threads_only_in_the_parent(monkeypatch, tmp_path, failing):
-    # The parent drops to one thread before the pool forks and restores the
-    # caller's count after it has shut down, also after a failed cell; the
-    # workers inherit one thread and call no setter, in the initializer or in
-    # training.
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_sweep_sets_blas_threads_only_in_the_parent(monkeypatch, tmp_path, workers, failing):
+    # The parent drops to one thread once, before the pool forks or the first
+    # serial run, and restores the caller's count once at the end, also after
+    # a failed cell; the runs and the forked workers inherit one thread and
+    # call no setter, in the initializer or in training.
     calls = fake_openblas(monkeypatch, tmp_path / "set.log", 3)
     tc, sc = tiny_configs()
-    sweep = functools.partial(gl.run_sweep, tc, sc, alphas=[0.0, 0.5], seeds=[0, 1], max_workers=2)
+    sweep = functools.partial(gl.run_sweep, tc, sc, alphas=[0.0, 0.5], seeds=[0, 1],
+                              max_workers=workers)
     if failing:
         monkeypatch.setattr(sweep_mod, "_cell", functools.partial(_fail_at, failing))
         with pytest.raises(gl.SweepRunError):
