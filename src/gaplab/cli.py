@@ -2,8 +2,7 @@
 
 Subcommands: analyze (gap report for two embedding files), center (mean-center
 both modalities), train (one full curriculum run), sweep (train/eval grid over
-alpha targets and seeds), correlate (line fit between two sweep columns), and
-plot (2-D PCA scatter of both modalities as an SVG).
+alpha targets and seeds), and correlate (line fit between two sweep columns).
 
 Exit codes: 0 success, 2 input or validation error, 3 runtime numerical
 failure. All outputs are written atomically and are byte-deterministic for
@@ -16,7 +15,6 @@ import argparse
 import contextlib
 import csv
 import dataclasses
-import io
 import json
 import os
 import pathlib
@@ -27,12 +25,11 @@ import numpy as np
 from .curriculum import CurriculumConfig
 from .embfile import _check_float32, atomic_write_bytes, read_embeddings, write_embeddings
 from .evalkit import linear_fit_r2
-from .geometry import EmbeddingBatch, _center_into, gap_report
-from .numerics import pca_project_2d
+from .geometry import _center_into, gap_report
 from .sweep import SweepRunError, run_sweep, sweep_to_csv
 from .trainkit import NonFiniteLossError, SynthConfig, TrainConfig, train
 
-__all__ = ["main", "entrypoint", "load_run_config", "render_svg"]
+__all__ = ["main", "entrypoint", "load_run_config"]
 
 
 def _atomic_write_text(path, text: str) -> None:
@@ -91,11 +88,6 @@ def load_run_config(path) -> tuple[TrainConfig, SynthConfig]:
     return train_cfg, synth_cfg
 
 
-def _read_pair(images_path, texts_path):
-    return tuple(EmbeddingBatch(*read_embeddings(path), modality=modality)
-                 for path, modality in ((images_path, "image"), (texts_path, "text")))
-
-
 def _check_out_dirs(*paths, inputs=()) -> None:
     """Reject an output that is a directory, whose directory is missing or
     unwritable, or that names the same file as an input or an earlier
@@ -115,7 +107,7 @@ def _check_out_dirs(*paths, inputs=()) -> None:
 
 def cmd_analyze(args) -> int:
     _check_out_dirs(args.out, inputs=(args.images, args.texts))
-    images, texts = _read_pair(args.images, args.texts)
+    (images, _), (texts, _) = read_embeddings(args.images), read_embeddings(args.texts)
     report = gap_report(images, texts)
     _atomic_write_text(args.out, json.dumps(dataclasses.asdict(report), indent=2) + "\n")
     print(report.summary())
@@ -124,15 +116,15 @@ def cmd_analyze(args) -> int:
 
 def cmd_center(args) -> int:
     _check_out_dirs(args.out_images, args.out_texts, inputs=(args.images, args.texts))
-    images, texts = _read_pair(args.images, args.texts)
+    (images, image_labels), (texts, text_labels) = read_embeddings(args.images), read_embeddings(args.texts)
     before = gap_report(images, texts)
-    for batch in (images, texts):  # the pair is ours: center it in place
-        _center_into(batch.vectors, batch.vectors, args.renormalize)
+    for m in (images, texts):  # the pair is ours: center it in place
+        _center_into(m, m, args.renormalize)
     after = gap_report(images, texts)
-    for path, batch in ((args.out_images, images), (args.out_texts, texts)):
-        _check_float32(batch.vectors, path)  # both, before either file is written
-    write_embeddings(args.out_images, images.vectors, images.labels)
-    write_embeddings(args.out_texts, texts.vectors, texts.labels)
+    for path, m in ((args.out_images, images), (args.out_texts, texts)):
+        _check_float32(m, path)  # both, before either file is written
+    write_embeddings(args.out_images, images, image_labels)
+    write_embeddings(args.out_texts, texts, text_labels)
     print(f"before: {before.summary()}")
     print(f"after:  {after.summary()}")
     return 0
@@ -246,61 +238,6 @@ def cmd_correlate(args) -> int:
     return 0
 
 
-def render_svg(images: EmbeddingBatch, texts: EmbeddingBatch) -> str:
-    """Joint 2-D PCA scatter: circles are images, squares are texts.
-
-    Pure function of the inputs with fixed float formatting, so output bytes
-    are stable across runs.
-    """
-    n = images.n
-    report = gap_report(images, texts)  # first: it rejects a mismatched pair
-    proj = pca_project_2d(np.vstack([images.vectors, texts.vectors]))
-
-    width, height, margin = 640.0, 480.0, 42.0
-    lo = proj.min(axis=0)
-    hi = proj.max(axis=0)
-    span = np.where(hi - lo > 0, hi - lo, 1.0)
-
-    def place(p):
-        x = margin + (p[0] - lo[0]) / span[0] * (width - 2 * margin)
-        y = height - margin - (p[1] - lo[1]) / span[1] * (height - 2 * margin - 18.0)
-        return x, y
-
-    out = io.StringIO()
-    out.write(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
-        f'viewBox="0 0 {width:.0f} {height:.0f}">\n'
-    )
-    out.write('<rect width="100%" height="100%" fill="white"/>\n')
-    for p in proj[:n]:
-        x, y = place(p)
-        out.write(f'<circle cx="{x:.3f}" cy="{y:.3f}" r="3.5" fill="#3366cc" fill-opacity="0.65"/>\n')
-    for p in proj[n:]:
-        x, y = place(p)
-        out.write(
-            f'<rect x="{x - 3.0:.3f}" y="{y - 3.0:.3f}" width="6" height="6" '
-            f'fill="#cc3333" fill-opacity="0.65"/>\n'
-        )
-    out.write(
-        f'<text x="{margin:.0f}" y="20" font-family="sans-serif" font-size="12">'
-        f'images: circles, texts: squares</text>\n'
-    )
-    out.write(
-        f'<text x="{margin:.0f}" y="{height - 14.0:.0f}" font-family="sans-serif" font-size="12">'
-        f"{report.summary()}</text>\n"
-    )
-    out.write("</svg>\n")
-    return out.getvalue()
-
-
-def cmd_plot(args) -> int:
-    _check_out_dirs(args.out, inputs=(args.images, args.texts))
-    images, texts = _read_pair(args.images, args.texts)
-    _atomic_write_text(args.out, render_svg(images, texts))
-    print(f"wrote scatter of {2 * images.n} points to {args.out}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gaplab",
@@ -344,12 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", required=True)
     p.add_argument("--out", required=True, help="output JSON path")
     p.set_defaults(func=cmd_correlate)
-
-    p = sub.add_parser("plot", help="SVG scatter of the joint 2-D PCA projection")
-    p.add_argument("--images", required=True)
-    p.add_argument("--texts", required=True)
-    p.add_argument("--out", required=True, help="output SVG path")
-    p.set_defaults(func=cmd_plot)
     return parser
 
 

@@ -1,7 +1,7 @@
 """Dense float64 building blocks shared by every other module.
 
-Everything here is a pure function of its inputs: input validation, row
-normalization and a deterministic 2-D PCA projection. The losses and
+Everything here is a pure function of its inputs: input validation, the
+float64 range rule and row normalization. The losses and
 recall_at_k build their similarity products with BLAS; the einsum similarity
 and row cross-entropy oracles they are checked against live in the tests.
 """
@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "as_matrix",
     "l2_normalize_rows",
-    "pca_project_2d",
 ]
 
 _NORM_FLOOR = 1e-12  # rows with a smaller norm count as degenerate
@@ -102,14 +101,23 @@ def l2_normalize_rows(m) -> tuple[np.ndarray, np.ndarray]:
 
     Rows whose norm is below 1e-12 are returned unchanged and flagged in the
     boolean mask (second return value) instead of raising; callers decide what
-    a degenerate row means for them.
+    a degenerate row means for them. Each row's norm is taken after the exact
+    scaling by the power of two that takes its largest |entry| into [1/2, 1),
+    so it neither overflows nor underflows.
     """
-    unit, _, degenerate = _normalize_rows(as_matrix(m))
+    m = as_matrix(m)
+    exps = -np.frexp(np.maximum(m.max(axis=1), -m.min(axis=1)))[1]
+    unit = np.ldexp(m, exps[:, None])
+    norms = np.linalg.norm(unit, axis=1)
+    with np.errstate(over="ignore"):  # an unscaled norm beyond float64 is not degenerate
+        degenerate = np.ldexp(norms, -exps) < _NORM_FLOOR
+    np.divide(unit, norms[:, None], out=unit, where=~degenerate[:, None])
+    unit[degenerate] = m[degenerate]
     return unit, degenerate
 
 
 def _normalize_rows(m: np.ndarray, out=None):
-    """l2_normalize_rows of a validated matrix, plus the row norms it divided by.
+    """l2_normalize_rows of a validated matrix, unscaled, plus the row norms it divided by.
 
     ``out`` receives the unit rows (it may be m itself); the norms still take
     an m-sized temporary, so callers with large m pass it in row blocks.
@@ -118,24 +126,3 @@ def _normalize_rows(m: np.ndarray, out=None):
     degenerate = norms < _NORM_FLOOR
     safe = np.where(degenerate, 1.0, norms)
     return np.divide(m, safe[:, None], out=out), norms, degenerate
-
-
-def pca_project_2d(m) -> np.ndarray:
-    """Project rows onto the top-2 principal components of the centered data.
-
-    Sign convention: each component's largest-magnitude loading is made
-    positive, so the projection is deterministic across runs.
-    """
-    m = as_matrix(m)
-    if min(m.shape) < 2:
-        raise ValueError(f"need at least 2 rows and 2 columns, got shape {m.shape}")
-
-    centered = m - m.mean(axis=0)
-    scatter = centered.T @ centered
-    eigvals, eigvecs = np.linalg.eigh(scatter)
-    components = eigvecs[:, ::-1][:, :2].copy()  # eigh is ascending
-    for j in range(2):
-        lead = np.argmax(np.abs(components[:, j]))
-        if components[lead, j] < 0:
-            components[:, j] = -components[:, j]
-    return centered @ components

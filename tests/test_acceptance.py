@@ -282,16 +282,13 @@ def test_10_file_format_and_cli_agree_with_the_library(tmp_path):
     )
 
     captured = []
-    svg = tmp_path / "scatter.svg"
     cv, ct = tmp_path / "cv.emb", tmp_path / "ct.emb"
     for _ in range(2):
         assert cli_mod.main(["analyze", "--images", str(vp), "--texts", str(tp),
                              "--out", str(out)]) == 0
         assert cli_mod.main(["center", "--images", str(vp), "--texts", str(tp),
                              "--out-images", str(cv), "--out-texts", str(ct)]) == 0
-        assert cli_mod.main(["plot", "--images", str(vp), "--texts", str(tp),
-                             "--out", str(svg)]) == 0
-        captured.append((out.read_bytes(), cv.read_bytes(), ct.read_bytes(), svg.read_bytes()))
+        captured.append((out.read_bytes(), cv.read_bytes(), ct.read_bytes()))
     deterministic = captured[0] == captured[1]
     elapsed = time.perf_counter() - started
     check(10, "the embedding container round-trips and the CLI mirrors the library",

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import functools
@@ -8,7 +9,6 @@ import subprocess
 import sys
 import time
 import warnings
-import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -205,7 +205,6 @@ def test_analyze_pair_mismatch_exits_2(tmp_path, emb_pair, capsys):
 @pytest.mark.parametrize("command, outputs", [
     ("analyze", [("--out", "r.json")]),
     ("center", [("--out-images", "ci.emb"), ("--out-texts", "ct.emb")]),
-    ("plot", [("--out", "p.svg")]),
 ])
 def test_a_mismatched_pair_exits_2_and_writes_nothing(tmp_path, emb_pair, capsys, command,
                                                       outputs, shape, message):
@@ -260,7 +259,6 @@ def command_argv(command, outputs, tmp_path, emb_pair, config_path) -> list:
     ("train", [("--out-dir", "missing/run")]),  # "missing" is a file here: makedirs fails
     ("sweep", [("--out", "missing/s.csv")]),
     ("correlate", [("--out", "missing/c.json")]),
-    ("plot", [("--out", "missing/p.svg")]),
 ])
 def test_missing_output_directory_exits_2_before_any_work(tmp_path, emb_pair, tiny_config_path,
                                                           capsys, monkeypatch, command, outputs):
@@ -288,7 +286,6 @@ def test_missing_output_directory_exits_2_before_any_work(tmp_path, emb_pair, ti
     ("center", [("--out-images", "ci.emb"), ("--out-texts", "taken")]),
     ("sweep", [("--out", "taken")]),
     ("correlate", [("--out", "taken")]),
-    ("plot", [("--out", "taken")]),
 ])
 def test_output_path_that_is_a_directory_exits_2_before_any_input_is_read(
         tmp_path, emb_pair, tiny_config_path, capsys, monkeypatch, command, outputs):
@@ -316,7 +313,6 @@ def test_output_path_that_is_a_directory_exits_2_before_any_input_is_read(
     ("center", [("--out-images", "ci.emb"), ("--out-texts", "images.emb")], "images.emb"),
     ("sweep", [("--out", "config.json")], "config.json"),
     ("correlate", [("--out", "sweep.csv")], "sweep.csv"),
-    ("plot", [("--out", "texts.emb")], "texts.emb"),
 ])
 def test_output_path_that_names_an_input_or_another_output_exits_2_before_any_input_is_read(
         tmp_path, emb_pair, tiny_config_path, capsys, monkeypatch, command, outputs, other):
@@ -970,28 +966,6 @@ def test_correlate_non_finite_gap_column_reports_null(tmp_path, capsys):
     assert data["r_squared_raw_gap"] == pytest.approx(data["r_squared"])
 
 
-# --------------------------------------------------------------------- plot
-
-def test_plot_produces_valid_deterministic_svg(tmp_path, emb_pair, capsys):
-    vp, tp = emb_pair
-    out = tmp_path / "scatter.svg"
-    code, stdout, _ = run_cli(["plot", "--images", vp, "--texts", tp, "--out", out], capsys)
-    assert code == 0
-    assert "60 points" in stdout
-
-    text = out.read_text()
-    root = ET.fromstring(text)                   # well-formed XML, single root
-    assert root.tag.endswith("svg")
-    circles = [e for e in root.iter() if e.tag.endswith("circle")]
-    squares = [e for e in root.iter() if e.tag.endswith("rect") and e.get("fill") == "#cc3333"]
-    assert len(circles) == 30 and len(squares) == 30
-    texts_elems = [e for e in root.iter() if e.tag.endswith("text")]
-    assert any("raw_gap=" in (e.text or "") for e in texts_elems)
-
-    assert run_cli(["plot", "--images", vp, "--texts", tp, "--out", out], capsys)[0] == 0
-    assert out.read_text() == text
-
-
 # ------------------------------------------------------------------- parser
 
 def test_parser_requires_a_subcommand(capsys):
@@ -1001,6 +975,25 @@ def test_parser_requires_a_subcommand(capsys):
     with pytest.raises(SystemExit):
         cli_mod.main(["frobnicate"])
     capsys.readouterr()
+
+
+def test_the_retired_plot_subcommand_is_refused(tmp_path, emb_pair, capsys):
+    vp, tp = emb_pair
+    out = tmp_path / "scatter.svg"
+    with pytest.raises(SystemExit) as info:
+        cli_mod.main(["plot", "--images", str(vp), "--texts", str(tp), "--out", str(out)])
+    assert info.value.code == 2
+    assert "invalid choice: 'plot'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_lists_the_parser_subcommands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    listed = [line.split()[1] for line in block.splitlines() if line.startswith("gaplab ")]
+    parser_subcommands = next(a for a in cli_mod.build_parser()._actions
+                              if isinstance(a, argparse._SubParsersAction)).choices
+    assert listed == list(parser_subcommands)
 
 
 def test_entrypoint_exits_with_main_code(tmp_path, capsys, monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 import gaplab as gl
 from gaplab import embfile, evalkit, geometry, losses, numerics
 
-from conftest import random_orthogonal, row_cross_entropy, similarity_matrix, unit_rows
+from conftest import row_cross_entropy, similarity_matrix, unit_rows
 
 
 # ---------------------------------------------------------------- as_matrix
@@ -196,6 +196,17 @@ def test_normalize_flags_zero_rows_and_passes_them_through():
     assert np.allclose(out[1], [1.0, 0.0])
 
 
+def test_normalize_scales_rows_beyond_the_float64_square_range():
+    # The squares of the first two rows overflow float64: each row must still
+    # come back as its unit direction, with no RuntimeWarning.
+    m = np.array([[1e200, 1e200], [1.7e308, -1.7e308], [3.0, 4.0]])
+    out, bad = gl.l2_normalize_rows(m)
+    assert not bad.any()
+    s = 0.5 ** 0.5
+    assert np.allclose(out, [[s, s], [s, -s], [0.6, 0.8]], rtol=0, atol=1e-15)
+    assert np.array_equal(out[2], gl.l2_normalize_rows([[3.0, 4.0]])[0][0])
+
+
 def test_normalize_threshold_is_strict():
     # A row just above the threshold is normalized, one below is flagged.
     m = np.array([[1e-11, 0.0], [1e-13, 0.0]])
@@ -290,44 +301,3 @@ def test_cross_entropy_rejects_bad_labels():
         row_cross_entropy(logits, np.array([-1, 0]))
     with pytest.raises(ValueError):
         row_cross_entropy(logits, np.array([0]))
-
-
-# --------------------------------------------------------- pca_project_2d
-
-def test_pca_preserves_planar_geometry():
-    # Points living on a 2-D plane embedded in 5-D keep pairwise distances.
-    rng = np.random.default_rng(14)
-    flat = rng.standard_normal((20, 2))
-    basis = random_orthogonal(rng, 5)[:2]
-    cloud = flat @ basis + rng.standard_normal(5)  # plant in 5-D, shift
-    proj = gl.pca_project_2d(cloud)
-    orig = np.linalg.norm(flat[:, None] - flat[None, :], axis=-1)
-    new = np.linalg.norm(proj[:, None] - proj[None, :], axis=-1)
-    assert np.max(np.abs(orig - new)) < 1e-6
-
-
-def test_pca_identical_points_project_to_origin():
-    cloud = np.ones((4, 3)) * 2.5
-    proj = gl.pca_project_2d(cloud)
-    assert np.max(np.abs(proj)) < 1e-12
-
-
-def test_pca_residual_equals_discarded_spectrum():
-    rng = np.random.default_rng(15)
-    cloud = rng.standard_normal((30, 6))
-    centered = cloud - cloud.mean(axis=0)
-    proj = gl.pca_project_2d(cloud)
-    kept = (proj ** 2).sum()
-    total = (centered ** 2).sum()
-    eig = np.sort(np.linalg.eigvalsh(centered.T @ centered))[::-1]
-    assert abs((total - kept) - eig[2:].sum()) < 1e-8 * total
-
-
-def test_pca_is_deterministic_and_validates_shape():
-    rng = np.random.default_rng(16)
-    cloud = rng.standard_normal((10, 4))
-    assert np.array_equal(gl.pca_project_2d(cloud), gl.pca_project_2d(cloud))
-    with pytest.raises(ValueError):
-        gl.pca_project_2d(cloud[:1])
-    with pytest.raises(ValueError):
-        gl.pca_project_2d(cloud[:, :1])
