@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from .curriculum import CurriculumConfig
-from .embfile import _check_float32, atomic_write_bytes, read_embeddings, write_embeddings
+from .embfile import _atomic_write, _check_float32, read_embeddings, write_embeddings
 from .evalkit import linear_fit_r2
 from .geometry import _center_into, gap_report
 from .sweep import SweepRunError, run_sweep, sweep_to_csv
@@ -33,27 +33,21 @@ __all__ = ["main", "entrypoint", "load_run_config"]
 
 
 def _atomic_write_text(path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    _atomic_write(path, lambda f: f.write(text.encode("utf-8")))
 
 
-def _build_config(cls, data: dict, where: str, exclude=()):
-    """cls(**data) after checking each key against the field names and types of
-    cls; a number must be finite in float64 (JSON parsing accepts NaN, Infinity
-    and integers of any size)."""
-    types = {f.name: f.type for f in dataclasses.fields(cls) if f.name not in exclude}
-    unknown = sorted(set(data) - set(types))
+def _build_config(cls, data: dict, where: str):
+    """cls(**data) after checking each key against the field names of cls; an
+    error that starts with a key's name is prefixed with the section, where."""
+    unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
         raise ValueError(f"unknown key(s) in {where}: {', '.join(unknown)}")
-    kwargs = {}
-    for key, value in data.items():
-        integer = types[key] in (int, "int")
-        if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-            noun = "an integer" if integer else "a number"
-            raise ValueError(f"{where}.{key} must be {noun}, got {value!r}")
-        if not abs(value) <= sys.float_info.max:  # exact for integers of any size
-            raise ValueError(f"{where}.{key} must be finite, got {value!r}")
-        kwargs[key] = value if integer else float(value)
-    return cls(**kwargs)
+    try:
+        return cls(**data)
+    except ValueError as exc:
+        if str(exc).split(" ", 1)[0] in data:
+            raise ValueError(f"{where}.{exc}") from None
+        raise
 
 
 def load_run_config(path) -> tuple[TrainConfig, SynthConfig]:
@@ -83,7 +77,7 @@ def load_run_config(path) -> tuple[TrainConfig, SynthConfig]:
 
     synth_cfg = _build_config(SynthConfig, synth_raw, "synth")
     curriculum = _build_config(CurriculumConfig, curriculum_raw, "train.curriculum")
-    train_cfg = _build_config(TrainConfig, train_raw, "train", exclude={"curriculum"})
+    train_cfg = _build_config(TrainConfig, train_raw, "train")
     train_cfg = dataclasses.replace(train_cfg, curriculum=curriculum)
     return train_cfg, synth_cfg
 

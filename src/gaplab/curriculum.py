@@ -23,9 +23,10 @@ config), and its phase is read off its step count through phase_of, not stored.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
-import math
+from .numerics import _check_fields
 
 __all__ = [
     "Phase",
@@ -53,10 +54,7 @@ class CurriculumConfig:
     ema_fast_decay: float = 0.9
 
     def __post_init__(self):
-        for name in ("anchor_epochs", "ramp_epochs", "stabilize_epochs"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        _check_fields(self)
         if self.anchor_epochs < 0 or self.ramp_epochs < 0 or self.stabilize_epochs < 0:
             raise ValueError("epoch counts must be >= 0")
         if self.anchor_epochs + self.ramp_epochs + self.stabilize_epochs < 1:

@@ -29,10 +29,10 @@ import numpy as np
 
 from .numerics import _checked_labels, _checked_matrix, _row_blocks
 
-__all__ = ["MAGIC", "LABEL_MAGIC", "write_embeddings", "read_embeddings", "atomic_write_bytes"]
+__all__ = ["write_embeddings", "read_embeddings"]
 
-MAGIC = b"EMB1"
-LABEL_MAGIC = b"LBL1"
+_MAGIC = b"EMB1"
+_LABEL_MAGIC = b"LBL1"
 _HEADER = struct.Struct("<4sII")
 _CHUNK_BYTES = 1 << 20  # largest float32 payload slice read or written at once
 
@@ -56,11 +56,6 @@ def _atomic_write(path, write) -> None:
         raise
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    """Write a file via temp + rename so readers never see a partial file."""
-    _atomic_write(path, lambda f: f.write(data))
-
-
 def _check_float32(matrix, path) -> np.ndarray:
     """The matrix through the input check, refused if float32 rounds an entry to inf."""
     m, top = _checked_matrix(matrix, "matrix")
@@ -80,11 +75,11 @@ def write_embeddings(path, matrix, labels=None) -> None:
         raise ValueError("labels must fit in an unsigned 32-bit integer")
 
     def write(f):
-        f.write(_HEADER.pack(MAGIC, n, d))
+        f.write(_HEADER.pack(_MAGIC, n, d))
         for rows in _row_blocks(n, _chunk_rows(d)):
             f.write(m[rows].astype("<f4", order="C"))
         if labels is not None:
-            f.write(LABEL_MAGIC)
+            f.write(_LABEL_MAGIC)
             f.write(labels.astype("<u4", order="C"))
 
     _atomic_write(path, write)
@@ -112,13 +107,13 @@ def read_embeddings(path) -> tuple[np.ndarray, np.ndarray | None]:
         if len(head) < _HEADER.size:
             raise ValueError(f"{path}: truncated header ({len(head)} bytes)")
         magic, n, d = _HEADER.unpack(head)
-        if magic != MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+        if magic != _MAGIC:
+            raise ValueError(f"{path}: bad magic {magic!r}, expected {_MAGIC!r}")
         if n < 1 or d < 1:
             raise ValueError(f"{path}: invalid shape {n}x{d}")
 
         body = _HEADER.size + 4 * n * d
-        with_labels = body + len(LABEL_MAGIC) + 4 * n
+        with_labels = body + len(_LABEL_MAGIC) + 4 * n
         if size not in (body, with_labels):
             raise ValueError(
                 f"{path}: size {size} matches neither {body} (no labels) nor {with_labels} (labels)"
@@ -139,8 +134,8 @@ def read_embeddings(path) -> tuple[np.ndarray, np.ndarray | None]:
 
         labels = None
         if size == with_labels:
-            marker = f.read(len(LABEL_MAGIC))
-            if marker != LABEL_MAGIC:
+            marker = f.read(len(_LABEL_MAGIC))
+            if marker != _LABEL_MAGIC:
                 raise ValueError(f"{path}: bad label marker {marker!r}")
             raw = np.empty(n, dtype="<u4")
             _read_into(f, raw, path)

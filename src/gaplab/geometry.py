@@ -23,14 +23,13 @@ from .numerics import (_check_products, _checked_labels, _normalize_rows, _paire
                        _row_blocks, as_matrix)
 
 __all__ = [
-    "MODALITIES",
     "EmbeddingBatch",
     "GapReport",
     "mean_center",
     "gap_report",
 ]
 
-MODALITIES = ("image", "text")
+_MODALITIES = ("image", "text")
 
 
 @dataclass
@@ -44,8 +43,8 @@ class EmbeddingBatch:
     def __post_init__(self):
         self.vectors = as_matrix(self.vectors, "vectors")
         self.labels = _checked_labels(self.labels, self.vectors.shape[0])
-        if self.modality not in MODALITIES:
-            raise ValueError(f"modality must be one of {MODALITIES}, got {self.modality!r}")
+        if self.modality not in _MODALITIES:
+            raise ValueError(f"modality must be one of {_MODALITIES}, got {self.modality!r}")
 
     @property
     def n(self) -> int:
@@ -93,14 +92,10 @@ class GapReport:
         )
 
 
-def _paired(images, texts) -> tuple[np.ndarray, np.ndarray]:
-    """(V, T) of batches or arrays, through the pair check and _check_products
-    at 4 n d products of the largest entry squared. That bounds every sum here:
-    the joint Gram's trace (2 n d squares), a centered row's squared norm (d
-    squares of entries up to twice the largest) and a column sum."""
+def _paired(images, texts) -> tuple[np.ndarray, np.ndarray, float]:
+    """(V, T, largest |entry| of either) of batches or arrays, through the pair check."""
     v, t, *top = _paired_inputs(*(b.vectors if isinstance(b, EmbeddingBatch) else b for b in (images, texts)))
-    _check_products(4 * v.size, max(top), max(top), "the batches")
-    return v, t
+    return v, t, max(top)
 
 
 def _raw_gap(v: np.ndarray, t: np.ndarray) -> float:
@@ -144,10 +139,14 @@ def mean_center(images, texts, renormalize: bool = False) -> tuple[EmbeddingBatc
 
     The default is a pure translation, which zeroes the centroid gap while
     preserving the distribution gap exactly; renormalization re-projects rows
-    to the unit sphere at the cost of that exactness. Inputs are refused as
-    gap_report's are.
+    to the unit sphere at the cost of that exactness. The range rule, before
+    any work, covers the column sums (n entries) and, to renormalize, each
+    centered row's squared norm (d squares of entries up to twice the largest).
     """
-    v, t = _paired(images, texts)
+    v, t, top = _paired(images, texts)
+    _check_products(v.shape[0], top, 1.0, "the batches")
+    if renormalize:
+        _check_products(4 * v.shape[1], top, top, "the batches")
     # a batch keeps its labels and modality; an array gets no labels and its side's modality
     return tuple(EmbeddingBatch(_center_into(m, np.empty_like(m), renormalize),
                                 getattr(b, "labels", None), getattr(b, "modality", modality))
@@ -232,9 +231,11 @@ def gap_report(images, texts) -> GapReport:
 
     The inputs are validated once; each modality mean is taken once. Inputs
     whose float64 sums of products could overflow, or products underflow,
-    are rejected before any work (_paired).
+    are rejected before any work: 4 n d products of the largest entry squared
+    bound every sum here (the joint Gram's trace, a centered row's norm, a column sum).
     """
-    v, t = _paired(images, texts)
+    v, t, top = _paired(images, texts)
+    _check_products(4 * v.size, top, top, "the batches")
     mean_v = v.mean(axis=0)
     mean_t = t.mean(axis=0)
     dist, n_bad = _distribution_gap(v, t, mean_v, mean_t)

@@ -1,14 +1,17 @@
 """Dense float64 building blocks shared by every other module.
 
-Everything here is a pure function of its inputs: input validation, the
-float64 range rule and row normalization. The losses and
+Everything here is a pure function of its inputs: input validation (also of
+config fields), the float64 range rule and row normalization. The losses and
 recall_at_k build their similarity products with BLAS; the einsum similarity
 and row cross-entropy oracles they are checked against live in the tests.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import numbers
+import sys
 
 import numpy as np
 
@@ -71,6 +74,22 @@ def _checked_labels(labels, n: int) -> np.ndarray | None:
     if not np.issubdtype(labels.dtype, np.integer):
         raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
     return labels.astype(np.int64)
+
+
+def _check_fields(config) -> None:
+    """The type rule that each config dataclass's __post_init__ runs first: an
+    int field takes an integer, not a bool; any other number field a finite int
+    or float, stored as a float; no number may lie beyond the float64 range."""
+    for f in dataclasses.fields(config):
+        integer = f.type in (int, "int")
+        if not integer and f.type not in (float, "float"):
+            continue
+        value = getattr(config, f.name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real):
+            raise ValueError(f"{f.name} must be {'an integer' if integer else 'a number'}, got {value!r}")
+        if not abs(value) <= sys.float_info.max:  # exact for integers of any size
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
+        object.__setattr__(config, f.name, int(value) if integer else float(value))
 
 
 # Unit roundoffs, and the smallest normal numbers, of float32 and float64.

@@ -38,17 +38,7 @@ from .evalkit import (
 )
 from .trainkit import SynthConfig, TrainConfig, _blas_threads, _one_blas_thread, _Run, synth_dataset, train
 
-__all__ = [
-    "CSV_HEADER",
-    "run_single",
-    "run_sweep",
-    "mean_record",
-    "sweep_to_csv",
-    "SweepRunError",
-    "worker_count",
-]
-
-CSV_HEADER = "seed," + ",".join(SWEEP_FIELDS)
+__all__ = ["run_single", "run_sweep", "sweep_to_csv", "SweepRunError"]
 
 
 class SweepRunError(RuntimeError):
@@ -62,7 +52,7 @@ class SweepRunError(RuntimeError):
         super().__init__(f"run (alpha_target={alpha}, seed={seed}) failed: {cause}")
 
 
-def worker_count() -> int:
+def _worker_count() -> int:
     """Sweep parallelism: GAPLAB_THREADS if set, else the CPUs this process may use."""
     raw = os.environ.get("GAPLAB_THREADS", "").strip()
     if raw:
@@ -107,7 +97,7 @@ def _record(eval_batches, report, alpha_target: float, seed: int) -> SweepRecord
                        i2t_r1=i2t, t2i_r1=t2i, probe_accuracy=probe, **gaps)
 
 
-def mean_record(records: list) -> SweepRecord:
+def _mean_record(records: list) -> SweepRecord:
     """Field-wise arithmetic mean of several records (one alpha block)."""
     if not records:
         raise ValueError("cannot average zero records")
@@ -177,7 +167,7 @@ def run_sweep(train_cfg: TrainConfig, synth_cfg: SynthConfig, alphas, seeds,
             raise ValueError(f"seeds must be >= 0, got {s}")
         synth_dataset(replace(synth_cfg, seed=s))  # ValueError if a view is not finite
     if max_workers is None:
-        max_workers = worker_count()
+        max_workers = _worker_count()
     max_workers = min(max_workers, len(alphas) * len(seeds))
 
     rows: list = []
@@ -192,7 +182,7 @@ def run_sweep(train_cfg: TrainConfig, synth_cfg: SynthConfig, alphas, seeds,
                     raise SweepRunError(a, s, exc, rows) from exc
                 block.append(record)
                 rows.append((str(s), record))
-            rows.append(("mean", mean_record(block)))
+            rows.append(("mean", _mean_record(block)))
         return rows
 
     if max_workers <= 1:
@@ -242,7 +232,7 @@ def sweep_to_csv(rows, failure: tuple | None = None) -> str:
     failure, when given, is (alpha, seed) of an aborted run; it becomes a
     trailing marker row with label "failed" and only the alpha column filled.
     """
-    lines = [CSV_HEADER]
+    lines = ["seed," + ",".join(SWEEP_FIELDS)]
     for label, record in rows:
         values = [repr(float(getattr(record, name))) for name in SWEEP_FIELDS]
         lines.append(",".join([label, *values]))

@@ -30,7 +30,7 @@ import numpy as np
 from .curriculum import CurriculumConfig, scheduler_new, scheduler_step
 from .geometry import EmbeddingBatch, GapReport, gap_report
 from .losses import DEFAULT_LOG_SCALE, LOG_SCALE_MAX, LossOutput, Temperature, _cma
-from .numerics import _normalize_rows, as_matrix
+from .numerics import _check_fields, _normalize_rows, as_matrix
 
 __all__ = [
     "SynthConfig",
@@ -42,7 +42,6 @@ __all__ = [
     "RunHistory",
     "NonFiniteLossError",
     "train",
-    "epoch_steps",
 ]
 
 
@@ -58,14 +57,15 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_fields(self)
         if self.n_classes < 2:
             raise ValueError("n_classes must be >= 2")
         if self.samples_per_class < 2:
             raise ValueError("samples_per_class must be >= 2")
         if self.latent_dim < 1 or self.image_input_dim < 1 or self.text_input_dim < 1:
             raise ValueError("dimensions must be >= 1")
-        if not 0 <= self.noise_sigma < math.inf:
-            raise ValueError("noise_sigma must be finite and >= 0")
+        if self.noise_sigma < 0:
+            raise ValueError("noise_sigma must be >= 0")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
         if self.seed < 0:
@@ -233,18 +233,19 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_fields(self)
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 (contrastive losses degenerate at 1)")
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError("learning_rate must be positive and finite")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
         if not 0.0 <= self.adam_beta1 < 1.0 or not 0.0 <= self.adam_beta2 < 1.0:
             raise ValueError("adam betas must lie in [0, 1)")
-        if not 0 < self.adam_eps < math.inf:
-            raise ValueError("adam_eps must be positive and finite")
+        if self.adam_eps <= 0:
+            raise ValueError("adam_eps must be positive")
         if self.hidden_dim < 1 or self.embed_dim < 1:
             raise ValueError("dimensions must be >= 1")
-        if not -math.inf < self.init_log_scale <= LOG_SCALE_MAX:
-            raise ValueError("init_log_scale must be finite and within the ln(100) cap")
+        if self.init_log_scale > LOG_SCALE_MAX:
+            raise ValueError("init_log_scale must be within the ln(100) cap")
         if self.seed < 0:
             raise ValueError(f"train seed must be >= 0, got {self.seed}")
 
@@ -294,18 +295,6 @@ class NonFiniteLossError(RuntimeError):
     def __reduce__(self):
         # keep the exception picklable across process-pool boundaries
         return (NonFiniteLossError, (self.epoch, self.step, self.alpha, self.loss, self.what))
-
-
-def epoch_steps(train_cfg: TrainConfig, synth_cfg: SynthConfig) -> int:
-    """Optimizer steps per epoch; ValueError if batch_size exceeds the train split.
-
-    Needs only the configs, so callers can reject a run before any work starts.
-    """
-    n_train = synth_cfg.n_train
-    steps = n_train // train_cfg.batch_size
-    if steps < 1:
-        raise ValueError(f"batch_size {train_cfg.batch_size} exceeds the train split size {n_train}")
-    return steps
 
 
 @functools.cache
@@ -377,7 +366,10 @@ class _Run:
 
     def __init__(self, train_cfg: TrainConfig, synth_cfg: SynthConfig, alpha: float | None = None):
         self.train_cfg = train_cfg
-        self.steps_per_epoch = epoch_steps(train_cfg, synth_cfg)
+        n_train = synth_cfg.n_train
+        self.steps_per_epoch = n_train // train_cfg.batch_size
+        if self.steps_per_epoch < 1:
+            raise ValueError(f"batch_size {train_cfg.batch_size} exceeds the train split size {n_train}")
         streams = np.random.SeedSequence((train_cfg.seed, 2)).spawn(3)
         r_img, r_txt, self.order = (np.random.default_rng(s) for s in streams)
         dims = (train_cfg.hidden_dim, train_cfg.embed_dim)

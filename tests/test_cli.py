@@ -603,7 +603,7 @@ def test_sweep_csv_structure_and_determinism(tmp_path, tiny_config_path, capsys,
 
     text = out.read_text()
     lines = text.strip().split("\n")
-    assert lines[0] == gl.CSV_HEADER
+    assert lines[0] == "seed," + ",".join(gl.SWEEP_FIELDS)
     assert [row.split(",")[0] for row in lines[1:]] == ["0", "1", "mean", "0", "1", "mean"]
 
     with out.open(newline="") as f:
@@ -733,7 +733,7 @@ def test_sweep_pool_cancels_pending_cells_after_a_failure(tmp_path, tiny_config_
     # six of the ten cells can start
     assert len(ran.read_text().splitlines()) < 10
     lines = out.read_text().strip().split("\n")
-    assert lines[0] == gl.CSV_HEADER
+    assert lines[0] == "seed," + ",".join(gl.SWEEP_FIELDS)
     assert lines[1].startswith("failed:seed=0,0.0,")
 
 
@@ -752,7 +752,7 @@ def test_sweep_failure_writes_partial_csv_and_exits_3(tmp_path, tiny_config_path
     assert code == 3
     assert "partial" in stderr
     lines = out.read_text().strip().split("\n")
-    assert lines[0] == gl.CSV_HEADER
+    assert lines[0] == "seed," + ",".join(gl.SWEEP_FIELDS)
     assert lines[1].startswith("0,")
     assert lines[2].startswith("failed:seed=1,0.5,")
 

@@ -101,7 +101,7 @@ def test_read_rejects_corruption_and_names_the_path(tmp_path):
 
 def test_read_rejects_non_finite_payload(tmp_path):
     path = tmp_path / "nan.emb"
-    header = struct.pack("<4sII", gl.MAGIC, 1, 2)
+    header = struct.pack("<4sII", b"EMB1", 1, 2)
     payload = np.array([np.nan, 1.0], dtype="<f4").tobytes()
     path.write_bytes(header + payload)
     with pytest.raises(ValueError, match="non-finite"):
@@ -110,7 +110,7 @@ def test_read_rejects_non_finite_payload(tmp_path):
 
 def test_read_rejects_zero_shape(tmp_path):
     path = tmp_path / "empty.emb"
-    path.write_bytes(struct.pack("<4sII", gl.MAGIC, 0, 3))
+    path.write_bytes(struct.pack("<4sII", b"EMB1", 0, 3))
     with pytest.raises(ValueError, match="shape"):
         gl.read_embeddings(path)
 
@@ -131,7 +131,7 @@ def test_writes_leave_no_temp_files_and_replace_atomically(tmp_path):
 
 def test_atomic_write_bytes_round_trip(tmp_path):
     target = tmp_path / "raw.bin"
-    gl.atomic_write_bytes(target, b"\x00\x01\x02")
+    gl.embfile._atomic_write(target, lambda f: f.write(b"\x00\x01\x02"))
     assert target.read_bytes() == b"\x00\x01\x02"
     assert os.listdir(tmp_path) == ["raw.bin"]
 
@@ -140,9 +140,9 @@ def test_atomic_write_bytes_round_trip(tmp_path):
 
 def one_shot_bytes(m, labels=None) -> bytes:
     """The EMB1 layout written in one piece, as the format describes it."""
-    blob = struct.pack("<4sII", gl.MAGIC, *m.shape) + m.astype("<f4").tobytes()
+    blob = struct.pack("<4sII", b"EMB1", *m.shape) + m.astype("<f4").tobytes()
     if labels is not None:
-        blob += gl.LABEL_MAGIC + np.asarray(labels).astype("<u4").tobytes()
+        blob += b"LBL1" + np.asarray(labels).astype("<u4").tobytes()
     return blob
 
 
@@ -181,7 +181,7 @@ def test_read_rejects_non_finite_value_in_a_later_chunk(tmp_path):
     m = np.zeros((600, 1024), dtype="<f4")
     m[599, 1023] = np.inf
     path = tmp_path / "late_inf.emb"
-    path.write_bytes(struct.pack("<4sII", gl.MAGIC, 600, 1024) + m.tobytes())
+    path.write_bytes(struct.pack("<4sII", b"EMB1", 600, 1024) + m.tobytes())
     with pytest.raises(ValueError, match="late_inf.emb.*non-finite"):
         gl.read_embeddings(path)
 
@@ -192,7 +192,7 @@ def test_read_rejects_non_finite_value_in_a_later_chunk(tmp_path):
 ])
 def test_hostile_header_is_rejected_before_any_allocation(tmp_path, n, d, payload):
     path = tmp_path / "hostile.emb"
-    path.write_bytes(struct.pack("<4sII", gl.MAGIC, n, d) + payload)
+    path.write_bytes(struct.pack("<4sII", b"EMB1", n, d) + payload)
 
     def read():
         with pytest.raises(ValueError, match="hostile.emb") as info:

@@ -274,14 +274,34 @@ def test_mean_center_refuses_out_of_range_inputs_before_any_work(renormalize):
     for images in ([[1.7e308, 1.0], [-1.7e308, 1.0], [-1.7e308, 2.0]], np.full((3, 2), 1e308)):
         with pytest.raises(ValueError, match="can overflow"):
             gl.mean_center(images, texts, renormalize=renormalize)
+    # The renormalization's squared norms underflow at 2^-540; the translation
+    # alone is exact there.
     v, t = paired_batches(np.random.default_rng(37))
-    with pytest.raises(ValueError, match="underflows"):
-        gl.mean_center(2.0**-540 * v, 2.0**-540 * t, renormalize=renormalize)
+    tiny = 2.0**-540
+    if renormalize:
+        with pytest.raises(ValueError, match="underflows"):
+            gl.mean_center(tiny * v, tiny * t, renormalize=True)
+    else:
+        for small, unit in zip(gl.mean_center(tiny * v, tiny * t), gl.mean_center(v, t)):
+            assert np.array_equal(small.vectors, tiny * unit.vectors)
     # Inside the range a power-of-two scaling moves no bit.
     scale = 2.0**400
     for big, unit in zip(gl.mean_center(scale * v, scale * t, renormalize=renormalize),
                          gl.mean_center(v, t, renormalize=renormalize)):
         assert np.array_equal(big.vectors, unit.vectors if renormalize else scale * unit.vectors)
+
+
+def test_mean_center_needs_only_its_column_sums_in_range():
+    # gap_report's 4 n d squares overflow at 1e200; the column sums do not
+    rng = np.random.default_rng(41)
+    v, t = 1e200 * rng.standard_normal((50, 8)), 1e200 * rng.standard_normal((50, 8))
+    with pytest.raises(ValueError, match="can overflow"):
+        gl.gap_report(v, t)
+    with pytest.raises(ValueError, match="can overflow"):
+        gl.mean_center(v, t, renormalize=True)
+    cv, ct = gl.mean_center(v, t)
+    assert np.array_equal(cv.vectors, v - v.mean(axis=0))
+    assert np.array_equal(ct.vectors, t - t.mean(axis=0))
 
 
 # ----------------------------------------------------------- effective rank

@@ -29,6 +29,12 @@ def dummy_record(alpha=0.5, base=0.1) -> gl.SweepRecord:
     return gl.SweepRecord(**values)
 
 
+def fieldwise_mean(records) -> gl.SweepRecord:
+    """The mean row of a block, computed here rather than by the sweep."""
+    return gl.SweepRecord(**{name: sum(getattr(r, name) for r in records) / len(records)
+                             for name in gl.SWEEP_FIELDS})
+
+
 # --------------------------------------------------------------- run_single
 
 def test_run_single_stamps_alpha_and_is_deterministic():
@@ -87,17 +93,17 @@ def test_run_single_matches_a_fresh_encode_of_the_eval_split(scheduled):
     )
 
 
-# -------------------------------------------------------------- mean_record
+# ------------------------------------------------------------- _mean_record
 
 def test_mean_record_is_fieldwise():
     a = dummy_record(base=0.0)
     b = dummy_record(base=1.0)
-    mean = gl.mean_record([a, b])
+    mean = sweep_mod._mean_record([a, b])
     for name in gl.SWEEP_FIELDS:
         assert getattr(mean, name) == pytest.approx(
             (getattr(a, name) + getattr(b, name)) / 2.0, abs=1e-15)
     with pytest.raises(ValueError):
-        gl.mean_record([])
+        sweep_mod._mean_record([])
 
 
 # ---------------------------------------------------------------- run_sweep
@@ -108,7 +114,7 @@ def test_run_sweep_row_order_and_means():
     labels = [label for label, _ in rows]
     assert labels == ["0", "1", "mean", "0", "1", "mean"]
     block = [rec for _, rec in rows[:2]]
-    assert rows[2][1] == gl.mean_record(block)
+    assert rows[2][1] == fieldwise_mean(block)
     assert all(rec.alpha_target == 0.0 for _, rec in rows[:3])
     assert all(rec.alpha_target == 0.5 for _, rec in rows[3:])
 
@@ -185,7 +191,7 @@ def independent_rows(tc, sc, alphas, seeds, scheduled=True) -> list:
     for a in alphas:
         block = [gl.run_single(tc, sc, a, s, scheduled=scheduled) for s in seeds]
         rows += [(str(s), record) for s, record in zip(seeds, block)]
-        rows.append(("mean", gl.mean_record(block)))
+        rows.append(("mean", fieldwise_mean(block)))
     return rows
 
 
@@ -302,7 +308,7 @@ def test_sweep_trains_each_anchor_phase_once(monkeypatch):
 
     monkeypatch.setattr(trainkit._Run, "step", counting_step)
     gl.run_sweep(tc, sc, alphas=[0.0, 0.3, 1.0], seeds=[0, 1], max_workers=1)
-    per_epoch = gl.epoch_steps(tc, sc)
+    per_epoch = trainkit._Run(tc, sc).steps_per_epoch
     anchor = tc.curriculum.anchor_epochs * per_epoch
     rest = (tc.epochs - tc.curriculum.anchor_epochs) * per_epoch
     assert len(steps) == 2 * (anchor + 3 * rest) < 6 * (anchor + rest)
@@ -323,7 +329,7 @@ def test_sweep_steps_at_alpha_0_skip_the_intra_term(monkeypatch):
     assert calls == []
     # train keeps the full kernel, and with it every record's diagnostics
     history = gl.train(tc, sc)[2]
-    assert len(calls) == tc.epochs * gl.epoch_steps(tc, sc)
+    assert len(calls) == tc.epochs * trainkit._Run(tc, sc).steps_per_epoch
     assert all(np.isfinite(r.intra_term) for r in history.records)
 
 
@@ -408,7 +414,7 @@ def test_any_exception_in_the_parent_cancels_the_queued_cells(monkeypatch, tmp_p
         raise RuntimeError("interrupted")
 
     monkeypatch.setattr(sweep_mod, "_cell", cell)
-    monkeypatch.setattr(sweep_mod, "mean_record", mean_record)
+    monkeypatch.setattr(sweep_mod, "_mean_record", mean_record)
     tc, sc = tiny_configs()
     alphas = [i / 8 for i in range(8)]
     with pytest.raises(RuntimeError, match="interrupted"):
@@ -422,7 +428,7 @@ def test_csv_header_and_float_round_trip():
     rows = [("0", dummy_record(base=0.123456789012345)), ("mean", dummy_record(base=1.0))]
     text = gl.sweep_to_csv(rows)
     lines = text.strip().split("\n")
-    assert lines[0] == gl.CSV_HEADER
+    assert lines[0] == "seed," + ",".join(gl.SWEEP_FIELDS)
     assert lines[0].split(",")[0] == "seed"
     cells = lines[1].split(",")
     assert cells[0] == "0"
@@ -442,28 +448,28 @@ def test_csv_failure_marker_row():
     assert len(cells) == len(lines[0].split(","))
 
 
-# ------------------------------------------------------------- worker_count
+# ------------------------------------------------------------ _worker_count
 
 def test_worker_count_env_override(monkeypatch):
     monkeypatch.setenv("GAPLAB_THREADS", "3")
-    assert gl.worker_count() == 3
+    assert sweep_mod._worker_count() == 3
     monkeypatch.setenv("GAPLAB_THREADS", "0")
     with pytest.raises(ValueError):
-        gl.worker_count()
+        sweep_mod._worker_count()
     monkeypatch.setenv("GAPLAB_THREADS", "many")
     with pytest.raises(ValueError):
-        gl.worker_count()
+        sweep_mod._worker_count()
     monkeypatch.delenv("GAPLAB_THREADS")
-    assert gl.worker_count() >= 1
+    assert sweep_mod._worker_count() >= 1
 
 
 def test_worker_count_defaults_to_usable_cpus(monkeypatch):
     monkeypatch.delenv("GAPLAB_THREADS", raising=False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    assert gl.worker_count() == 3
+    assert sweep_mod._worker_count() == 3
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert gl.worker_count() == 64
+    assert sweep_mod._worker_count() == 64
 
 
 # ------------------------------------------------------- BLAS threads in the pool

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import pickle
 import sys
@@ -80,6 +81,38 @@ def test_synth_config_validation():
     huge = gl.SynthConfig(n_classes=10**200, samples_per_class=10**200)
     with pytest.raises(ValueError, match="n_classes \\* samples_per_class is too large"):
         huge.n_train
+
+
+CONFIG_FIELDS = [(cls, f.name, f.type) for cls in (gl.SynthConfig, gl.TrainConfig, gl.CurriculumConfig)
+                 for f in dataclasses.fields(cls) if f.name != "curriculum"]
+
+
+@pytest.mark.parametrize("cls, name, kind", CONFIG_FIELDS,
+                         ids=[f"{cls.__name__}-{name}" for cls, name, _ in CONFIG_FIELDS])
+def test_every_config_checks_its_field_types_when_built(cls, name, kind):
+    # the library door applies the run-config loader's rule, before any range check
+    assert kind in ("int", "float")
+    huge = 10**400  # beyond float64; JSON parsing accepts it
+    if kind == "int":
+        for bad in (2.5, 64.0, True, "3", None):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+                cls(**{name: bad})
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            cls(**{name: huge})
+        value = getattr(cls(**{name: np.int64(3)}), name)
+        assert value == 3 and type(value) is int
+        return
+    for bad in ("fast", True, None):
+        with pytest.raises(ValueError, match=f"^{name} must be a number, got "):
+            cls(**{name: bad})
+    for bad in (math.nan, math.inf, -math.inf, huge):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            cls(**{name: bad})
+    if name in ("train_fraction", "ema_slow_decay", "ema_fast_decay"):
+        return  # no integer lies in their valid range
+    integer = 0 if name.startswith("adam_beta") else 1
+    value = getattr(cls(**{name: integer}), name)
+    assert value == integer and type(value) is float
 
 
 # ------------------------------------------------------------------ encoder
@@ -507,7 +540,7 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         small_train(init_log_scale=gl.LOG_SCALE_MAX + 0.1)
     for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="adam_eps must be positive and finite"):
+        with pytest.raises(ValueError, match="^adam_eps must be finite, got "):
             small_train(adam_eps=bad)
     with pytest.raises(ValueError, match="train seed must be >= 0, got -1"):
         small_train(seed=-1)
