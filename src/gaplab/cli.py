@@ -22,8 +22,7 @@ import sys
 
 import numpy as np
 
-from .curriculum import CurriculumConfig
-from .embfile import _atomic_write, _check_float32, read_embeddings, write_embeddings
+from .embfile import _atomic_write, _check_float32, _write_checked, read_embeddings, write_embeddings
 from .evalkit import linear_fit_r2
 from .geometry import _center_into, gap_report
 from .sweep import SweepRunError, run_sweep, sweep_to_csv
@@ -37,11 +36,16 @@ def _atomic_write_text(path, text: str) -> None:
 
 
 def _build_config(cls, data: dict, where: str):
-    """cls(**data) after checking each key against the field names of cls; an
+    """cls(**data) after checking each key against the field names of cls, with
+    each JSON object of a nested config field built the same way first; an
     error that starts with a key's name is prefixed with the section, where."""
-    unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
+    factories = {f.name: f.default_factory for f in dataclasses.fields(cls)}
+    unknown = sorted(set(data) - set(factories))
     if unknown:
         raise ValueError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    data = {key: _build_config(factories[key], value, f"{where}.{key}")
+            if isinstance(value, dict) and dataclasses.is_dataclass(factories[key]) else value
+            for key, value in data.items()}
     try:
         return cls(**data)
     except ValueError as exc:
@@ -71,15 +75,8 @@ def load_run_config(path) -> tuple[TrainConfig, SynthConfig]:
     synth_raw, train_raw = raw.get("synth", {}), raw.get("train", {})
     if not isinstance(synth_raw, dict) or not isinstance(train_raw, dict):
         raise ValueError(f"{path}: 'synth' and 'train' must be JSON objects")
-    curriculum_raw = train_raw.pop("curriculum", {})
-    if not isinstance(curriculum_raw, dict):
-        raise ValueError(f"{path}: 'train.curriculum' must be a JSON object")
-
     synth_cfg = _build_config(SynthConfig, synth_raw, "synth")
-    curriculum = _build_config(CurriculumConfig, curriculum_raw, "train.curriculum")
-    train_cfg = _build_config(TrainConfig, train_raw, "train")
-    train_cfg = dataclasses.replace(train_cfg, curriculum=curriculum)
-    return train_cfg, synth_cfg
+    return _build_config(TrainConfig, train_raw, "train"), synth_cfg
 
 
 def _check_out_dirs(*paths, inputs=()) -> None:
@@ -117,8 +114,8 @@ def cmd_center(args) -> int:
     after = gap_report(images, texts)
     for path, m in ((args.out_images, images), (args.out_texts, texts)):
         _check_float32(m, path)  # both, before either file is written
-    write_embeddings(args.out_images, images, image_labels)
-    write_embeddings(args.out_texts, texts, text_labels)
+    _write_checked(args.out_images, images, image_labels)
+    _write_checked(args.out_texts, texts, text_labels)
     print(f"before: {before.summary()}")
     print(f"after:  {after.summary()}")
     return 0
@@ -218,15 +215,10 @@ def cmd_correlate(args) -> int:
     }
     # always report how the two gap flavors compare as predictors of y
     for col in ("distribution_gap", "raw_gap"):
-        key = f"r_squared_{col}"
-        if rows and col in rows[0]:
-            try:
-                series = _csv_column(rows, col, args.sweep)
-                result[key] = linear_fit_r2(series, y)[2]
-            except ValueError:
-                result[key] = None
-        else:
-            result[key] = None
+        try:
+            result[f"r_squared_{col}"] = linear_fit_r2(_csv_column(rows, col, args.sweep), y)[2]
+        except ValueError:  # a missing or non-numeric column, or a constant one
+            result[f"r_squared_{col}"] = None
     _atomic_write_text(args.out, json.dumps(result, indent=2) + "\n")
     print(f"r_squared({args.x} -> {args.y}) = {r_squared:.6f} over {len(rows)} rows")
     return 0

@@ -23,10 +23,9 @@ config), and its phase is read off its step count through phase_of, not stored.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
-from .numerics import _check_fields
+from .numerics import _check_fields, _scalar
 
 __all__ = [
     "Phase",
@@ -110,10 +109,7 @@ def phase_of(state: CurriculumState, global_step: int) -> Phase:
 def scheduler_new(config: CurriculumConfig, steps_per_epoch: int) -> CurriculumState:
     """Fresh state at step 0 with alpha 0 and EMAs untracked, on a grid of
     steps_per_epoch optimizer steps per epoch (an integer >= 1)."""
-    if not isinstance(steps_per_epoch, int) or isinstance(steps_per_epoch, bool) \
-            or steps_per_epoch < 1:
-        raise ValueError(f"steps_per_epoch must be an integer >= 1, got {steps_per_epoch!r}")
-    return CurriculumState(config=config, steps_per_epoch=steps_per_epoch)
+    return CurriculumState(config, _scalar(steps_per_epoch, "steps_per_epoch", integer=True, low=1))
 
 
 def scheduler_step(state: CurriculumState, observed_rw_loss: float) -> float:
@@ -123,9 +119,7 @@ def scheduler_step(state: CurriculumState, observed_rw_loss: float) -> float:
     first ramp step; both averages begin at the first observed value, so the
     first ramp increment runs at the full 1.5x speed factor.
     """
-    observed = float(observed_rw_loss)
-    if not math.isfinite(observed) or observed < 0.0:
-        raise ValueError(f"observed loss must be finite and >= 0, got {observed_rw_loss}")
+    observed = _scalar(observed_rw_loss, "observed loss", low=0)
     cfg = state.config
     if state.global_step >= state.total_steps:
         raise RuntimeError(f"schedule exhausted after {state.total_steps} steps")

@@ -68,7 +68,11 @@ def _check_float32(matrix, path) -> np.ndarray:
 def write_embeddings(path, matrix, labels=None) -> None:
     """Serialize a matrix (and optional labels) to the EMB1 container; a value
     that is not finite in float32 is refused before any file is created."""
-    m = _check_float32(matrix, path)
+    _write_checked(path, _check_float32(matrix, path), labels)
+
+
+def _write_checked(path, m: np.ndarray, labels=None) -> None:
+    """write_embeddings of a matrix that _check_float32 has passed."""
     n, d = m.shape
     labels = _checked_labels(labels, n)
     if labels is not None and (labels.min() < 0 or labels.max() > 0xFFFFFFFF):

@@ -22,7 +22,7 @@ import numpy as np
 from . import numerics
 from .geometry import EmbeddingBatch
 from .numerics import (_TINY32, _TINY64, _U32, _U64, _check_products, _checked_matrix, _paired_inputs,
-                       _row_blocks)
+                       _row_blocks, _scalar)
 
 __all__ = [
     "ClusterReport",
@@ -265,11 +265,12 @@ def joint_clustering_eval(images: EmbeddingBatch, texts: EmbeddingBatch,
     """Pool both modalities into one point set, cluster, and score against the
     duplicated class labels. Each embedding contributes one point; the batches
     may differ in size but not in dimension, and are never stacked. k is the
-    number of distinct labels over both batches, and must be at least 2.
+    number of distinct labels over both batches, at least 2; seed seeds k-means.
 
     Points whose float64 sums could overflow, or products underflow, are
     rejected before any work: a squared distance is at most 4 d m^2 for entries
     up to m (centroids' too), and the seeding and the inertia sum one per point."""
+    seed = _scalar(seed, "seed", integer=True, low=0)
     if images.labels is None or texts.labels is None:
         raise ValueError("both batches need labels for clustering evaluation")
     if images.dim != texts.dim:
@@ -419,10 +420,9 @@ def recall_at_k(v, t, k: int) -> tuple[float, float]:
     be an integer (not a bool) in [1, n]; inputs whose float64 scores could
     overflow or underflow (_check_products) are rejected before any work.
     """
+    k = _scalar(k, "k", integer=True)
     v, t, *top = _paired_inputs(v, t)
     n, d = v.shape
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise ValueError(f"k must be an integer, got {k!r}")
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     _check_products(d, *top, "V and T")

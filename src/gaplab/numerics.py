@@ -1,9 +1,9 @@
 """Dense float64 building blocks shared by every other module.
 
-Everything here is a pure function of its inputs: input validation (also of
-config fields), the float64 range rule and row normalization. The losses and
-recall_at_k build their similarity products with BLAS; the einsum similarity
-and row cross-entropy oracles they are checked against live in the tests.
+Everything here is a pure function of its inputs: input validation (also the
+scalar rule of every argument), the float64 range rule and row normalization.
+The losses and recall_at_k build their similarity products with BLAS; the
+einsum similarity and row cross-entropy oracles live in the tests.
 """
 
 from __future__ import annotations
@@ -76,20 +76,30 @@ def _checked_labels(labels, n: int) -> np.ndarray | None:
     return labels.astype(np.int64)
 
 
+def _scalar(value, name: str, integer: bool = False, low=None):
+    """value as an int (integer: any integer but a bool, NumPy's too) or a float
+    (any real number but a bool) within the float64 range and >= low if given,
+    or a ValueError that names it: the one rule of every scalar argument."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real) \
+            or low is not None and not value >= low:
+        noun = ("an integer" if integer else "a number") + ("" if low is None else f" >= {low}")
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
+    number = value.item() if isinstance(value, np.generic) else value  # a NumPy scalar as Python's
+    if not abs(number) <= sys.float_info.max:  # exact for integers and fractions of any size
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return int(number) if integer else float(number)
+
+
 def _check_fields(config) -> None:
     """The type rule that each config dataclass's __post_init__ runs first: an
-    int field takes an integer, not a bool; any other number field a finite int
-    or float, stored as a float; no number may lie beyond the float64 range."""
+    int or float field holds what _scalar returns for it; a field whose default
+    factory is a config class holds an instance of that class."""
     for f in dataclasses.fields(config):
-        integer = f.type in (int, "int")
-        if not integer and f.type not in (float, "float"):
-            continue
         value = getattr(config, f.name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real):
-            raise ValueError(f"{f.name} must be {'an integer' if integer else 'a number'}, got {value!r}")
-        if not abs(value) <= sys.float_info.max:  # exact for integers of any size
-            raise ValueError(f"{f.name} must be finite, got {value!r}")
-        object.__setattr__(config, f.name, int(value) if integer else float(value))
+        if f.type in (int, "int", float, "float"):
+            object.__setattr__(config, f.name, _scalar(value, f.name, integer=f.type in (int, "int")))
+        elif dataclasses.is_dataclass(f.default_factory) and not isinstance(value, f.default_factory):
+            raise ValueError(f"{f.name} must be a {f.default_factory.__name__}, got {value!r}")
 
 
 # Unit roundoffs, and the smallest normal numbers, of float32 and float64.

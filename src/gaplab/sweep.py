@@ -36,6 +36,7 @@ from .evalkit import (
     joint_clustering_eval,
     recall_at_k,
 )
+from .numerics import _scalar
 from .trainkit import SynthConfig, TrainConfig, _blas_threads, _one_blas_thread, _Run, synth_dataset, train
 
 __all__ = ["run_single", "run_sweep", "sweep_to_csv", "SweepRunError"]
@@ -83,7 +84,7 @@ def run_single(train_cfg: TrainConfig, synth_cfg: SynthConfig, alpha_target: flo
     )
     sc = replace(synth_cfg, seed=seed)
     _, _, history = train(tc, sc, alpha=None if scheduled else alpha_target)
-    return _record(history.eval_batches, history[-1].gap, alpha_target, seed)
+    return _record(history.eval_batches, history[-1].gap, tc.curriculum.alpha_target, tc.seed)
 
 
 def _record(eval_batches, report, alpha_target: float, seed: int) -> SweepRecord:
@@ -93,7 +94,7 @@ def _record(eval_batches, report, alpha_target: float, seed: int) -> SweepRecord
     i2t, t2i = recall_at_k(images.vectors, texts.vectors, 1)
     probe = interchangeability_probe(texts, images)
     gaps = {f.name: getattr(report, f.name) for f in fields(report) if f.name in SWEEP_FIELDS}
-    return SweepRecord(alpha_target=float(alpha_target), ari=cluster.ari, v_measure=cluster.v_measure,
+    return SweepRecord(alpha_target=alpha_target, ari=cluster.ari, v_measure=cluster.v_measure,
                        i2t_r1=i2t, t2i_r1=t2i, probe_accuracy=probe, **gaps)
 
 
@@ -154,8 +155,10 @@ def run_sweep(train_cfg: TrainConfig, synth_cfg: SynthConfig, alphas, seeds,
     started.
     """
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-    alphas = [float(a) for a in alphas]
-    seeds = [int(s) for s in seeds]
+    alphas = [_scalar(a, "alphas") for a in alphas]
+    seeds = [_scalar(s, "seeds", integer=True) for s in seeds]
+    max_workers = (_worker_count() if max_workers is None
+                   else _scalar(max_workers, "max_workers", integer=True, low=1))
     if not alphas or not seeds:
         raise ValueError("need at least one alpha and one seed")
     for a in alphas:
@@ -166,8 +169,6 @@ def run_sweep(train_cfg: TrainConfig, synth_cfg: SynthConfig, alphas, seeds,
         if s < 0:
             raise ValueError(f"seeds must be >= 0, got {s}")
         synth_dataset(replace(synth_cfg, seed=s))  # ValueError if a view is not finite
-    if max_workers is None:
-        max_workers = _worker_count()
     max_workers = min(max_workers, len(alphas) * len(seeds))
 
     rows: list = []

@@ -30,7 +30,7 @@ import numpy as np
 from .curriculum import CurriculumConfig, scheduler_new, scheduler_step
 from .geometry import EmbeddingBatch, GapReport, gap_report
 from .losses import DEFAULT_LOG_SCALE, LOG_SCALE_MAX, LossOutput, Temperature, _cma
-from .numerics import _check_fields, _normalize_rows, as_matrix
+from .numerics import _check_fields, _normalize_rows, _scalar, as_matrix
 
 __all__ = [
     "SynthConfig",
@@ -385,10 +385,10 @@ class _Run:
         if alpha is None:
             self.scheduler = scheduler_new(train_cfg.curriculum, self.steps_per_epoch)
             self.alpha = self.scheduler.alpha
-        elif not 0.0 <= float(alpha) <= 1.0:
+        elif not 0.0 <= (alpha := _scalar(alpha, "alpha")) <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {alpha}")
         else:
-            self.scheduler, self.alpha = None, float(alpha)
+            self.scheduler, self.alpha = None, alpha
         self.records: list = []
         self.eval_batches = None
 

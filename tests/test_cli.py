@@ -385,6 +385,31 @@ def test_center_beyond_float32_exits_2_and_writes_neither_file(tmp_path, capsys)
     assert sorted(os.listdir(tmp_path)) == ["t.emb", "v.emb"]
 
 
+def test_center_checks_each_matrix_three_times(tmp_path, capsys, monkeypatch):
+    # numerics._checked_matrix calls, through every gaplab module that binds
+    # it: the gap reports before and after centering check each matrix once,
+    # and each output's float32 range is checked once, both before either
+    # file is written; the writes do not check again.
+    rng = np.random.default_rng(8)
+    vp, tp = tmp_path / "v.emb", tmp_path / "t.emb"
+    gl.write_embeddings(vp, unit_rows(rng, 64, 8))
+    gl.write_embeddings(tp, unit_rows(rng, 64, 8))
+    checks = []
+    original = gl.numerics._checked_matrix
+
+    def counted(*args, **kwargs):
+        checks.append(args[1])
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("gaplab") and getattr(mod, "_checked_matrix", None) is original:
+            monkeypatch.setattr(mod, "_checked_matrix", counted)
+    code, _, _ = run_cli(["center", "--images", vp, "--texts", tp, "--out-images", tmp_path / "cv.emb",
+                          "--out-texts", tmp_path / "ct.emb", "--renormalize"], capsys)
+    assert code == 0
+    assert checks == ["images", "texts"] * 2 + ["matrix"] * 2
+
+
 def test_center_renormalize_gives_unit_rows(tmp_path, emb_pair, capsys):
     vp, tp = emb_pair
     ov = tmp_path / "cv.emb"
@@ -520,6 +545,23 @@ def test_train_section_that_is_not_an_object_exits_2_and_leaves_no_out_dir(tmp_p
     assert code == 2
     assert stderr == f"error: {config}: 'synth' and 'train' must be JSON objects\n"
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"train": {"curriculum": 3}}, "train.curriculum must be a CurriculumConfig, got 3"),
+    ({"train": {"curriculum": []}}, "train.curriculum must be a CurriculumConfig, got []"),
+    ({"train": {"curriculum": {"ramp": 1}}}, "unknown key(s) in train.curriculum: ramp"),
+    ({"train": {"curriculum": {"ramp_epochs": 1.5}}},
+     "train.curriculum.ramp_epochs must be an integer, got 1.5"),
+], ids=["number", "list", "unknown key", "bad field"])
+def test_a_bad_nested_section_exits_2_before_any_output(tmp_path, capsys, payload, message):
+    config = tmp_path / "nested.json"
+    config.write_text(json.dumps(payload))
+    out_dir, out = tmp_path / "never", tmp_path / "never.csv"
+    for argv in (["train", "--config", config, "--out-dir", out_dir],
+                 ["sweep", "--config", config, "--alphas", "0.5", "--out", out]):
+        assert run_cli(argv, capsys)[::2] == (2, f"error: {message}\n")
+    assert not out_dir.exists() and not out.exists()
 
 
 @pytest.mark.parametrize("section", ["synth", "train"])

@@ -1,12 +1,15 @@
 import ast
-from dataclasses import astuple
+import re
+import sys
+from dataclasses import astuple, fields
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gaplab as gl
-from gaplab import embfile, evalkit, geometry, losses, numerics
+from gaplab import embfile, evalkit, geometry, losses, numerics, sweep, trainkit
 
 from conftest import row_cross_entropy, similarity_matrix, unit_rows
 
@@ -169,6 +172,120 @@ def test_only_numerics_holds_the_float64_range_rule():
             if isinstance(node, ast.Call) and "finfo" in (getattr(node.func, "id", None),
                                                            getattr(node.func, "attr", None)):
                 found.append(f"{path.name}:{node.lineno} calls finfo")
+    assert not found
+
+
+# ------------------------------------------------------- the scalar rule
+
+def _tiny_configs():
+    cur = gl.CurriculumConfig(anchor_epochs=1, ramp_epochs=1, stabilize_epochs=1)
+    return (gl.TrainConfig(curriculum=cur, batch_size=8, hidden_dim=8, embed_dim=4),
+            gl.SynthConfig(n_classes=4, samples_per_class=10, latent_dim=4,
+                           image_input_dim=6, text_input_dim=5))
+
+
+def _cluster_batches():
+    rng = np.random.default_rng(5)
+    labels = np.arange(12) % 3
+    return (gl.EmbeddingBatch(unit_rows(rng, 12, 4), labels=labels),
+            gl.EmbeddingBatch(unit_rows(rng, 12, 4), labels=labels, modality="text"))
+
+
+def _config_site(cls, name):
+    return lambda x: cls(**{name: x})
+
+
+TC, SC = _tiny_configs()
+BATCHES = _cluster_batches()
+EYE = np.eye(3)
+# Every call site of numerics._scalar: (call taking the value, the message's
+# start, whether it takes an integer, an accepted value).
+SCALAR_SITES = {
+    **{f"{cls.__name__}.{f.name}": (_config_site(cls, f.name),
+                                    f"{f.name} must be {'an integer' if f.type == 'int' else 'a number'}",
+                                    f.type == "int", getattr(cls(), f.name))
+       for cls in (gl.SynthConfig, gl.TrainConfig, gl.CurriculumConfig)
+       for f in fields(cls) if f.type in ("int", "float")},
+    "scheduler_new": (lambda x: gl.scheduler_new(gl.CurriculumConfig(), x),
+                      "steps_per_epoch must be an integer >= 1", True, 12),
+    "recall_at_k": (lambda x: gl.recall_at_k(EYE, EYE, x), "k must be an integer", True, 2),
+    "joint_clustering_eval": (lambda x: gl.joint_clustering_eval(*BATCHES, seed=x),
+                              "seed must be an integer >= 0", True, 3),
+    "run_sweep.seeds": (lambda x: gl.run_sweep(TC, SC, [0.5], [x], max_workers=1),
+                        "seeds must be an integer", True, 1),
+    "run_sweep.max_workers": (lambda x: gl.run_sweep(TC, SC, [0.5], [0], max_workers=x),
+                              "max_workers must be an integer >= 1", True, 1),
+    "run_sweep.alphas": (lambda x: gl.run_sweep(TC, SC, [x], [0], max_workers=1),
+                         "alphas must be a number", False, 0.5),
+    "train.alpha": (lambda x: gl.train(TC, SC, alpha=x), "alpha must be a number", False, 0.5),
+    "cma_loss.alpha": (lambda x: gl.cma_loss(EYE, EYE, TEMP, x), "alpha must be a number", False, 0.5),
+    "reweighted_loss.beta": (lambda x: gl.reweighted_loss(EYE, EYE, TEMP, x),
+                             "beta must be a number", False, 0.025),
+    "finite_diff_check.h": (lambda x: gl.finite_diff_check(gl.clip_loss, EYE, EYE, TEMP, h=x),
+                            "h must be a number", False, 1e-5),
+    "Temperature.log_scale": (gl.Temperature, "log_scale must be a number", False, 1.0),
+    "scheduler_step": (lambda x: gl.scheduler_step(gl.scheduler_new(gl.CurriculumConfig(), 4), x),
+                       "observed loss must be a number >= 0", False, 0.7),
+}
+
+
+def spy_on_work(monkeypatch) -> list:
+    """The names of the work functions called from now on: the matrix check,
+    the synthetic data build and a sweep's runs, through every gaplab module
+    that binds them."""
+    calls = []
+
+    def spied(name, fn):
+        def run(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return run
+
+    for name, original in (("_checked_matrix", numerics._checked_matrix),
+                           ("synth_dataset", trainkit.synth_dataset),
+                           ("_anchor", sweep._anchor), ("_cell", sweep._cell)):
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("gaplab") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, spied(name, original))
+    return calls
+
+
+@pytest.mark.parametrize("site", list(SCALAR_SITES))
+def test_every_scalar_argument_goes_through_the_one_rule(site, monkeypatch):
+    call, start, integer, good = SCALAR_SITES[site]
+    work = spy_on_work(monkeypatch)
+    refused = (True, np.bool_(True), "1") + ((1.5,) if integer else ())
+    for bad in refused:
+        with pytest.raises(ValueError, match=f"^{re.escape(start)}, got {re.escape(repr(bad))}$"):
+            call(bad)
+    # beyond the float64 range; a float32 is compared in float64, without a warning
+    for big in (10**400,) if integer else (np.float32(np.inf), Fraction(10**400)):
+        with pytest.raises(ValueError, match=f"^{re.escape(start.split(' must ')[0])} must be finite, got "):
+            call(big)
+    assert work == []  # refused before any work
+    for value in (good, np.int64(good)) if integer else (good, np.float32(good)):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [None, {}, gl.SynthConfig()], ids=["None", "dict", "SynthConfig"])
+def test_a_nested_config_field_holds_its_config_class(value):
+    with pytest.raises(ValueError, match=f"^curriculum must be a CurriculumConfig, got {re.escape(repr(value))}$"):
+        gl.TrainConfig(curriculum=value)
+
+
+def test_only_numerics_holds_the_scalar_rule():
+    # No other module tests a value's type against bool, int, float, the
+    # numbers ABCs or NumPy's scalar types: each argument goes through _scalar.
+    scalar_types = {"bool", "int", "float", "numbers", "Integral", "Real", "integer", "floating"}
+    found = []
+    for path in sorted(Path(gl.__file__).parent.glob("*.py")):
+        if path.name == "numerics.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                named = {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(node.args[1])}
+                if named & scalar_types:
+                    found.append(f"{path.name}:{node.lineno} tests a scalar type")
     assert not found
 
 
