@@ -17,13 +17,13 @@ that keeps the "reaches the target by the end of the ramp" contract without
 overshooting.
 A CurriculumState lives for one run: nothing snapshots or resumes it. It
 holds the run's step grid (steps per epoch, a fact of the data, not of the
-config), and its phase is read off its step count through phase_of, not stored.
+config), and its phase is read off its step count, not stored.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .numerics import _check_fields, _scalar
 
@@ -45,23 +45,20 @@ class Phase(enum.Enum):
 
 @dataclass(frozen=True)
 class CurriculumConfig:
-    anchor_epochs: int = 3
-    ramp_epochs: int = 5
-    stabilize_epochs: int = 2
-    alpha_target: float = 0.5
+    anchor_epochs: int = field(default=3, metadata={"low": 0})
+    ramp_epochs: int = field(default=5, metadata={"low": 0})
+    stabilize_epochs: int = field(default=2, metadata={"low": 0})
+    alpha_target: float = field(default=0.5, metadata={"low": 0, "high": 1})
     ema_slow_decay: float = 0.99
     ema_fast_decay: float = 0.9
 
     def __post_init__(self):
         _check_fields(self)
-        if self.anchor_epochs < 0 or self.ramp_epochs < 0 or self.stabilize_epochs < 0:
-            raise ValueError("epoch counts must be >= 0")
         if self.anchor_epochs + self.ramp_epochs + self.stabilize_epochs < 1:
-            raise ValueError("schedule needs at least one epoch")
-        if not 0.0 <= self.alpha_target <= 1.0:
-            raise ValueError(f"alpha_target must be in [0, 1], got {self.alpha_target}")
-        if not 0.0 < self.ema_fast_decay < 1.0 or not 0.0 < self.ema_slow_decay < 1.0:
-            raise ValueError("EMA decays must lie in (0, 1)")
+            raise ValueError("anchor_epochs + ramp_epochs + stabilize_epochs must be >= 1, got 0")
+        for name, value in (("ema_slow_decay", self.ema_slow_decay), ("ema_fast_decay", self.ema_fast_decay)):
+            if not 0.0 < value < 1.0:
+                raise ValueError(f"{name} must be in (0, 1), got {value}")
         if self.ema_fast_decay >= self.ema_slow_decay:
             raise ValueError("ema_fast_decay must be smaller than ema_slow_decay")
 
@@ -92,13 +89,17 @@ class CurriculumState:
     @property
     def phase(self) -> Phase:
         """Phase of the next step; once the schedule is exhausted, that of the last one."""
-        return phase_of(self, min(self.global_step, self.total_steps - 1))
+        return _phase(self, min(self.global_step, self.total_steps - 1))
 
 
 def phase_of(state: CurriculumState, global_step: int) -> Phase:
-    """Phase governing a given step index of state's schedule."""
-    if not 0 <= global_step < state.total_steps:
-        raise ValueError(f"step {global_step} outside the schedule (total {state.total_steps})")
+    """Phase governing a given step index of state's schedule, an integer in
+    [0, total_steps - 1]."""
+    return _phase(state, _scalar(global_step, "global_step", integer=True, low=0, high=state.total_steps - 1))
+
+
+def _phase(state: CurriculumState, global_step: int) -> Phase:
+    """phase_of for a step known to lie in the schedule: the step loop's, unchecked."""
     if global_step < state.anchor_steps:
         return Phase.ANCHOR
     if global_step < state.ramp_end_step:
@@ -124,7 +125,7 @@ def scheduler_step(state: CurriculumState, observed_rw_loss: float) -> float:
     if state.global_step >= state.total_steps:
         raise RuntimeError(f"schedule exhausted after {state.total_steps} steps")
 
-    phase = phase_of(state, state.global_step)
+    phase = _phase(state, state.global_step)
     if phase is Phase.ANCHOR:
         state.alpha = 0.0
     elif phase is Phase.RAMP:

@@ -123,8 +123,7 @@ def _kmeans(parts, k: int, seed: int) -> tuple[np.ndarray, float]:
     centroid (lowest index on ties). Returns (labels, inertia)."""
     bounds = np.cumsum([0] + [part.shape[0] for part in parts])
     n = int(bounds[-1])
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
+    k = _scalar(k, "k", integer=True, low=1, high=n)
     rng = np.random.default_rng(seed)
     point_sq = np.empty(n)
     for part, start in zip(parts, bounds):
@@ -420,11 +419,11 @@ def recall_at_k(v, t, k: int) -> tuple[float, float]:
     be an integer (not a bool) in [1, n]; inputs whose float64 scores could
     overflow or underflow (_check_products) are rejected before any work.
     """
-    k = _scalar(k, "k", integer=True)
+    k = _scalar(k, "k", integer=True, low=1)
     v, t, *top = _paired_inputs(v, t)
     n, d = v.shape
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
+    if k > n:  # a bound known once the pairs are read
+        raise ValueError(f"k must be <= {n} (the pair count), got {k}")
     _check_products(d, *top, "V and T")
     if k == 1 and (d + 2) * _U32 < 0.1:
         i2t, t2i = _screened_hits(v, t, top)

@@ -64,9 +64,7 @@ class Temperature:
     log_scale: float = DEFAULT_LOG_SCALE
 
     def __post_init__(self):
-        self.log_scale = _scalar(self.log_scale, "log_scale")
-        if self.log_scale > LOG_SCALE_MAX:
-            raise ValueError(f"log_scale {self.log_scale} exceeds cap ln(100) = {LOG_SCALE_MAX}")
+        self.log_scale = _scalar(self.log_scale, "log_scale", high=LOG_SCALE_MAX)
 
     @property
     def scale(self) -> float:
@@ -234,9 +232,7 @@ def reweighted_loss(v, t, temp: Temperature, beta: float) -> LossOutput:
     only gradient effect is the same (1 - beta) factor on off-diagonal
     similarity gradients.
     """
-    beta = _scalar(beta, "beta")
-    if not 0.0 <= beta <= 0.05:
-        raise ValueError(f"beta must be in [0, 0.05], got {beta}")
+    beta = _scalar(beta, "beta", low=0, high=0.05)
     v, t = _checked_pair(v, t)
     loss, gv, gt, gs, _, _ = _reweighted(v @ t.T, v, t, temp.scale, beta)
     return LossOutput(loss, gv, gt, gs, {"rw_term": loss})
@@ -295,9 +291,7 @@ def cma_loss(v, t, temp: Temperature, alpha: float) -> LossOutput:
     grad_norm_rw and grad_norm_intra are each component's gradient norm over
     (V, T), there to expose the imbalance between the two objectives.
     """
-    alpha = _scalar(alpha, "alpha")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    alpha = _scalar(alpha, "alpha", low=0, high=1)
     v, t = _checked_pair(v, t)
     return _cma(v, t, temp.scale, alpha)
 
@@ -343,8 +337,7 @@ def finite_diff_check(loss, v, t, temp: Temperature, h: float = 1e-5) -> float:
     entry of V and T plus log_scale through the loss value; the log_scale
     probe may step past the ln(100) cap. h must lie in [1e-7, 1e-3].
     """
-    if not 1e-7 <= (h := _scalar(h, "h")) <= 1e-3:
-        raise ValueError(f"h must be in [1e-7, 1e-3], got {h}")
+    h = _scalar(h, "h", low=1e-7, high=1e-3)
     v, t, _, _ = _paired_inputs(v, t)
     out = loss(v, t, temp)
     v, t, log_scale = v.copy(), t.copy(), np.array([temp.log_scale])

@@ -1,7 +1,8 @@
 """Dense float64 building blocks shared by every other module.
 
 Everything here is a pure function of its inputs: input validation (also the
-scalar rule of every argument), the float64 range rule and row normalization.
+scalar rule, type and closed bounds, of every argument and config field), the
+float64 range rule and row normalization.
 The losses and recall_at_k build their similarity products with BLAS; the
 einsum similarity and row cross-entropy oracles live in the tests.
 """
@@ -76,28 +77,33 @@ def _checked_labels(labels, n: int) -> np.ndarray | None:
     return labels.astype(np.int64)
 
 
-def _scalar(value, name: str, integer: bool = False, low=None):
+def _scalar(value, name: str, integer: bool = False, low=None, high=None):
     """value as an int (integer: any integer but a bool, NumPy's too) or a float
-    (any real number but a bool) within the float64 range and >= low if given,
-    or a ValueError that names it: the one rule of every scalar argument."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real) \
-            or low is not None and not value >= low:
-        noun = ("an integer" if integer else "a number") + ("" if low is None else f" >= {low}")
-        raise ValueError(f"{name} must be {noun}, got {value!r}")
+    (any real number but a bool) within the float64 range and the closed bounds
+    low and high where given, or a ValueError that names it: the one rule, type
+    and range, of every scalar argument and config field. The value is checked
+    against a bound after the cast; a refusal prints the bound as passed."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real):
+        raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
     number = value.item() if isinstance(value, np.generic) else value  # a NumPy scalar as Python's
     if not abs(number) <= sys.float_info.max:  # exact for integers and fractions of any size
         raise ValueError(f"{name} must be finite, got {value!r}")
-    return int(number) if integer else float(number)
+    number = int(number) if integer else float(number)
+    if low is not None and number < low or high is not None and number > high:
+        bound = f">= {low}" if high is None else f"<= {high}" if low is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be {bound}, got {number!r}")
+    return number
 
 
 def _check_fields(config) -> None:
-    """The type rule that each config dataclass's __post_init__ runs first: an
-    int or float field holds what _scalar returns for it; a field whose default
-    factory is a config class holds an instance of that class."""
+    """The type and range rule that each config dataclass's __post_init__ runs
+    first: an int or float field holds what _scalar returns for it, within the
+    closed bounds its metadata declares ({"low": ..., "high": ...}); a field
+    whose default factory is a config class holds an instance of that class."""
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
         if f.type in (int, "int", float, "float"):
-            object.__setattr__(config, f.name, _scalar(value, f.name, integer=f.type in (int, "int")))
+            object.__setattr__(config, f.name, _scalar(value, f.name, f.type in (int, "int"), **f.metadata))
         elif dataclasses.is_dataclass(f.default_factory) and not isinstance(value, f.default_factory):
             raise ValueError(f"{f.name} must be a {f.default_factory.__name__}, got {value!r}")
 

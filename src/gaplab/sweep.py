@@ -61,9 +61,7 @@ def _worker_count() -> int:
             value = int(raw)
         except ValueError as exc:
             raise ValueError(f"GAPLAB_THREADS must be an integer, got {raw!r}") from exc
-        if value < 1:
-            raise ValueError(f"GAPLAB_THREADS must be >= 1, got {value}")
-        return value
+        return _scalar(value, "GAPLAB_THREADS", integer=True, low=1)
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -155,19 +153,14 @@ def run_sweep(train_cfg: TrainConfig, synth_cfg: SynthConfig, alphas, seeds,
     started.
     """
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-    alphas = [_scalar(a, "alphas") for a in alphas]
-    seeds = [_scalar(s, "seeds", integer=True) for s in seeds]
+    alphas = [_scalar(a, "alphas", low=0, high=1) for a in alphas]
+    seeds = [_scalar(s, "seeds", integer=True, low=0) for s in seeds]
     max_workers = (_worker_count() if max_workers is None
                    else _scalar(max_workers, "max_workers", integer=True, low=1))
     if not alphas or not seeds:
         raise ValueError("need at least one alpha and one seed")
-    for a in alphas:
-        if not 0.0 <= a <= 1.0:
-            raise ValueError(f"alpha_target must be in [0, 1], got {a}")
     _Run(train_cfg, synth_cfg)  # a bad batch size or split, or arrays too large to allocate
     for s in seeds:
-        if s < 0:
-            raise ValueError(f"seeds must be >= 0, got {s}")
         synth_dataset(replace(synth_cfg, seed=s))  # ValueError if a view is not finite
     max_workers = min(max_workers, len(alphas) * len(seeds))
 

@@ -47,29 +47,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SynthConfig:
-    n_classes: int = 20
-    samples_per_class: int = 100
-    latent_dim: int = 16
-    image_input_dim: int = 32
-    text_input_dim: int = 24
-    noise_sigma: float = 0.1
+    n_classes: int = field(default=20, metadata={"low": 2})
+    samples_per_class: int = field(default=100, metadata={"low": 2})
+    latent_dim: int = field(default=16, metadata={"low": 1})
+    image_input_dim: int = field(default=32, metadata={"low": 1})
+    text_input_dim: int = field(default=24, metadata={"low": 1})
+    noise_sigma: float = field(default=0.1, metadata={"low": 0})
     train_fraction: float = 0.8
-    seed: int = 0
+    seed: int = field(default=0, metadata={"low": 0})
 
     def __post_init__(self):
         _check_fields(self)
-        if self.n_classes < 2:
-            raise ValueError("n_classes must be >= 2")
-        if self.samples_per_class < 2:
-            raise ValueError("samples_per_class must be >= 2")
-        if self.latent_dim < 1 or self.image_input_dim < 1 or self.text_input_dim < 1:
-            raise ValueError("dimensions must be >= 1")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
         if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must be in (0, 1)")
-        if self.seed < 0:
-            raise ValueError(f"synth seed must be >= 0, got {self.seed}")
+            raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
 
     @property
     def n_samples(self) -> int:
@@ -222,32 +212,24 @@ def _adam(flat, grad, m, v, step: int, lr: float, betas: tuple, eps: float) -> N
 @dataclass(frozen=True)
 class TrainConfig:
     curriculum: CurriculumConfig = field(default_factory=CurriculumConfig)
-    batch_size: int = 128
+    batch_size: int = field(default=128, metadata={"low": 2})  # contrastive losses degenerate at 1
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
+    adam_beta1: float = field(default=0.9, metadata={"low": 0})
+    adam_beta2: float = field(default=0.999, metadata={"low": 0})
     adam_eps: float = 1e-8
-    hidden_dim: int = 64
-    embed_dim: int = 16
-    init_log_scale: float = DEFAULT_LOG_SCALE
-    seed: int = 0
+    hidden_dim: int = field(default=64, metadata={"low": 1})
+    embed_dim: int = field(default=16, metadata={"low": 1})
+    init_log_scale: float = field(default=DEFAULT_LOG_SCALE, metadata={"high": LOG_SCALE_MAX})
+    seed: int = field(default=0, metadata={"low": 0})
 
     def __post_init__(self):
         _check_fields(self)
-        if self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2 (contrastive losses degenerate at 1)")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if not 0.0 <= self.adam_beta1 < 1.0 or not 0.0 <= self.adam_beta2 < 1.0:
-            raise ValueError("adam betas must lie in [0, 1)")
-        if self.adam_eps <= 0:
-            raise ValueError("adam_eps must be positive")
-        if self.hidden_dim < 1 or self.embed_dim < 1:
-            raise ValueError("dimensions must be >= 1")
-        if self.init_log_scale > LOG_SCALE_MAX:
-            raise ValueError("init_log_scale must be within the ln(100) cap")
-        if self.seed < 0:
-            raise ValueError(f"train seed must be >= 0, got {self.seed}")
+        for name, value in (("learning_rate", self.learning_rate), ("adam_eps", self.adam_eps)):
+            if value <= 0.0:
+                raise ValueError(f"{name} must be > 0, got {value}")
+        for name, value in (("adam_beta1", self.adam_beta1), ("adam_beta2", self.adam_beta2)):
+            if value >= 1.0:
+                raise ValueError(f"{name} must be < 1, got {value}")
 
     @property
     def epochs(self) -> int:
@@ -385,10 +367,8 @@ class _Run:
         if alpha is None:
             self.scheduler = scheduler_new(train_cfg.curriculum, self.steps_per_epoch)
             self.alpha = self.scheduler.alpha
-        elif not 0.0 <= (alpha := _scalar(alpha, "alpha")) <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {alpha}")
         else:
-            self.scheduler, self.alpha = None, alpha
+            self.scheduler, self.alpha = None, _scalar(alpha, "alpha", low=0, high=1)
         self.records: list = []
         self.eval_batches = None
 

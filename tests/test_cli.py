@@ -142,6 +142,37 @@ def _config_with(tmp_path, section, name, value):
     return path
 
 
+# a value just outside each field's range, written out here so the bounds the
+# config fields declare are pinned independently
+OUT_OF_RANGE = {
+    "synth": {"n_classes": 1, "samples_per_class": 1, "latent_dim": 0, "image_input_dim": 0,
+              "text_input_dim": 0, "noise_sigma": -0.1, "train_fraction": 1.0, "seed": -1},
+    "train": {"batch_size": 1, "learning_rate": 0.0, "adam_beta1": 1.0, "adam_beta2": -0.5,
+              "adam_eps": 0.0, "hidden_dim": 0, "embed_dim": 0, "init_log_scale": 5.0, "seed": -1},
+    "train.curriculum": {"anchor_epochs": -1, "ramp_epochs": -1, "stabilize_epochs": -1,
+                         "alpha_target": 1.5, "ema_slow_decay": 1.0, "ema_fast_decay": 0.0},
+}
+
+
+@pytest.mark.parametrize("section,name", RUN_CONFIG_FIELDS)
+def test_an_out_of_range_field_exits_2_naming_it_before_any_work(tmp_path, capsys, monkeypatch,
+                                                                 section, name):
+    monkeypatch.setattr(cli_mod, "train", lambda *args, **kwargs: pytest.fail("train ran"))
+    config = _config_with(tmp_path, section, name, OUT_OF_RANGE[section][name])
+    out_dir = tmp_path / "never"
+    code, _, stderr = run_cli(["train", "--config", config, "--out-dir", out_dir], capsys)
+    assert code == 2
+    assert stderr.startswith(f"error: {section}.{name} must be ")
+    assert not out_dir.exists()
+
+
+def test_readme_run_config_block_holds_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Run-config JSON", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    assert json.loads(block) == {"synth": dataclasses.asdict(gl.SynthConfig()),
+                                 "train": dataclasses.asdict(gl.TrainConfig())}
+
+
 @pytest.mark.parametrize("section,name", RUN_CONFIG_FIELDS)
 def test_run_config_type_check_follows_the_field_type(tmp_path, section, name):
     if name in INT_FIELDS:
@@ -572,7 +603,7 @@ def test_train_negative_seed_exits_2_before_any_work(tmp_path, capsys, monkeypat
     out_dir = tmp_path / "never"
     code, _, stderr = run_cli(["train", "--config", config, "--out-dir", out_dir], capsys)
     assert code == 2
-    assert f"{section} seed must be >= 0, got -1" in stderr
+    assert f"{section}.seed must be >= 0, got -1" in stderr
     assert not out_dir.exists()
 
 

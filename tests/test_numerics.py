@@ -198,34 +198,50 @@ def _config_site(cls, name):
 TC, SC = _tiny_configs()
 BATCHES = _cluster_batches()
 EYE = np.eye(3)
-# Every call site of numerics._scalar: (call taking the value, the message's
-# start, whether it takes an integer, an accepted value).
+
+
+def _config_beyond(f):
+    """A value just outside the closed range a config field declares, and the
+    range as the refusal states it; None for a field that declares none."""
+    low, high = f.metadata.get("low"), f.metadata.get("high")
+    if low is None and high is None:
+        return None
+    if high is None:
+        return low - 1, f">= {low}"
+    return high + 1, f"<= {high}" if low is None else f"in [{low}, {high}]"
+
+
+# Every call site of numerics._scalar: (call taking the value, the name its
+# messages start with, whether it takes an integer, an accepted value, and a
+# value outside its closed range with that range as the refusal states it, or
+# None where it has no closed range).
 SCALAR_SITES = {
-    **{f"{cls.__name__}.{f.name}": (_config_site(cls, f.name),
-                                    f"{f.name} must be {'an integer' if f.type == 'int' else 'a number'}",
-                                    f.type == "int", getattr(cls(), f.name))
+    **{f"{cls.__name__}.{f.name}": (_config_site(cls, f.name), f.name, f.type == "int",
+                                    getattr(cls(), f.name), _config_beyond(f))
        for cls in (gl.SynthConfig, gl.TrainConfig, gl.CurriculumConfig)
        for f in fields(cls) if f.type in ("int", "float")},
-    "scheduler_new": (lambda x: gl.scheduler_new(gl.CurriculumConfig(), x),
-                      "steps_per_epoch must be an integer >= 1", True, 12),
-    "recall_at_k": (lambda x: gl.recall_at_k(EYE, EYE, x), "k must be an integer", True, 2),
-    "joint_clustering_eval": (lambda x: gl.joint_clustering_eval(*BATCHES, seed=x),
-                              "seed must be an integer >= 0", True, 3),
-    "run_sweep.seeds": (lambda x: gl.run_sweep(TC, SC, [0.5], [x], max_workers=1),
-                        "seeds must be an integer", True, 1),
-    "run_sweep.max_workers": (lambda x: gl.run_sweep(TC, SC, [0.5], [0], max_workers=x),
-                              "max_workers must be an integer >= 1", True, 1),
-    "run_sweep.alphas": (lambda x: gl.run_sweep(TC, SC, [x], [0], max_workers=1),
-                         "alphas must be a number", False, 0.5),
-    "train.alpha": (lambda x: gl.train(TC, SC, alpha=x), "alpha must be a number", False, 0.5),
-    "cma_loss.alpha": (lambda x: gl.cma_loss(EYE, EYE, TEMP, x), "alpha must be a number", False, 0.5),
-    "reweighted_loss.beta": (lambda x: gl.reweighted_loss(EYE, EYE, TEMP, x),
-                             "beta must be a number", False, 0.025),
-    "finite_diff_check.h": (lambda x: gl.finite_diff_check(gl.clip_loss, EYE, EYE, TEMP, h=x),
-                            "h must be a number", False, 1e-5),
-    "Temperature.log_scale": (gl.Temperature, "log_scale must be a number", False, 1.0),
+    "scheduler_new": (lambda x: gl.scheduler_new(gl.CurriculumConfig(), x), "steps_per_epoch", True, 12,
+                      (0, ">= 1")),
+    "phase_of": (lambda x: gl.phase_of(gl.scheduler_new(gl.CurriculumConfig(), 4), x), "global_step", True, 11,
+                 (40, "in [0, 39]")),
+    "recall_at_k": (lambda x: gl.recall_at_k(EYE, EYE, x), "k", True, 2, (0, ">= 1")),
+    "joint_clustering_eval": (lambda x: gl.joint_clustering_eval(*BATCHES, seed=x), "seed", True, 3,
+                              (-1, ">= 0")),
+    "run_sweep.seeds": (lambda x: gl.run_sweep(TC, SC, [0.5], [x], max_workers=1), "seeds", True, 1,
+                        (-1, ">= 0")),
+    "run_sweep.max_workers": (lambda x: gl.run_sweep(TC, SC, [0.5], [0], max_workers=x), "max_workers", True, 1,
+                              (0, ">= 1")),
+    "run_sweep.alphas": (lambda x: gl.run_sweep(TC, SC, [x], [0], max_workers=1), "alphas", False, 0.5,
+                         (1.5, "in [0, 1]")),
+    "train.alpha": (lambda x: gl.train(TC, SC, alpha=x), "alpha", False, 0.5, (-0.5, "in [0, 1]")),
+    "cma_loss.alpha": (lambda x: gl.cma_loss(EYE, EYE, TEMP, x), "alpha", False, 0.5, (1.5, "in [0, 1]")),
+    "reweighted_loss.beta": (lambda x: gl.reweighted_loss(EYE, EYE, TEMP, x), "beta", False, 0.025,
+                             (0.06, "in [0, 0.05]")),
+    "finite_diff_check.h": (lambda x: gl.finite_diff_check(gl.clip_loss, EYE, EYE, TEMP, h=x), "h", False, 1e-5,
+                            (1e-2, "in [1e-07, 0.001]")),
+    "Temperature.log_scale": (gl.Temperature, "log_scale", False, 1.0, (5.0, f"<= {gl.LOG_SCALE_MAX}")),
     "scheduler_step": (lambda x: gl.scheduler_step(gl.scheduler_new(gl.CurriculumConfig(), 4), x),
-                       "observed loss must be a number >= 0", False, 0.7),
+                       "observed loss", False, 0.7, (-0.5, ">= 0")),
 }
 
 
@@ -252,16 +268,22 @@ def spy_on_work(monkeypatch) -> list:
 
 @pytest.mark.parametrize("site", list(SCALAR_SITES))
 def test_every_scalar_argument_goes_through_the_one_rule(site, monkeypatch):
-    call, start, integer, good = SCALAR_SITES[site]
+    call, name, integer, good, beyond = SCALAR_SITES[site]
     work = spy_on_work(monkeypatch)
     refused = (True, np.bool_(True), "1") + ((1.5,) if integer else ())
     for bad in refused:
-        with pytest.raises(ValueError, match=f"^{re.escape(start)}, got {re.escape(repr(bad))}$"):
+        noun = "an integer" if integer else "a number"
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be {noun}, got {re.escape(repr(bad))}$"):
             call(bad)
     # beyond the float64 range; a float32 is compared in float64, without a warning
     for big in (10**400,) if integer else (np.float32(np.inf), Fraction(10**400)):
-        with pytest.raises(ValueError, match=f"^{re.escape(start.split(' must ')[0])} must be finite, got "):
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be finite, got "):
             call(big)
+    if beyond is not None:  # the range refusal states the range and the value as checked
+        bad, bound = beyond
+        got = repr(int(bad) if integer else float(bad))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be {bound}, got {got}')}$"):
+            call(bad)
     assert work == []  # refused before any work
     for value in (good, np.int64(good)) if integer else (good, np.float32(good)):
         call(value)

@@ -75,7 +75,7 @@ def test_synth_config_validation():
     assert gl.SynthConfig(train_fraction=0.999).n_train == 1998
     with pytest.raises(ValueError, match="fewer than 2 eval rows"):
         gl.SynthConfig(train_fraction=0.9995).n_train
-    with pytest.raises(ValueError, match="synth seed must be >= 0, got -1"):
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
         small_synth(seed=-1)
     # each count fits in a float64, their product does not
     huge = gl.SynthConfig(n_classes=10**200, samples_per_class=10**200)
@@ -542,7 +542,7 @@ def test_train_config_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="^adam_eps must be finite, got "):
             small_train(adam_eps=bad)
-    with pytest.raises(ValueError, match="train seed must be >= 0, got -1"):
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
         small_train(seed=-1)
 
 
