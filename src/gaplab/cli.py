@@ -38,7 +38,7 @@ def _atomic_write_text(path, text: str) -> None:
 def _build_config(cls, data: dict, where: str):
     """cls(**data) after checking each key against the field names of cls, with
     each JSON object of a nested config field built the same way first; an
-    error that starts with a key's name is prefixed with the section, where."""
+    error that building cls raises is prefixed with the section, where."""
     factories = {f.name: f.default_factory for f in dataclasses.fields(cls)}
     unknown = sorted(set(data) - set(factories))
     if unknown:
@@ -49,9 +49,7 @@ def _build_config(cls, data: dict, where: str):
     try:
         return cls(**data)
     except ValueError as exc:
-        if str(exc).split(" ", 1)[0] in data:
-            raise ValueError(f"{where}.{exc}") from None
-        raise
+        raise ValueError(f"{where}.{exc}") from None
 
 
 def load_run_config(path) -> tuple[TrainConfig, SynthConfig]:

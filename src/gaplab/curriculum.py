@@ -49,16 +49,13 @@ class CurriculumConfig:
     ramp_epochs: int = field(default=5, metadata={"low": 0})
     stabilize_epochs: int = field(default=2, metadata={"low": 0})
     alpha_target: float = field(default=0.5, metadata={"low": 0, "high": 1})
-    ema_slow_decay: float = 0.99
-    ema_fast_decay: float = 0.9
+    ema_slow_decay: float = field(default=0.99, metadata={"above": 0, "below": 1})
+    ema_fast_decay: float = field(default=0.9, metadata={"above": 0, "below": 1})
 
     def __post_init__(self):
         _check_fields(self)
         if self.anchor_epochs + self.ramp_epochs + self.stabilize_epochs < 1:
             raise ValueError("anchor_epochs + ramp_epochs + stabilize_epochs must be >= 1, got 0")
-        for name, value in (("ema_slow_decay", self.ema_slow_decay), ("ema_fast_decay", self.ema_fast_decay)):
-            if not 0.0 < value < 1.0:
-                raise ValueError(f"{name} must be in (0, 1), got {value}")
         if self.ema_fast_decay >= self.ema_slow_decay:
             raise ValueError("ema_fast_decay must be smaller than ema_slow_decay")
 

@@ -1,7 +1,7 @@
 """Dense float64 building blocks shared by every other module.
 
 Everything here is a pure function of its inputs: input validation (also the
-scalar rule, type and closed bounds, of every argument and config field), the
+scalar rule, type and bounds, of every argument and config field), the
 float64 range rule and row normalization.
 The losses and recall_at_k build their similarity products with BLAS; the
 einsum similarity and row cross-entropy oracles live in the tests.
@@ -77,20 +77,28 @@ def _checked_labels(labels, n: int) -> np.ndarray | None:
     return labels.astype(np.int64)
 
 
-def _scalar(value, name: str, integer: bool = False, low=None, high=None):
+def _scalar(value, name: str, integer: bool = False, low=None, high=None, above=None, below=None):
     """value as an int (integer: any integer but a bool, NumPy's too) or a float
-    (any real number but a bool) within the float64 range and the closed bounds
-    low and high where given, or a ValueError that names it: the one rule, type
-    and range, of every scalar argument and config field. The value is checked
-    against a bound after the cast; a refusal prints the bound as passed."""
+    (any real number but a bool) within the float64 range, the closed bounds
+    low and high and the open bounds above and below where given, or a
+    ValueError that names it: the one rule, type and range, of every scalar
+    argument and config field. The value is checked against a bound after the
+    cast; a refusal prints the bounds as passed."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real):
         raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
     number = value.item() if isinstance(value, np.generic) else value  # a NumPy scalar as Python's
     if not abs(number) <= sys.float_info.max:  # exact for integers and fractions of any size
         raise ValueError(f"{name} must be finite, got {value!r}")
     number = int(number) if integer else float(number)
-    if low is not None and number < low or high is not None and number > high:
-        bound = f">= {low}" if high is None else f"<= {high}" if low is None else f"in [{low}, {high}]"
+    if (low is not None and number < low or above is not None and number <= above
+            or high is not None and number > high or below is not None and number >= below):
+        lower = (">=", "[", low) if above is None else (">", "(", above)
+        upper = ("<=", "]", high) if below is None else ("<", ")", below)
+        if lower[2] is None or upper[2] is None:  # one end: ">= low", "> above", "<= high" or "< below"
+            op, _, end = upper if lower[2] is None else lower
+            bound = f"{op} {end}"
+        else:
+            bound = f"in {lower[1]}{lower[2]}, {upper[2]}{upper[1]}"
         raise ValueError(f"{name} must be {bound}, got {number!r}")
     return number
 
@@ -98,8 +106,9 @@ def _scalar(value, name: str, integer: bool = False, low=None, high=None):
 def _check_fields(config) -> None:
     """The type and range rule that each config dataclass's __post_init__ runs
     first: an int or float field holds what _scalar returns for it, within the
-    closed bounds its metadata declares ({"low": ..., "high": ...}); a field
-    whose default factory is a config class holds an instance of that class."""
+    bounds its metadata declares ({"low": ..., "high": ...} closed, {"above":
+    ..., "below": ...} open); a field whose default factory is a config class
+    holds an instance of that class."""
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
         if f.type in (int, "int", float, "float"):

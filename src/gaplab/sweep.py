@@ -159,7 +159,7 @@ def run_sweep(train_cfg: TrainConfig, synth_cfg: SynthConfig, alphas, seeds,
                    else _scalar(max_workers, "max_workers", integer=True, low=1))
     if not alphas or not seeds:
         raise ValueError("need at least one alpha and one seed")
-    _Run(train_cfg, synth_cfg)  # a bad batch size or split, or arrays too large to allocate
+    _Run(train_cfg, synth_cfg)  # a bad batch size, or arrays too large to allocate
     for s in seeds:
         synth_dataset(replace(synth_cfg, seed=s))  # ValueError if a view is not finite
     max_workers = min(max_workers, len(alphas) * len(seeds))

@@ -53,13 +53,17 @@ class SynthConfig:
     image_input_dim: int = field(default=32, metadata={"low": 1})
     text_input_dim: int = field(default=24, metadata={"low": 1})
     noise_sigma: float = field(default=0.1, metadata={"low": 0})
-    train_fraction: float = 0.8
+    train_fraction: float = field(default=0.8, metadata={"above": 0, "below": 1})
     seed: int = field(default=0, metadata={"low": 0})
 
     def __post_init__(self):
         _check_fields(self)
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+        try:
+            n_train = self.n_train
+        except OverflowError:  # the product is beyond the float64 range
+            raise ValueError("n_classes * samples_per_class is too large") from None
+        if n_train < 1 or self.n_samples - n_train < 2:  # one eval row always centers to zero
+            raise ValueError("train_fraction leaves an empty train split or fewer than 2 eval rows")
 
     @property
     def n_samples(self) -> int:
@@ -68,13 +72,7 @@ class SynthConfig:
     @property
     def n_train(self) -> int:
         """Rows in the train split; the other n_samples - n_train rows, at least 2, are the eval split."""
-        try:
-            n_train = int(self.n_samples * self.train_fraction)
-        except OverflowError:  # the product is beyond the float64 range
-            raise ValueError("n_classes * samples_per_class is too large") from None
-        if n_train < 1 or self.n_samples - n_train < 2:  # one eval row always centers to zero
-            raise ValueError("train_fraction leaves an empty train split or fewer than 2 eval rows")
-        return n_train
+        return int(self.n_samples * self.train_fraction)
 
 
 @dataclass
@@ -213,10 +211,10 @@ def _adam(flat, grad, m, v, step: int, lr: float, betas: tuple, eps: float) -> N
 class TrainConfig:
     curriculum: CurriculumConfig = field(default_factory=CurriculumConfig)
     batch_size: int = field(default=128, metadata={"low": 2})  # contrastive losses degenerate at 1
-    learning_rate: float = 1e-3
-    adam_beta1: float = field(default=0.9, metadata={"low": 0})
-    adam_beta2: float = field(default=0.999, metadata={"low": 0})
-    adam_eps: float = 1e-8
+    learning_rate: float = field(default=1e-3, metadata={"above": 0})
+    adam_beta1: float = field(default=0.9, metadata={"low": 0, "below": 1})
+    adam_beta2: float = field(default=0.999, metadata={"low": 0, "below": 1})
+    adam_eps: float = field(default=1e-8, metadata={"above": 0})
     hidden_dim: int = field(default=64, metadata={"low": 1})
     embed_dim: int = field(default=16, metadata={"low": 1})
     init_log_scale: float = field(default=DEFAULT_LOG_SCALE, metadata={"high": LOG_SCALE_MAX})
@@ -224,12 +222,6 @@ class TrainConfig:
 
     def __post_init__(self):
         _check_fields(self)
-        for name, value in (("learning_rate", self.learning_rate), ("adam_eps", self.adam_eps)):
-            if value <= 0.0:
-                raise ValueError(f"{name} must be > 0, got {value}")
-        for name, value in (("adam_beta1", self.adam_beta1), ("adam_beta2", self.adam_beta2)):
-            if value >= 1.0:
-                raise ValueError(f"{name} must be < 1, got {value}")
 
     @property
     def epochs(self) -> int:
@@ -493,8 +485,9 @@ def train(train_cfg: TrainConfig, synth_cfg: SynthConfig, alpha: float | None = 
     two runs with equal seeds see the same data, initialization, and batch
     order.
 
-    Every check comes before the first step: ValueError for a bad batch size,
-    split or synthetic view, MemoryError for arrays too large to allocate.
+    Every check comes before the first step (the configs checked theirs when
+    built): ValueError for a bad batch size or synthetic view, MemoryError for
+    arrays too large to allocate.
     """
     run = _Run(train_cfg, synth_cfg, alpha)
     run.advance(synth_dataset(synth_cfg), train_cfg.epochs)

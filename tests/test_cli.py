@@ -902,20 +902,24 @@ def test_unallocatable_config_exits_2_and_writes_nothing(tmp_path, capsys, monke
 
 
 def test_a_split_with_one_eval_row_exits_2_before_any_step(tmp_path, capsys, monkeypatch):
-    # 1,999 train rows and 1 eval row, which centering always zeroes
     monkeypatch.setattr(gl.trainkit._Run, "step", lambda *args: pytest.fail("a step ran"))
-    path = tmp_path / "split.json"
-    path.write_text(json.dumps({"synth": {"train_fraction": 0.9995}}))
-    message = "error: train_fraction leaves an empty train split or fewer than 2 eval rows\n"
-    out_dir = tmp_path / "never"
-    assert run_cli(["train", "--config", path, "--out-dir", out_dir], capsys) == (2, "", message)
-    assert not out_dir.exists()
-    for workers in ("1", "2"):
-        monkeypatch.setenv("GAPLAB_THREADS", workers)
-        out = tmp_path / "s.csv"
-        assert run_cli(["sweep", "--config", path, "--alphas", "0.5", "--seeds", "0,1",
-                        "--out", out], capsys) == (2, "", message)
-        assert not out.exists()
+    split = "synth.train_fraction leaves an empty train split or fewer than 2 eval rows"
+    for config, message in (
+        ({"synth": {"train_fraction": 0.9995}}, split),  # 1,999 train rows and 1 eval row, which centering zeroes
+        ({"synth": {"n_classes": 2, "samples_per_class": 2, "train_fraction": 0.9}}, split),
+        # a cross-field rule names its section though the field it starts with was not written
+        ({"train": {"curriculum": {"ema_slow_decay": 0.5}}},
+         "train.curriculum.ema_fast_decay must be smaller than ema_slow_decay"),
+    ):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out_dir = tmp_path / "never"
+        assert run_cli(["train", "--config", path, "--out-dir", out_dir], capsys) == (2, "", f"error: {message}\n")
+        for workers in ("1", "2"):
+            monkeypatch.setenv("GAPLAB_THREADS", workers)
+            assert run_cli(["sweep", "--config", path, "--alphas", "0.5", "--seeds", "0,1",
+                            "--out", tmp_path / "s.csv"], capsys) == (2, "", f"error: {message}\n")
+        assert sorted(os.listdir(tmp_path)) == ["config.json"]
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

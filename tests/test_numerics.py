@@ -200,48 +200,54 @@ BATCHES = _cluster_batches()
 EYE = np.eye(3)
 
 
-def _config_beyond(f):
-    """A value just outside the closed range a config field declares, and the
-    range as the refusal states it; None for a field that declares none."""
-    low, high = f.metadata.get("low"), f.metadata.get("high")
-    if low is None and high is None:
-        return None
-    if high is None:
-        return low - 1, f">= {low}"
-    return high + 1, f"<= {high}" if low is None else f"in [{low}, {high}]"
+def _config_beyond(f, integer):
+    """For each end a config field declares, the nearest value it refuses (the
+    end itself if open, the next integer or float past it if closed) and the
+    bounds as the refusal states them."""
+    meta, ends = f.metadata, []
+    lower = ("low", "[", ">=") if "low" in meta else ("above", "(", ">") if "above" in meta else None
+    upper = ("high", "]", "<=") if "high" in meta else ("below", ")", "<") if "below" in meta else None
+    bound = (f"in {lower[1]}{meta[lower[0]]}, {meta[upper[0]]}{upper[1]}" if lower and upper
+             else f"{(lower or upper)[2]} {meta[(lower or upper)[0]]}" if lower or upper else None)
+    for end, direction in ((lower, -1), (upper, 1)):
+        if end is not None:
+            value = meta[end[0]]
+            if end[0] in ("low", "high"):
+                value = value + direction if integer else np.nextafter(value, direction * np.inf)
+            ends.append((value, bound))
+    return ends
 
 
 # Every call site of numerics._scalar: (call taking the value, the name its
-# messages start with, whether it takes an integer, an accepted value, and a
-# value outside its closed range with that range as the refusal states it, or
-# None where it has no closed range).
+# messages start with, whether it takes an integer, an accepted value, and
+# values outside its bounds, each with the bounds as the refusal states them).
 SCALAR_SITES = {
     **{f"{cls.__name__}.{f.name}": (_config_site(cls, f.name), f.name, f.type == "int",
-                                    getattr(cls(), f.name), _config_beyond(f))
+                                    getattr(cls(), f.name), _config_beyond(f, f.type == "int"))
        for cls in (gl.SynthConfig, gl.TrainConfig, gl.CurriculumConfig)
        for f in fields(cls) if f.type in ("int", "float")},
     "scheduler_new": (lambda x: gl.scheduler_new(gl.CurriculumConfig(), x), "steps_per_epoch", True, 12,
-                      (0, ">= 1")),
+                      [(0, ">= 1")]),
     "phase_of": (lambda x: gl.phase_of(gl.scheduler_new(gl.CurriculumConfig(), 4), x), "global_step", True, 11,
-                 (40, "in [0, 39]")),
-    "recall_at_k": (lambda x: gl.recall_at_k(EYE, EYE, x), "k", True, 2, (0, ">= 1")),
+                 [(40, "in [0, 39]")]),
+    "recall_at_k": (lambda x: gl.recall_at_k(EYE, EYE, x), "k", True, 2, [(0, ">= 1")]),
     "joint_clustering_eval": (lambda x: gl.joint_clustering_eval(*BATCHES, seed=x), "seed", True, 3,
-                              (-1, ">= 0")),
+                              [(-1, ">= 0")]),
     "run_sweep.seeds": (lambda x: gl.run_sweep(TC, SC, [0.5], [x], max_workers=1), "seeds", True, 1,
-                        (-1, ">= 0")),
+                        [(-1, ">= 0")]),
     "run_sweep.max_workers": (lambda x: gl.run_sweep(TC, SC, [0.5], [0], max_workers=x), "max_workers", True, 1,
-                              (0, ">= 1")),
+                              [(0, ">= 1")]),
     "run_sweep.alphas": (lambda x: gl.run_sweep(TC, SC, [x], [0], max_workers=1), "alphas", False, 0.5,
-                         (1.5, "in [0, 1]")),
-    "train.alpha": (lambda x: gl.train(TC, SC, alpha=x), "alpha", False, 0.5, (-0.5, "in [0, 1]")),
-    "cma_loss.alpha": (lambda x: gl.cma_loss(EYE, EYE, TEMP, x), "alpha", False, 0.5, (1.5, "in [0, 1]")),
+                         [(1.5, "in [0, 1]")]),
+    "train.alpha": (lambda x: gl.train(TC, SC, alpha=x), "alpha", False, 0.5, [(-0.5, "in [0, 1]")]),
+    "cma_loss.alpha": (lambda x: gl.cma_loss(EYE, EYE, TEMP, x), "alpha", False, 0.5, [(1.5, "in [0, 1]")]),
     "reweighted_loss.beta": (lambda x: gl.reweighted_loss(EYE, EYE, TEMP, x), "beta", False, 0.025,
-                             (0.06, "in [0, 0.05]")),
+                             [(0.06, "in [0, 0.05]")]),
     "finite_diff_check.h": (lambda x: gl.finite_diff_check(gl.clip_loss, EYE, EYE, TEMP, h=x), "h", False, 1e-5,
-                            (1e-2, "in [1e-07, 0.001]")),
-    "Temperature.log_scale": (gl.Temperature, "log_scale", False, 1.0, (5.0, f"<= {gl.LOG_SCALE_MAX}")),
+                            [(1e-2, "in [1e-07, 0.001]")]),
+    "Temperature.log_scale": (gl.Temperature, "log_scale", False, 1.0, [(5.0, f"<= {gl.LOG_SCALE_MAX}")]),
     "scheduler_step": (lambda x: gl.scheduler_step(gl.scheduler_new(gl.CurriculumConfig(), 4), x),
-                       "observed loss", False, 0.7, (-0.5, ">= 0")),
+                       "observed loss", False, 0.7, [(-0.5, ">= 0")]),
 }
 
 
@@ -279,8 +285,7 @@ def test_every_scalar_argument_goes_through_the_one_rule(site, monkeypatch):
     for big in (10**400,) if integer else (np.float32(np.inf), Fraction(10**400)):
         with pytest.raises(ValueError, match=f"^{re.escape(name)} must be finite, got "):
             call(big)
-    if beyond is not None:  # the range refusal states the range and the value as checked
-        bad, bound = beyond
+    for bad, bound in beyond:  # the range refusal states the bounds and the value as checked
         got = repr(int(bad) if integer else float(bad))
         with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be {bound}, got {got}')}$"):
             call(bad)

@@ -74,13 +74,12 @@ def test_synth_config_validation():
     # one eval row always centers to zero; two are the fewest a gap report reads
     assert gl.SynthConfig(train_fraction=0.999).n_train == 1998
     with pytest.raises(ValueError, match="fewer than 2 eval rows"):
-        gl.SynthConfig(train_fraction=0.9995).n_train
+        gl.SynthConfig(train_fraction=0.9995)
     with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
         small_synth(seed=-1)
     # each count fits in a float64, their product does not
-    huge = gl.SynthConfig(n_classes=10**200, samples_per_class=10**200)
     with pytest.raises(ValueError, match="n_classes \\* samples_per_class is too large"):
-        huge.n_train
+        gl.SynthConfig(n_classes=10**200, samples_per_class=10**200)
 
 
 CONFIG_FIELDS = [(cls, f.name, f.type) for cls in (gl.SynthConfig, gl.TrainConfig, gl.CurriculumConfig)
