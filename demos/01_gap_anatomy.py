@@ -30,8 +30,7 @@ def main():
     images = base
     texts, _ = gl.l2_normalize_rows(base + offset)
 
-    report = gl.gap_report(
-        gl.EmbeddingBatch(images), gl.EmbeddingBatch(texts, modality="text"))
+    report = gl.gap_report(images, texts)
     raw, dist = report.raw_gap, report.distribution_gap
     print("same cloud, shoved 0.9 along axis 0 and re-normalized:")
     print(f"  raw_gap           {raw:8.4f}   (1 - mean paired dot)")

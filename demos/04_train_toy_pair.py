@@ -42,12 +42,14 @@ def main():
     print()
 
     # ---- final numbers on the held-out split, as the last epoch encoded it ----
-    images, texts = history.eval_batches
+    vi, vt, labels = history.eval_pair
+    i2t1, t2i1 = gl.recall_at_k(vi, vt, 1)
+    i2t5, t2i5 = gl.recall_at_k(vi, vt, 5)
+    # clustering and the probe read labels: they take labelled batches
+    images, texts = gl.EmbeddingBatch(vi, labels), gl.EmbeddingBatch(vt, labels, modality="text")
     cluster = gl.joint_clustering_eval(images, texts, seed=3)
-    i2t1, t2i1 = gl.recall_at_k(images.vectors, texts.vectors, 1)
-    i2t5, t2i5 = gl.recall_at_k(images.vectors, texts.vectors, 5)
     probe = gl.interchangeability_probe(texts, images)
-    print(f"eval split ({len(images.vectors)} pairs):")
+    print(f"eval split ({len(vi)} pairs):")
     print(f"  joint clustering   ARI {cluster.ari:.3f}, V-measure {cluster.v_measure:.3f}")
     print(f"  retrieval R@1      i2t {i2t1:.3f}, t2i {t2i1:.3f}")
     print(f"  retrieval R@5      i2t {i2t5:.3f}, t2i {t2i5:.3f}")
@@ -57,12 +59,12 @@ def main():
     # ---- embeddings survive the binary container ----
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "eval_images.emb"
-        gl.write_embeddings(path, images.vectors, images.labels)
-        back, labels = gl.read_embeddings(path)
+        gl.write_embeddings(path, vi, labels)
+        back, back_labels = gl.read_embeddings(path)
         print(f"wrote {path.name}: {path.stat().st_size} bytes, "
-              f"shape {back.shape}, labels intact: {(labels == images.labels).all()}")
+              f"shape {back.shape}, labels intact: {(back_labels == labels).all()}")
         print(f"float32 round-trip max error: "
-              f"{abs(back - images.vectors).max():.1e}")
+              f"{abs(back - vi).max():.1e}")
 
 
 if __name__ == "__main__":

@@ -138,8 +138,9 @@ def cmd_train(args) -> int:
         os.makedirs(args.out_dir, exist_ok=True)
         encoders, temp, history = train(train_cfg, synth_cfg)
         _atomic_write_text(os.path.join(args.out_dir, "history.jsonl"), history.to_jsonl())
-        for name, batch, enc in zip(("image", "text"), history.eval_batches, encoders):
-            write_embeddings(os.path.join(args.out_dir, f"eval_{name}s.emb"), batch.vectors, batch.labels)
+        *pair, labels = history.eval_pair
+        for name, m, enc in zip(("image", "text"), pair, encoders):
+            write_embeddings(os.path.join(args.out_dir, f"eval_{name}s.emb"), m, labels)
             _write_checkpoint(args.out_dir, name, enc)
         _atomic_write_text(
             os.path.join(args.out_dir, "temperature.json"),

@@ -1,4 +1,4 @@
-"""Gap decomposition and spectral diagnostics for paired embedding batches.
+"""Gap decomposition and spectral diagnostics for paired embedding matrices.
 
 One call, gap_report, splits the raw paired-cosine gap into the distance
 between the two modality centroids and the residual "shape" gap left after
@@ -34,7 +34,8 @@ _MODALITIES = ("image", "text")
 
 @dataclass
 class EmbeddingBatch:
-    """One modality's embeddings: an N x d matrix plus optional integer class labels."""
+    """One modality's embeddings: an N x d matrix plus optional integer class labels,
+    the labelled input of joint_clustering_eval and interchangeability_probe."""
 
     vectors: np.ndarray
     labels: np.ndarray | None = None
@@ -57,7 +58,7 @@ class EmbeddingBatch:
 
 @dataclass
 class GapReport:
-    """All gap and rank diagnostics for one paired batch, as gap_report fills it.
+    """All gap and rank diagnostics for one image/text pair, as gap_report fills it.
 
     raw_gap is 1 minus the mean paired dot product (the cosine for unit rows;
     nothing is renormalized); centroid_gap is the distance between the two
@@ -90,12 +91,6 @@ class GapReport:
             f"raw_gap={self.raw_gap:.6f} centroid_gap={self.centroid_gap:.6f} "
             f"distribution_gap={self.distribution_gap:.6f} fusion_index={self.fusion_index:.6f}"
         )
-
-
-def _paired(images, texts) -> tuple[np.ndarray, np.ndarray, float]:
-    """(V, T, largest |entry| of either) of batches or arrays, through the pair check."""
-    v, t, *top = _paired_inputs(*(b.vectors if isinstance(b, EmbeddingBatch) else b for b in (images, texts)))
-    return v, t, max(top)
 
 
 def _raw_gap(v: np.ndarray, t: np.ndarray) -> float:
@@ -134,8 +129,9 @@ def _center_into(m: np.ndarray, out: np.ndarray, renormalize: bool) -> np.ndarra
     return out
 
 
-def mean_center(images, texts, renormalize: bool = False) -> tuple[EmbeddingBatch, EmbeddingBatch]:
-    """Shift each modality by -(its own centroid); optionally re-normalize rows.
+def mean_center(v, t, renormalize: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """New float64 (V, T): each shifted by -(its own centroid), rows optionally
+    re-normalized; the inputs are left alone.
 
     The default is a pure translation, which zeroes the centroid gap while
     preserving the distribution gap exactly; renormalization re-projects rows
@@ -143,14 +139,12 @@ def mean_center(images, texts, renormalize: bool = False) -> tuple[EmbeddingBatc
     any work, covers the column sums (n entries) and, to renormalize, each
     centered row's squared norm (d squares of entries up to twice the largest).
     """
-    v, t, top = _paired(images, texts)
+    v, t, *top = _paired_inputs(v, t)
+    top = max(top)
     _check_products(v.shape[0], top, 1.0, "the batches")
     if renormalize:
         _check_products(4 * v.shape[1], top, top, "the batches")
-    # a batch keeps its labels and modality; an array gets no labels and its side's modality
-    return tuple(EmbeddingBatch(_center_into(m, np.empty_like(m), renormalize),
-                                getattr(b, "labels", None), getattr(b, "modality", modality))
-                 for m, b, modality in ((v, images, "image"), (t, texts, "text")))
+    return _center_into(v, np.empty_like(v), renormalize), _center_into(t, np.empty_like(t), renormalize)
 
 
 def _gram_sv(gram: np.ndarray) -> np.ndarray | None:
@@ -226,15 +220,16 @@ def _fusion(er_v: float, er_t: float, er_joint: float) -> float:
     return er_joint / (0.5 * (er_v + er_t))
 
 
-def gap_report(images, texts) -> GapReport:
-    """Compute every gap and rank diagnostic for one paired batch.
+def gap_report(v, t) -> GapReport:
+    """Compute every gap and rank diagnostic for the paired rows of V and T.
 
     The inputs are validated once; each modality mean is taken once. Inputs
     whose float64 sums of products could overflow, or products underflow,
     are rejected before any work: 4 n d products of the largest entry squared
     bound every sum here (the joint Gram's trace, a centered row's norm, a column sum).
     """
-    v, t, top = _paired(images, texts)
+    v, t, *top = _paired_inputs(v, t)
+    top = max(top)
     _check_products(4 * v.size, top, top, "the batches")
     mean_v = v.mean(axis=0)
     mean_t = t.mean(axis=0)

@@ -36,6 +36,7 @@ from .evalkit import (
     joint_clustering_eval,
     recall_at_k,
 )
+from .geometry import EmbeddingBatch
 from .numerics import _scalar
 from .trainkit import SynthConfig, TrainConfig, _blas_threads, _one_blas_thread, _Run, synth_dataset, train
 
@@ -82,14 +83,16 @@ def run_single(train_cfg: TrainConfig, synth_cfg: SynthConfig, alpha_target: flo
     )
     sc = replace(synth_cfg, seed=seed)
     _, _, history = train(tc, sc, alpha=None if scheduled else alpha_target)
-    return _record(history.eval_batches, history[-1].gap, tc.curriculum.alpha_target, tc.seed)
+    return _record(history.eval_pair, history[-1].gap, tc.curriculum.alpha_target, tc.seed)
 
 
-def _record(eval_batches, report, alpha_target: float, seed: int) -> SweepRecord:
-    """Every sweep metric of a trained run's last eval encode and gap report."""
-    images, texts = eval_batches
+def _record(eval_pair, report, alpha_target: float, seed: int) -> SweepRecord:
+    """Every sweep metric of a trained run's eval_pair and last gap report."""
+    vi, vt, labels = eval_pair
+    images = EmbeddingBatch(vi, labels)
+    texts = EmbeddingBatch(vt, labels, "text")
     cluster = joint_clustering_eval(images, texts, seed=seed)
-    i2t, t2i = recall_at_k(images.vectors, texts.vectors, 1)
+    i2t, t2i = recall_at_k(vi, vt, 1)
     probe = interchangeability_probe(texts, images)
     gaps = {f.name: getattr(report, f.name) for f in fields(report) if f.name in SWEEP_FIELDS}
     return SweepRecord(alpha_target=alpha_target, ari=cluster.ari, v_measure=cluster.v_measure,
@@ -122,7 +125,7 @@ def _cell(run: _Run, synth_cfg: SynthConfig, alpha_target: float, seed: int) -> 
     branch = run.fork(alpha_target)
     branch.advance(synth_dataset(replace(synth_cfg, seed=seed)), run.train_cfg.epochs,
                    final_report_only=True)
-    return _record(branch.eval_batches, branch.records[-1].gap, alpha_target, seed)
+    return _record(branch.eval_pair, branch.records[-1].gap, alpha_target, seed)
 
 
 def _save_anchor(path: str, *args) -> None:

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .curriculum import CurriculumConfig, scheduler_new, scheduler_step
-from .geometry import EmbeddingBatch, GapReport, gap_report
+from .geometry import GapReport, gap_report
 from .losses import DEFAULT_LOG_SCALE, LOG_SCALE_MAX, LossOutput, Temperature, _cma
 from .numerics import _check_fields, _normalize_rows, _scalar, as_matrix
 
@@ -243,7 +243,7 @@ class EpochRecord:
 @dataclass
 class RunHistory:
     records: list
-    eval_batches: tuple  # (image, text) EmbeddingBatch pair of the last epoch's eval encode
+    eval_pair: tuple  # (images, texts, labels) of the last epoch's eval encode
 
     def to_jsonl(self) -> str:
         return "".join(json.dumps(asdict(r)) + "\n" for r in self.records)
@@ -336,7 +336,7 @@ class _Run:
     encoder (shapes lists them in order), then log_scale. The gradient (viewed
     per encoder by grads) and the Adam moments share it. The run also owns its
     scheduler (None when alpha is pinned), batch-order generator, alpha, records
-    and last eval batches. advance trains epochs on validated data; fork copies it."""
+    and last eval encode. advance trains epochs on validated data; fork copies it."""
 
     def __init__(self, train_cfg: TrainConfig, synth_cfg: SynthConfig, alpha: float | None = None):
         self.train_cfg = train_cfg
@@ -362,7 +362,7 @@ class _Run:
         else:
             self.scheduler, self.alpha = None, _scalar(alpha, "alpha", low=0, high=1)
         self.records: list = []
-        self.eval_batches = None
+        self.eval_pair = None
 
     def _bind(self) -> None:
         """Make both encoders view flat, and their gradients (grads) view grad."""
@@ -455,9 +455,8 @@ class _Run:
             if not final_report_only or epoch == self.train_cfg.epochs - 1:
                 vi, _ = self.encode(0, images[data.eval_idx], epoch, alpha_used)
                 vt, _ = self.encode(1, texts[data.eval_idx], epoch, alpha_used)
-                self.eval_batches = (EmbeddingBatch(vi, labels=eval_labels, modality="image"),
-                                     EmbeddingBatch(vt, labels=eval_labels, modality="text"))
-                gap = gap_report(*self.eval_batches)
+                self.eval_pair = (vi, vt, eval_labels)
+                gap = gap_report(vi, vt)
             self.records.append(EpochRecord(
                 epoch=epoch,
                 alpha=alpha_used,
@@ -476,8 +475,8 @@ def train(train_cfg: TrainConfig, synth_cfg: SynthConfig, alpha: float | None = 
     backprop through normalization into both encoders and the log scale, take
     an Adam step, then feed the step's contrastive term to the scheduler. The
     eval-split gap report is appended once per epoch; the last epoch's eval
-    embeddings are kept as history.eval_batches. A diverging run (a loss,
-    encoder output norm or log scale that is not finite) raises
+    encode is kept as history.eval_pair, (images, texts, labels). A diverging
+    run (a loss, encoder output norm or log scale that is not finite) raises
     NonFiniteLossError.
 
     alpha, when given, pins the blend from the first step instead (the
@@ -491,4 +490,4 @@ def train(train_cfg: TrainConfig, synth_cfg: SynthConfig, alpha: float | None = 
     """
     run = _Run(train_cfg, synth_cfg, alpha)
     run.advance(synth_dataset(synth_cfg), train_cfg.epochs)
-    return run.encoders, Temperature(run.flat[-1]), RunHistory(run.records, run.eval_batches)
+    return run.encoders, Temperature(run.flat[-1]), RunHistory(run.records, run.eval_pair)

@@ -273,8 +273,7 @@ def test_10_file_format_and_cli_agree_with_the_library(tmp_path):
     assert cli_mod.main(["analyze", "--images", str(vp), "--texts", str(tp),
                          "--out", str(out)]) == 0
     report_cli = json.loads(out.read_text())
-    report_mem = gl.gap_report(gl.EmbeddingBatch(v, labels=labels),
-                               gl.EmbeddingBatch(t, labels=labels, modality="text"))
+    report_mem = gl.gap_report(v, t)
     numeric_drift = max(
         abs(report_cli[key] - value)
         for key, value in asdict(report_mem).items()

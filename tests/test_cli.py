@@ -206,10 +206,7 @@ def test_analyze_matches_in_memory_report(tmp_path, emb_pair, capsys):
     assert "raw_gap=" in stdout
 
     data = json.loads(out.read_text())
-    v, vl = gl.read_embeddings(vp)
-    t, tl = gl.read_embeddings(tp)
-    report = gl.gap_report(gl.EmbeddingBatch(v, labels=vl),
-                           gl.EmbeddingBatch(t, labels=tl, modality="text"))
+    report = gl.gap_report(gl.read_embeddings(vp)[0], gl.read_embeddings(tp)[0])
     assert data == dataclasses.asdict(report)
 
 

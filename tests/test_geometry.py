@@ -62,13 +62,13 @@ def test_raw_gap_hand_case_orthogonal_pairs():
     assert abs(gl.gap_report(v, t).raw_gap - 1.0) < 1e-15
 
 
-def test_raw_gap_accepts_batches_and_checks_pairing():
+def test_raw_gap_accepts_array_likes_and_checks_pairing():
     rng = np.random.default_rng(3)
     v, t = paired_batches(rng)
     direct = gl.gap_report(v, t)
-    wrapped = gl.gap_report(gl.EmbeddingBatch(v), gl.EmbeddingBatch(t, modality="text"))
-    assert direct.raw_gap == wrapped.raw_gap
-    assert direct == wrapped
+    listed = gl.gap_report(v.tolist(), t.tolist())
+    assert direct.raw_gap == listed.raw_gap
+    assert direct == listed
     with pytest.raises(ValueError):
         gl.gap_report(v, t[:-1])
     with pytest.raises(ValueError, match="dim mismatch"):
@@ -205,7 +205,7 @@ def test_blocked_renormalize_equals_the_dense_form_bit_for_bit():
     cv, ct = gl.mean_center(v, t, renormalize=True)
     for got, m in ((cv, v), (ct, t)):
         want, _ = dense_unit_rows(m - m.mean(axis=0))
-        assert np.array_equal(got.vectors, want)
+        assert np.array_equal(got, want)
 
 
 def test_all_degenerate_is_an_error_across_blocks():
@@ -249,20 +249,20 @@ def test_mean_center_idempotent():
     v, t = paired_batches(rng)
     cv, ct = gl.mean_center(v, t)
     cv2, ct2 = gl.mean_center(cv, ct)
-    assert np.max(np.abs(cv.vectors - cv2.vectors)) < 1e-12
-    assert np.max(np.abs(ct.vectors - ct2.vectors)) < 1e-12
+    assert np.max(np.abs(cv - cv2)) < 1e-12
+    assert np.max(np.abs(ct - ct2)) < 1e-12
 
 
 def test_mean_center_renormalize_and_metadata():
     rng = np.random.default_rng(12)
     v, t = paired_batches(rng)
-    labels = np.arange(v.shape[0])
-    bv = gl.EmbeddingBatch(v, labels=labels)
-    bt = gl.EmbeddingBatch(t, labels=labels, modality="text")
-    cv, ct = gl.mean_center(bv, bt, renormalize=True)
-    assert np.allclose(np.linalg.norm(cv.vectors, axis=1), 1.0, atol=1e-9)
-    assert np.array_equal(cv.labels, labels)
-    assert cv.modality == "image" and ct.modality == "text"
+    v32, t32 = v.astype(np.float32), t.astype(np.float32)
+    cv, ct = gl.mean_center(v32, t32, renormalize=True)
+    # two new float64 arrays of the inputs' shape, and the inputs keep their bits
+    for out, m in ((cv, v32), (ct, t32)):
+        assert type(out) is np.ndarray and out.dtype == np.float64 and out.shape == m.shape
+        assert np.allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-9)
+    assert np.array_equal(v32, v.astype(np.float32)) and np.array_equal(t32, t.astype(np.float32))
 
 
 @pytest.mark.parametrize("renormalize", [False, True])
@@ -283,12 +283,12 @@ def test_mean_center_refuses_out_of_range_inputs_before_any_work(renormalize):
             gl.mean_center(tiny * v, tiny * t, renormalize=True)
     else:
         for small, unit in zip(gl.mean_center(tiny * v, tiny * t), gl.mean_center(v, t)):
-            assert np.array_equal(small.vectors, tiny * unit.vectors)
+            assert np.array_equal(small, tiny * unit)
     # Inside the range a power-of-two scaling moves no bit.
     scale = 2.0**400
     for big, unit in zip(gl.mean_center(scale * v, scale * t, renormalize=renormalize),
                          gl.mean_center(v, t, renormalize=renormalize)):
-        assert np.array_equal(big.vectors, unit.vectors if renormalize else scale * unit.vectors)
+        assert np.array_equal(big, unit if renormalize else scale * unit)
 
 
 def test_mean_center_needs_only_its_column_sums_in_range():
@@ -300,8 +300,8 @@ def test_mean_center_needs_only_its_column_sums_in_range():
     with pytest.raises(ValueError, match="can overflow"):
         gl.mean_center(v, t, renormalize=True)
     cv, ct = gl.mean_center(v, t)
-    assert np.array_equal(cv.vectors, v - v.mean(axis=0))
-    assert np.array_equal(ct.vectors, t - t.mean(axis=0))
+    assert np.array_equal(cv, v - v.mean(axis=0))
+    assert np.array_equal(ct, t - t.mean(axis=0))
 
 
 # ----------------------------------------------------------- effective rank
@@ -540,9 +540,7 @@ def test_an_all_zero_modality_has_no_effective_rank(zero_side):
 def test_gap_report_fields_match_individual_ops():
     rng = np.random.default_rng(17)
     v, t = paired_batches(rng, n=15, d=6)
-    labels = np.arange(15)
-    r = gl.gap_report(gl.EmbeddingBatch(v, labels=labels),
-                      gl.EmbeddingBatch(t, labels=labels, modality="text"))
+    r = gl.gap_report(v, t)
     dist, excl = _distribution_gap(v, t, v.mean(axis=0), t.mean(axis=0))
     assert r.raw_gap == _raw_gap(v, t)
     assert r.centroid_gap == float(np.linalg.norm(v.mean(axis=0) - t.mean(axis=0)))
@@ -580,11 +578,11 @@ def test_gap_report_validates_once_and_skips_householder(monkeypatch):
     """Counts scans by the input check, numerics._checked_matrix (as_matrix
     runs through it), through every gaplab module that binds it, so a
     re-import under another name is caught too: one scan per matrix, for
-    arrays and for batches alike."""
+    float64 arrays and for float32 ones that need a cast alike."""
     rng = np.random.default_rng(23)
     v = conditioned(rng, 600, 24, 10.0)
     t = conditioned(rng, 600, 24, 10.0)
-    batches = gl.EmbeddingBatch(v), gl.EmbeddingBatch(t, modality="text")
+    singles = v.astype(np.float32), t.astype(np.float32)
     calls = count_linalg_calls(monkeypatch, "qr")
     checks = []
     original = gl.numerics._checked_matrix
@@ -600,5 +598,5 @@ def test_gap_report_validates_once_and_skips_householder(monkeypatch):
     gl.gap_report(v, t)
     assert (len(checks), calls) == (2, [])
     checks.clear()
-    gl.gap_report(*batches)
+    gl.gap_report(*singles)
     assert (len(checks), calls) == (2, [])

@@ -55,7 +55,7 @@ def test_gap_report_at_dump_width_holds_under_half_of_one_input():
 def test_mean_center_renormalize_holds_its_outputs():
     v, t = pair()
     (cv, ct), peak = traced_peak(gl.mean_center, v, t, renormalize=True)
-    assert np.allclose(np.linalg.norm(cv.vectors, axis=1), 1.0)
+    assert np.allclose(np.linalg.norm(cv, axis=1), 1.0)
     assert peak <= 2.25 * D      # the two centered outputs, renormalized in place
 
 

@@ -115,7 +115,7 @@ def test_row_blocks_cover_the_rows_in_order(n, rows, want):
 # Every caller of _row_blocks, as (V, T, .emb path) -> outputs.
 BLOCK_CONSUMERS = {
     "gap_report": lambda v, t, path: astuple(gl.gap_report(v, t)),
-    "mean_center": lambda v, t, path: [b.vectors for b in gl.mean_center(v, t, renormalize=True)],
+    "mean_center": lambda v, t, path: gl.mean_center(v, t, renormalize=True),
     "kmeans": lambda v, t, path: evalkit._kmeans((v, t), 4, 0),
     "recall@1": lambda v, t, path: gl.recall_at_k(v, t, 1),
     "recall@3": lambda v, t, path: gl.recall_at_k(v, t, 3),

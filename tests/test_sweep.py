@@ -74,7 +74,7 @@ def test_run_single_matches_a_fresh_encode_of_the_eval_split(scheduled):
     (img, txt), _, _ = gl.train(tc, sc, alpha=None if scheduled else 0.4)
     data = gl.synth_dataset(sc)
     images, texts = encode_pairs(img, txt, data, data.eval_idx)
-    report = gl.gap_report(images, texts)
+    report = gl.gap_report(images.vectors, texts.vectors)
     cluster = gl.joint_clustering_eval(images, texts, seed=2)
     i2t, t2i = gl.recall_at_k(images.vectors, texts.vectors, 1)
     assert record == gl.SweepRecord(
@@ -284,13 +284,13 @@ def test_an_anchor_runs_pickle_holds_its_buffers_once():
     tc, sc = gl.TrainConfig(), gl.SynthConfig()
     run = trainkit._Run(tc, sc)
     run.advance(gl.synth_dataset(sc), tc.curriculum.anchor_epochs)
-    eval_bytes = sum(b.vectors.nbytes + b.labels.nbytes for b in run.eval_batches)
+    eval_bytes = sum(m.nbytes for m in run.eval_pair)
     # flat, grad and both Adam moments once each (the encoders and the
-    # gradient views into them would add 92,672 bytes), the eval batches and
-    # a few KiB of schedule, records and config
+    # gradient views into them would add 92,672 bytes), the eval pair with its
+    # one label vector and a few KiB of schedule, records and config
     assert len(pickle.dumps(run)) <= 4 * run.flat.nbytes + eval_bytes + 4096
     again = pickle.loads(pickle.dumps(run))
-    assert again.eval_batches[0].vectors.tobytes() == run.eval_batches[0].vectors.tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(again.eval_pair, run.eval_pair))
     for enc, grads in zip(again.encoders, again.grads):
         assert all(np.shares_memory(p, again.flat) for p in (enc.w1, enc.b1, enc.w2, enc.b2))
         assert all(np.shares_memory(g, again.grad) for g in grads)

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import json
 import math
 import pickle
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import gaplab as gl
-from gaplab import trainkit
+from gaplab import cli, trainkit
 from gaplab.trainkit import _Run, _adam, _forward
 
 from conftest import encoder_grads, end_to_end_fd_error
@@ -466,9 +467,10 @@ def test_train_validates_once_per_run_and_per_eval_never_per_step(monkeypatch):
             calls.clear()
             gl.train(small_train(curriculum=cur, batch_size=batch_size), small_synth())
             counts[epochs, batch_size] = len(calls)
-    # the data once, then one check per eval batch (the two EmbeddingBatch
-    # constructions) each epoch: nothing scales with the step count
-    assert counts == {(1, 8): 4, (1, 16): 4, (3, 8): 8, (3, 16): 8}
+    # the data's two views once; the eval encode is not checked again (its
+    # gap_report scans it through the pair check): no count grows with the
+    # epochs or the steps
+    assert counts == {(1, 8): 2, (1, 16): 2, (3, 8): 2, (3, 16): 2}
 
 
 # ----------------------------------------------------------------- training
@@ -556,17 +558,25 @@ def test_epoch_records_serialize():
     assert row["gap"]["n_pairs"] == 8
 
 
-# ------------------------------------------------------------- eval batches
+# ---------------------------------------------------------------- eval pair
 
-def test_eval_batches_carry_labels_and_modalities():
-    syn = small_synth()
+def test_eval_pair_carries_one_label_vector_and_is_what_train_writes(tmp_path):
+    syn, tc = small_synth(), small_train()
     data = gl.synth_dataset(syn)
-    _, _, history = gl.train(small_train(), syn)
-    bi, bt = history.eval_batches
-    assert bi.modality == "image" and bt.modality == "text"
-    assert np.array_equal(bi.labels, data.labels[data.eval_idx])
-    assert np.array_equal(bt.labels, data.labels[data.eval_idx])
-    assert np.allclose(np.linalg.norm(bi.vectors, axis=1), 1.0, atol=1e-12)
+    _, _, history = gl.train(tc, syn)
+    vi, vt, labels = history.eval_pair
+    assert np.array_equal(labels, data.labels[data.eval_idx])
+    for m in (vi, vt):
+        assert m.shape == (data.eval_idx.size, tc.embed_dim)
+        np.testing.assert_allclose(np.linalg.norm(m, axis=1), 1.0, rtol=0, atol=1e-12)
+    # gaplab train writes the same pair, rounded to float32, with that one label vector
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"synth": dataclasses.asdict(syn), "train": dataclasses.asdict(tc)}))
+    assert cli.main(["train", "--config", str(config), "--out-dir", str(tmp_path / "run")]) == 0
+    for name, m in (("eval_images.emb", vi), ("eval_texts.emb", vt)):
+        vectors, written = gl.read_embeddings(tmp_path / "run" / name)
+        assert np.array_equal(vectors, m.astype(np.float32))
+        assert np.array_equal(written, labels)
 
 
 # -------------------------------------------------------------------- error
