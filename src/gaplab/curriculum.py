@@ -11,10 +11,10 @@ rho <= 1 else 2 - rho, and the per-step increment is
 
 so s is a tent that peaks at rho = 1: a flat loss ramps fastest (factor 1.5),
 and any trend slows the ramp, a falling loss (rho < 1) as well as a rising
-one (rho > 1); the speed factor stays inside [0.5, 1.5]. Because the factor
-can stay below 1, the final ramp step assigns alpha = alpha_target outright;
-that keeps the "reaches the target by the end of the ramp" contract without
-overshooting.
+one (rho > 1); the speed factor stays inside [0.5, 1.5]. Alpha is read off
+the step count: 0 through the anchor, the ramp's stored running value during
+the ramp, and alpha_target from the first step after it, so the ramp needs no
+final step onto the target and an empty ramp goes straight to it.
 A CurriculumState lives for one run: nothing snapshots or resumes it. It
 holds the run's step grid (steps per epoch, a fact of the data, not of the
 config), and its phase is read off its step count, not stored.
@@ -67,7 +67,7 @@ class CurriculumState:
     config: CurriculumConfig
     steps_per_epoch: int
     global_step: int = 0
-    alpha: float = 0.0
+    ramp_alpha: float = 0.0
     ema_slow: float | None = None
     ema_fast: float | None = None
 
@@ -86,17 +86,19 @@ class CurriculumState:
     @property
     def phase(self) -> Phase:
         """Phase of the next step; once the schedule is exhausted, that of the last one."""
-        return _phase(self, min(self.global_step, self.total_steps - 1))
+        return phase_of(self, min(self.global_step, self.total_steps - 1))
+
+    @property
+    def alpha(self) -> float:
+        """Alpha of the next step: the ramp's running value (0 through the
+        anchor) until the ramp ends, alpha_target from then on."""
+        return self.config.alpha_target if self.global_step >= self.ramp_end_step else self.ramp_alpha
 
 
 def phase_of(state: CurriculumState, global_step: int) -> Phase:
     """Phase governing a given step index of state's schedule, an integer in
     [0, total_steps - 1]."""
-    return _phase(state, _scalar(global_step, "global_step", integer=True, low=0, high=state.total_steps - 1))
-
-
-def _phase(state: CurriculumState, global_step: int) -> Phase:
-    """phase_of for a step known to lie in the schedule: the step loop's, unchecked."""
+    global_step = _scalar(global_step, "global_step", integer=True, low=0, high=state.total_steps - 1)
     if global_step < state.anchor_steps:
         return Phase.ANCHOR
     if global_step < state.ramp_end_step:
@@ -105,7 +107,7 @@ def _phase(state: CurriculumState, global_step: int) -> Phase:
 
 
 def scheduler_new(config: CurriculumConfig, steps_per_epoch: int) -> CurriculumState:
-    """Fresh state at step 0 with alpha 0 and EMAs untracked, on a grid of
+    """Fresh state at step 0 with the ramp at 0 and EMAs untracked, on a grid of
     steps_per_epoch optimizer steps per epoch (an integer >= 1)."""
     return CurriculumState(config, _scalar(steps_per_epoch, "steps_per_epoch", integer=True, low=1))
 
@@ -113,19 +115,17 @@ def scheduler_new(config: CurriculumConfig, steps_per_epoch: int) -> CurriculumS
 def scheduler_step(state: CurriculumState, observed_rw_loss: float) -> float:
     """Advance one step given the contrastive-term loss of the step just run.
 
-    Returns the alpha to use for the next step. EMA tracking starts at the
-    first ramp step; both averages begin at the first observed value, so the
-    first ramp increment runs at the full 1.5x speed factor.
+    Returns the alpha to use for the next step. Only ramp steps read the loss:
+    EMA tracking starts at the first ramp step; both averages begin at the
+    first observed value, so the first ramp increment runs at the full 1.5x
+    speed factor.
     """
     observed = _scalar(observed_rw_loss, "observed loss", low=0)
     cfg = state.config
     if state.global_step >= state.total_steps:
         raise RuntimeError(f"schedule exhausted after {state.total_steps} steps")
 
-    phase = _phase(state, state.global_step)
-    if phase is Phase.ANCHOR:
-        state.alpha = 0.0
-    elif phase is Phase.RAMP:
+    if state.anchor_steps <= state.global_step < state.ramp_end_step:
         if state.ema_slow is None:
             state.ema_slow = observed
             state.ema_fast = observed
@@ -134,17 +134,10 @@ def scheduler_step(state: CurriculumState, observed_rw_loss: float) -> float:
             state.ema_slow = sd * state.ema_slow + (1.0 - sd) * observed
             state.ema_fast = fd * state.ema_fast + (1.0 - fd) * observed
         remaining = state.ramp_end_step - state.global_step
-        if remaining == 1:
-            state.alpha = cfg.alpha_target
-        else:
-            if state.ema_slow == 0.0:
-                rho = 1.0
-            else:
-                rho = min(max(state.ema_fast / state.ema_slow, 0.0), 2.0)
+        if remaining > 1:
+            rho = 1.0 if state.ema_slow == 0.0 else min(max(state.ema_fast / state.ema_slow, 0.0), 2.0)
             s = rho if rho <= 1.0 else 2.0 - rho
-            state.alpha = state.alpha + (cfg.alpha_target - state.alpha) / remaining * (0.5 + s)
-    else:
-        state.alpha = cfg.alpha_target
+            state.ramp_alpha += (cfg.alpha_target - state.ramp_alpha) / remaining * (0.5 + s)
 
     state.global_step += 1
     return state.alpha

@@ -2,7 +2,7 @@
 and tabulate the results.
 
 A run's data, initialization, and batch order derive from its seed alone, and
-nothing reads alpha_target before the first ramp step (the anchor phase pins
+nothing reads alpha_target before the anchor ends (the anchor phase pins
 alpha at 0; the loss EMAs start at the ramp). So a sweep trains each seed's
 anchor epochs once and forks that run per alpha target, and every cell keeps
 the bits of a run trained alone (run_single), though its alpha-0 steps skip
@@ -114,8 +114,7 @@ def _anchor(train_cfg: TrainConfig, synth_cfg: SynthConfig, seed: int, scheduled
     """seed's run through the epochs its cells share: none when alpha is pinned."""
     sc = replace(synth_cfg, seed=seed)
     run = _Run(replace(train_cfg, seed=seed), sc, None if scheduled else 0.0)
-    run.advance(synth_dataset(sc), train_cfg.curriculum.anchor_epochs if scheduled else 0,
-                final_report_only=True)
+    run.advance(synth_dataset(sc), run.scheduler.config.anchor_epochs, final_report_only=True)
     return run
 
 

@@ -335,7 +335,7 @@ class _Run:
     flat, one float64 buffer that the encoders view: w1, b1, w2 and b2 of each
     encoder (shapes lists them in order), then log_scale. The gradient (viewed
     per encoder by grads) and the Adam moments share it. The run also owns its
-    scheduler (None when alpha is pinned), batch-order generator, alpha, records
+    scheduler (alpha pinned: no anchor, no ramp), batch-order generator, records
     and last eval encode. advance trains epochs on validated data; fork copies it."""
 
     def __init__(self, train_cfg: TrainConfig, synth_cfg: SynthConfig, alpha: float | None = None):
@@ -356,11 +356,11 @@ class _Run:
         self._bind()
         self.count = 0  # Adam steps taken
         self.adam = (train_cfg.learning_rate, (train_cfg.adam_beta1, train_cfg.adam_beta2), train_cfg.adam_eps)
-        if alpha is None:
-            self.scheduler = scheduler_new(train_cfg.curriculum, self.steps_per_epoch)
-            self.alpha = self.scheduler.alpha
-        else:
-            self.scheduler, self.alpha = None, _scalar(alpha, "alpha", low=0, high=1)
+        curriculum = train_cfg.curriculum
+        if alpha is not None:
+            curriculum = replace(curriculum, anchor_epochs=0, ramp_epochs=0, stabilize_epochs=train_cfg.epochs,
+                                 alpha_target=_scalar(alpha, "alpha", low=0, high=1))
+        self.scheduler = scheduler_new(curriculum, self.steps_per_epoch)
         self.records: list = []
         self.eval_pair = None
 
@@ -385,14 +385,11 @@ class _Run:
         self._bind()
 
     def fork(self, alpha_target: float) -> "_Run":
-        """A copy whose schedule heads for alpha_target (or, alpha pinned, pins it).
-        Nothing reads the target before the first ramp step, so a fork made by
-        then trains as a run started with that target."""
+        """A copy whose schedule heads for alpha_target. Nothing reads the target
+        before the anchor ends, so a fork made by then trains as a run started
+        with that target."""
         new = copy.deepcopy(self)
-        if new.scheduler is None:
-            new.alpha = alpha_target
-        else:
-            new.scheduler.config = replace(new.scheduler.config, alpha_target=alpha_target)
+        new.scheduler.config = replace(new.scheduler.config, alpha_target=alpha_target)
         return new
 
     def encode(self, tower: int, x: np.ndarray, epoch: int, alpha: float):
@@ -440,7 +437,7 @@ class _Run:
             losses, rw_terms, intra_terms, ratios = [], [], [], []
             for b in range(self.steps_per_epoch):
                 rows = data.train_idx[order[b * batch:(b + 1) * batch]]
-                alpha_used = self.alpha  # recorded below as that of the epoch's last step
+                alpha_used = self.scheduler.alpha  # recorded below as that of the epoch's last step
                 out = step((images[rows], texts[rows]), alpha_used, epoch, final_report_only)
                 diag = out.diagnostics
                 losses.append(out.loss)
@@ -448,8 +445,7 @@ class _Run:
                 intra_terms.append(diag["intra_term"])
                 if diag["grad_norm_intra"] > 0.0:
                     ratios.append(diag["grad_norm_rw"] / diag["grad_norm_intra"])
-                if self.scheduler is not None:
-                    self.alpha = scheduler_step(self.scheduler, diag["rw_term"])
+                scheduler_step(self.scheduler, diag["rw_term"])
 
             gap = None
             if not final_report_only or epoch == self.train_cfg.epochs - 1:
@@ -480,9 +476,9 @@ def train(train_cfg: TrainConfig, synth_cfg: SynthConfig, alpha: float | None = 
     NonFiniteLossError.
 
     alpha, when given, pins the blend from the first step instead (the
-    curriculum ablation). Randomness is consumed identically either way, so
-    two runs with equal seeds see the same data, initialization, and batch
-    order.
+    curriculum ablation: a schedule with no anchor and no ramp). Randomness is
+    consumed identically either way, so two runs with equal seeds see the same
+    data, initialization, and batch order.
 
     Every check comes before the first step (the configs checked theirs when
     built): ValueError for a bad batch size or synthetic view, MemoryError for

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -97,10 +98,32 @@ def test_no_anchor_starts_in_ramp():
 
 
 def test_no_ramp_jumps_to_target():
+    # each value is the alpha of the step after it: the first Stabilize step's is the target
     state = tiny(anchor=1, ramp=0, stabilize=1, target=0.7, spe=3)
     trace = [gl.scheduler_step(state, 1.0) for _ in range(state.total_steps)]
-    assert trace[:3] == [0.0, 0.0, 0.0]
-    assert trace[3:] == [0.7, 0.7, 0.7]
+    assert trace == [0.0, 0.0, 0.7, 0.7, 0.7, 0.7]
+
+
+def test_each_step_uses_the_alpha_of_its_phase_for_every_schedule_shape():
+    # state.alpha before a step is the alpha that step trains at
+    rng = np.random.default_rng(4)
+    for spe in (1, 3):
+        for anchor, ramp, stabilize in itertools.product(range(3), repeat=3):
+            if anchor + ramp + stabilize == 0:
+                continue
+            state = tiny(anchor, ramp, stabilize, target=0.6, spe=spe)
+            prev = 0.0
+            for step in range(state.total_steps):
+                alpha, phase = state.alpha, gl.phase_of(state, step)
+                shape = (anchor, ramp, stabilize, spe, step)
+                if phase is Phase.ANCHOR:
+                    assert alpha == 0.0, shape
+                elif phase is Phase.STABILIZE:
+                    assert alpha == 0.6, shape
+                else:
+                    assert prev <= alpha <= 0.6, shape
+                prev = alpha
+                gl.scheduler_step(state, float(rng.uniform(0.0, 5.0)))
 
 
 # ------------------------------------------------------------ ramp dynamics

@@ -387,9 +387,11 @@ def test_r_factor_ranks_match_the_stacked_svd(case):
         assert close(r.fusion_index, er_joint / (0.5 * (er_v + er_t)))
 
 
-# The tests named after CholeskyQR2 kept their names when the Gram path
-# replaced it; they now pin the Gram path's conditioning guard.
-CQR2_D = 24
+# Columns of the Gram-path test matrices. The four test_cholesky_qr2_* tests
+# keep the name of the factorization the Gram path replaced, so that their
+# test ids stay stable; they pin the Gram path's conditioning guard and the
+# Householder fallback.
+GRAM_COLS = 24
 
 
 def conditioned(rng, n, d, cond):
@@ -460,21 +462,21 @@ def assert_gram_path_up_to_cond_1e2(monkeypatch, v, t, cond):
         assert (erank(v), erank(t)) == fallback
 
 
-@pytest.mark.parametrize("rows", [2 * CQR2_D, 8 * CQR2_D])
+@pytest.mark.parametrize("rows", [2 * GRAM_COLS, 8 * GRAM_COLS])
 @pytest.mark.parametrize("cond", [1.0, 1e2, 1e3, 1e5, 1e7, 1e10])
 def test_cholesky_qr2_ranks_match_the_stacked_svd(monkeypatch, cond, rows):
     rng = np.random.default_rng(21)
-    v = conditioned(rng, rows, CQR2_D, cond)
-    t = conditioned(rng, rows, CQR2_D, cond)
+    v = conditioned(rng, rows, GRAM_COLS, cond)
+    t = conditioned(rng, rows, GRAM_COLS, cond)
     assert_gram_path_up_to_cond_1e2(monkeypatch, v, t, cond)
 
 
 @pytest.mark.parametrize("cond", [1e3, 1e5, 1.5e6, 1e7])
 def test_cholesky_qr2_rejects_an_ill_conditioned_r1_before_the_second_pass(monkeypatch, cond):
     # One eigvalsh rejects the Gram; Householder alone does the rest.
-    for rows in (2 * CQR2_D, 8 * CQR2_D):
+    for rows in (2 * GRAM_COLS, 8 * GRAM_COLS):
         rng = np.random.default_rng(21)
-        for m in (conditioned(rng, rows, CQR2_D, cond), conditioned(rng, rows, CQR2_D, cond)):
+        for m in (conditioned(rng, rows, GRAM_COLS, cond), conditioned(rng, rows, GRAM_COLS, cond)):
             r = np.linalg.qr(m, mode="r")
             with monkeypatch.context() as patch:
                 eighs = count_linalg_calls(patch, "eigvalsh")
@@ -487,7 +489,7 @@ def test_cholesky_qr2_rejects_an_ill_conditioned_r1_before_the_second_pass(monke
 
 @pytest.mark.parametrize("cond", [1.0, 1e2, 1e3, 1e5, 1e7])
 def test_cholesky_qr2_over_several_row_blocks_and_a_blocked_inverse(monkeypatch, cond):
-    # 1300 x 160: larger than CQR2_D on both axes, and several row blocks.
+    # 1300 x 160: larger than GRAM_COLS on both axes.
     rng = np.random.default_rng(24)
     v, t = conditioned(rng, 1300, 160, cond), conditioned(rng, 1300, 160, cond)
     assert_gram_path_up_to_cond_1e2(monkeypatch, v, t, cond)
@@ -496,10 +498,10 @@ def test_cholesky_qr2_over_several_row_blocks_and_a_blocked_inverse(monkeypatch,
 @pytest.mark.parametrize("case", ["rank_deficient", "wide", "overflowing"])
 def test_cholesky_qr2_hands_rank_deficient_and_wide_inputs_to_householder(monkeypatch, case):
     rng = np.random.default_rng(22)
-    shape = {"wide": (CQR2_D // 2, CQR2_D)}.get(case, (8 * CQR2_D, CQR2_D))
+    shape = {"wide": (GRAM_COLS // 2, GRAM_COLS)}.get(case, (8 * GRAM_COLS, GRAM_COLS))
     if case == "rank_deficient":
-        v = _low_rank(rng, *shape, CQR2_D // 2)
-        t = _low_rank(rng, *shape, CQR2_D // 3)
+        v = _low_rank(rng, *shape, GRAM_COLS // 2)
+        t = _low_rank(rng, *shape, GRAM_COLS // 3)
     else:
         v, t = rng.standard_normal(shape), rng.standard_normal(shape)
     if case == "overflowing":  # m'm overflows to inf; the Householder R does not
@@ -516,8 +518,8 @@ def test_cholesky_qr2_hands_rank_deficient_and_wide_inputs_to_householder(monkey
 
 def test_a_mixed_pair_takes_its_joint_rank_from_the_stacked_householder_factors(monkeypatch):
     rng = np.random.default_rng(27)
-    v = conditioned(rng, 8 * CQR2_D, CQR2_D, 10.0)
-    t = _low_rank(rng, 8 * CQR2_D, CQR2_D, CQR2_D // 2)
+    v = conditioned(rng, 8 * GRAM_COLS, GRAM_COLS, 10.0)
+    t = _low_rank(rng, 8 * GRAM_COLS, GRAM_COLS, GRAM_COLS // 2)
     assert _spectrum(v)[1] is not None and _spectrum(t)[1] is None
     assert_ranks_match_the_stacked_svd(v, t)
     stacked = np.vstack([np.linalg.qr(v, mode="r"), np.linalg.qr(t, mode="r")])

@@ -178,10 +178,11 @@ def test_run_sweep_failure_carries_completed_rows(monkeypatch):
     assert "boom" in str(err)
 
 
-def branching_configs(anchor_epochs: int):
-    """tiny_configs with four steps per epoch and a two-epoch ramp."""
+def branching_configs(anchor_epochs: int, ramp_epochs: int = 2, stabilize_epochs: int = 1):
+    """tiny_configs with four steps per epoch and, unless given, a two-epoch ramp."""
     tc, sc = tiny_configs()
-    cur = dataclasses.replace(tc.curriculum, anchor_epochs=anchor_epochs, ramp_epochs=2)
+    cur = dataclasses.replace(tc.curriculum, anchor_epochs=anchor_epochs, ramp_epochs=ramp_epochs,
+                              stabilize_epochs=stabilize_epochs)
     return dataclasses.replace(tc, curriculum=cur), sc
 
 
@@ -196,11 +197,13 @@ def independent_rows(tc, sc, alphas, seeds, scheduled=True) -> list:
 
 
 @pytest.mark.parametrize("scheduled", [True, False])
-@pytest.mark.parametrize("anchor_epochs", [2, 0])
+# (anchor, ramp, stabilize) epochs; with an empty ramp, the step after the
+# fork is the first to read the target
+@pytest.mark.parametrize("epochs", [(2, 2, 1), (0, 2, 1), (1, 0, 2)], ids=["2", "0", "empty_ramp"])
 @pytest.mark.parametrize("workers", [1, 2])
-def test_run_sweep_rows_equal_independent_runs(workers, anchor_epochs, scheduled):
+def test_run_sweep_rows_equal_independent_runs(workers, epochs, scheduled):
     # Every cell forks its seed's anchor run; run_single trains the cell alone.
-    tc, sc = branching_configs(anchor_epochs)
+    tc, sc = branching_configs(*epochs)
     alphas, seeds = [0.0, 0.3, 1.0], [1, 0]
     rows = gl.run_sweep(tc, sc, alphas, seeds, scheduled=scheduled, max_workers=workers)
     assert rows == independent_rows(tc, sc, alphas, seeds, scheduled)
@@ -213,7 +216,7 @@ def test_fork_leaves_its_parent_unchanged_and_owns_its_buffers():
     parent.advance(data, 2)
     arrays = {name: getattr(parent, name).copy() for name in ("flat", "m", "v")}
     weights = [[p.copy() for p in (enc.w1, enc.b1, enc.w2, enc.b2)] for enc in parent.encoders]
-    state = (parent.count, dataclasses.asdict(parent.scheduler), parent.alpha,
+    state = (parent.count, dataclasses.asdict(parent.scheduler),
              parent.order.bit_generator.state, list(parent.records))
 
     # a pickled run (as a pool worker receives it) holds copies, not views
@@ -232,7 +235,7 @@ def test_fork_leaves_its_parent_unchanged_and_owns_its_buffers():
     for enc, before in zip(parent.encoders, weights):
         for p, q in zip((enc.w1, enc.b1, enc.w2, enc.b2), before):
             assert np.array_equal(p, q) and np.shares_memory(p, parent.flat)
-    assert state == (parent.count, dataclasses.asdict(parent.scheduler), parent.alpha,
+    assert state == (parent.count, dataclasses.asdict(parent.scheduler),
                      parent.order.bit_generator.state, parent.records)
     assert parent.scheduler.config.alpha_target == tc.curriculum.alpha_target
 

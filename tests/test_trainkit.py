@@ -507,6 +507,20 @@ def test_constant_alpha_zero_matches_scheduled_zero_target():
     assert hist_a.to_jsonl() == hist_b.to_jsonl()
 
 
+@pytest.mark.parametrize("a", [0.0, 0.3, 1.0])
+def test_constant_alpha_is_the_schedule_with_no_anchor_and_no_ramp(a):
+    tc, syn = small_train(), small_synth()
+    cur = dataclasses.replace(tc.curriculum, anchor_epochs=0, ramp_epochs=0,
+                              stabilize_epochs=tc.epochs, alpha_target=a)
+    (encs_a, temp_a, hist_a), (encs_b, temp_b, hist_b) = (
+        gl.train(tc, syn, alpha=a), gl.train(dataclasses.replace(tc, curriculum=cur), syn))
+    assert hist_a.to_jsonl() == hist_b.to_jsonl()
+    for enc_a, enc_b in zip(encs_a, encs_b):
+        for name in ("w1", "b1", "w2", "b2"):
+            assert np.array_equal(getattr(enc_a, name), getattr(enc_b, name))
+    assert temp_a.log_scale == temp_b.log_scale
+
+
 def test_constant_alpha_is_recorded_every_epoch():
     _, _, history = gl.train(small_train(), small_synth(), alpha=0.3)
     assert [r.alpha for r in history.records] == [0.3, 0.3, 0.3, 0.3]
