@@ -70,20 +70,23 @@ SWEEP_FIELDS = tuple(f.name for f in fields(SweepRecord))
 
 def _squared_distances(parts, bounds, point_sq: np.ndarray, centers: np.ndarray,
                        out=None) -> np.ndarray:
-    """||p - c||^2 by the expanded form over the rows of all parts, into
-    ``out`` when given; ``point_sq`` is (points**2).sum(axis=1).
+    """||p - c||^2 by the expanded form, centroid-major: a k x n array with
+    one row per centroid and one column per row of all parts, into ``out``
+    when given; ``point_sq`` is (points**2).sum(axis=1).
 
     The steps run in place on the product, in the order of the plain formula
-    point_sq - 2 (points @ centers.T) + |c|^2: negating the doubled product
+    point_sq - 2 (centers @ points.T) + |c|^2: negating the doubled product
     and adding point_sq gives the bits of the subtraction, and scaling by 2 is
-    exact. So the only n x k array is the result; each part fills its rows.
+    exact. So the only k x n array is the result; each part fills its columns.
+    This (k x d)(d x n) order keeps OpenBLAS off the 8 MB packing buffer of
+    its threaded (n x d)(d x k) product (n = 4,096, d = 512).
     """
-    d2 = np.empty((point_sq.size, centers.shape[0])) if out is None else out
+    d2 = np.empty((centers.shape[0], point_sq.size)) if out is None else out
     for part, lo, hi in zip(parts, bounds, bounds[1:]):
-        np.matmul(centers, part.T, out=d2[lo:hi].T)
+        np.matmul(centers, part.T, out=d2[:, lo:hi])
     d2 *= -2.0
-    d2 += point_sq[:, None]
-    d2 += (centers**2).sum(axis=1)[None, :]
+    d2 += point_sq[None, :]
+    d2 += (centers**2).sum(axis=1)[:, None]
     return np.maximum(d2, 0.0, out=d2)
 
 
@@ -115,7 +118,7 @@ def _cluster_mean(parts, bounds: np.ndarray, rows: np.ndarray, block: np.ndarray
 
 
 def _kmeans(parts, k: int, seed: int) -> tuple[np.ndarray, float]:
-    """Seeded k-means++ and Lloyd iterations, beside one n x k distance buffer,
+    """Seeded k-means++ and Lloyd iterations, beside one k x n distance buffer,
     over the rows of a tuple of 2-D float64 arrays stacked only logically: the
     bits are those of (np.vstack(parts),). Stops when no centroid moves more
     than 1e-6 times the largest point norm, or after 100 iterations. An
@@ -144,10 +147,10 @@ def _kmeans(parts, k: int, seed: int) -> tuple[np.ndarray, float]:
         d2 = np.minimum(d2, _squared_distances(parts, bounds, point_sq, centers[j:j + 1]).ravel())
 
     labels = None  # those the centers are the means of; None: recompute every mean
-    dist = np.empty((n, k))  # reused by every distance pass below
+    dist = np.empty((k, n))  # reused by every distance pass below
     for _ in range(100):
         _squared_distances(parts, bounds, point_sq, centers, out=dist)
-        new_labels = dist.argmin(axis=1)
+        new_labels = dist.argmin(axis=0)
         new_centers = centers.copy()
         stale = np.ones(k, dtype=bool)
         if labels is not None:  # a mean over the same rows keeps its bits
@@ -161,12 +164,12 @@ def _kmeans(parts, k: int, seed: int) -> tuple[np.ndarray, float]:
             new_centers[c] = _cluster_mean(parts, bounds, np.flatnonzero(labels == c), block)
         del block  # the distance pass and the steals stay under the gathers' peak
         for c in np.flatnonzero(counts == 0):
-            own = dist[np.arange(n), labels]
+            own = dist[labels, np.arange(n)]
             # steal the globally worst-fit point
             worst = int(own.argmax())
             new_centers[c] = _row(parts, bounds, worst)
             labels[worst] = c
-            dist[worst] = 0.0
+            dist[:, worst] = 0.0
         if counts.min() == 0:
             labels = None
         shift = np.linalg.norm(new_centers - centers, axis=1).max()
@@ -175,8 +178,8 @@ def _kmeans(parts, k: int, seed: int) -> tuple[np.ndarray, float]:
             break
 
     _squared_distances(parts, bounds, point_sq, centers, out=dist)
-    labels = dist.argmin(axis=1)
-    inertia = float(dist[np.arange(n), labels].sum())
+    labels = dist.argmin(axis=0)
+    inertia = float(dist[labels, np.arange(n)].sum())
     return labels, inertia
 
 
@@ -332,10 +335,13 @@ def _screened_hits(v: np.ndarray, t: np.ndarray, top: tuple[float, float]) -> tu
     margin and of P - C below. So |s32 - s64| <= c |x_i| |y_j| + A for
     every pair.
 
-    Screen. One float32 product per block of image rows gives each pair's
-    partner score P on the diagonal square, which is then masked to -inf,
-    the best competitor C of each image row, and a running best of each
-    text column, so no pre-pass is needed. An image query i is a hit when
+    Screen. The texts are cast to float32 one tile of 8 blocks at a time,
+    and each block of image rows is scored against the tile in one float32
+    product. Where the block's rows meet the tile's, the diagonal gives each
+    pair's partner score P, which is then masked to -inf; running maxima of
+    each image row and each text column, over all tiles, give the best
+    competitor C of either query, so no pre-pass is needed. The order of the
+    dot products does not enter the bound. An image query i is a hit when
     P - C > c |x_i| (|y_i| + max_j |y_j|) + 2A: then its partner's float64
     score beats every competitor's strictly, under any tie rule. It is a
     miss when C - P exceeds the same margin, and text queries mirror this.
@@ -343,35 +349,42 @@ def _screened_hits(v: np.ndarray, t: np.ndarray, top: tuple[float, float]) -> tu
     again in float64 by _ranked_hits, under the tie rule. A query's partner
     and competitors sit in one row of one product there, so an exact float64
     tie assumes only that the BLAS computes equal dot products in one row
-    alike. Memory is one float32 copy of T (n d 4 bytes) plus one float32
-    score block, half of _ranked_hits's float64 one.
+    alike. Memory is one float32 tile of T, one float32 block of V and one
+    256 x 2,048 float32 score block (6.8 MB at d = 512) beside 28 bytes a
+    row; a whole float32 T and a 256 x n block took 61 MB at n = 20,000.
     """
     n, d = v.shape
     exp_v, exp_t = (min(1000, -frexp(m)[1]) for m in top)
     c = 1.01 * (_gamma(d + 2, _U32) + _gamma(d, _U64))
     floor = 8 * d * (_TINY32 + ldexp(_TINY64, exp_v + exp_t))  # A
 
-    t32 = np.empty(t.shape, dtype=np.float32)
-    t_norm = np.empty(n)
-    for rows in _row_blocks(n):
-        y = np.ldexp(t[rows], exp_t)
-        t_norm[rows] = np.sqrt(np.einsum("ij,ij->i", y, y))
-        t32[rows] = y
-    v_norm = np.empty(n)
+    v_norm, t_norm = np.empty(n), np.empty(n)
+    for m, e, norm in ((v, exp_v, v_norm), (t, exp_t, t_norm)):
+        for rows in _row_blocks(n):
+            x = np.ldexp(m[rows], e)
+            norm[rows] = np.sqrt(np.einsum("ij,ij->i", x, x))
+    del x  # the tiles' float32 buffers take its place
     own = np.empty(n, dtype=np.float32)
-    row_best = np.empty(n, dtype=np.float32)
+    row_best = np.full(n, -np.inf, dtype=np.float32)
     col_best = np.full(n, -np.inf, dtype=np.float32)
-    block = np.empty((min(numerics._BLOCK_ROWS, n), n), dtype=np.float32)  # every block's scores
-    for rows in _row_blocks(n):
-        x = np.ldexp(v[rows], exp_v)
-        v_norm[rows] = np.sqrt(np.einsum("ij,ij->i", x, x))
-        scores = np.matmul(x.astype(np.float32), t32.T, out=block[:x.shape[0]])
-        diag = (np.arange(x.shape[0]), np.arange(rows.start, rows.stop))
-        own[rows] = scores[diag]
-        scores[diag] = -np.inf
-        scores.max(axis=1, out=row_best[rows])
-        np.maximum(col_best, scores.max(axis=0), out=col_best)
-    del t32, block, scores  # the rescoring's float64 block takes their place
+    tile = 8 * numerics._BLOCK_ROWS  # text rows per float32 tile
+    x32 = np.empty((min(numerics._BLOCK_ROWS, n), d), dtype=np.float32)
+    y32 = np.empty((min(tile, n), d), dtype=np.float32)
+    block = np.empty((x32.shape[0], y32.shape[0]), dtype=np.float32)  # every block's scores
+    for cols in _row_blocks(n, tile):
+        y = y32[:cols.stop - cols.start]
+        np.multiply(t[cols], 2.0**exp_t, out=y, casting="unsafe")  # exact, then rounded once
+        for rows in _row_blocks(n):
+            x = x32[:rows.stop - rows.start]
+            np.multiply(v[rows], 2.0**exp_v, out=x, casting="unsafe")
+            scores = np.matmul(x, y.T, out=block[:x.shape[0], :y.shape[0]])
+            pairs = np.arange(max(rows.start, cols.start), min(rows.stop, cols.stop))
+            diag = (pairs - rows.start, pairs - cols.start)  # empty off the tile's rows
+            own[pairs] = scores[diag]
+            scores[diag] = -np.inf
+            np.maximum(row_best[rows], scores.max(axis=1), out=row_best[rows])
+            np.maximum(col_best[cols], scores.max(axis=0), out=col_best[cols])
+    del x, y, scores, x32, y32, block  # the rescoring's float64 block takes their place
 
     own = own.astype(np.float64)
     hits = []
@@ -411,11 +424,12 @@ def recall_at_k(v, t, k: int) -> tuple[float, float]:
     score beats its partner's: those scoring strictly higher, and the equal
     ones at a lower index, so results carry no platform sort ambiguity.
 
-    Scores are computed in blocks of query rows, so memory grows linearly in
-    n. k = 1 settles nearly every query from one float32 product
-    (_screened_hits) and rescores the rest in float64; k > 1 scores every
-    query of both directions in float64, as does k = 1 past d of about 1.7
-    million, where the screen's bound ((d + 2) u32 well below 1) fails. k must
+    k = 1 settles nearly every query from float32 products of image blocks
+    and text tiles (_screened_hits, in scratch that does not grow with n
+    beyond O(n) vectors) and rescores the rest in float64; k > 1 scores
+    every query of both directions in float64, one 256 x n block at a time,
+    as does k = 1 past d of about 1.7 million, where the screen's bound
+    ((d + 2) u32 well below 1) fails. k must
     be an integer (not a bool) in [1, n]; inputs whose float64 scores could
     overflow or underflow (_check_products) are rejected before any work.
     """
@@ -466,10 +480,12 @@ def interchangeability_probe(train_texts: EmbeddingBatch, test_images: Embedding
     onehot = (train_texts.labels[:, None] == classes[None, :]).astype(np.float64)
     gram = x.T @ x
     lam = 1e-2 * float(np.diag(gram).mean())
-    weights = np.linalg.solve(gram + lam * np.eye(x.shape[1]), x.T @ onehot)
+    gram.flat[::gram.shape[0] + 1] += lam  # the ridge, in place: no d x d identity
+    weights = np.linalg.solve(gram, x.T @ onehot)
 
-    scores = test_images.vectors @ np.ldexp(weights, -frexp(float(np.abs(weights).max()))[1])
-    pred = classes[scores.argmax(axis=1)]
+    # class-major scores: the (c x d)(d x n) order, as in _squared_distances
+    scores = np.ldexp(weights, -frexp(float(np.abs(weights).max()))[1]).T @ test_images.vectors.T
+    pred = classes[scores.argmax(axis=0)]
     return float((pred == test_images.labels).mean())
 
 

@@ -522,57 +522,80 @@ def test_recall_matches_stable_sort_oracle():
             assert gl.recall_at_k(v, t, k) == recall_by_stable_sort(v, t, k)
 
 
-def straddling_key_ties(block: int):
-    """(V, T) of 2 block + 37 pairs (the last block is partial) with duplicated
-    keys straddling two block boundaries."""
-    n = 2 * block + 37
+def tie_edges(block: int, n: int) -> list:
+    """The rows i with an edge between rows i - 1 and i that ties straddle:
+    the first two block edges, and every edge of recall@1's text tiles
+    (8 blocks) below n."""
+    return sorted({block, 2 * block} | set(range(8 * block, n, 8 * block)))
+
+
+# (block, n) for the straddling ties: n = None is 2 block + 37. At block 7 a
+# text tile is 56 rows, so 51 rows are under one tile, 56 are exactly one, and
+# 181 are three tiles and a remainder. Ids of the first two are those of the
+# block-only cases.
+TILE_CASES = [pytest.param(numerics._BLOCK_ROWS, None, id=str(numerics._BLOCK_ROWS)),
+              pytest.param(7, None, id="7"),
+              pytest.param(7, 56, id="7-one-tile"),
+              pytest.param(7, 181, id="7-three-tiles-and-13")]
+
+
+def straddling_key_ties(block: int, n: int | None = None):
+    """(V, T) of n pairs, 2 block + 37 by default (the last block is partial),
+    with duplicated keys straddling each of tie_edges(block, n)."""
+    n = n or 2 * block + 37
+    edges = tie_edges(block, n)
     rng = np.random.default_rng(30)
     # Small integer entries: every score is exact, so ties are exact ties.
-    v = rng.integers(-2, 3, size=(n, 3)).astype(np.float64)
-    t = rng.integers(-2, 3, size=(n, 3)).astype(np.float64)
-    # Duplicated keys straddling a block boundary, each the best match of
-    # both its queries: the query after the boundary loses rank 1 to the
-    # equal key before it.
-    t[block - 1] = t[block] = v[block - 1] = v[block] = 5.0
-    v[2 * block - 1] = v[2 * block] = t[2 * block - 1] = t[2 * block] = -5.0
+    v = np.zeros((n, 3 + len(edges)))
+    t = np.zeros((n, 3 + len(edges)))
+    v[:, :3] = rng.integers(-2, 3, size=(n, 3))
+    t[:, :3] = rng.integers(-2, 3, size=(n, 3))
+    # Duplicated keys straddling an edge, each on an axis of its own and the
+    # best match of both its queries (25 against at most 12): the query after
+    # the edge loses rank 1 to the equal key before it.
+    for axis, i in enumerate(edges, start=3):
+        t[i - 1] = t[i] = v[i - 1] = v[i] = 0.0
+        t[i - 1, axis] = t[i, axis] = v[i - 1, axis] = v[i, axis] = 5.0
     return v, t
 
 
-def straddling_image_ties(block: int):
-    """(V, T) of 2 block + 37 pairs with unique text rows and duplicated image
-    rows straddling two block boundaries."""
-    n = 2 * block + 37
+def straddling_image_ties(block: int, n: int | None = None):
+    """(V, T) of n pairs, 2 block + 37 by default, with unique text rows and
+    duplicated image rows straddling each of tie_edges(block, n)."""
+    n = n or 2 * block + 37
+    edges = tie_edges(block, n)
     rng = np.random.default_rng(32)
-    # Unique text rows: distinct codes in [-6, 6]^3, plus a fourth coordinate.
+    # Unique text rows: distinct codes in [-6, 6]^3, plus an axis per edge.
     codes = rng.choice(13**3, size=n, replace=False)
-    t = np.zeros((n, 4))
+    t = np.zeros((n, 3 + len(edges)))
     t[:, :3] = np.stack([codes // 169, codes // 13 % 13, codes % 13], axis=1) - 6
-    v = np.zeros((n, 4))
+    v = np.zeros((n, 3 + len(edges)))
     v[:, :3] = rng.integers(-2, 3, size=(n, 3))
-    # Duplicated image rows straddling a block boundary. Each pair is the best
-    # match of the text after the boundary (50 against at most 36), which
-    # loses rank 1 to the equal image before it.
-    for i, sign in ((block, 1.0), (2 * block, -1.0)):
-        t[i, 3] = sign
-        v[i - 1] = v[i] = (0.0, 0.0, 0.0, 50.0 * sign)
+    # Duplicated image rows straddling an edge. Each pair is the best match
+    # of the text after the edge (50 against at most 36), which loses rank 1
+    # to the equal image before it.
+    for axis, i in enumerate(edges, start=3):
+        t[i, axis] = 1.0
+        v[i - 1] = v[i] = 0.0
+        v[i - 1, axis] = v[i, axis] = 50.0
         scores = v @ t[i]
         assert scores.max() == scores[i] == scores[i - 1]
     assert np.unique(t, axis=0).shape[0] == n
     return v, t
 
 
-@pytest.mark.parametrize("block", [numerics._BLOCK_ROWS, 7])
-def test_blocked_recall_keeps_the_tie_rule_across_blocks(monkeypatch, block):
+@pytest.mark.parametrize("block, n", TILE_CASES)
+def test_blocked_recall_keeps_the_tie_rule_across_blocks(monkeypatch, block, n):
     monkeypatch.setattr(numerics, "_BLOCK_ROWS", block)
-    v, t = straddling_key_ties(block)
+    v, t = straddling_key_ties(block, n)
     for k in (1, 3, v.shape[0]):
         assert gl.recall_at_k(v, t, k) == recall_by_stable_sort(v, t, k)
 
 
-@pytest.mark.parametrize("block", [numerics._BLOCK_ROWS, 7])
-def test_blocked_recall_keeps_the_tie_rule_for_text_queries(monkeypatch, block):
+@pytest.mark.parametrize("block, n", TILE_CASES)
+def test_blocked_recall_keeps_the_tie_rule_for_text_queries(monkeypatch, block, n):
     monkeypatch.setattr(numerics, "_BLOCK_ROWS", block)
-    v, t = straddling_image_ties(block)
+    v, t = straddling_image_ties(block, n)
     for k in (1, 3, v.shape[0]):
         assert gl.recall_at_k(v, t, k) == recall_by_stable_sort(v, t, k)
 
@@ -678,10 +701,12 @@ def test_recall_validates_k():
     assert gl.recall_at_k(v, v, np.int64(1)) == gl.recall_at_k(v, v, np.uint8(3)) == (1.0, 1.0)
 
 
-def near_tie(partner_wins: bool, competitor_first: bool):
-    """(V, T), two pairs, where image 0's partner and its competitor score
-    float64 values 2^-35 apart that both round to 1.0 in float32, while the
-    float32 product puts them 2^-23 apart the other way round.
+def near_tie(partner_wins: bool, competitor_first: bool, n: int = 2, at: int = 0):
+    """(V, T), n pairs, where image `at`'s partner and its competitor, at rows
+    at and at + 1, score float64 values 2^-35 apart that both round to 1.0 in
+    float32, while the float32 product puts them 2^-23 apart the other way
+    round. Any other pairs lie on a third axis, where they score 0 against
+    the near tie's rows and below 1 against each other.
 
     With V's query row (1, 1), the scores are exact sums in float64:
     (1 + 2^-24 - 2^-35, 0) scores just below the float32 midpoint
@@ -700,7 +725,12 @@ def near_tie(partner_wins: bool, competitor_first: bool):
     v = np.array([[1.0, 1.0], [-1.0, 1.0]])
     if competitor_first:
         v, t = v[::-1], t[::-1]
-    return v, t
+    rng = np.random.default_rng(34)
+    rows = np.zeros((2, n, 3))
+    rows[:, :, 2] = rng.uniform(0.1, 0.9, size=(2, n))
+    rows[:, at:at + 2] = 0.0
+    rows[0, at:at + 2, :2], rows[1, at:at + 2, :2] = v, t
+    return rows[0], rows[1]
 
 
 @pytest.mark.parametrize("partner_wins", [True, False])
@@ -716,6 +746,23 @@ def test_screened_recall_rescores_near_ties_the_float32_product_flips(
     assert got == recall_by_stable_sort(v, t, 1)
     query = int(competitor_first)
     assert query in rescored[text_queries]
+
+
+@pytest.mark.parametrize("partner_wins", [True, False])
+@pytest.mark.parametrize("competitor_first", [True, False])
+@pytest.mark.parametrize("text_queries", [False, True])
+def test_screened_recall_rescores_near_ties_across_a_tile_edge(
+        monkeypatch, partner_wins, competitor_first, text_queries):
+    # At block 7 recall@1's text tiles are 56 rows: the near tie's two pairs
+    # sit at rows 55 and 56, so partner and competitor fall in different
+    # tiles, and 181 rows make three tiles and a remainder.
+    monkeypatch.setattr(numerics, "_BLOCK_ROWS", 7)
+    v, t = near_tie(partner_wins, competitor_first, n=181, at=55)
+    if text_queries:
+        v, t = t, v
+    rescored = count_rescored(monkeypatch)
+    assert gl.recall_at_k(v, t, 1) == recall_by_stable_sort(v, t, 1)
+    assert 55 + int(competitor_first) in rescored[text_queries]
 
 
 @pytest.mark.parametrize("scale_v, scale_t, tiny_rows", [
@@ -829,6 +876,44 @@ def test_probe_on_orthogonal_subspaces_is_chance():
         gl.EmbeddingBatch(tx, labels=labels, modality="text"),
         gl.EmbeddingBatch(im, labels=labels))
     assert acc == 1.0 / k
+
+
+def probe_by_dense_formula(texts, images) -> float:
+    """The probe's accuracy from the textbook ridge: solve(G + lam I, X^T Y)
+    with lam 1e-2 of G's mean diagonal, image scores images @ W, and the first
+    maximum's class in sorted label order."""
+    x = texts.vectors
+    classes = np.unique(texts.labels)
+    onehot = (texts.labels[:, None] == classes[None, :]).astype(np.float64)
+    gram = x.T @ x
+    lam = 1e-2 * np.diag(gram).mean()
+    weights = np.linalg.solve(gram + lam * np.eye(x.shape[1]), x.T @ onehot)
+    pred = classes[(images.vectors @ weights).argmax(axis=1)]
+    return float((pred == images.labels).mean())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_probe_equals_the_dense_ridge_formula(seed):
+    # Texts span the first 6 of 8 axes, so the weights' last two rows are 0.
+    # The last 15 images lie on those two axes: every class scores exactly 0,
+    # and the tie goes to class 2, the first in sorted order though 9 comes
+    # first in the labels, so only 5 of the 15 are right.
+    rng = np.random.default_rng(seed)
+    classes = np.array([9, 2, 5])
+    centers = rng.standard_normal((3, 6))
+    text_labels = classes[np.arange(60) % 3]
+    texts = np.zeros((60, 8))
+    texts[:, :6] = centers[np.arange(60) % 3] + 0.9 * rng.standard_normal((60, 6))
+    image_labels = classes[np.arange(45) % 3]
+    images = np.zeros((45, 8))
+    images[:30, :6] = centers[np.arange(30) % 3] + 0.9 * rng.standard_normal((30, 6))
+    images[30:, 6:] = rng.standard_normal((15, 2))
+    texts = gl.EmbeddingBatch(texts, labels=text_labels, modality="text")
+    images = gl.EmbeddingBatch(images, labels=image_labels)
+    got = gl.interchangeability_probe(texts, images)
+    assert got == probe_by_dense_formula(texts, images)
+    tied = gl.EmbeddingBatch(images.vectors[30:], labels=image_labels[30:])
+    assert gl.interchangeability_probe(texts, tied) == probe_by_dense_formula(texts, tied) == 5 / 15
 
 
 def test_probe_is_scale_free():

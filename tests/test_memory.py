@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import gaplab as gl
-from gaplab import cli, evalkit
+from gaplab import cli, evalkit, numerics
 
 from conftest import traced_peak, unit_rows
 
@@ -102,6 +102,44 @@ def test_kmeans_makes_no_n_by_d_temporary():
     (labels, _), peak = traced_peak(evalkit._kmeans, (v,), 2, 0)
     assert np.bincount(labels).min() > 512
     assert peak <= 0.25 * D
+
+
+def test_recall_at_1_holds_one_text_tile_beyond_its_inputs():
+    # The screen casts the texts to float32 one tile of 8 row blocks at a
+    # time: the tile, one float32 image block and one block x tile score
+    # block, beside a few vectors of n entries (norms, maxima, margins). A
+    # whole float32 copy of the texts would be D / 2 by itself at any d.
+    # tracemalloc cannot see OpenBLAS's own buffers, such as the packing
+    # buffer of a threaded product; the dump benchmark's peak_rss_mb shows
+    # those, and the bits of the k-means and probe products are pinned by
+    # tests/test_evalkit.py.
+    d = 512
+    rng = np.random.default_rng(2)
+    v = unit_rows(rng, N, d)
+    t = gl.l2_normalize_rows(0.15 * v + unit_rows(rng, N, d))[0]
+    hits, peak = traced_peak(gl.recall_at_k, v, t, 1)
+    assert 0.0 < min(hits) and max(hits) < 1.0
+    block, tile = numerics._BLOCK_ROWS, 8 * numerics._BLOCK_ROWS
+    assert peak <= tile * d * 4 + block * d * 4 + block * tile * 4 + 128 * N
+    assert peak < 0.5 * N * d * 8
+
+
+def test_probe_builds_no_identity_beside_its_gram():
+    # The ridge goes onto the Gram's diagonal in place. A dense
+    # gram + lam * np.eye(d) holds a second d x d buffer beside the Gram
+    # (NumPy folds the identity, its multiple and the sum into one). The
+    # rest is the one-hot targets and the class scores, c x n each.
+    # tracemalloc cannot see OpenBLAS's or LAPACK's own buffers (solve's
+    # copy of the system, a threaded product's packing buffer).
+    d, classes = 512, 8
+    rng = np.random.default_rng(3)
+    labels = np.arange(N) % classes
+    texts = gl.EmbeddingBatch(unit_rows(rng, N, d), labels=labels, modality="text")
+    images = gl.EmbeddingBatch(unit_rows(rng, N, d), labels=labels)
+    gl.interchangeability_probe(texts, gl.EmbeddingBatch(images.vectors[:8], labels=labels[:8]))
+    _, peak = traced_peak(gl.interchangeability_probe, texts, images)
+    gram = d * d * 8
+    assert peak <= gram + 3 * N * classes * 8 + 0.1 * gram
 
 
 def test_read_embeddings_holds_its_output_and_one_chunk(tmp_path):
